@@ -69,12 +69,15 @@ def read_field_header(path: str | Path) -> dict:
         header = json.loads(line.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise BadHeaderError(f"{path}: undecodable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise BadHeaderError(f"{path}: header is not a JSON object")
     for key in ("dims", "dtype", "endian", "phase", "subject_id"):
         if key not in header:
             raise BadHeaderError(f"{path}: header missing key {key!r}")
     dims = header["dims"]
-    if (len(dims) != 4 or dims[0] != 3 or min(dims[1:]) < 1
-            or any(not isinstance(v, int) for v in dims)):
+    if (not isinstance(dims, list) or len(dims) != 4
+            or any(isinstance(v, bool) or not isinstance(v, int) for v in dims)
+            or dims[0] != 3 or min(dims[1:]) < 1):
         raise BadHeaderError(f"{path}: bad dims {dims}")
     if header["dtype"] != "f32" or header["endian"] != "little":
         raise BadHeaderError(f"{path}: unsupported dtype/endian tags")

@@ -13,7 +13,6 @@ ShapeLedgerMismatchError rather than silently continuing.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -235,8 +234,7 @@ class PipelineModel:
     ledger: tuple[LayerShapes, ...]
     train_subject_ids: tuple[str, ...]
     seed: int
-    # in-memory provenance/diagnostics; never serialized
-    fit_timestamp: float | None = field(default=None, compare=False)
+    # in-memory diagnostics; never serialized
     training_features: np.ndarray | None = field(default=None, compare=False)
 
     @property
@@ -304,11 +302,9 @@ def fit_pipeline(samples: list[DeformationSample], cfg: PipelineConfig,
                 raise ShapeLedgerMismatchError(
                     f"layer {li + 1} input {maps[0].shape}, "
                     f"ledger says {shapes.input_dims}")
-
-            def batches(maps=maps, window=layer.window):
-                return (extract_unions(m, window).data for m in maps)
-
-            kernel = saab.fit_saab_batches(batches, layer.channels, cfg.bias_scale)
+            kernel = saab.fit_saab_batches(
+                (extract_unions(m, layer.window).data for m in maps),
+                layer.channels, cfg.bias_scale)
             maps = [_run_layer(kernel, m, layer.window, shapes.conv_dims,
                                shapes.pool_dims)[1] for m in maps]
 
@@ -337,7 +333,7 @@ def fit_pipeline(samples: list[DeformationSample], cfg: PipelineConfig,
         config=cfg, input_dims=dims, class_count=k, class_table=table,
         stages=tuple(tuple(p) for p in stages), svm=svm, ledger=ledger,
         train_subject_ids=tuple(s.subject_id for s in samples),
-        seed=cfg.seed, fit_timestamp=time.time(), training_features=features)
+        seed=cfg.seed, training_features=features)
 
 
 def _direction_blocks(model: PipelineModel, sample: DeformationSample,

@@ -7,23 +7,27 @@ mean-centered DC-removed residual onto its leading principal directions,
 estimated from training unions. Every channel shares the same bias
 ``bias_scale * sqrt(F)``.
 
-Fitting runs in two accumulation passes over row batches (mean, then
-centered scatter), so training unions never need to be materialized in
-one matrix; a dense matrix is simply the single-batch case.
+Fitting reads row batches once, merging each batch's (count, mean,
+centered scatter) with the pairwise update of Chan, Golub & LeVeque (1979)
+and projecting the DC direction out of the merged D x D statistics at the
+end, so training unions never need to be materialized in one matrix; a
+dense matrix is simply the single-batch case. Projection is one matrix
+product plus a per-channel offset that folds in the training mean.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from .errors import DegenerateInputError, DegenerateInputWarning, ShapeMismatchError
 
 # Relative eigenvalue threshold below which residual directions are treated
-# as numerically rank-deficient and zero-padded instead of kept.
+# as numerically rank-deficient and zero-padded instead of kept. Residual
+# variance at or below this share of the total variance counts as none.
 RANK_RTOL = 1e-10
 
 
@@ -57,10 +61,6 @@ def _as_rows(X) -> np.ndarray:
     return rows
 
 
-def _remove_dc(rows: np.ndarray, dc: np.ndarray) -> np.ndarray:
-    return rows - np.outer(rows @ dc, dc)
-
-
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip each row so its largest-magnitude entry is positive."""
     out = vectors.copy()
@@ -82,40 +82,45 @@ def _descending_order(evals: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return order
 
 
-def fit_saab_batches(make_batches: Callable[[], Iterable[np.ndarray]],
-                     channels: int, bias_scale: float = 0.0) -> SaabKernel:
-    """Fit a kernel from repeated passes over row batches.
+def fit_saab_batches(batches: Iterable[np.ndarray], channels: int,
+                     bias_scale: float = 0.0) -> SaabKernel:
+    """Fit a kernel from one pass over an iterable of row batches.
 
-    ``make_batches`` must yield the same rows in the same order each time
-    it is called; batch boundaries only bound memory, changing the result
-    by nothing beyond summation roundoff versus a single dense fit.
+    Batch boundaries only bound memory, changing the result by nothing
+    beyond summation roundoff versus a single dense fit; empty batches are
+    skipped.
     """
     channels = int(channels)
     n = 0
     dim = None
-    sum_ac = None
-    for batch in make_batches():
+    for batch in batches:
         rows = _as_rows(batch)
         if dim is None:
             dim = rows.shape[1]
             if channels < 1 or channels > dim:
                 raise DegenerateInputError(
                     f"channels must lie in [1, {dim}], got {channels}")
-            dc = np.full(dim, 1.0 / np.sqrt(dim))
-            sum_ac = np.zeros(dim)
+            mean = np.zeros(dim)
+            m2 = np.zeros((dim, dim))
         elif rows.shape[1] != dim:
             raise ShapeMismatchError(f"batch width {rows.shape[1]} != {dim}")
-        sum_ac += _remove_dc(rows, dc).sum(axis=0)
-        n += rows.shape[0]
+        n_b = rows.shape[0]
+        if n_b == 0:
+            continue
+        mean_b = rows.mean(axis=0)
+        centered = rows - mean_b
+        delta = mean_b - mean
+        merged = n + n_b
+        m2 += centered.T @ centered + np.outer(delta, delta) * (n * n_b / merged)
+        mean += delta * (n_b / merged)
+        n = merged
     if dim is None or n < 2:
         raise DegenerateInputError(f"need at least 2 training unions, got {n}")
-    mean_ac = sum_ac / n
-
-    scatter = np.zeros((dim, dim))
-    for batch in make_batches():
-        centered = _remove_dc(_as_rows(batch), dc) - mean_ac
-        scatter += centered.T @ centered
-    cov = scatter / (n - 1)
+    dc = np.full(dim, 1.0 / np.sqrt(dim))
+    proj = np.eye(dim) - np.outer(dc, dc)
+    mean_ac = proj @ mean
+    cov = proj @ m2 @ proj / (n - 1)
+    cov = (cov + cov.T) / 2
 
     n_ac = channels - 1
     ac = np.zeros((n_ac, dim))
@@ -125,7 +130,7 @@ def fit_saab_batches(make_batches: Callable[[], Iterable[np.ndarray]],
     evals, evecs = np.linalg.eigh(cov)
     evals = np.clip(evals, 0.0, None)
     total = float(evals.sum())
-    if total <= 0.0:
+    if total <= RANK_RTOL * np.trace(m2) / (n - 1):
         degenerate = True
         if n_ac:
             warnings.warn("training unions have no residual variance; "
@@ -142,8 +147,6 @@ def fit_saab_batches(make_batches: Callable[[], Iterable[np.ndarray]],
         if padded:
             warnings.warn(f"{padded} requested components exceed the training "
                           f"rank {rank}; zero-padded", DegenerateInputWarning)
-    else:
-        padded = 0
     return SaabKernel(dc=dc, ac=ac, bias=float(bias_scale) * np.sqrt(channels),
                       mean_ac=mean_ac, energy=energy, padded=padded,
                       degenerate=degenerate)
@@ -151,8 +154,7 @@ def fit_saab_batches(make_batches: Callable[[], Iterable[np.ndarray]],
 
 def fit_saab(X, channels: int, bias_scale: float = 0.0) -> SaabKernel:
     """Fit a kernel from one dense union matrix (rows = unions)."""
-    rows = _as_rows(X)
-    return fit_saab_batches(lambda: (rows,), channels, bias_scale)
+    return fit_saab_batches((X,), channels, bias_scale)
 
 
 def apply_saab(kernel: SaabKernel, X) -> np.ndarray:
@@ -165,11 +167,8 @@ def apply_saab(kernel: SaabKernel, X) -> np.ndarray:
     if rows.shape[1] != kernel.dim:
         raise ShapeMismatchError(
             f"union length {rows.shape[1]} != kernel dim {kernel.dim}")
-    out = np.empty((rows.shape[0], kernel.channels))
-    out[:, 0] = rows @ kernel.dc + kernel.bias
-    if kernel.channels > 1:
-        out[:, 1:] = (rows - kernel.mean_ac) @ kernel.ac.T + kernel.bias
-    return out
+    offset = kernel.bias - np.concatenate(([0.0], kernel.ac @ kernel.mean_ac))
+    return rows @ np.vstack([kernel.dc, kernel.ac]).T + offset
 
 
 def energy_curve(kernel: SaabKernel) -> np.ndarray:

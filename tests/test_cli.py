@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shutil
 
 import pytest
 
@@ -250,6 +251,24 @@ class TestErrorSurface:
         err = json.loads(capsys.readouterr().err)
         assert code == 3
         assert err["error"]["type"] == "CorruptFileError"
+
+    @pytest.mark.parametrize("dims", [5, [3, "a", 12, 12], [3, True, 12, 12]])
+    def test_bad_field_dims_are_a_data_error(self, work, cohort, fit_dir,
+                                             tmp_path, dims, capsys):
+        copy = tmp_path / "cohort"
+        shutil.copytree(cohort.parent, copy)
+        field = sh.load_manifest(copy / "manifest.json").records[0].ed_path
+        raw = field.read_bytes()
+        nl = raw.index(b"\n")
+        header = json.loads(raw[:nl])
+        header["dims"] = dims
+        field.write_bytes(json.dumps(header).encode() + raw[nl:])
+        code = main(["predict", "--model", str(fit_dir / "model.sslm"),
+                     "--manifest", str(copy / "manifest.json"),
+                     "--out", str(tmp_path / "pred")])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 3
+        assert err["error"]["type"] == "BadHeaderError"
 
     def test_unknown_subcommand_is_a_usage_error(self, capsys):
         code = main(["frobnicate"])

@@ -93,6 +93,11 @@ class TestFieldFiles:
         {"dtype": "f64"},            # unsupported dtype
         {"endian": "big"},           # unsupported endian
         {"phase": "XX"},             # unknown phase
+        {"dims": 5},                 # not a list
+        {"dims": [3, "a", 2, 2]},    # non-integer entry
+        {"dims": [3, True, 2, 2]},   # bool passes isinstance(v, int)
+        b'"dims dtype endian phase subject_id"',  # JSON, not an object
+        b"5",
     ])
     def test_bad_headers(self, rng, tmp_path, tweaks):
         path = sh.write_field(_sample_field(rng, (2, 2, 2)),
@@ -101,6 +106,8 @@ class TestFieldFiles:
         nl = raw.index(b"\n")
         if tweaks == "garbage":
             new_header = b"{broken"
+        elif isinstance(tweaks, bytes):
+            new_header = tweaks
         else:
             header = json.loads(raw[:nl])
             for key, value in tweaks.items():

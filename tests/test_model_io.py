@@ -56,7 +56,6 @@ class TestRoundTrip:
 
     def test_volatile_fields_are_not_serialized(self, saved):
         loaded = sh.load_model(saved)
-        assert loaded.fit_timestamp is None
         assert loaded.training_features is None
 
     def test_repeat_save_is_byte_identical(self, saved, tiny_model, tmp_path):

@@ -113,17 +113,32 @@ class TestApply:
 class TestBatching:
     def test_batches_match_dense_fit(self, rng):
         X = rng.normal(size=(97, 11))
-
-        def batches():
-            yield X[:13]
-            yield X[13:60]
-            yield X[60:]
-
         dense = fit_saab(X, channels=6)
-        split = fit_saab_batches(batches, channels=6)
+        split = fit_saab_batches([X[:13], X[13:60], X[60:]], channels=6)
         np.testing.assert_allclose(split.ac, dense.ac, atol=1e-10)
         np.testing.assert_allclose(split.mean_ac, dense.mean_ac, atol=1e-12)
         np.testing.assert_allclose(split.energy, dense.energy, atol=1e-12)
+
+    def test_uneven_offset_batches_match_two_pass_oracle(self, rng):
+        # a common offset of 1e3 and batches of 0 and 1 rows stress the
+        # pairwise merge; the oracle removes DC row by row in two passes
+        X = 1e3 + rng.normal(loc=rng.uniform(-5, 5, size=10),
+                             scale=np.linspace(0.5, 3.0, 10), size=(200, 10))
+        bounds = np.cumsum([0, 1, 0, 37, 5, 90, 2, 65])
+        k = fit_saab_batches((X[a:b] for a, b in zip(bounds, bounds[1:])),
+                             channels=6)
+        _, oracle = _oracle_eig(X)
+        dots = np.abs(np.sum(k.ac * oracle[:5], axis=1))
+        np.testing.assert_allclose(dots, 1.0, atol=1e-10, rtol=0)
+        dc = np.ones(10) / np.sqrt(10)
+        mean_ac = (X - np.outer(X @ dc, dc)).mean(axis=0)
+        err = np.linalg.norm(k.mean_ac - mean_ac) / np.linalg.norm(mean_ac)
+        assert err <= 1e-12
+
+    def test_one_shot_generator_is_accepted(self, rng):
+        X = rng.normal(size=(40, 6))
+        k = fit_saab_batches((X[i:i + 8] for i in range(0, 40, 8)), channels=4)
+        np.testing.assert_allclose(k.ac, fit_saab(X, channels=4).ac, atol=1e-10)
 
     def test_row_order_permutation_invariance(self, rng):
         X = rng.normal(size=(64, 9))
@@ -153,6 +168,10 @@ class TestEdgeCases:
         with pytest.raises(DegenerateInputError):
             fit_saab(np.ones((1, 4)), channels=2)
 
+    def test_empty_iterable_rejected(self):
+        with pytest.raises(DegenerateInputError):
+            fit_saab_batches(iter(()), channels=2)
+
     def test_rank_deficit_pads_with_zeros(self, rng):
         # three distinct rows span a residual space of rank <= 2
         X = np.vstack([rng.normal(size=(3, 8))] * 10)
@@ -170,6 +189,15 @@ class TestEdgeCases:
         assert k.degenerate
         out = apply_saab(k, X)
         np.testing.assert_allclose(out[:, 1:], k.bias)
+
+    @pytest.mark.parametrize("dim", [7, 54])
+    def test_dc_roundoff_is_not_residual_variance(self, dim):
+        # 1/sqrt(dim) is inexact, so DC removal leaves roundoff that must
+        # not be kept as an AC component
+        X = np.outer(np.arange(1.0, 21.0), np.ones(dim))
+        with pytest.warns(DegenerateInputWarning, match="no residual variance"):
+            k = fit_saab(X, channels=4)
+        assert k.degenerate and k.padded == 3
 
     def test_tied_eigenvalues_are_deterministic(self):
         # two orthogonal +/- pairs of equal norm: the residual covariance has
