@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataio, evaluate, model_io, pipeline
+from . import dataio, evaluate, model_io, pipeline, saab
 from .errors import MissingFileError, SslhopError
 
 log = logging.getLogger("sslhop")
@@ -230,11 +230,10 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         writer.writerow(["layer", "direction", "component", "ratio", "cumulative"])
         for d, per_dir in enumerate(model.stages):
             for li, stage in enumerate(per_dir):
-                cum = 0.0
-                for ci, ratio in enumerate(stage.kernel.energy):
-                    cum += float(ratio)
+                curve = saab.energy_curve(stage.kernel)
+                for ci, (ratio, cum) in enumerate(zip(stage.kernel.energy, curve)):
                     writer.writerow([li + 1, d, ci + 1, repr(float(ratio)),
-                                     repr(cum)])
+                                     repr(float(cum))])
     with open(args.out / "entropy.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["layer", "direction", "channel", "entropy", "kept"])

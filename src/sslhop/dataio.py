@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (BadHeaderError, ChecksumMismatchError,
                      DuplicateSubjectError, MissingFileError,
                      NonFiniteValuesError, ShapeMismatchError,
-                     UnknownLabelError)
+                     TooFewSubjectsError, UnknownLabelError)
 
 PHASES = ("ED", "ES")
 _MAX_HEADER = 4096
@@ -137,6 +137,8 @@ def _validate_manifest(classes: dict[int, str],
     ids = sorted(classes)
     if ids != list(range(len(ids))) or not ids:
         raise UnknownLabelError(f"class ids must be contiguous from 0, got {ids}")
+    if not records:
+        raise TooFewSubjectsError("manifest lists no subjects")
     seen: set[str] = set()
     for rec in records:
         if rec.subject_id in seen:

@@ -30,8 +30,8 @@ import numpy as np
 from . import classifier, saab, supervise
 from .errors import (CorruptFileError, ShapeLedgerMismatchError,
                      VersionMismatchError)
-from .pipeline import (LayerShapes, LayerStage, PipelineConfig, PipelineModel,
-                       compute_ledger)
+from .pipeline import (DIRECTIONS, LayerShapes, LayerStage, PipelineConfig,
+                       PipelineModel, compute_ledger)
 
 MAGIC = b"SSLHOP01"
 FORMAT_MAJOR = 1
@@ -79,7 +79,6 @@ def _collect(model: PipelineModel) -> tuple[dict, list[tuple[str, np.ndarray]]]:
         "input_dims": list(model.input_dims),
         "class_count": model.class_count,
         "class_table": list(model.class_table) if model.class_table else None,
-        "seed": model.seed,
         "train_subject_ids": list(model.train_subject_ids),
         "ledger": [e.to_dict() for e in model.ledger],
         "stages": stages_meta,
@@ -146,12 +145,22 @@ def load_model(path: str | Path) -> PipelineModel:
     if compute_ledger(cfg, input_dims) != ledger:
         raise ShapeLedgerMismatchError(
             f"{path}: stored ledger disagrees with its config")
+    if (len(meta["stages"]) != DIRECTIONS
+            or any(len(dir_meta) != len(ledger) for dir_meta in meta["stages"])):
+        raise CorruptFileError(
+            f"{path}: stages must hold {DIRECTIONS} directions x "
+            f"{len(ledger)} layers")
 
     stages = []
     for d, dir_meta in enumerate(meta["stages"]):
         per_dir = []
         for li, sm in enumerate(dir_meta):
             prefix = f"d{d}/l{li}"
+            if len(sm["entropy"]["kept"]) != ledger[li].kept_channels:
+                raise CorruptFileError(
+                    f"{path}: direction {d} layer {li + 1} keeps "
+                    f"{len(sm['entropy']['kept'])} channels, ledger says "
+                    f"{ledger[li].kept_channels}")
             kernel = saab.SaabKernel(
                 dc=arrays[f"{prefix}/saab/dc"],
                 ac=arrays[f"{prefix}/saab/ac"],
@@ -182,4 +191,4 @@ def load_model(path: str | Path) -> PipelineModel:
     return PipelineModel(
         config=cfg, input_dims=input_dims, class_count=meta["class_count"],
         class_table=table, stages=tuple(stages), svm=svm, ledger=ledger,
-        train_subject_ids=tuple(meta["train_subject_ids"]), seed=meta["seed"])
+        train_subject_ids=tuple(meta["train_subject_ids"]))

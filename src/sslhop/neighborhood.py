@@ -62,45 +62,25 @@ def extract_unions(fmap: np.ndarray, window: tuple[int, int, int]) -> UnionMatri
     return UnionMatrix(np.ascontiguousarray(rows), (H, W, Z, C), (h, w, z))
 
 
-def max_pool(fmap: np.ndarray, kernel: tuple[int, int, int] = (2, 2, 2),
-             stride: int | tuple[int, int, int] = 2, ceil_mode: bool = True) -> np.ndarray:
-    """Max-pool each spatial axis of a (H, W, Z, C) map.
+def max_pool(fmap: np.ndarray) -> np.ndarray:
+    """Max-pool each spatial axis of a (H, W, Z, C) map over 2x2x2 blocks.
 
-    Only kernel == stride is supported. With ``ceil_mode`` the trailing
-    partial window on an odd axis is kept (max over the remaining
-    elements), so output dims are ceil(dim / kernel); without it the
-    remainder is dropped.
+    Ceil mode: the trailing partial block on an odd axis is kept (max over
+    the remaining elements), so output dims are ceil(dim / 2).
     """
-    arr = np.asarray(fmap)
-    if arr.ndim != 4:
-        raise ShapeMismatchError(f"expected a (H, W, Z, C) map, got shape {arr.shape}")
-    kernel = tuple(int(k) for k in kernel)
-    stride = (stride,) * 3 if np.isscalar(stride) else tuple(int(s) for s in stride)
-    if kernel != stride:
-        raise ValueError(f"only kernel == stride pooling is supported, got {kernel} vs {stride}")
-    out = arr
-    for ax, k in enumerate(kernel):
-        if k == 1:
-            continue
-        n = out.shape[ax]
-        rem = n % k
-        if rem and ceil_mode:
-            pad = [(0, 0)] * out.ndim
-            pad[ax] = (0, k - rem)
+    out = np.asarray(fmap)
+    if out.ndim != 4:
+        raise ShapeMismatchError(f"expected a (H, W, Z, C) map, got shape {out.shape}")
+    for ax in range(3):
+        if out.shape[ax] % 2:
+            pad = [(0, 0)] * 4
+            pad[ax] = (0, 1)
             out = np.pad(out, pad, constant_values=-np.inf)
-        elif rem:
-            sl = [slice(None)] * out.ndim
-            sl[ax] = slice(0, n - rem)
-            out = out[tuple(sl)]
-        n_out = out.shape[ax] // k
-        shape = out.shape[:ax] + (n_out, k) + out.shape[ax + 1:]
-        out = out.reshape(shape).max(axis=ax + 1)
+        out = out.reshape(out.shape[:ax] + (out.shape[ax] // 2, 2)
+                          + out.shape[ax + 1:]).max(axis=ax + 1)
     return out
 
 
-def pooled_dims(dims: tuple[int, int, int], kernel: tuple[int, int, int] = (2, 2, 2),
-                ceil_mode: bool = True) -> tuple[int, int, int]:
+def pooled_dims(dims: tuple[int, int, int]) -> tuple[int, int, int]:
     """Spatial dims produced by :func:`max_pool` (shape arithmetic only)."""
-    if ceil_mode:
-        return tuple(-(-d // k) for d, k in zip(dims, kernel))
-    return tuple(d // k for d, k in zip(dims, kernel))
+    return tuple(-(-d // 2) for d in dims)

@@ -8,7 +8,9 @@ the concatenation over layers (outer) then directions (inner).
 
 Every fit is preceded by a dry-run shape pass producing a ledger of the
 expected map dimensions; any disagreement during the real pass raises
-ShapeLedgerMismatchError rather than silently continuing.
+ShapeLedgerMismatchError rather than silently continuing. Fit and transform
+run the same batched per-layer steps, so both check the same ledger entries
+and transforming the training samples reproduces the training features.
 """
 
 from __future__ import annotations
@@ -233,7 +235,6 @@ class PipelineModel:
     svm: classifier.SvmModel
     ledger: tuple[LayerShapes, ...]
     train_subject_ids: tuple[str, ...]
-    seed: int
     # in-memory diagnostics; never serialized
     training_features: np.ndarray | None = field(default=None, compare=False)
 
@@ -250,22 +251,54 @@ def _lag_seed(seed: int, layer: int, direction: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _run_layer(kernel: saab.SaabKernel, fmap: np.ndarray, window, conv_dims,
-               pool_dims) -> tuple[np.ndarray, np.ndarray]:
+def _direction_maps(samples: list[DeformationSample],
+                    direction: int) -> list[np.ndarray]:
+    """One-channel (H, W, Z, 1) input maps of one direction of every sample."""
+    return [np.ascontiguousarray(s.interlaced[direction])[..., None]
+            for s in samples]
+
+
+def _run_layer(kernel: saab.SaabKernel, fmap: np.ndarray, window,
+               shapes: LayerShapes) -> tuple[np.ndarray, np.ndarray]:
     """Apply one fitted layer to one map; returns (conv, pooled)."""
+    if fmap.shape != shapes.input_dims:
+        raise ShapeLedgerMismatchError(
+            f"layer {shapes.layer} input {fmap.shape}, "
+            f"ledger says {shapes.input_dims}")
     unions = extract_unions(fmap, window)
     conv = saab.apply_saab(kernel, unions.data)
     conv = conv.reshape(unions.out_dims + (kernel.channels,))
-    if conv.shape[2] != conv_dims[2]:                 # optional depth truncation
-        conv = conv[:, :, :conv_dims[2], :]
-    if conv.shape != conv_dims:
+    conv = conv[:, :, :shapes.conv_dims[2]]           # optional depth truncation
+    if conv.shape != shapes.conv_dims:
         raise ShapeLedgerMismatchError(
-            f"projection produced {conv.shape}, ledger says {conv_dims}")
+            f"projection produced {conv.shape}, ledger says {shapes.conv_dims}")
     pooled = max_pool(conv)
-    if pooled.shape != pool_dims:
+    if pooled.shape != shapes.pool_dims:
         raise ShapeLedgerMismatchError(
-            f"pooling produced {pooled.shape}, ledger says {pool_dims}")
+            f"pooling produced {pooled.shape}, ledger says {shapes.pool_dims}")
     return conv, pooled
+
+
+def _pool_layer(kernel: saab.SaabKernel, maps, window,
+                shapes: LayerShapes) -> np.ndarray:
+    """Apply one fitted layer to every map; stacked (N, H, W, Z, C)."""
+    return np.stack([_run_layer(kernel, m, window, shapes)[1] for m in maps])
+
+
+def _reduce(pooled: np.ndarray, kept: np.ndarray,
+            shapes: LayerShapes) -> np.ndarray:
+    """Flattened (N, D) kept channels of stacked pooled maps."""
+    flat = supervise.select_channels(pooled, kept).reshape(len(pooled), -1)
+    if flat.shape[1] != shapes.lag_input_dim:
+        raise ShapeLedgerMismatchError(
+            f"layer {shapes.layer} reduced width {flat.shape[1]}, "
+            f"ledger says {shapes.lag_input_dim}")
+    return flat
+
+
+def _features(blocks: list[list[np.ndarray]]) -> np.ndarray:
+    """Concatenate [layer][direction] blocks, layer-major, direction-minor."""
+    return np.concatenate([b for per_layer in blocks for b in per_layer], axis=1)
 
 
 def fit_pipeline(samples: list[DeformationSample], cfg: PipelineConfig,
@@ -289,41 +322,26 @@ def fit_pipeline(samples: list[DeformationSample], cfg: PipelineConfig,
         raise MissingClassError(f"labels must cover 0..{k - 1}; missing {missing}")
 
     ledger = compute_ledger(cfg, dims)
-    n_layers = len(cfg.layers)
-    stages: list[list[LayerStage]] = []
-    blocks: list[list[np.ndarray]] = [[None] * DIRECTIONS for _ in range(n_layers)]
-
+    stages: list[tuple[LayerStage, ...]] = []
+    blocks = [[None] * DIRECTIONS for _ in cfg.layers]
     for d in range(DIRECTIONS):
-        maps = [np.ascontiguousarray(s.interlaced[d])[..., None] for s in samples]
-        per_dir: list[LayerStage] = []
-        for li, layer in enumerate(cfg.layers):
-            shapes = ledger[li]
-            if maps[0].shape != shapes.input_dims:
-                raise ShapeLedgerMismatchError(
-                    f"layer {li + 1} input {maps[0].shape}, "
-                    f"ledger says {shapes.input_dims}")
+        maps = _direction_maps(samples, d)
+        per_dir = []
+        for li, (layer, shapes) in enumerate(zip(cfg.layers, ledger)):
             kernel = saab.fit_saab_batches(
                 (extract_unions(m, layer.window).data for m in maps),
                 layer.channels, cfg.bias_scale)
-            maps = [_run_layer(kernel, m, layer.window, shapes.conv_dims,
-                               shapes.pool_dims)[1] for m in maps]
-
-            stacked = np.stack(maps)
-            entropy = supervise.channel_entropy(stacked, labels, cfg.keep_ratio)
-            flat = stacked[..., entropy.kept].reshape(len(samples), -1)
-            if flat.shape[1] != shapes.lag_input_dim:
-                raise ShapeLedgerMismatchError(
-                    f"layer {li + 1} reduced width {flat.shape[1]}, "
-                    f"ledger says {shapes.lag_input_dim}")
+            maps = _pool_layer(kernel, maps, layer.window, shapes)
+            entropy = supervise.channel_entropy(maps, labels, cfg.keep_ratio)
+            flat = _reduce(maps, entropy.kept, shapes)
             lag = supervise.fit_lag(flat, labels, cfg.centroids_per_class,
                                     cfg.alpha, cfg.ridge_lambda,
                                     seed=_lag_seed(cfg.seed, li, d))
             blocks[li][d] = supervise.apply_lag(lag, flat)
             per_dir.append(LayerStage(kernel=kernel, entropy=entropy, lag=lag))
-        stages.append(per_dir)
+        stages.append(tuple(per_dir))
 
-    features = np.concatenate([blocks[li][d] for li in range(n_layers)
-                               for d in range(DIRECTIONS)], axis=1)
+    features = _features(blocks)
     svm = classifier.fit_svm(features, labels, cost=cfg.svm_cost, class_count=k)
 
     table = None
@@ -331,52 +349,52 @@ def fit_pipeline(samples: list[DeformationSample], cfg: PipelineConfig,
         table = tuple(class_table[i] for i in range(k))
     return PipelineModel(
         config=cfg, input_dims=dims, class_count=k, class_table=table,
-        stages=tuple(tuple(p) for p in stages), svm=svm, ledger=ledger,
+        stages=tuple(stages), svm=svm, ledger=ledger,
         train_subject_ids=tuple(s.subject_id for s in samples),
-        seed=cfg.seed, training_features=features)
+        training_features=features)
 
 
-def _direction_blocks(model: PipelineModel, sample: DeformationSample,
-                      direction: int, record=None) -> list[np.ndarray]:
-    """Per-layer reduced feature blocks of one direction of one sample."""
-    fmap = np.ascontiguousarray(sample.interlaced[direction])[..., None]
-    out = []
-    for li, stage in enumerate(model.stages[direction]):
-        shapes = model.ledger[li]
-        conv, fmap = _run_layer(stage.kernel, fmap, model.config.layers[li].window,
-                                shapes.conv_dims, shapes.pool_dims)
-        if record is not None:
-            record.append((conv, fmap))
-        flat = supervise.select_channels(fmap, stage.entropy.kept).reshape(1, -1)
-        out.append(supervise.apply_lag(stage.lag, flat))
-    return out
+def transform_many(model: PipelineModel,
+                   samples: list[DeformationSample]) -> np.ndarray:
+    """Final (N, feature_dim) feature vectors of assembled samples, computed
+    by the same batched layer steps as :func:`fit_pipeline`."""
+    if not samples:
+        raise ShapeMismatchError("no samples to transform")
+    for s in samples:
+        if s.dims != model.input_dims:
+            raise ShapeMismatchError(
+                f"sample {s.subject_id} dims {s.dims} != model input "
+                f"{model.input_dims}")
+    layers = model.config.layers
+    blocks = [[None] * DIRECTIONS for _ in layers]
+    for d in range(DIRECTIONS):
+        maps = _direction_maps(samples, d)
+        for li, (stage, shapes) in enumerate(zip(model.stages[d], model.ledger)):
+            maps = _pool_layer(stage.kernel, maps, layers[li].window, shapes)
+            blocks[li][d] = supervise.apply_lag(
+                stage.lag, _reduce(maps, stage.entropy.kept, shapes))
+    features = _features(blocks)
+    if features.shape[1] != model.feature_dim:
+        raise ShapeLedgerMismatchError(
+            f"feature length {features.shape[1]} != ledger {model.feature_dim}")
+    return features
 
 
 def transform(model: PipelineModel, sample: DeformationSample) -> np.ndarray:
     """Compute the final feature vector of one assembled sample."""
-    if sample.dims != model.input_dims:
-        raise ShapeMismatchError(
-            f"sample dims {sample.dims} != model input {model.input_dims}")
-    per_dir = [_direction_blocks(model, sample, d) for d in range(DIRECTIONS)]
-    feature = np.concatenate(
-        [per_dir[d][li] for li in range(len(model.config.layers))
-         for d in range(DIRECTIONS)], axis=1)[0]
-    if feature.shape[0] != model.feature_dim:
-        raise ShapeLedgerMismatchError(
-            f"feature length {feature.shape[0]} != ledger {model.feature_dim}")
-    return feature
-
-
-def transform_many(model: PipelineModel, samples: list[DeformationSample]) -> np.ndarray:
-    return np.stack([transform(model, s) for s in samples])
+    return transform_many(model, [sample])[0]
 
 
 def forward_maps(model: PipelineModel, sample: DeformationSample,
                  direction: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Diagnostic: (conv, pooled) maps of every layer for one direction."""
-    record: list[tuple[np.ndarray, np.ndarray]] = []
-    _direction_blocks(model, sample, direction, record=record)
-    return record
+    fmap = _direction_maps([sample], direction)[0]
+    out = []
+    for li, stage in enumerate(model.stages[direction]):
+        conv, fmap = _run_layer(stage.kernel, fmap, model.config.layers[li].window,
+                                model.ledger[li])
+        out.append((conv, fmap))
+    return out
 
 
 def predict_samples(model: PipelineModel,

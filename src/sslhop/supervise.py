@@ -72,10 +72,12 @@ def channel_entropy(features: np.ndarray, labels: np.ndarray,
 
 
 def select_channels(fmap: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """Restrict the channel axis of a (H, W, Z, C) map to ``kept`` ids."""
+    """Restrict the channel axis of a (H, W, Z, C) map, or of stacked
+    (N, H, W, Z, C) maps, to ``kept`` ids."""
     arr = np.asarray(fmap)
-    if arr.ndim != 4:
-        raise ShapeMismatchError(f"expected a (H, W, Z, C) map, got {arr.shape}")
+    if arr.ndim not in (4, 5):
+        raise ShapeMismatchError(
+            f"expected (H, W, Z, C) or (N, H, W, Z, C) maps, got {arr.shape}")
     kept = np.asarray(kept, dtype=np.int64)
     if kept.size == 0 or np.any(np.diff(kept) <= 0):
         raise IndexOutOfRangeError("kept channel ids must be strictly increasing")

@@ -9,12 +9,16 @@ numbers.
 from __future__ import annotations
 
 import dataclasses
+import json
+import struct
 import time
+import zlib
 
 import numpy as np
 import pytest
 
 import sslhop as sh
+from sslhop.model_io import _HEADER
 
 # Outcome of every test marked @pytest.mark.acceptance, keyed by nodeid.
 _ACCEPTANCE_RESULTS: dict[str, tuple[int, str, str]] = {}
@@ -156,6 +160,41 @@ def subset_runs(cohort_manifest, small_cfg):
 
 
 # -- assorted helpers ----------------------------------------------------------------
+
+
+@pytest.fixture()
+def edit_model_meta():
+    """Copy a model file with its JSON metadata edited and the CRC fixed up,
+    so that only the edit can make the loader refuse it."""
+    def edit(src, dst, change):
+        raw = src.read_bytes()
+        magic, major, minor, meta_len = _HEADER.unpack_from(raw)
+        meta = json.loads(raw[_HEADER.size:_HEADER.size + meta_len].decode())
+        change(meta)
+        new_meta = json.dumps(meta, sort_keys=True,
+                              separators=(",", ":")).encode()
+        body = (_HEADER.pack(magic, major, minor, len(new_meta)) + new_meta
+                + raw[_HEADER.size + meta_len:-4])
+        dst.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        return dst
+    return edit
+
+
+def _one_direction(meta):
+    meta["stages"] = meta["stages"][:1]
+
+
+def _extra_kept_channel(meta):
+    kept = meta["stages"][0][0]["entropy"]["kept"]
+    kept.append(max(kept) + 1)
+
+
+@pytest.fixture(params=[_one_direction, _extra_kept_channel],
+                ids=["one-direction", "extra-kept-channel"])
+def stage_edit(request):
+    """A metadata edit that leaves a model's stages off its ledger: one
+    direction instead of three, or one more kept channel than the ledger's."""
+    return request.param
 
 
 @pytest.fixture()

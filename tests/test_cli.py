@@ -270,6 +270,38 @@ class TestErrorSurface:
         assert code == 3
         assert err["error"]["type"] == "BadHeaderError"
 
+    @pytest.mark.parametrize("command", ["predict", "inspect"])
+    def test_model_stages_off_the_ledger_are_a_data_error(
+            self, work, cohort, fit_dir, tmp_path, edit_model_meta,
+            stage_edit, command, capsys):
+        bad = edit_model_meta(fit_dir / "model.sslm", tmp_path / "bad.sslm",
+                              stage_edit)
+        argv = [command, "--model", bad, "--out", tmp_path / "out"]
+        if command == "predict":
+            argv += ["--manifest", cohort]
+        code = main([str(a) for a in argv])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 3
+        assert err["error"]["type"] == "CorruptFileError"
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate", "predict"])
+    def test_empty_manifest_is_a_data_error(self, cohort, config_file,
+                                            fit_dir, tmp_path, command,
+                                            capsys):
+        doc = json.loads(cohort.read_text())
+        doc["records"] = []
+        empty = tmp_path / "manifest.json"
+        empty.write_text(json.dumps(doc))
+        argv = {"fit": ["fit", "--config", config_file],
+                "evaluate": ["evaluate", "--config", config_file,
+                             "--folds", "2", "--threads", "1"],
+                "predict": ["predict", "--model", fit_dir / "model.sslm"]}
+        code = main([str(a) for a in argv[command]]
+                    + ["--manifest", str(empty), "--out", str(tmp_path / "out")])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 3
+        assert err["error"]["type"] == "TooFewSubjectsError"
+
     def test_unknown_subcommand_is_a_usage_error(self, capsys):
         code = main(["frobnicate"])
         capsys.readouterr()

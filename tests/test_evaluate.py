@@ -2,12 +2,22 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sslhop as sh
 from sslhop.errors import TooFewSubjectsError
+
+# Measured between 1 and 2 OpenBLAS threads (OpenBLAS 0.3.31, 2 cores):
+# decision scores of this test's run differed by at most 1.2e-12, and by at
+# most 4.0e-12 over cohort seeds 1-5 and 7 and run seeds 3 and 11, for
+# scores of magnitude <= 1.5.
+BLAS_SCORE_TOL = 1e-9
 
 
 class TestStratifiedFolds:
@@ -99,6 +109,37 @@ class TestCrossValidate:
         assert a.pooled_accuracy == b.pooled_accuracy
         np.testing.assert_array_equal(a.scores, b.scores)
         np.testing.assert_array_equal(a.predicted_labels, b.predicted_labels)
+
+    def test_blas_thread_count_changes_no_decision(self, tiny_cohort, tiny_cfg,
+                                                   tmp_path):
+        """Under 1 and 2 BLAS threads, folds and predicted labels agree exactly
+        and scores within BLAS_SCORE_TOL: matrix products may sum in another
+        order, so model bytes and scores are not identical."""
+        manifest, _ = tiny_cohort
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(tiny_cfg.to_dict()))
+        src = str(Path(sh.__file__).resolve().parents[1])
+        runs = []
+        for n in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n,
+                       MKL_NUM_THREADS=n,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = tmp_path / f"blas{n}"
+            subprocess.run(
+                [sys.executable, "-m", "sslhop.cli", "evaluate", "--manifest",
+                 manifest.records[0].ed_path.parent / "manifest.json",
+                 "--config", config, "--out", out, "--folds", "2",
+                 "--seed", "3", "--threads", "1"],
+                env=env, check=True, capture_output=True, timeout=300)
+            with open(out / "predictions.csv", newline="") as fh:
+                runs.append(list(csv.reader(fh))[1:])
+        one, two = runs
+        # subject, fold, label, predicted
+        assert [r[:4] for r in one] == [r[:4] for r in two]
+        np.testing.assert_allclose(np.array([r[4:] for r in one], dtype=float),
+                                   np.array([r[4:] for r in two], dtype=float),
+                                   rtol=0, atol=BLAS_SCORE_TOL)
 
     def test_rerun_is_identical(self, tiny_cohort, tiny_cfg, tiny_report):
         manifest, records = tiny_cohort

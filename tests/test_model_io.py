@@ -1,6 +1,5 @@
 """Binary model container: round trips, determinism, corruption handling."""
 
-import json
 import struct
 import zlib
 
@@ -39,7 +38,6 @@ class TestRoundTrip:
         assert loaded.input_dims == tiny_model.input_dims
         assert loaded.ledger == tiny_model.ledger
         assert loaded.train_subject_ids == tiny_model.train_subject_ids
-        assert loaded.seed == tiny_model.seed
         for d in range(3):
             for a, b in zip(loaded.stages[d], tiny_model.stages[d]):
                 np.testing.assert_array_equal(a.kernel.dc, b.kernel.dc)
@@ -127,18 +125,25 @@ class TestCorruption:
         with pytest.raises(CorruptFileError, match="past end"):
             sh.load_model(path)
 
-    def test_tampered_ledger_is_rejected(self, saved, tmp_path):
+    def test_tampered_ledger_is_rejected(self, saved, tmp_path,
+                                         edit_model_meta):
         """A consistent container whose stored ledger contradicts its config
         must fail the recomputation cross-check."""
-        raw = saved.read_bytes()
-        magic, major, minor, meta_len = _HEADER.unpack_from(raw)
-        meta = json.loads(raw[_HEADER.size:_HEADER.size + meta_len].decode())
-        meta["ledger"][0]["union_dim"] += 1
-        new_meta = json.dumps(meta, sort_keys=True,
-                              separators=(",", ":")).encode()
-        body = (_HEADER.pack(magic, major, minor, len(new_meta)) + new_meta
-                + raw[_HEADER.size + meta_len:-4])
-        path = tmp_path / "m.sslm"
-        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        def change(meta):
+            meta["ledger"][0]["union_dim"] += 1
+        path = edit_model_meta(saved, tmp_path / "m.sslm", change)
         with pytest.raises(ShapeLedgerMismatchError):
             sh.load_model(path)
+
+    def test_stage_structure_must_match_ledger(self, saved, tmp_path,
+                                               edit_model_meta, stage_edit):
+        path = edit_model_meta(saved, tmp_path / "m.sslm", stage_edit)
+        with pytest.raises(CorruptFileError, match="stages|keeps"):
+            sh.load_model(path)
+
+    def test_older_files_with_a_seed_still_load(self, saved, tmp_path,
+                                                edit_model_meta):
+        def change(meta):
+            meta["seed"] = meta["config"]["seed"]
+        path = edit_model_meta(saved, tmp_path / "m.sslm", change)
+        assert sh.load_model(path).config == sh.load_model(saved).config

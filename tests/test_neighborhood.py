@@ -30,12 +30,11 @@ def _brute_unions(fmap, window):
     return np.asarray(rows)
 
 
-def _brute_pool(fmap, kernel, ceil_mode):
+def _brute_pool(fmap, kernel):
+    """Ceil-mode max over kernel-sized blocks, partial edge blocks included."""
     H, W, Z, C = fmap.shape
     kh, kw, kz = kernel
-    oh = -(-H // kh) if ceil_mode else H // kh
-    ow = -(-W // kw) if ceil_mode else W // kw
-    oz = -(-Z // kz) if ceil_mode else Z // kz
+    oh, ow, oz = -(-H // kh), -(-W // kw), -(-Z // kz)
     out = np.empty((oh, ow, oz, C))
     for i in range(oh):
         for j in range(ow):
@@ -82,38 +81,28 @@ class TestMaxPool:
     def test_even_dims_exact(self):
         fmap = _coded(4, 4, 4, 1)
         out = max_pool(fmap)
-        np.testing.assert_array_equal(out, _brute_pool(fmap, (2, 2, 2), True))
+        np.testing.assert_array_equal(out, _brute_pool(fmap, (2, 2, 2)))
 
     def test_ceil_keeps_partial_blocks(self):
         """An odd trailing slab still contributes a (smaller) block max."""
         fmap = _coded(5, 4, 3, 2)
-        out = max_pool(fmap, ceil_mode=True)
+        out = max_pool(fmap)
         assert out.shape == (3, 2, 2, 2)
-        np.testing.assert_array_equal(out, _brute_pool(fmap, (2, 2, 2), True))
-
-    def test_floor_drops_partial_blocks(self):
-        fmap = _coded(5, 4, 3, 2)
-        out = max_pool(fmap, ceil_mode=False)
-        assert out.shape == (2, 2, 1, 2)
-        np.testing.assert_array_equal(out, _brute_pool(fmap, (2, 2, 2), False))
+        np.testing.assert_array_equal(out, _brute_pool(fmap, (2, 2, 2)))
 
     def test_negative_values_survive_padding(self):
         # all-negative input: padding must never leak a sentinel into the max
         fmap = -1.0 - _coded(3, 3, 3, 1)
-        out = max_pool(fmap, ceil_mode=True)
-        np.testing.assert_array_equal(out, _brute_pool(fmap, (2, 2, 2), True))
+        out = max_pool(fmap)
+        np.testing.assert_array_equal(out, _brute_pool(fmap, (2, 2, 2)))
         assert np.all(np.isfinite(out))
 
     def test_random_maps_match_oracle(self, rng):
         for _ in range(10):
             dims = tuple(rng.integers(1, 9, size=3)) + (int(rng.integers(1, 3)),)
             fmap = rng.normal(size=dims)
-            np.testing.assert_array_equal(
-                max_pool(fmap, ceil_mode=True), _brute_pool(fmap, (2, 2, 2), True))
-
-    def test_stride_must_equal_kernel(self):
-        with pytest.raises(ValueError):
-            max_pool(np.zeros((4, 4, 4, 1)), kernel=(2, 2, 2), stride=1)
+            np.testing.assert_array_equal(max_pool(fmap),
+                                          _brute_pool(fmap, (2, 2, 2)))
 
     @pytest.mark.parametrize("dims,expect", [
         ((98, 98, 123), (49, 49, 62)),

@@ -139,8 +139,7 @@ class TestFit:
         samples = [sh.assemble_sample(r.ed, r.es, tiny_cfg, r.label,
                                       r.subject_id) for r in records]
         fresh = sh.transform_many(tiny_model, samples)
-        np.testing.assert_allclose(fresh, tiny_model.training_features,
-                                   atol=1e-12)
+        np.testing.assert_array_equal(fresh, tiny_model.training_features)
 
     def test_training_set_is_classified_correctly(self, tiny_model,
                                                   tiny_cohort, tiny_cfg):
@@ -207,6 +206,10 @@ class TestFit:
                                    label=0, subject_id="x")
         with pytest.raises(ShapeMismatchError):
             sh.transform(tiny_model, bad)
+
+    def test_transform_many_rejects_no_samples(self, tiny_model):
+        with pytest.raises(ShapeMismatchError):
+            sh.transform_many(tiny_model, [])
 
 
 class TestParameterAccounting:

@@ -123,6 +123,13 @@ class TestSelectChannels:
         out = select_channels(fmap, np.array([0, 3]))
         np.testing.assert_array_equal(out, fmap[..., [0, 3]])
 
+    def test_stacked_maps(self, rng):
+        maps = rng.normal(size=(4, 3, 3, 2, 5))
+        out = select_channels(maps, np.array([1, 4]))
+        np.testing.assert_array_equal(out, maps[..., [1, 4]])
+        with pytest.raises(ShapeMismatchError):
+            select_channels(maps[0, 0], np.array([1, 4]))
+
     @pytest.mark.parametrize("kept", [[3, 1], [1, 1], [-1, 2], [0, 5], []])
     def test_rejects_bad_id_lists(self, kept, rng):
         with pytest.raises(IndexOutOfRangeError):
