@@ -20,11 +20,11 @@ from .neighborhood import (UnionMatrix, extract_unions, max_pool, pooled_dims,
                            union_count)
 from .pipeline import (LayerShapes, LayerSpec, PipelineConfig, PipelineModel,
                        assemble_sample, compute_ledger, count_parameters,
-                       fit_pipeline, forward_maps, full_config,
-                       parameter_breakdown, predict_samples, small_config,
-                       transform, transform_many)
-from .saab import SaabKernel, apply_saab, energy_curve, fit_saab, \
-    fit_saab_batches
+                       first_layer_moments, fit_pipeline, forward_maps,
+                       full_config, parameter_breakdown, predict_samples,
+                       small_config, transform, transform_many)
+from .saab import (Moments, SaabKernel, apply_saab, energy_curve, fit_saab,
+                   fit_saab_batches, merge_moments, union_moments)
 from .supervise import (ChannelEntropy, LagModel, apply_lag, channel_entropy,
                         fit_lag, select_channels)
 
@@ -44,10 +44,12 @@ __all__ = [
     "load_model", "save_model",
     "UnionMatrix", "extract_unions", "max_pool", "pooled_dims", "union_count",
     "LayerShapes", "LayerSpec", "PipelineConfig", "PipelineModel",
-    "assemble_sample", "compute_ledger", "count_parameters", "fit_pipeline",
-    "forward_maps", "full_config", "parameter_breakdown", "predict_samples",
-    "small_config", "transform", "transform_many",
-    "SaabKernel", "apply_saab", "energy_curve", "fit_saab", "fit_saab_batches",
+    "assemble_sample", "compute_ledger", "count_parameters",
+    "first_layer_moments", "fit_pipeline", "forward_maps", "full_config",
+    "parameter_breakdown", "predict_samples", "small_config", "transform",
+    "transform_many",
+    "Moments", "SaabKernel", "apply_saab", "energy_curve", "fit_saab",
+    "fit_saab_batches", "merge_moments", "union_moments",
     "ChannelEntropy", "LagModel", "apply_lag", "channel_entropy", "fit_lag",
     "select_channels",
     "__version__",

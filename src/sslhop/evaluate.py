@@ -4,7 +4,9 @@ Folds are dealt per class: each class's subjects are shuffled with the
 run seed and dealt round-robin, with the starting fold rolling onward
 across classes so degenerate splits (k = N) still fill every fold.
 Every fit sees only its training fold; a runtime guard asserts that no
-test subject id ever reaches a fit call.
+test subject id ever reaches a fit call. Layer-1 statistics depend on the
+raw fields only, so they are computed once per fold block and each fold
+merges the blocks it trains on, in fold order.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import numpy as np
 from . import classifier
 from .dataio import SubjectRecord
 from .errors import TooFewSubjectsError
-from .pipeline import PipelineConfig, assemble_sample, fit_pipeline, \
-    transform_many
+from .pipeline import DIRECTIONS, PipelineConfig, assemble_sample, \
+    first_layer_moments, fit_pipeline, transform_many
 
 
 @dataclass(frozen=True)
@@ -112,23 +114,30 @@ def cross_validate(records: list[SubjectRecord], cfg: PipelineConfig,
     k_classes = int(labels.max()) + 1
     fold = stratified_folds(labels, folds, seed)
 
+    def fan_out(fn, items):
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=min(threads, folds)) as pool:
+                return list(pool.map(fn, items))
+        return [fn(i) for i in items]
+
+    blocks = fan_out(lambda g: first_layer_moments(
+        [s for s, f in zip(samples, fold) if f == g], cfg), range(folds))
+
     def run_fold(f: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         test_mask = fold == f
         train = [s for s, m in zip(samples, test_mask) if not m]
         test = [s for s, m in zip(samples, test_mask) if m]
+        layer1 = [[blocks[g][d] for g in range(folds) if g != f]
+                  for d in range(DIRECTIONS)]
         model = fit_pipeline(train, cfg, class_count=k_classes,
-                             class_table=class_table)
+                             class_table=class_table, layer1=layer1)
         held_out = {s.subject_id for s in test}
         assert not held_out & set(model.train_subject_ids), \
             f"fold {f}: test subjects leaked into training"
         pred, scr = classifier.predict(model.svm, transform_many(model, test))
         return np.flatnonzero(test_mask), pred, scr
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, folds)) as pool:
-            results = list(pool.map(run_fold, range(folds)))
-    else:
-        results = [run_fold(f) for f in range(folds)]
+    results = fan_out(run_fold, range(folds))
 
     predicted = np.empty(len(records), dtype=np.int64)
     scores = np.empty((len(records), k_classes))

@@ -21,6 +21,7 @@ version differs from its own.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -37,6 +38,53 @@ MAGIC = b"SSLHOP01"
 FORMAT_MAJOR = 1
 FORMAT_MINOR = 0
 _HEADER = struct.Struct("<8sHHQ")
+
+
+# Metadata schema: a dict maps keys to the schemas of their values, a
+# one-item list is a list whose items all follow that item, and a type or
+# tuple of types is a leaf; bool never passes for a number.
+_NUMBER = (int, float)
+_SCHEMA = {
+    "config": dict,
+    "input_dims": [int],
+    "class_count": int,
+    "class_table": (list, type(None)),
+    "train_subject_ids": [str],
+    "ledger": [{"layer": int, "input_dims": [int], "union_dim": int,
+                "conv_dims": [int], "pool_dims": [int], "kept_channels": int,
+                "lag_input_dim": int}],
+    "stages": [[{"saab": {"bias": _NUMBER, "padded": int, "degenerate": bool},
+                 "entropy": {"kept": [int], "classes": [int]},
+                 "lag": {"alpha": _NUMBER, "classes": [int],
+                         "block_sizes": [int]}}]],
+    "svm": {"cost": _NUMBER, "class_count": int},
+    "tensors": [{"name": str, "shape": [int]}],
+}
+
+
+def _schema_error(value, schema, where: str = "metadata") -> str | None:
+    """Where ``value`` first departs from ``schema``, or None."""
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            return f"{where} is not an object"
+        for key, sub in schema.items():
+            if key not in value:
+                return f"{where}.{key} is missing"
+            error = _schema_error(value[key], sub, f"{where}.{key}")
+            if error:
+                return error
+        return None
+    if isinstance(schema, list):
+        if not isinstance(value, list):
+            return f"{where} is not a list"
+        for i, item in enumerate(value):
+            error = _schema_error(item, schema[0], f"{where}[{i}]")
+            if error:
+                return error
+        return None
+    ok = isinstance(value, schema) and (
+        schema is bool or not isinstance(value, bool))
+    return None if ok else f"{where} has the wrong type"
 
 
 def _collect(model: PipelineModel) -> tuple[dict, list[tuple[str, np.ndarray]]]:
@@ -124,25 +172,39 @@ def load_model(path: str | Path) -> PipelineModel:
         meta = json.loads(raw[_HEADER.size:meta_end].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptFileError(f"{path}: undecodable metadata: {exc}") from exc
+    error = _schema_error(meta, _SCHEMA)
+    if error:
+        raise CorruptFileError(f"{path}: {error}")
 
     arrays: dict[str, np.ndarray] = {}
     offset = meta_end
     for decl in meta["tensors"]:
         shape = tuple(decl["shape"])
-        nbytes = int(np.prod(shape)) * 8
-        if offset + nbytes > len(raw) - 4:
+        if any(v < 0 for v in shape):
+            raise CorruptFileError(
+                f"{path}: tensor {decl['name']} has shape {list(shape)}")
+        count = math.prod(shape)
+        if offset + count * 8 > len(raw) - 4:
             raise CorruptFileError(f"{path}: truncated at tensor {decl['name']}")
         arrays[decl["name"]] = np.frombuffer(
-            raw, dtype="<f8", count=int(np.prod(shape)), offset=offset
-        ).reshape(shape).copy()
-        offset += nbytes
+            raw, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
+        offset += count * 8
     if offset != len(raw) - 4:
         raise CorruptFileError(f"{path}: {len(raw) - 4 - offset} trailing bytes")
 
-    cfg = PipelineConfig.from_dict(meta["config"])
-    input_dims = tuple(meta["input_dims"])
+    def tensor(name: str) -> np.ndarray:
+        if name not in arrays:
+            raise CorruptFileError(f"{path}: no tensor {name}")
+        return arrays[name]
+
+    try:
+        cfg = PipelineConfig.from_dict(meta["config"])
+        input_dims = tuple(meta["input_dims"])
+        expected = compute_ledger(cfg, input_dims)
+    except (TypeError, ValueError) as exc:
+        raise CorruptFileError(f"{path}: invalid config: {exc}") from exc
     ledger = tuple(LayerShapes.from_dict(d) for d in meta["ledger"])
-    if compute_ledger(cfg, input_dims) != ledger:
+    if expected != ledger:
         raise ShapeLedgerMismatchError(
             f"{path}: stored ledger disagrees with its config")
     if (len(meta["stages"]) != DIRECTIONS
@@ -162,21 +224,21 @@ def load_model(path: str | Path) -> PipelineModel:
                     f"{len(sm['entropy']['kept'])} channels, ledger says "
                     f"{ledger[li].kept_channels}")
             kernel = saab.SaabKernel(
-                dc=arrays[f"{prefix}/saab/dc"],
-                ac=arrays[f"{prefix}/saab/ac"],
+                dc=tensor(f"{prefix}/saab/dc"),
+                ac=tensor(f"{prefix}/saab/ac"),
                 bias=sm["saab"]["bias"],
-                mean_ac=arrays[f"{prefix}/saab/mean_ac"],
-                energy=arrays[f"{prefix}/saab/energy"],
+                mean_ac=tensor(f"{prefix}/saab/mean_ac"),
+                energy=tensor(f"{prefix}/saab/energy"),
                 padded=sm["saab"]["padded"],
                 degenerate=sm["saab"]["degenerate"])
             entropy = supervise.ChannelEntropy(
-                per_channel=arrays[f"{prefix}/entropy/per_channel"],
-                per_class=arrays[f"{prefix}/entropy/per_class"],
+                per_channel=tensor(f"{prefix}/entropy/per_channel"),
+                per_class=tensor(f"{prefix}/entropy/per_class"),
                 kept=np.asarray(sm["entropy"]["kept"], dtype=np.int64),
                 classes=np.asarray(sm["entropy"]["classes"], dtype=np.int64))
             lag = supervise.LagModel(
-                centroids=arrays[f"{prefix}/lag/centroids"],
-                weights=arrays[f"{prefix}/lag/weights"],
+                centroids=tensor(f"{prefix}/lag/centroids"),
+                weights=tensor(f"{prefix}/lag/weights"),
                 alpha=sm["lag"]["alpha"],
                 classes=np.asarray(sm["lag"]["classes"], dtype=np.int64),
                 block_sizes=np.asarray(sm["lag"]["block_sizes"], dtype=np.int64))
@@ -184,8 +246,8 @@ def load_model(path: str | Path) -> PipelineModel:
         stages.append(tuple(per_dir))
 
     svm = classifier.SvmModel(
-        weights=arrays["svm/weights"], intercepts=arrays["svm/intercepts"],
-        mean=arrays["svm/mean"], scale=arrays["svm/scale"],
+        weights=tensor("svm/weights"), intercepts=tensor("svm/intercepts"),
+        mean=tensor("svm/mean"), scale=tensor("svm/scale"),
         cost=meta["svm"]["cost"], class_count=meta["svm"]["class_count"])
     table = tuple(meta["class_table"]) if meta["class_table"] else None
     return PipelineModel(

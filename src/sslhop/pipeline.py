@@ -24,7 +24,7 @@ from .errors import (MissingClassError, ShapeLedgerMismatchError,
                      ShapeMismatchError, SingleClassError, WindowTooLargeError)
 from .fields import DeformationSample, centered_origin, crop_roi, \
     interlace_concat, plain_concat, validate_field
-from .neighborhood import extract_unions, max_pool, pooled_dims
+from .neighborhood import extract_unions, max_pool, pooled_dims, union_count
 
 DIRECTIONS = 3
 CONCAT_MODES = ("interlaced", "plain")
@@ -301,10 +301,35 @@ def _features(blocks: list[list[np.ndarray]]) -> np.ndarray:
     return np.concatenate([b for per_layer in blocks for b in per_layer], axis=1)
 
 
+def _union_moments(maps, window):
+    """Per-map moments of every map's neighborhood unions, one at a time."""
+    return (saab.union_moments(extract_unions(m, window).data) for m in maps)
+
+
+def first_layer_moments(samples: list[DeformationSample],
+                        cfg: PipelineConfig) -> list[saab.Moments]:
+    """Layer-1 union moments of each direction, merged in subject order.
+
+    Layer-1 input is the raw field, so these statistics do not depend on
+    anything fitted and can be computed once per set of subjects.
+    """
+    window = cfg.layers[0].window
+    return [saab.merge_moments(
+                _union_moments(_direction_maps(samples, d), window))
+            for d in range(DIRECTIONS)]
+
+
 def fit_pipeline(samples: list[DeformationSample], cfg: PipelineConfig,
                  class_count: int | None = None,
-                 class_table: dict[int, str] | None = None) -> PipelineModel:
-    """Fit every layer, the per-layer supervised branches, and the SVM."""
+                 class_table: dict[int, str] | None = None, *,
+                 layer1=None) -> PipelineModel:
+    """Fit every layer, the per-layer supervised branches, and the SVM.
+
+    ``layer1`` optionally gives, per direction, a sequence of layer-1
+    :class:`~sslhop.saab.Moments` that together cover exactly ``samples``;
+    they are merged in the given order. By default they are computed from
+    ``samples`` by :func:`first_layer_moments`.
+    """
     if not samples:
         raise ShapeMismatchError("no training samples")
     dims = samples[0].dims
@@ -322,15 +347,25 @@ def fit_pipeline(samples: list[DeformationSample], cfg: PipelineConfig,
         raise MissingClassError(f"labels must cover 0..{k - 1}; missing {missing}")
 
     ledger = compute_ledger(cfg, dims)
+    if layer1 is None:
+        layer1 = [[m] for m in first_layer_moments(samples, cfg)]
+    expected = len(samples) * union_count(dims, cfg.layers[0].window)
+    for d, moments in enumerate(layer1):
+        count = sum(m.count for m in moments)
+        if count != expected:
+            raise ShapeLedgerMismatchError(
+                f"direction {d} layer-1 statistics cover {count} unions, "
+                f"{len(samples)} samples give {expected}")
     stages: list[tuple[LayerStage, ...]] = []
     blocks = [[None] * DIRECTIONS for _ in cfg.layers]
     for d in range(DIRECTIONS):
         maps = _direction_maps(samples, d)
         per_dir = []
         for li, (layer, shapes) in enumerate(zip(cfg.layers, ledger)):
-            kernel = saab.fit_saab_batches(
-                (extract_unions(m, layer.window).data for m in maps),
-                layer.channels, cfg.bias_scale)
+            moments = (layer1[d] if li == 0
+                       else _union_moments(maps, layer.window))
+            kernel = saab.fit_saab_batches(moments, layer.channels,
+                                           cfg.bias_scale)
             maps = _pool_layer(kernel, maps, layer.window, shapes)
             entropy = supervise.channel_entropy(maps, labels, cfg.keep_ratio)
             flat = _reduce(maps, entropy.kept, shapes)

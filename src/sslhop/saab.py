@@ -7,19 +7,21 @@ mean-centered DC-removed residual onto its leading principal directions,
 estimated from training unions. Every channel shares the same bias
 ``bias_scale * sqrt(F)``.
 
-Fitting reads row batches once, merging each batch's (count, mean,
-centered scatter) with the pairwise update of Chan, Golub & LeVeque (1979)
-and projecting the DC direction out of the merged D x D statistics at the
-end, so training unions never need to be materialized in one matrix; a
-dense matrix is simply the single-batch case. Projection is one matrix
-product plus a per-channel offset that folds in the training mean.
+Fitting reads the :class:`Moments` (count, mean, centered scatter) of
+batches of unions, merges them with the pairwise update of Chan, Golub &
+LeVeque (1979) and projects the DC direction out of the merged D x D
+statistics at the end, so training unions never need to be materialized
+in one matrix. Moments are plain values: they can be computed once, kept
+and merged into several fits; a dense matrix is simply the single-batch
+case. Projection is one matrix product plus a per-channel offset that
+folds in the training mean.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -82,40 +84,67 @@ def _descending_order(evals: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return order
 
 
-def fit_saab_batches(batches: Iterable[np.ndarray], channels: int,
-                     bias_scale: float = 0.0) -> SaabKernel:
-    """Fit a kernel from one pass over an iterable of row batches.
+class Moments(NamedTuple):
+    """Mergeable statistics of a set of unions."""
 
-    Batch boundaries only bound memory, changing the result by nothing
-    beyond summation roundoff versus a single dense fit; empty batches are
-    skipped.
+    count: int
+    mean: np.ndarray      # (D,)
+    scatter: np.ndarray   # (D, D) sum of outer products of centered rows
+
+
+def union_moments(rows) -> Moments:
+    """(count, mean, centered scatter) of one batch of union rows."""
+    rows = _as_rows(rows)
+    n, dim = rows.shape
+    if n == 0:
+        return Moments(0, np.zeros(dim), np.zeros((dim, dim)))
+    mean = rows.mean(axis=0)
+    centered = rows - mean
+    return Moments(n, mean, centered.T @ centered)
+
+
+def merge_moments(items: Iterable[Moments]) -> Moments:
+    """Merge moments in the given order; empty items are skipped.
+
+    Merging a single item into the empty state returns it exactly.
     """
-    channels = int(channels)
     n = 0
-    dim = None
-    for batch in batches:
-        rows = _as_rows(batch)
-        if dim is None:
-            dim = rows.shape[1]
-            if channels < 1 or channels > dim:
-                raise DegenerateInputError(
-                    f"channels must lie in [1, {dim}], got {channels}")
+    mean = m2 = None
+    for item in items:
+        if mean is None:
+            dim = item.mean.shape[0]
             mean = np.zeros(dim)
             m2 = np.zeros((dim, dim))
-        elif rows.shape[1] != dim:
-            raise ShapeMismatchError(f"batch width {rows.shape[1]} != {dim}")
-        n_b = rows.shape[0]
-        if n_b == 0:
+        elif item.mean.shape[0] != mean.shape[0]:
+            raise ShapeMismatchError(
+                f"batch width {item.mean.shape[0]} != {mean.shape[0]}")
+        if item.count == 0:
             continue
-        mean_b = rows.mean(axis=0)
-        centered = rows - mean_b
-        delta = mean_b - mean
-        merged = n + n_b
-        m2 += centered.T @ centered + np.outer(delta, delta) * (n * n_b / merged)
-        mean += delta * (n_b / merged)
+        delta = item.mean - mean
+        merged = n + item.count
+        m2 += item.scatter + np.outer(delta, delta) * (n * item.count / merged)
+        mean += delta * (item.count / merged)
         n = merged
-    if dim is None or n < 2:
+    if mean is None:
+        return Moments(0, np.zeros(0), np.zeros((0, 0)))
+    return Moments(n, mean, m2)
+
+
+def fit_saab_batches(batches: Iterable[Moments], channels: int,
+                     bias_scale: float = 0.0) -> SaabKernel:
+    """Fit a kernel from the moments of batches of unions.
+
+    Batch boundaries change the result by nothing beyond summation
+    roundoff versus a single dense fit; empty batches are skipped.
+    """
+    channels = int(channels)
+    n, mean, m2 = merge_moments(batches)
+    dim = mean.shape[0]
+    if n < 2:
         raise DegenerateInputError(f"need at least 2 training unions, got {n}")
+    if channels < 1 or channels > dim:
+        raise DegenerateInputError(
+            f"channels must lie in [1, {dim}], got {channels}")
     dc = np.full(dim, 1.0 / np.sqrt(dim))
     proj = np.eye(dim) - np.outer(dc, dc)
     mean_ac = proj @ mean
@@ -154,7 +183,7 @@ def fit_saab_batches(batches: Iterable[np.ndarray], channels: int,
 
 def fit_saab(X, channels: int, bias_scale: float = 0.0) -> SaabKernel:
     """Fit a kernel from one dense union matrix (rows = unions)."""
-    return fit_saab_batches((X,), channels, bias_scale)
+    return fit_saab_batches((union_moments(X),), channels, bias_scale)
 
 
 def apply_saab(kernel: SaabKernel, X) -> np.ndarray:

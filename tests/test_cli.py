@@ -284,6 +284,29 @@ class TestErrorSurface:
         assert code == 3
         assert err["error"]["type"] == "CorruptFileError"
 
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta.pop("tensors"),
+        lambda meta: meta.pop("svm"),
+        lambda meta: meta.pop("config"),
+        lambda meta: meta.update(stages=5),
+        lambda meta: meta["tensors"][0].update(shape=[-1]),
+        lambda meta: meta["stages"][0][0]["entropy"].update(kept="ab"),
+        lambda meta: meta["tensors"][0].update(shape=[True]),
+        lambda meta: meta["tensors"][-1].update(name="svm/renamed"),
+        lambda meta: meta["config"].update(layers=5),
+    ], ids=["no-tensors", "no-svm", "no-config", "stages-int",
+            "negative-shape", "kept-string", "bool-shape", "renamed-tensor",
+            "bad-config"])
+    def test_metadata_off_the_schema_is_a_data_error(
+            self, fit_dir, tmp_path, edit_model_meta, edit, capsys):
+        bad = edit_model_meta(fit_dir / "model.sslm", tmp_path / "bad.sslm",
+                              edit)
+        code = main(["inspect", "--model", str(bad),
+                     "--out", str(tmp_path / "out")])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 3
+        assert err["error"]["type"] == "CorruptFileError"
+
     @pytest.mark.parametrize("command", ["fit", "evaluate", "predict"])
     def test_empty_manifest_is_a_data_error(self, cohort, config_file,
                                             fit_dir, tmp_path, command,
