@@ -87,6 +87,45 @@ def _schema_error(value, schema, where: str = "metadata") -> str | None:
     return None if ok else f"{where} has the wrong type"
 
 
+def _check_tensor_shapes(path, meta: dict, cfg: PipelineConfig,
+                         ledger: tuple[LayerShapes, ...], tensor) -> None:
+    """Check every stored tensor's shape against the config, the ledger,
+    the class count and each LAG stage's centroid blocks, which hold
+    1..centroids_per_class centroids per class."""
+    k, cap = meta["class_count"], cfg.centroids_per_class
+    expected: dict[str, tuple] = {}
+    feature_dim = 0
+    for d, dir_meta in enumerate(meta["stages"]):
+        for li, (sm, entry) in enumerate(zip(dir_meta, ledger)):
+            blocks = sm["lag"]["block_sizes"]
+            if len(blocks) != k or any(not 1 <= b <= cap for b in blocks):
+                raise CorruptFileError(
+                    f"{path}: direction {d} layer {li + 1} centroid blocks "
+                    f"{blocks} do not give 1..{cap} centroids to each of "
+                    f"{k} classes")
+            prefix = f"d{d}/l{li}"
+            union, channels = entry.union_dim, cfg.layers[li].channels
+            lag_in, centroids = entry.lag_input_dim, sum(blocks)
+            expected.update({
+                f"{prefix}/saab/dc": (union,),
+                f"{prefix}/saab/ac": (channels - 1, union),
+                f"{prefix}/saab/mean_ac": (union,),
+                f"{prefix}/saab/energy": (channels - 1,),
+                f"{prefix}/entropy/per_channel": (channels,),
+                f"{prefix}/entropy/per_class": (k, channels),
+                f"{prefix}/lag/centroids": (centroids, lag_in),
+                f"{prefix}/lag/weights": (lag_in + 1, centroids),
+            })
+            feature_dim += centroids
+    expected.update({"svm/weights": (k, feature_dim), "svm/intercepts": (k,),
+                     "svm/mean": (feature_dim,), "svm/scale": (feature_dim,)})
+    for name, shape in expected.items():
+        if tensor(name).shape != shape:
+            raise CorruptFileError(
+                f"{path}: tensor {name} has shape {list(tensor(name).shape)}, "
+                f"expected {list(shape)}")
+
+
 def _collect(model: PipelineModel) -> tuple[dict, list[tuple[str, np.ndarray]]]:
     tensors: list[tuple[str, np.ndarray]] = []
 
@@ -212,6 +251,8 @@ def load_model(path: str | Path) -> PipelineModel:
         raise CorruptFileError(
             f"{path}: stages must hold {DIRECTIONS} directions x "
             f"{len(ledger)} layers")
+
+    _check_tensor_shapes(path, meta, cfg, ledger, tensor)
 
     stages = []
     for d, dir_meta in enumerate(meta["stages"]):

@@ -24,7 +24,7 @@ from .errors import (MissingClassError, ShapeLedgerMismatchError,
                      ShapeMismatchError, SingleClassError, WindowTooLargeError)
 from .fields import DeformationSample, centered_origin, crop_roi, \
     interlace_concat, plain_concat, validate_field
-from .neighborhood import extract_unions, max_pool, pooled_dims, union_count
+from .neighborhood import max_pool, pooled_dims, union_count, union_slabs
 
 DIRECTIONS = 3
 CONCAT_MODES = ("interlaced", "plain")
@@ -258,6 +258,19 @@ def _direction_maps(samples: list[DeformationSample],
             for s in samples]
 
 
+def _project(kernel: saab.SaabKernel, fmap: np.ndarray, window) -> np.ndarray:
+    """Project the unions of one map, slab by slab, into a preallocated
+    (H-h+1, W-w+1, Z-z+1, F) conv map. Returning frees the last slab
+    before the caller pools."""
+    (H, W, Z, _), (h, w, z) = fmap.shape, window
+    conv = np.empty((H - h + 1, W - w + 1, Z - z + 1, kernel.channels))
+    for y0, unions in union_slabs(fmap, window):
+        slab = saab.apply_saab(kernel, unions.data)
+        conv[y0:y0 + unions.out_dims[0]] = slab.reshape(
+            unions.out_dims + (kernel.channels,))
+    return conv
+
+
 def _run_layer(kernel: saab.SaabKernel, fmap: np.ndarray, window,
                shapes: LayerShapes) -> tuple[np.ndarray, np.ndarray]:
     """Apply one fitted layer to one map; returns (conv, pooled)."""
@@ -265,9 +278,7 @@ def _run_layer(kernel: saab.SaabKernel, fmap: np.ndarray, window,
         raise ShapeLedgerMismatchError(
             f"layer {shapes.layer} input {fmap.shape}, "
             f"ledger says {shapes.input_dims}")
-    unions = extract_unions(fmap, window)
-    conv = saab.apply_saab(kernel, unions.data)
-    conv = conv.reshape(unions.out_dims + (kernel.channels,))
+    conv = _project(kernel, fmap, window)
     conv = conv[:, :, :shapes.conv_dims[2]]           # optional depth truncation
     if conv.shape != shapes.conv_dims:
         raise ShapeLedgerMismatchError(
@@ -302,8 +313,11 @@ def _features(blocks: list[list[np.ndarray]]) -> np.ndarray:
 
 
 def _union_moments(maps, window):
-    """Per-map moments of every map's neighborhood unions, one at a time."""
-    return (saab.union_moments(extract_unions(m, window).data) for m in maps)
+    """Per-map moments of every map's neighborhood unions, one map at a
+    time; a map's moments are the in-order merge of its slabs' moments."""
+    return (saab.merge_moments(saab.union_moments(unions.data)
+                               for _, unions in union_slabs(m, window))
+            for m in maps)
 
 
 def first_layer_moments(samples: list[DeformationSample],

@@ -242,6 +242,13 @@ class TestInspect:
         assert kept == expect
 
 
+def _transpose_first_ac(meta):
+    """Store d0/l0/saab/ac as [D, F-1] instead of [F-1, D]: same byte count,
+    so only a check of the shape against the ledger can catch it."""
+    decl = next(t for t in meta["tensors"] if t["name"] == "d0/l0/saab/ac")
+    decl["shape"] = decl["shape"][::-1]
+
+
 class TestErrorSurface:
     def test_corrupt_model_is_a_data_error(self, work, cohort, capsys):
         bad = work / "bad.sslm"
@@ -294,18 +301,21 @@ class TestErrorSurface:
         lambda meta: meta["tensors"][0].update(shape=[True]),
         lambda meta: meta["tensors"][-1].update(name="svm/renamed"),
         lambda meta: meta["config"].update(layers=5),
+        _transpose_first_ac,
+        lambda meta: meta["stages"][0][0]["lag"].update(block_sizes=[3, 2, 1]),
     ], ids=["no-tensors", "no-svm", "no-config", "stages-int",
             "negative-shape", "kept-string", "bool-shape", "renamed-tensor",
-            "bad-config"])
+            "bad-config", "transposed-ac", "lag-blocks-off-config"])
     def test_metadata_off_the_schema_is_a_data_error(
-            self, fit_dir, tmp_path, edit_model_meta, edit, capsys):
+            self, cohort, fit_dir, tmp_path, edit_model_meta, edit, capsys):
         bad = edit_model_meta(fit_dir / "model.sslm", tmp_path / "bad.sslm",
                               edit)
-        code = main(["inspect", "--model", str(bad),
-                     "--out", str(tmp_path / "out")])
-        err = json.loads(capsys.readouterr().err)
-        assert code == 3
-        assert err["error"]["type"] == "CorruptFileError"
+        for argv in (["inspect"], ["predict", "--manifest", str(cohort)]):
+            code = main(argv + ["--model", str(bad),
+                                "--out", str(tmp_path / "out")])
+            err = json.loads(capsys.readouterr().err)
+            assert code == 3
+            assert err["error"]["type"] == "CorruptFileError"
 
     @pytest.mark.parametrize("command", ["fit", "evaluate", "predict"])
     def test_empty_manifest_is_a_data_error(self, cohort, config_file,

@@ -1,9 +1,13 @@
-"""Window extraction and ceil-mode pooling against brute-force oracles."""
+"""Window extraction, slab streaming and ceil-mode pooling against
+brute-force oracles."""
 
 import numpy as np
 import pytest
 
-from sslhop import extract_unions, max_pool, pooled_dims, union_count
+import sslhop.neighborhood
+import sslhop.pipeline
+from sslhop import (apply_saab, extract_unions, fit_saab, max_pool,
+                    pooled_dims, union_count, union_slabs)
 from sslhop.errors import WindowTooLargeError
 
 
@@ -77,6 +81,73 @@ class TestUnions:
             extract_unions(np.zeros((4, 4, 4, 1)), (5, 3, 3))
 
 
+def _row_bytes(dims, window):
+    """Bytes of the unions of one y-row of window origins."""
+    H, W, Z, C = dims
+    h, w, z = window
+    return (W - w + 1) * (Z - z + 1) * h * w * z * C * 8
+
+
+# SLAB_BYTES in units of one origin row: one row per slab, two rows per
+# slab, the whole map in one slab, and a row larger than the budget
+BUDGETS = {"one-row": 1.0, "multi-row": 2.5, "single-slab": None,
+           "row-over-budget": 0.5}
+
+
+def _odd_case(rng, channels):
+    """A random map with odd spatial dims and a random window that fits."""
+    dims = tuple(int(2 * v + 1) for v in rng.integers(1, 4, size=3))
+    window = tuple(int(rng.integers(1, d + 1)) for d in dims)
+    return rng.normal(size=dims + (channels,)), window
+
+
+def _set_budget(monkeypatch, fmap, window, budget):
+    """Patch SLAB_BYTES; return the origin rows each full slab holds."""
+    rows = fmap.shape[0] - window[0] + 1
+    if budget is None:
+        monkeypatch.setattr(sslhop.neighborhood, "SLAB_BYTES", 1 << 40)
+        return rows
+    row = _row_bytes(fmap.shape, window)
+    monkeypatch.setattr(sslhop.neighborhood, "SLAB_BYTES", int(budget * row))
+    return max(1, int(budget))
+
+
+class TestUnionSlabs:
+    @pytest.mark.parametrize("channels", [1, 5])
+    @pytest.mark.parametrize("budget", BUDGETS.values(), ids=BUDGETS.keys())
+    def test_slabs_concatenate_to_brute_unions(self, rng, monkeypatch,
+                                               channels, budget):
+        for _ in range(6):
+            fmap, window = _odd_case(rng, channels)
+            per = _set_budget(monkeypatch, fmap, window, budget)
+            slabs = list(union_slabs(fmap, window))
+            rows = fmap.shape[0] - window[0] + 1
+            assert [y0 for y0, _ in slabs] == list(range(0, rows, per))
+            assert all(u.out_dims[0] == per for _, u in slabs[:-1])
+            np.testing.assert_array_equal(
+                np.concatenate([u.data for _, u in slabs]),
+                _brute_unions(fmap, window))
+
+    @pytest.mark.parametrize("channels", [1, 5])
+    @pytest.mark.parametrize("budget", BUDGETS.values(), ids=BUDGETS.keys())
+    def test_slab_conv_map_matches_dense_projection(self, rng, monkeypatch,
+                                                    channels, budget):
+        for _ in range(6):
+            fmap, window = _odd_case(rng, channels)
+            dense = extract_unions(fmap, window)
+            dim = dense.data.shape[1]
+            kernel = fit_saab(rng.normal(size=(40, dim)), min(4, dim))
+            _set_budget(monkeypatch, fmap, window, budget)
+            conv = sslhop.pipeline._project(kernel, fmap, window)
+            expect = apply_saab(kernel, dense.data).reshape(
+                dense.out_dims + (kernel.channels,))
+            np.testing.assert_allclose(conv, expect, rtol=0, atol=1e-12)
+
+    def test_invalid_window_raises_on_first_slab(self):
+        with pytest.raises(WindowTooLargeError):
+            list(union_slabs(np.zeros((4, 4, 4, 1)), (5, 3, 3)))
+
+
 class TestMaxPool:
     def test_even_dims_exact(self):
         fmap = _coded(4, 4, 4, 1)
@@ -91,7 +162,7 @@ class TestMaxPool:
         np.testing.assert_array_equal(out, _brute_pool(fmap, (2, 2, 2)))
 
     def test_negative_values_survive_padding(self):
-        # all-negative input: padding must never leak a sentinel into the max
+        # all-negative input: no fill value may leak into the max
         fmap = -1.0 - _coded(3, 3, 3, 1)
         out = max_pool(fmap)
         np.testing.assert_array_equal(out, _brute_pool(fmap, (2, 2, 2)))
@@ -103,6 +174,16 @@ class TestMaxPool:
             fmap = rng.normal(size=dims)
             np.testing.assert_array_equal(max_pool(fmap),
                                           _brute_pool(fmap, (2, 2, 2)))
+
+    @pytest.mark.parametrize("dims", [
+        (1, 1, 1, 1), (1, 5, 3, 2), (7, 1, 5, 1), (3, 3, 1, 4), (5, 7, 9, 3),
+        (9, 3, 7, 5)])
+    def test_odd_and_unit_axes_match_oracle(self, rng, dims):
+        for fmap in (rng.normal(size=dims), -1.0 - np.exp(rng.normal(size=dims))):
+            before = fmap.copy()
+            np.testing.assert_array_equal(max_pool(fmap),
+                                          _brute_pool(fmap, (2, 2, 2)))
+            np.testing.assert_array_equal(fmap, before)
 
     @pytest.mark.parametrize("dims,expect", [
         ((98, 98, 123), (49, 49, 62)),

@@ -1,12 +1,15 @@
 """Layer plans, shape ledgers, end-to-end fitting, and parameter accounting."""
 
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import sslhop as sh
 import sslhop.evaluate
+import sslhop.neighborhood
 from sslhop.errors import (
     MissingClassError,
     ShapeLedgerMismatchError,
@@ -227,56 +230,103 @@ def _samples(records, cfg):
             for r in records]
 
 
+# A tiny-cohort layer-1 map (12x12x12, window (3, 3, 4)) has 10 y-rows of
+# window origins of 10 * 9 * 36 * 8 bytes each; this budget streams it in
+# slabs of 3 rows.
+TINY_SLAB_BYTES = 3 * 10 * 9 * 36 * 8
+
+
+def _subject_moments(samples, cfg):
+    """Per direction, each subject's layer-1 moments: the in-order merge of
+    its slabs' moments."""
+    window = cfg.layers[0].window
+    return [[sh.merge_moments(
+                sh.union_moments(u.data)
+                for _, u in sh.union_slabs(s.interlaced[d][..., None], window))
+             for s in samples] for d in range(3)]
+
+
+def _assert_handed_moments_give_identical_bytes(plain, samples, cfg,
+                                                tmp_path):
+    handed = sh.fit_pipeline(samples, cfg,
+                             layer1=_subject_moments(samples, cfg))
+    a = sh.save_model(plain, tmp_path / "plain.sslm").read_bytes()
+    b = sh.save_model(handed, tmp_path / "handed.sslm").read_bytes()
+    assert a == b
+    np.testing.assert_array_equal(handed.training_features,
+                                  plain.training_features)
+
+
+def _assert_fold_models_match_standalone_fits(records, cfg, monkeypatch):
+    fit = sslhop.evaluate.fit_pipeline
+    models = []
+
+    def keep(*args, **kwargs):
+        models.append(fit(*args, **kwargs))
+        return models[-1]
+
+    monkeypatch.setattr(sslhop.evaluate, "fit_pipeline", keep)
+    report = sh.cross_validate(records, cfg, folds=5, seed=3)
+    samples = _samples(records, cfg)
+    assert len(models) == 5
+    for f, model in enumerate(models):
+        train = [s for s in samples if report.fold_of[s.subject_id] != f]
+        test = [s for s in samples if report.fold_of[s.subject_id] == f]
+        alone = sh.fit_pipeline(train, cfg, class_count=3)
+        for per_a, per_b in zip(model.stages, alone.stages):
+            for a, b in zip(per_a, per_b):
+                np.testing.assert_allclose(a.kernel.ac, b.kernel.ac,
+                                           rtol=0, atol=FOLD_ANCHOR_TOL)
+                np.testing.assert_allclose(a.kernel.mean_ac,
+                                           b.kernel.mean_ac,
+                                           rtol=0, atol=FOLD_ANCHOR_TOL)
+        np.testing.assert_allclose(model.training_features,
+                                   alone.training_features,
+                                   rtol=0, atol=FOLD_FEATURE_TOL)
+        pred_a, scores_a = sh.predict_samples(model, test)
+        pred_b, scores_b = sh.predict_samples(alone, test)
+        np.testing.assert_array_equal(pred_a, pred_b)
+        np.testing.assert_allclose(scores_a, scores_b, rtol=0,
+                                   atol=FOLD_FEATURE_TOL)
+
+
+@pytest.fixture()
+def tiny_slabs(monkeypatch, tiny_cfg):
+    """Stream tiny-cohort layer-1 maps in at least 3 slabs."""
+    monkeypatch.setattr(sslhop.neighborhood, "SLAB_BYTES", TINY_SLAB_BYTES)
+    fmap = np.zeros((12, 12, 12, 1))
+    assert len(list(sh.union_slabs(fmap, tiny_cfg.layers[0].window))) >= 3
+
+
 class TestLayerOneHandOff:
     def test_per_subject_moments_give_identical_bytes(self, tiny_cohort,
                                                       tiny_cfg, tiny_model,
                                                       tmp_path):
         _, records = tiny_cohort
+        _assert_handed_moments_give_identical_bytes(
+            tiny_model, _samples(records, tiny_cfg), tiny_cfg, tmp_path)
+
+    def test_per_subject_moments_give_identical_bytes_in_slabs(
+            self, tiny_cohort, tiny_cfg, tiny_slabs, tmp_path):
+        _, records = tiny_cohort
         samples = _samples(records, tiny_cfg)
-        window = tiny_cfg.layers[0].window
-        layer1 = [[sh.union_moments(sh.extract_unions(
-                       s.interlaced[d][..., None], window).data)
-                   for s in samples] for d in range(3)]
-        handed = sh.fit_pipeline(samples, tiny_cfg, layer1=layer1)
-        a = sh.save_model(tiny_model, tmp_path / "plain.sslm").read_bytes()
-        b = sh.save_model(handed, tmp_path / "handed.sslm").read_bytes()
-        assert a == b
-        np.testing.assert_array_equal(handed.training_features,
-                                      tiny_model.training_features)
+        plain = sh.fit_pipeline(samples, tiny_cfg)
+        _assert_handed_moments_give_identical_bytes(plain, samples, tiny_cfg,
+                                                    tmp_path)
+        np.testing.assert_array_equal(sh.transform_many(plain, samples),
+                                      plain.training_features)
 
     def test_cv_fold_models_match_standalone_fits(self, tiny_cohort, tiny_cfg,
                                                   monkeypatch):
         _, records = tiny_cohort
-        fit = sslhop.evaluate.fit_pipeline
-        models = []
+        _assert_fold_models_match_standalone_fits(records, tiny_cfg,
+                                                  monkeypatch)
 
-        def keep(*args, **kwargs):
-            models.append(fit(*args, **kwargs))
-            return models[-1]
-
-        monkeypatch.setattr(sslhop.evaluate, "fit_pipeline", keep)
-        report = sh.cross_validate(records, tiny_cfg, folds=5, seed=3)
-        samples = _samples(records, tiny_cfg)
-        assert len(models) == 5
-        for f, model in enumerate(models):
-            train = [s for s in samples if report.fold_of[s.subject_id] != f]
-            test = [s for s in samples if report.fold_of[s.subject_id] == f]
-            alone = sh.fit_pipeline(train, tiny_cfg, class_count=3)
-            for per_a, per_b in zip(model.stages, alone.stages):
-                for a, b in zip(per_a, per_b):
-                    np.testing.assert_allclose(a.kernel.ac, b.kernel.ac,
-                                               rtol=0, atol=FOLD_ANCHOR_TOL)
-                    np.testing.assert_allclose(a.kernel.mean_ac,
-                                               b.kernel.mean_ac,
-                                               rtol=0, atol=FOLD_ANCHOR_TOL)
-            np.testing.assert_allclose(model.training_features,
-                                       alone.training_features,
-                                       rtol=0, atol=FOLD_FEATURE_TOL)
-            pred_a, scores_a = sh.predict_samples(model, test)
-            pred_b, scores_b = sh.predict_samples(alone, test)
-            np.testing.assert_array_equal(pred_a, pred_b)
-            np.testing.assert_allclose(scores_a, scores_b, rtol=0,
-                                       atol=FOLD_FEATURE_TOL)
+    def test_cv_fold_models_match_standalone_fits_in_slabs(
+            self, tiny_cohort, tiny_cfg, tiny_slabs, monkeypatch):
+        _, records = tiny_cohort
+        _assert_fold_models_match_standalone_fits(records, tiny_cfg,
+                                                  monkeypatch)
 
     def test_block_with_a_held_out_subject_is_rejected(self, tiny_cohort,
                                                        tiny_cfg):
@@ -286,6 +336,32 @@ class TestLayerOneHandOff:
         with pytest.raises(ShapeLedgerMismatchError, match="layer-1"):
             sh.fit_pipeline(samples[1:], tiny_cfg, class_count=3,
                             layer1=[[m] for m in every])
+
+
+class TestBoundedMemory:
+    def test_layer_peak_is_its_output_maps_plus_a_few_slabs(self, rng):
+        """One 64x64x32 map through a (3, 3, 6) layer, whose dense union
+        matrix alone would take 62 * 62 * 27 * 54 * 8 = 44.8 MB."""
+        cfg = sh.PipelineConfig(layers=(sh.LayerSpec((3, 3, 6), 5),),
+                                centroids_per_class=1)
+        samples = [sh.DeformationSample(rng.normal(size=(3, 64, 64, 32)),
+                                        label, f"s{label}")
+                   for label in (0, 1)]
+        model = sh.fit_pipeline(samples, cfg)
+        shapes = model.ledger[0]
+        budget = (8 * (math.prod(shapes.conv_dims) + math.prod(shapes.pool_dims))
+                  + 3 * sslhop.neighborhood.SLAB_BYTES)
+        tracemalloc.start()
+        try:
+            sh.forward_maps(model, samples[0], 0)
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            sh.first_layer_moments(samples[:1], cfg)
+            moments_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert forward_peak < budget
+        assert moments_peak < budget
 
 
 class TestParameterAccounting:
