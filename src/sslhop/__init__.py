@@ -16,8 +16,8 @@ from .fields import (DeformationSample, centered_origin, crop_roi,
                      deinterlace, interlace_concat, plain_concat,
                      validate_field)
 from .model_io import load_model, save_model
-from .neighborhood import (UnionMatrix, extract_unions, max_pool, pooled_dims,
-                           union_count, union_slabs)
+from .neighborhood import (extract_unions, max_pool, pooled_dims, union_count,
+                           union_slabs)
 from .pipeline import (LayerShapes, LayerSpec, PipelineConfig, PipelineModel,
                        assemble_sample, compute_ledger, count_parameters,
                        first_layer_moments, fit_pipeline, forward_maps,
@@ -42,8 +42,7 @@ __all__ = [
     "DeformationSample", "centered_origin", "crop_roi", "deinterlace",
     "interlace_concat", "plain_concat", "validate_field",
     "load_model", "save_model",
-    "UnionMatrix", "extract_unions", "max_pool", "pooled_dims", "union_count",
-    "union_slabs",
+    "extract_unions", "max_pool", "pooled_dims", "union_count", "union_slabs",
     "LayerShapes", "LayerSpec", "PipelineConfig", "PipelineModel",
     "assemble_sample", "compute_ledger", "count_parameters",
     "first_layer_moments", "fit_pipeline", "forward_maps", "full_config",

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, evaluate, model_io, pipeline, saab
-from .errors import MissingFileError, SslhopError
+from .errors import BadHeaderError, MissingFileError, SslhopError
 
 log = logging.getLogger("sslhop")
 
@@ -30,9 +30,20 @@ ABLATIONS = ("none", "no-cefs", "no-ic")
 
 def _parse_dims(text: str) -> tuple[int, int, int]:
     parts = [int(v) for v in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected H,W,Z — got {text!r}")
+    if len(parts) != 3 or min(parts) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected three positive ints H,W,Z — got {text!r}")
     return tuple(parts)
+
+
+def _checked(kind, ok, expected: str):
+    """An argparse type: ``kind(text)``, rejected unless ``ok(value)``."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,12 +56,16 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen-synthetic", help="write a synthetic cohort")
     gen.add_argument("--out", required=True, type=Path)
     gen.add_argument("--seed", type=int, default=42)
-    gen.add_argument("--classes", type=int, default=5)
-    gen.add_argument("--per-class", type=int, default=20)
+    gen.add_argument("--classes", default=5,
+                     type=_checked(int, lambda v: v >= 2, "at least 2"))
+    gen.add_argument("--per-class", default=20,
+                     type=_checked(int, lambda v: v >= 1, "at least 1"))
     gen.add_argument("--dims", type=_parse_dims, default=(32, 32, 16),
                      metavar="H,W,Z")
-    gen.add_argument("--noise-sigma", type=float, default=None)
-    gen.add_argument("--margin", type=float, default=None)
+    gen.add_argument("--noise-sigma", default=None,
+                     type=_checked(float, lambda v: v >= 0, "a value >= 0"))
+    gen.add_argument("--margin", default=None,
+                     type=_checked(float, lambda v: v > 0, "a value > 0"))
     gen.set_defaults(func=cmd_gen_synthetic)
 
     def common(p: argparse.ArgumentParser, folds: bool = False) -> None:
@@ -61,12 +76,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--ablation", choices=ABLATIONS, default="none")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
         p.add_argument("--truncate-layer5", action="store_true")
         if folds:
             p.add_argument("--folds", type=int, default=5)
-            p.add_argument("--fraction", type=float, default=1.0,
+            p.add_argument("--fraction", default=1.0,
+                           type=_checked(float, lambda v: 0 < v <= 1,
+                                         "a value in (0, 1]"),
                            help="per-class subject fraction to keep")
+            p.add_argument("--threads", default=os.cpu_count() or 1,
+                           type=_checked(int, lambda v: v >= 1, "at least 1"),
+                           help="folds fitted in parallel")
 
     fit = sub.add_parser("fit", help="fit a model on every manifest subject")
     common(fit)
@@ -97,7 +116,10 @@ def _resolve_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
         path = Path(name)
         if not path.is_file():
             raise MissingFileError(f"config file {path} does not exist")
-        cfg = pipeline.PipelineConfig.from_dict(json.loads(path.read_text()))
+        try:
+            cfg = pipeline.PipelineConfig.from_dict(json.loads(path.read_text()))
+        except (TypeError, ValueError) as exc:    # JSONDecodeError included
+            raise BadHeaderError(f"{path}: malformed config: {exc}") from exc
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
     if getattr(args, "truncate_layer5", False):

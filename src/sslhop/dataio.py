@@ -244,6 +244,8 @@ class SyntheticSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dims", tuple(int(v) for v in self.dims))
+        if len(self.dims) != 3 or min(self.dims) < 1:
+            raise ValueError(f"dims must be three positive ints, got {self.dims}")
         if self.classes < 2 or self.per_class < 1:
             raise ValueError("need at least 2 classes and 1 subject per class")
         if self.noise_sigma < 0 or self.margin <= 0:

@@ -10,8 +10,6 @@ never hold the union matrix of a whole map, only about ``SLAB_BYTES`` of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -22,29 +20,6 @@ from .errors import ShapeMismatchError, WindowTooLargeError
 SLAB_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
-class UnionMatrix:
-    """Flattened neighborhood windows of one feature map.
-
-    ``data`` has one row per window origin, ordered lexicographically over
-    (y, x, z); within a row, elements run (y-offset, x-offset, z-offset,
-    channel), channel fastest. ``data`` may be a transposed view of a
-    column-major buffer, in which each union element is one contiguous run
-    over the window origins.
-    """
-
-    data: np.ndarray                          # (n_unions, h*w*z*C)
-    source_dims: tuple[int, int, int, int]    # (H, W, Z, C)
-    window: tuple[int, int, int]
-
-    @property
-    def out_dims(self) -> tuple[int, int, int]:
-        """Spatial grid of window origins (H-h+1, W-w+1, Z-z+1)."""
-        H, W, Z, _ = self.source_dims
-        h, w, z = self.window
-        return (H - h + 1, W - w + 1, Z - z + 1)
-
-
 def union_count(dims: tuple[int, ...], window: tuple[int, int, int]) -> int:
     """Number of stride-1 window placements: (H-h+1)(W-w+1)(Z-z+1)."""
     H, W, Z = dims[:3]
@@ -52,8 +27,15 @@ def union_count(dims: tuple[int, ...], window: tuple[int, int, int]) -> int:
     return (H - h + 1) * (W - w + 1) * (Z - z + 1)
 
 
-def extract_unions(fmap: np.ndarray, window: tuple[int, int, int]) -> UnionMatrix:
-    """Gather every neighborhood union of ``fmap`` into a dense matrix."""
+def extract_unions(fmap: np.ndarray, window: tuple[int, int, int]) -> np.ndarray:
+    """Gather every neighborhood union of ``fmap`` into an
+    (n_unions, h*w*z*C) row matrix.
+
+    Rows run over window origins lexicographically in (y, x, z); within a
+    row, elements run (y-offset, x-offset, z-offset, channel), channel
+    fastest. The matrix is a transposed view of a column-major buffer, in
+    which each union element is one contiguous run over the origins.
+    """
     arr = np.asarray(fmap)
     if arr.ndim != 4:
         raise ShapeMismatchError(f"expected a (H, W, Z, C) map, got shape {arr.shape}")
@@ -67,17 +49,16 @@ def extract_unions(fmap: np.ndarray, window: tuple[int, int, int]) -> UnionMatri
     # view: (Y, X, Z', C, h, w, z) -> column-major (h, w, z, C, Y, X, Z'),
     # so every union element is copied as one run over the window origins
     cols = view.transpose(4, 5, 6, 3, 0, 1, 2).copy()
-    rows = cols.reshape(h * w * z * C, union_count(arr.shape, (h, w, z))).T
-    return UnionMatrix(rows, (H, W, Z, C), (h, w, z))
+    return cols.reshape(h * w * z * C, union_count(arr.shape, (h, w, z))).T
 
 
 def union_slabs(fmap: np.ndarray, window: tuple[int, int, int]):
-    """Yield ``(y0, UnionMatrix)`` over slabs of whole y-rows of window
-    origins, starting at origin row ``y0``; a slab's union matrix takes at
-    most ``SLAB_BYTES``, unless one row alone takes more.
+    """Yield the union row matrices of slabs of whole y-rows of window
+    origins, in origin order; a slab takes at most ``SLAB_BYTES``, unless
+    one row alone takes more.
 
-    Stacking the slabs' rows in order gives :func:`extract_unions` of the
-    whole map.
+    Stacking the slabs in order gives :func:`extract_unions` of the whole
+    map, whose rows are the C-order rows of the (y, x, z) origin grid.
     """
     arr = np.asarray(fmap)
     if arr.ndim != 4:
@@ -88,7 +69,7 @@ def union_slabs(fmap: np.ndarray, window: tuple[int, int, int]):
     step = max(1, SLAB_BYTES // max(1, row_bytes))
     # an invalid window still yields one slab, whose extraction raises
     for y0 in range(0, max(1, H - h + 1), step):
-        yield y0, extract_unions(arr[y0:y0 + step + h - 1], (h, w, z))
+        yield extract_unions(arr[y0:y0 + step + h - 1], (h, w, z))
 
 
 def max_pool(fmap: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ and transforming the training samples reproduces the training features.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,12 +72,20 @@ class PipelineConfig:
         object.__setattr__(self, "layers", layers)
         if not 0.0 < self.keep_ratio <= 1.0:
             raise ValueError(f"keep_ratio must lie in (0, 1], got {self.keep_ratio}")
+        for name in ("centroids_per_class", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        if self.centroids_per_class < 1:
+            raise ValueError("centroids_per_class must be positive, "
+                             f"got {self.centroids_per_class}")
         if self.concat_mode not in CONCAT_MODES:
             raise ValueError(f"concat_mode must be one of {CONCAT_MODES}")
         for name in ("roi_size", "roi_origin"):
             val = getattr(self, name)
             if val is not None:
-                object.__setattr__(self, name, tuple(int(v) for v in val))
+                val = tuple(int(v) for v in val)
+                if len(val) != 3:
+                    raise ValueError(f"{name} must have 3 values, got {val}")
+                object.__setattr__(self, name, val)
 
     def to_dict(self) -> dict:
         return {
@@ -264,10 +273,10 @@ def _project(kernel: saab.SaabKernel, fmap: np.ndarray, window) -> np.ndarray:
     before the caller pools."""
     (H, W, Z, _), (h, w, z) = fmap.shape, window
     conv = np.empty((H - h + 1, W - w + 1, Z - z + 1, kernel.channels))
-    for y0, unions in union_slabs(fmap, window):
-        slab = saab.apply_saab(kernel, unions.data)
-        conv[y0:y0 + unions.out_dims[0]] = slab.reshape(
-            unions.out_dims + (kernel.channels,))
+    rows, start = conv.reshape(-1, kernel.channels), 0
+    for unions in union_slabs(fmap, window):
+        rows[start:start + len(unions)] = saab.apply_saab(kernel, unions)
+        start += len(unions)
     return conv
 
 
@@ -315,8 +324,8 @@ def _features(blocks: list[list[np.ndarray]]) -> np.ndarray:
 def _union_moments(maps, window):
     """Per-map moments of every map's neighborhood unions, one map at a
     time; a map's moments are the in-order merge of its slabs' moments."""
-    return (saab.merge_moments(saab.union_moments(unions.data)
-                               for _, unions in union_slabs(m, window))
+    return (saab.merge_moments(saab.union_moments(unions)
+                               for unions in union_slabs(m, window))
             for m in maps)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -53,11 +54,17 @@ class SaabKernel:
     def channels(self) -> int:
         return self.ac.shape[0] + 1
 
+    @cached_property
+    def projection(self) -> tuple[np.ndarray, np.ndarray]:
+        """(D, F) matrix and (F,) offset of :func:`apply_saab`, built on
+        first use; not a field, so equality and saved bytes ignore it."""
+        offset = self.bias - np.concatenate(([0.0], self.ac @ self.mean_ac))
+        return np.vstack([self.dc, self.ac]).T, offset
+
 
 def _as_rows(X) -> np.ndarray:
-    """Accept a 2D array or anything with a ``.data`` row matrix."""
-    rows = getattr(X, "data", X)
-    rows = np.asarray(rows, dtype=np.float64)
+    """A 2D float64 row matrix of ``X``."""
+    rows = np.asarray(X, dtype=np.float64)
     if rows.ndim != 2:
         raise ShapeMismatchError(f"expected a 2D row matrix, got shape {rows.shape}")
     return rows
@@ -196,8 +203,8 @@ def apply_saab(kernel: SaabKernel, X) -> np.ndarray:
     if rows.shape[1] != kernel.dim:
         raise ShapeMismatchError(
             f"union length {rows.shape[1]} != kernel dim {kernel.dim}")
-    offset = kernel.bias - np.concatenate(([0.0], kernel.ac @ kernel.mean_ac))
-    return rows @ np.vstack([kernel.dc, kernel.ac]).T + offset
+    matrix, offset = kernel.projection
+    return rows @ matrix + offset
 
 
 def energy_curve(kernel: SaabKernel) -> np.ndarray:

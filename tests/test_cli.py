@@ -110,6 +110,16 @@ class TestFit:
         assert err["error"]["type"] == "MissingFileError"
         assert err["error"]["exit_code"] == 3
 
+    def test_threads_is_not_a_fit_flag(self, work, cohort, config_file,
+                                       capsys):
+        code = main(["fit", "--manifest", str(cohort), "--config",
+                     str(config_file), "--out", str(work / "t"),
+                     "--threads", "2"])
+        capsys.readouterr()
+        assert code == 2
+        doc = json.loads((work / "fit" / "resolved_config.json").read_text())
+        assert "threads" not in doc
+
     def test_missing_manifest(self, work, config_file, capsys):
         code = main(["fit", "--manifest", str(work / "absent.json"),
                      "--config", str(config_file), "--out", str(work / "g")])
@@ -249,6 +259,18 @@ def _transpose_first_ac(meta):
     decl["shape"] = decl["shape"][::-1]
 
 
+# Edits of the tiny config (a dict to merge, or the whole file's text)
+MALFORMED_CONFIGS = {
+    "unknown-key": {"colour": 1},
+    "undecodable": '{"layers": [',
+    "layers-int": {"layers": 5},
+    "seed-string": {"seed": "x"},
+    "roi-two-values": {"roi_size": [4, 4]},
+    "keep-ratio-2": {"keep_ratio": 2},
+    "no-centroids": {"centroids_per_class": 0},
+}
+
+
 class TestErrorSurface:
     def test_corrupt_model_is_a_data_error(self, work, cohort, capsys):
         bad = work / "bad.sslm"
@@ -334,6 +356,44 @@ class TestErrorSurface:
         err = json.loads(capsys.readouterr().err)
         assert code == 3
         assert err["error"]["type"] == "TooFewSubjectsError"
+
+    @pytest.mark.parametrize("edit", MALFORMED_CONFIGS.values(),
+                             ids=MALFORMED_CONFIGS.keys())
+    def test_malformed_config_file_is_a_data_error(self, cohort, config_file,
+                                                   tmp_path, edit, capsys):
+        text = edit
+        if isinstance(edit, dict):
+            doc = json.loads(config_file.read_text())
+            doc.update(edit)
+            text = json.dumps(doc)
+        bad = tmp_path / "config.json"
+        bad.write_text(text)
+        code = main(["fit", "--manifest", str(cohort), "--config", str(bad),
+                     "--out", str(tmp_path / "out")])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 3
+        assert err["error"]["type"] == "BadHeaderError"
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--fraction", "0"],
+        ["evaluate", "--fraction", "1.5"],
+        ["evaluate", "--threads", "0"],
+        ["gen-synthetic", "--classes", "1"],
+        ["gen-synthetic", "--per-class", "0"],
+        ["gen-synthetic", "--dims", "0,4,4"],
+        ["gen-synthetic", "--noise-sigma", "-1"],
+        ["gen-synthetic", "--margin", "0"],
+    ], ids=["fraction-0", "fraction-1.5", "threads-0", "classes-1",
+            "per-class-0", "dims-0", "noise-negative", "margin-0"])
+    def test_out_of_range_flag_is_a_usage_error(self, cohort, config_file,
+                                                tmp_path, argv, capsys):
+        if argv[0] == "evaluate":
+            argv = argv + ["--manifest", str(cohort), "--config",
+                           str(config_file), "--folds", "2"]
+        code = main(argv + ["--out", str(tmp_path / "out")])
+        capsys.readouterr()
+        assert code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_subcommand_is_a_usage_error(self, capsys):
         code = main(["frobnicate"])

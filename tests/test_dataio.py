@@ -259,6 +259,9 @@ class TestSynthetic:
         {"templates": (sh.ClassTemplate(1.0, 0, 0.5),)},        # wrong count
         {"templates": (sh.ClassTemplate(1.0, 0, 0.5),
                        sh.ClassTemplate(1.2, 1, 0.6))},          # gap < margin
+        {"dims": (0, 4, 4)},
+        {"dims": (4, -1, 4)},
+        {"dims": (4, 4)},
     ])
     def test_spec_validation(self, kwargs):
         base = {"classes": 2, "per_class": 1, "dims": (4, 4, 4)}

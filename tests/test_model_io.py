@@ -64,6 +64,22 @@ class TestRoundTrip:
         resaved = sh.save_model(sh.load_model(saved), tmp_path / "resaved.sslm")
         assert resaved.read_bytes() == saved.read_bytes()
 
+    def test_reloaded_kernels_project_from_their_arrays(self, saved, rng,
+                                                        tmp_path):
+        """The cached projection is the kernel's arrays, bit for bit, and
+        building it changes no saved byte."""
+        loaded = sh.load_model(saved)
+        for per_dir in loaded.stages:
+            for stage in per_dir:
+                k = stage.kernel
+                rows = rng.normal(size=(30, k.dim))
+                offset = k.bias - np.concatenate(([0.0], k.ac @ k.mean_ac))
+                np.testing.assert_array_equal(
+                    sh.apply_saab(k, rows),
+                    rows @ np.vstack([k.dc, k.ac]).T + offset)
+        resaved = sh.save_model(loaded, tmp_path / "projected.sslm")
+        assert resaved.read_bytes() == saved.read_bytes()
+
 
 class TestCorruption:
     def test_short_file(self, tmp_path):

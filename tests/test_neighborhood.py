@@ -56,15 +56,16 @@ class TestUnions:
 
     def test_matrix_shape_and_grid(self):
         u = extract_unions(np.zeros((8, 8, 8, 1)), (3, 3, 3))
-        assert u.data.shape == (216, 27)
-        assert u.out_dims == (6, 6, 6)
+        assert u.shape == (216, 27)
+        # a transposed view of the column-major gather
+        assert u.T.flags.c_contiguous
 
     def test_row_and_element_order(self):
         """Origins run lexicographic (y,x,z); inside a row, channel fastest."""
         fmap = _coded(4, 3, 5, 2)
         window = (2, 1, 3)
         u = extract_unions(fmap, window)
-        np.testing.assert_array_equal(u.data, _brute_unions(fmap, window))
+        np.testing.assert_array_equal(u, _brute_unions(fmap, window))
 
     def test_random_maps_match_oracle(self, rng):
         for _ in range(10):
@@ -74,7 +75,7 @@ class TestUnions:
             w = int(rng.integers(1, dims[1] + 1))
             z = int(rng.integers(1, dims[2] + 1))
             u = extract_unions(fmap, (h, w, z))
-            np.testing.assert_array_equal(u.data, _brute_unions(fmap, (h, w, z)))
+            np.testing.assert_array_equal(u, _brute_unions(fmap, (h, w, z)))
 
     def test_window_larger_than_map(self):
         with pytest.raises(WindowTooLargeError):
@@ -122,11 +123,12 @@ class TestUnionSlabs:
             per = _set_budget(monkeypatch, fmap, window, budget)
             slabs = list(union_slabs(fmap, window))
             rows = fmap.shape[0] - window[0] + 1
-            assert [y0 for y0, _ in slabs] == list(range(0, rows, per))
-            assert all(u.out_dims[0] == per for _, u in slabs[:-1])
-            np.testing.assert_array_equal(
-                np.concatenate([u.data for _, u in slabs]),
-                _brute_unions(fmap, window))
+            per_row = ((fmap.shape[1] - window[1] + 1)
+                       * (fmap.shape[2] - window[2] + 1))
+            assert [len(u) for u in slabs] == [
+                min(per, rows - y0) * per_row for y0 in range(0, rows, per)]
+            np.testing.assert_array_equal(np.concatenate(slabs),
+                                          _brute_unions(fmap, window))
 
     @pytest.mark.parametrize("channels", [1, 5])
     @pytest.mark.parametrize("budget", BUDGETS.values(), ids=BUDGETS.keys())
@@ -135,12 +137,13 @@ class TestUnionSlabs:
         for _ in range(6):
             fmap, window = _odd_case(rng, channels)
             dense = extract_unions(fmap, window)
-            dim = dense.data.shape[1]
+            dim = dense.shape[1]
             kernel = fit_saab(rng.normal(size=(40, dim)), min(4, dim))
             _set_budget(monkeypatch, fmap, window, budget)
             conv = sslhop.pipeline._project(kernel, fmap, window)
-            expect = apply_saab(kernel, dense.data).reshape(
-                dense.out_dims + (kernel.channels,))
+            grid = tuple(d - k + 1 for d, k in zip(fmap.shape, window))
+            expect = apply_saab(kernel, dense).reshape(
+                grid + (kernel.channels,))
             np.testing.assert_allclose(conv, expect, rtol=0, atol=1e-12)
 
     def test_invalid_window_raises_on_first_slab(self):

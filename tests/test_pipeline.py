@@ -241,8 +241,8 @@ def _subject_moments(samples, cfg):
     its slabs' moments."""
     window = cfg.layers[0].window
     return [[sh.merge_moments(
-                sh.union_moments(u.data)
-                for _, u in sh.union_slabs(s.interlaced[d][..., None], window))
+                sh.union_moments(u)
+                for u in sh.union_slabs(s.interlaced[d][..., None], window))
              for s in samples] for d in range(3)]
 
 
