@@ -8,6 +8,8 @@ augmented feature and split back out of the weight vector.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,41 +42,66 @@ def _dual_cd(X: np.ndarray, y: np.ndarray, cost: float, tol: float,
 
     X already carries the augmented constant column. Returns the primal
     weight vector and the per-epoch dual objective trace.
+
+    The steps run on Python floats: per row, one BLAS dot of the row with
+    ``w`` and, when alpha moves, one vector update of ``w``. The clamps are
+    written as the comparisons ``min``/``max`` make, so every step performs
+    the same floating-point operations in the same order as a plain numpy
+    formulation, and the fit is bit-reproducible.
     """
     n = X.shape[0]
-    alpha = np.zeros(n)
+    alpha = [0.0] * n
     w = np.zeros(X.shape[1])
-    q_diag = (X ** 2).sum(axis=1)
-    yx = y[:, None] * X
+    rows = list(enumerate(zip(y.tolist(), [row.dot for row in X],
+                              (X ** 2).sum(axis=1).tolist(),
+                              y[:, None] * X)))
     history = []
     for _ in range(max_epochs):
         pg_max, pg_min = -np.inf, np.inf
-        for i in range(n):
-            g = y[i] * (w @ X[i]) - 1.0
+        for i, (y_i, dot_i, q_i, yx_i) in rows:
+            g = y_i * float(dot_i(w)) - 1.0
             a = alpha[i]
+            # projected gradient, min(g, 0) at the lower and max(g, 0) at
+            # the upper bound
             if a <= 0.0:
-                pg = min(g, 0.0)
+                pg = 0.0 if g > 0.0 else g
             elif a >= cost:
-                pg = max(g, 0.0)
+                pg = 0.0 if g < 0.0 else g
             else:
                 pg = g
-            pg_max = max(pg_max, pg)
-            pg_min = min(pg_min, pg)
+            if pg > pg_max:
+                pg_max = pg
+            if pg < pg_min:
+                pg_min = pg
             if pg != 0.0:
-                new_a = min(max(a - g / q_diag[i], 0.0), cost)
+                new_a = a - g / q_i
+                if new_a < 0.0:
+                    new_a = 0.0
+                if new_a > cost:
+                    new_a = cost
                 if new_a != a:
-                    w += (new_a - a) * yx[i]
+                    w += (new_a - a) * yx_i
                     alpha[i] = new_a
-        history.append(0.5 * (w @ w) - alpha.sum())
+        history.append(0.5 * (w @ w) - np.sum(alpha))
         if pg_max - pg_min < tol:
             break
     return w, np.asarray(history)
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def fit_svm(X: np.ndarray, labels: np.ndarray, cost: float = 1.0,
             class_count: int | None = None, tol: float = STOP_TOL,
             max_epochs: int = MAX_EPOCHS) -> SvmModel:
     """Fit K one-vs-rest linear machines on z-scored features."""
+    if not _is_number(cost) or not math.isfinite(cost) or cost <= 0:
+        raise ValueError(f"cost must be a finite number > 0, got {cost!r}")
+    if not _is_number(tol) or not tol > 0:
+        raise ValueError(f"tol must be a number > 0, got {tol!r}")
+    if not _is_number(max_epochs, numbers.Integral) or max_epochs < 1:
+        raise ValueError(f"max_epochs must be an integer >= 1, got {max_epochs!r}")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeMismatchError(f"expected (N, D) features, got {X.shape}")

@@ -15,6 +15,8 @@ and transforming the training samples reproduces the training features.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -70,8 +72,22 @@ class PipelineConfig:
         if not layers:
             raise ValueError("at least one layer is required")
         object.__setattr__(self, "layers", layers)
+        for name in ("keep_ratio", "alpha", "ridge_lambda", "svm_cost",
+                     "bias_scale"):
+            val = getattr(self, name)
+            if (isinstance(val, bool) or not isinstance(val, numbers.Real)
+                    or not math.isfinite(val)):
+                raise ValueError(f"{name} must be a finite number, got {val!r}")
         if not 0.0 < self.keep_ratio <= 1.0:
             raise ValueError(f"keep_ratio must lie in (0, 1], got {self.keep_ratio}")
+        if self.alpha <= 0 or self.svm_cost <= 0:
+            raise ValueError("alpha and svm_cost must be > 0, got "
+                             f"{self.alpha} and {self.svm_cost}")
+        if self.ridge_lambda < 0:
+            raise ValueError(f"ridge_lambda must be >= 0, got {self.ridge_lambda}")
+        if not isinstance(self.truncate_layer5, bool):
+            raise ValueError("truncate_layer5 must be true or false, "
+                             f"got {self.truncate_layer5!r}")
         for name in ("centroids_per_class", "seed"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.centroids_per_class < 1:

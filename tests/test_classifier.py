@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sslhop import SvmModel, decision_values, fit_svm, predict, roc_auc
+from sslhop import SvmModel, classifier, decision_values, fit_svm, predict, roc_auc
 from sslhop.errors import (
     MissingClassError,
     NonFiniteValuesError,
@@ -16,6 +16,42 @@ def _blobs(rng, k=3, per=20, d=5, spread=6.0):
     centers = spread * np.eye(k, d)
     X = np.vstack([rng.normal(size=(per, d)) + centers[c] for c in range(k)])
     return X, np.repeat(np.arange(k), per)
+
+
+def _numpy_dual_cd(X, y, cost, tol, max_epochs):
+    """Frozen plain-numpy dual CD: the solver's oracle, step for step.
+
+    ``classifier._dual_cd`` must reproduce it bit for bit: same fixed
+    0..N-1 order, same floating-point operations, same stopping rule.
+    """
+    n = X.shape[0]
+    alpha = np.zeros(n)
+    w = np.zeros(X.shape[1])
+    q_diag = (X ** 2).sum(axis=1)
+    yx = y[:, None] * X
+    history = []
+    for _ in range(max_epochs):
+        pg_max, pg_min = -np.inf, np.inf
+        for i in range(n):
+            g = y[i] * (w @ X[i]) - 1.0
+            a = alpha[i]
+            if a <= 0.0:
+                pg = min(g, 0.0)
+            elif a >= cost:
+                pg = max(g, 0.0)
+            else:
+                pg = g
+            pg_max = max(pg_max, pg)
+            pg_min = min(pg_min, pg)
+            if pg != 0.0:
+                new_a = min(max(a - g / q_diag[i], 0.0), cost)
+                if new_a != a:
+                    w += (new_a - a) * yx[i]
+                    alpha[i] = new_a
+        history.append(0.5 * (w @ w) - alpha.sum())
+        if pg_max - pg_min < tol:
+            break
+    return w, np.asarray(history)
 
 
 def _pair_count_auc(scores, positives):
@@ -97,11 +133,61 @@ class TestSvmFit:
         with pytest.raises(MissingClassError):
             fit_svm(X, np.repeat([0, 3], 3), class_count=3)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"cost": 0}, {"cost": -1.0}, {"cost": np.nan}, {"cost": np.inf},
+        {"cost": True}, {"cost": "1"}, {"tol": 0.0}, {"tol": -1e-4},
+        {"tol": np.nan}, {"max_epochs": 0}, {"max_epochs": 2.5},
+    ], ids=["cost-0", "cost-negative", "cost-nan", "cost-inf", "cost-bool",
+            "cost-string", "tol-0", "tol-negative", "tol-nan",
+            "max-epochs-0", "max-epochs-float"])
+    def test_invalid_solver_arguments_rejected(self, rng, kwargs):
+        X, y = _blobs(rng, k=2)
+        with pytest.raises(ValueError):
+            fit_svm(X, y, **kwargs)
+
     def test_non_finite_rejected(self):
         X = np.ones((4, 2))
         X[1, 0] = np.inf
         with pytest.raises(NonFiniteValuesError):
             fit_svm(X, np.array([0, 0, 1, 1]))
+
+
+def _oracle_problems(rng):
+    X, y = _blobs(rng)
+    yield "separable", X, y, {}
+    X, y = _blobs(rng, k=4, per=25, d=6, spread=1.0)
+    yield "overlapping-low-cost", X, y, {"cost": 0.05}
+    X, y = _blobs(rng, k=2, per=15)
+    yield "duplicated-rows", np.vstack([X, X, X[:5]]), \
+        np.concatenate([y, y, y[:5]]), {"tol": 1e-8}
+    X, y = _blobs(rng)
+    yield "zero-variance-column", np.hstack([X, np.full((60, 1), -2.5)]), y, {}
+    X = rng.normal(size=(90, 7))
+    y = np.arange(90) % 3
+    yield "epoch-cap", X, y, {"max_epochs": 3}
+
+
+class TestSolverOracle:
+    def test_matches_numpy_dual_cd_bit_for_bit(self, rng, monkeypatch):
+        for name, X, y, kwargs in _oracle_problems(rng):
+            model = fit_svm(X, y, **kwargs)
+            with monkeypatch.context() as m:
+                m.setattr(classifier, "_dual_cd", _numpy_dual_cd)
+                oracle = fit_svm(X, y, **kwargs)
+            assert np.array_equal(model.weights, oracle.weights), name
+            assert np.array_equal(model.intercepts, oracle.intercepts), name
+            assert len(model.objective_history) == len(oracle.objective_history)
+            for got, want in zip(model.objective_history,
+                                 oracle.objective_history):
+                assert got.dtype == want.dtype, name
+                assert np.array_equal(got, want), name
+            if name == "overlapping-low-cost":
+                # many margin violators: their alphas end at the bound C
+                _, scores = predict(model, X)
+                margins = np.where(y == 0, 1.0, -1.0) * scores[:, 0]
+                assert (margins < 1.0).sum() > len(y) // 4
+            if name == "epoch-cap":
+                assert all(t.size == 3 for t in model.objective_history)
 
 
 class TestPredict:

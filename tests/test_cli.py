@@ -268,6 +268,13 @@ MALFORMED_CONFIGS = {
     "roi-two-values": {"roi_size": [4, 4]},
     "keep-ratio-2": {"keep_ratio": 2},
     "no-centroids": {"centroids_per_class": 0},
+    "alpha-string": {"alpha": "x"},
+    "svm-cost-0": {"svm_cost": 0},
+    "svm-cost-negative": {"svm_cost": -1},
+    "svm-cost-true": {"svm_cost": True},
+    "ridge-lambda-negative": {"ridge_lambda": -1},
+    "bias-scale-nan": {"bias_scale": float("nan")},
+    "truncate-layer5-string": {"truncate_layer5": "x"},
 }
 
 

@@ -41,6 +41,15 @@ class TestConfig:
         {"layers": (sh.LayerSpec((3, 3, 3), 5),), "keep_ratio": 0.0},
         {"layers": (sh.LayerSpec((3, 3, 3), 5),), "keep_ratio": 1.2},
         {"layers": (sh.LayerSpec((3, 3, 3), 5),), "concat_mode": "stacked"},
+        {"layers": (sh.LayerSpec((3, 3, 3), 5),), "keep_ratio": True},
+        {"layers": (sh.LayerSpec((3, 3, 3), 5),), "alpha": 0.0},
+        {"layers": (sh.LayerSpec((3, 3, 3), 5),), "alpha": "10"},
+        {"layers": (sh.LayerSpec((3, 3, 3), 5),), "ridge_lambda": -1e-3},
+        {"layers": (sh.LayerSpec((3, 3, 3), 5),), "ridge_lambda": float("nan")},
+        {"layers": (sh.LayerSpec((3, 3, 3), 5),), "svm_cost": 0.0},
+        {"layers": (sh.LayerSpec((3, 3, 3), 5),), "svm_cost": False},
+        {"layers": (sh.LayerSpec((3, 3, 3), 5),), "bias_scale": float("inf")},
+        {"layers": (sh.LayerSpec((3, 3, 3), 5),), "truncate_layer5": 1},
     ])
     def test_invalid_configs(self, bad):
         with pytest.raises(ValueError):
