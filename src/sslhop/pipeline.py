@@ -25,11 +25,10 @@ import numpy as np
 from . import classifier, saab, supervise
 from .errors import (MissingClassError, ShapeLedgerMismatchError,
                      ShapeMismatchError, SingleClassError, WindowTooLargeError)
-from .fields import DeformationSample, centered_origin, crop_roi, \
-    interlace_concat, plain_concat, validate_field
+from .fields import DIRECTIONS, DeformationSample, centered_origin, \
+    crop_roi, interlace_concat, plain_concat, validate_field
 from .neighborhood import max_pool, pooled_dims, union_count, union_slabs
 
-DIRECTIONS = 3
 CONCAT_MODES = ("interlaced", "plain")
 
 

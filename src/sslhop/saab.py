@@ -62,6 +62,12 @@ class SaabKernel:
         return np.vstack([self.dc, self.ac]).T, offset
 
 
+def shared_bias(bias_scale: float, channels: int) -> float:
+    """The bias every channel of an F-channel kernel shares:
+    ``bias_scale * sqrt(F)``."""
+    return float(bias_scale * np.sqrt(channels))
+
+
 def _as_rows(X) -> np.ndarray:
     """A 2D float64 row matrix of ``X``."""
     rows = np.asarray(X, dtype=np.float64)
@@ -183,7 +189,7 @@ def fit_saab_batches(batches: Iterable[Moments], channels: int,
         if padded:
             warnings.warn(f"{padded} requested components exceed the training "
                           f"rank {rank}; zero-padded", DegenerateInputWarning)
-    return SaabKernel(dc=dc, ac=ac, bias=float(bias_scale) * np.sqrt(channels),
+    return SaabKernel(dc=dc, ac=ac, bias=shared_bias(bias_scale, channels),
                       mean_ac=mean_ac, energy=energy, padded=padded,
                       degenerate=degenerate)
 

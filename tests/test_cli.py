@@ -252,13 +252,6 @@ class TestInspect:
         assert kept == expect
 
 
-def _transpose_first_ac(meta):
-    """Store d0/l0/saab/ac as [D, F-1] instead of [F-1, D]: same byte count,
-    so only a check of the shape against the ledger can catch it."""
-    decl = next(t for t in meta["tensors"] if t["name"] == "d0/l0/saab/ac")
-    decl["shape"] = decl["shape"][::-1]
-
-
 # Edits of the tiny config (a dict to merge, or the whole file's text)
 MALFORMED_CONFIGS = {
     "unknown-key": {"colour": 1},
@@ -321,20 +314,20 @@ class TestErrorSurface:
         assert err["error"]["type"] == "CorruptFileError"
 
     @pytest.mark.parametrize("edit", [
-        lambda meta: meta.pop("tensors"),
-        lambda meta: meta.pop("svm"),
         lambda meta: meta.pop("config"),
         lambda meta: meta.update(stages=5),
-        lambda meta: meta["tensors"][0].update(shape=[-1]),
         lambda meta: meta["stages"][0][0]["entropy"].update(kept="ab"),
-        lambda meta: meta["tensors"][0].update(shape=[True]),
-        lambda meta: meta["tensors"][-1].update(name="svm/renamed"),
         lambda meta: meta["config"].update(layers=5),
-        _transpose_first_ac,
         lambda meta: meta["stages"][0][0]["lag"].update(block_sizes=[3, 2, 1]),
-    ], ids=["no-tensors", "no-svm", "no-config", "stages-int",
-            "negative-shape", "kept-string", "bool-shape", "renamed-tensor",
-            "bad-config", "transposed-ac", "lag-blocks-off-config"])
+        lambda meta: meta["ledger"][0].update(
+            union_dim=meta["ledger"][0]["union_dim"] + 1),
+        lambda meta: meta["config"]["layers"][0].update(channels=5),
+        lambda meta: meta.update(class_table=["a"]),
+        lambda meta: meta.update(class_table=[1, 2, 3]),
+        lambda meta: meta["stages"][0][0]["saab"].update(padded=-4),
+    ], ids=["no-config", "stages-int", "kept-string", "bad-config",
+            "lag-blocks-off-config", "ledger-off-config", "config-off-ledger",
+            "class-table-short", "class-table-ints", "padded-negative"])
     def test_metadata_off_the_schema_is_a_data_error(
             self, cohort, fit_dir, tmp_path, edit_model_meta, edit, capsys):
         bad = edit_model_meta(fit_dir / "model.sslm", tmp_path / "bad.sslm",
@@ -345,6 +338,23 @@ class TestErrorSurface:
             err = json.loads(capsys.readouterr().err)
             assert code == 3
             assert err["error"]["type"] == "CorruptFileError"
+
+    @pytest.mark.parametrize("command", ["predict", "inspect"])
+    def test_format_1_model_is_a_data_error(self, cohort, fit_dir, tmp_path,
+                                            command, capsys):
+        """Major version 1 at offset 8 is refused before anything else is
+        read, CRC included."""
+        raw = bytearray((fit_dir / "model.sslm").read_bytes())
+        raw[8:10] = (1).to_bytes(2, "little")
+        bad = tmp_path / "v1.sslm"
+        bad.write_bytes(bytes(raw))
+        argv = [command, "--model", bad, "--out", tmp_path / "out"]
+        if command == "predict":
+            argv += ["--manifest", cohort]
+        code = main([str(a) for a in argv])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 3
+        assert err["error"]["type"] == "VersionMismatchError"
 
     @pytest.mark.parametrize("command", ["fit", "evaluate", "predict"])
     def test_empty_manifest_is_a_data_error(self, cohort, config_file,
