@@ -29,8 +29,6 @@ class SvmModel:
     intercepts: np.ndarray   # (K,)
     mean: np.ndarray         # (D,) training feature means
     scale: np.ndarray        # (D,) training feature stds, zeros replaced by 1
-    cost: float              # hinge penalty C
-    class_count: int
     # dual objective value after each epoch, one array per class machine;
     # diagnostic only, not serialized with the model
     objective_history: tuple = field(default=(), compare=False)
@@ -134,8 +132,7 @@ def fit_svm(X: np.ndarray, labels: np.ndarray, cost: float = 1.0,
         intercepts[cls] = w[-1]
         traces.append(trace)
     return SvmModel(weights=weights, intercepts=intercepts, mean=mean,
-                    scale=scale, cost=float(cost), class_count=k,
-                    objective_history=tuple(traces))
+                    scale=scale, objective_history=tuple(traces))
 
 
 def decision_values(model: SvmModel, X: np.ndarray) -> np.ndarray:

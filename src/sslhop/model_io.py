@@ -14,11 +14,10 @@ Layout (all integers little-endian):
 
 The metadata stores each fact once: the config, input dims, class
 bookkeeping, the shape ledger (checked against a dry run of the config)
-and each stage's fitted decisions. Whatever the config already says (the
-Saab bias, the LAG alpha, the SVM cost, the class ids 0..K-1) is rebuilt
-on load, and there is no tensor index. Nothing volatile is stored (no
-timestamps), so identical fits serialize to identical bytes. A loader
-refuses files whose major version differs from its own.
+and each stage's fitted decisions. The Saab bias follows from the config
+and is rebuilt on load; there is no tensor index. Nothing volatile is
+stored (no timestamps), so identical fits serialize to identical bytes. A
+loader refuses files whose major version differs from its own.
 """
 
 from __future__ import annotations
@@ -38,14 +37,15 @@ from .pipeline import (DIRECTIONS, LayerShapes, LayerStage, PipelineConfig,
                        PipelineModel, compute_ledger)
 
 MAGIC = b"SSLHOP01"
-FORMAT_MAJOR = 2
+FORMAT_MAJOR = 3
 FORMAT_MINOR = 0
 _HEADER = struct.Struct("<8sHHQ")
 
 
 # Metadata schema: a dict maps keys to the schemas of their values, a
 # one-item list is a list whose items all follow that item, and a type or
-# tuple of types is a leaf; bool never passes for a number.
+# tuple of types is a leaf; bool never passes for a number. A dict refuses
+# keys it does not name.
 _SCHEMA = {
     "config": dict,
     "input_dims": [int],
@@ -55,7 +55,7 @@ _SCHEMA = {
     "ledger": [{"layer": int, "input_dims": [int], "union_dim": int,
                 "conv_dims": [int], "pool_dims": [int], "kept_channels": int,
                 "lag_input_dim": int}],
-    "stages": [[{"saab": {"padded": int, "degenerate": bool},
+    "stages": [[{"saab": {"padded": int},
                  "entropy": {"kept": [int]},
                  "lag": {"block_sizes": [int]}}]],
 }
@@ -66,6 +66,9 @@ def _schema_error(value, schema, where: str = "metadata") -> str | None:
     if isinstance(schema, dict):
         if not isinstance(value, dict):
             return f"{where} is not an object"
+        unknown = sorted(set(value) - set(schema))
+        if unknown:
+            return f"{where}.{unknown[0]} is not a known key"
         for key, sub in schema.items():
             if key not in value:
                 return f"{where}.{key} is missing"
@@ -127,8 +130,7 @@ def save_model(model: PipelineModel, path: str | Path) -> Path:
         "class_table": list(model.class_table) if model.class_table else None,
         "train_subject_ids": list(model.train_subject_ids),
         "ledger": [e.to_dict() for e in model.ledger],
-        "stages": [[{"saab": {"padded": stage.kernel.padded,
-                              "degenerate": stage.kernel.degenerate},
+        "stages": [[{"saab": {"padded": stage.kernel.padded},
                      "entropy": {"kept": stage.entropy.kept.tolist()},
                      "lag": {"block_sizes": stage.lag.block_sizes.tolist()}}
                     for stage in per_dir]
@@ -205,10 +207,16 @@ def load_model(path: str | Path) -> PipelineModel:
                 raise CorruptFileError(
                     f"{where} pads {sm['saab']['padded']} components, "
                     f"not 0..{channels - 1}")
-            if len(sm["entropy"]["kept"]) != ledger[li].kept_channels:
+            kept = sm["entropy"]["kept"]
+            if len(kept) != ledger[li].kept_channels:
                 raise CorruptFileError(
-                    f"{where} keeps {len(sm['entropy']['kept'])} channels, "
-                    f"ledger says {ledger[li].kept_channels}")
+                    f"{where} keeps {len(kept)} channels, ledger says "
+                    f"{ledger[li].kept_channels}")
+            if kept != sorted(set(kept)) or not all(
+                    0 <= c < channels for c in kept):
+                raise CorruptFileError(
+                    f"{where} keeps channels {kept}, not strictly increasing "
+                    f"ids in 0..{channels - 1}")
             blocks = sm["lag"]["block_sizes"]
             if len(blocks) != k or any(not 1 <= b <= cap for b in blocks):
                 raise CorruptFileError(
@@ -228,30 +236,23 @@ def load_model(path: str | Path) -> PipelineModel:
     if offset != len(raw) - 4:
         raise CorruptFileError(f"{path}: {len(raw) - 4 - offset} trailing bytes")
 
-    # fit_pipeline requires every class to be present, so the class ids
-    # of each entropy and LAG stage are always 0..K-1
-    classes = np.arange(k, dtype=np.int64)
     stages = tuple(tuple(
         LayerStage(
             kernel=saab.SaabKernel(
                 **arrays[(d, li, "kernel")],
                 bias=saab.shared_bias(cfg.bias_scale, cfg.layers[li].channels),
-                padded=sm["saab"]["padded"],
-                degenerate=sm["saab"]["degenerate"]),
+                padded=sm["saab"]["padded"]),
             entropy=supervise.ChannelEntropy(
                 **arrays[(d, li, "entropy")],
-                kept=np.asarray(sm["entropy"]["kept"], dtype=np.int64),
-                classes=classes.copy()),
+                kept=np.asarray(sm["entropy"]["kept"], dtype=np.int64)),
             lag=supervise.LagModel(
-                **arrays[(d, li, "lag")], alpha=float(cfg.alpha),
-                classes=classes.copy(),
+                **arrays[(d, li, "lag")],
                 block_sizes=np.asarray(sm["lag"]["block_sizes"],
                                        dtype=np.int64)))
         for li, sm in enumerate(dir_meta))
         for d, dir_meta in enumerate(meta["stages"]))
-    svm = classifier.SvmModel(**arrays[("svm",)], cost=float(cfg.svm_cost),
-                              class_count=k)
     return PipelineModel(
         config=cfg, input_dims=input_dims, class_count=k,
-        class_table=tuple(table) if table else None, stages=stages, svm=svm,
+        class_table=tuple(table) if table else None, stages=stages,
+        svm=classifier.SvmModel(**arrays[("svm",)]),
         ledger=ledger, train_subject_ids=tuple(meta["train_subject_ids"]))

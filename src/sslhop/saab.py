@@ -44,7 +44,6 @@ class SaabKernel:
     mean_ac: np.ndarray   # (D,) training mean of the DC-removed unions
     energy: np.ndarray    # (F-1,) per-component explained-variance ratios
     padded: int = 0       # trailing AC rows beyond the training rank (zeros)
-    degenerate: bool = False  # training unions had no residual variance
 
     @property
     def dim(self) -> int:
@@ -168,12 +167,10 @@ def fit_saab_batches(batches: Iterable[Moments], channels: int,
     ac = np.zeros((n_ac, dim))
     energy = np.zeros(n_ac)
     padded = n_ac
-    degenerate = False
     evals, evecs = np.linalg.eigh(cov)
     evals = np.clip(evals, 0.0, None)
     total = float(evals.sum())
     if total <= RANK_RTOL * np.trace(m2) / (n - 1):
-        degenerate = True
         if n_ac:
             warnings.warn("training unions have no residual variance; "
                           "AC anchors zero-padded", DegenerateInputWarning)
@@ -190,8 +187,7 @@ def fit_saab_batches(batches: Iterable[Moments], channels: int,
             warnings.warn(f"{padded} requested components exceed the training "
                           f"rank {rank}; zero-padded", DegenerateInputWarning)
     return SaabKernel(dc=dc, ac=ac, bias=shared_bias(bias_scale, channels),
-                      mean_ac=mean_ac, energy=energy, padded=padded,
-                      degenerate=degenerate)
+                      mean_ac=mean_ac, energy=energy, padded=padded)
 
 
 def fit_saab(X, channels: int, bias_scale: float = 0.0) -> SaabKernel:

@@ -31,9 +31,8 @@ class ChannelEntropy:
     """Per-channel class-summed entropies and the retained channel ids."""
 
     per_channel: np.ndarray   # (C,) summed over classes
-    per_class: np.ndarray     # (K, C), class rows in ``classes`` order
+    per_class: np.ndarray     # (K, C), one row per sorted distinct label
     kept: np.ndarray          # strictly increasing channel ids
-    classes: np.ndarray       # sorted distinct labels the rows refer to
 
 
 def channel_entropy(features: np.ndarray, labels: np.ndarray,
@@ -68,7 +67,7 @@ def channel_entropy(features: np.ndarray, labels: np.ndarray,
     order = np.argsort(per_channel, kind="stable")   # stable: ties -> lower id
     kept = np.sort(order[:n_keep])
     return ChannelEntropy(per_channel=per_channel, per_class=per_class,
-                          kept=kept, classes=classes)
+                          kept=kept)
 
 
 def select_channels(fmap: np.ndarray, kept: np.ndarray) -> np.ndarray:
@@ -95,17 +94,11 @@ class LagModel:
 
     centroids: np.ndarray     # (total_centroids, D) stacked class blocks
     weights: np.ndarray       # (D+1, total_centroids), last row = bias
-    alpha: float
-    classes: np.ndarray       # sorted distinct labels, block order
-    block_sizes: np.ndarray   # centroids per class block
+    block_sizes: np.ndarray   # centroids per class block, sorted label order
 
     @property
     def output_dim(self) -> int:
         return self.centroids.shape[0]
-
-    def block_slice(self, row: int) -> slice:
-        start = int(self.block_sizes[:row].sum())
-        return slice(start, start + int(self.block_sizes[row]))
 
 
 def _kmeans_plusplus(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -213,8 +206,8 @@ def fit_lag(X: np.ndarray, labels: np.ndarray, centroids_per_class: int = 5,
     else:
         weights = aug.T @ np.linalg.solve(aug @ aug.T + ridge_lambda * np.eye(n),
                                           targets)
-    return LagModel(centroids=centroids, weights=weights, alpha=float(alpha),
-                    classes=classes, block_sizes=block_sizes)
+    return LagModel(centroids=centroids, weights=weights,
+                    block_sizes=block_sizes)
 
 
 def apply_lag(model: LagModel, X: np.ndarray) -> np.ndarray:

@@ -132,17 +132,20 @@ def test_criterion_4_lag_solves_its_ridge_problem():
     X = rng.normal(size=(24, 5))
     labels = np.tile([0, 1, 2], 8)
     lam = 1e-3
-    model = sh.fit_lag(X, labels, centroids_per_class=2, ridge_lambda=lam,
-                       seed=3)
+    alpha = 10.0
+    model = sh.fit_lag(X, labels, centroids_per_class=2, alpha=alpha,
+                       ridge_lambda=lam, seed=3)
 
     # reconstruct the soft targets the fit regressed onto
     targets = np.zeros((24, model.output_dim))
-    for row, cls in enumerate(model.classes):
+    ends = np.cumsum(model.block_sizes)
+    for cls, start, end in zip(np.unique(labels), ends - model.block_sizes,
+                               ends):
         idx = np.flatnonzero(labels == cls)
-        block = model.centroids[model.block_slice(row)]
+        block = model.centroids[start:end]
         dist = np.sqrt(((X[idx, None, :] - block[None, :, :]) ** 2).sum(axis=2))
-        t = np.exp(-model.alpha * (dist - dist.min(axis=1, keepdims=True)))
-        targets[idx, model.block_slice(row)] = t / t.sum(axis=1, keepdims=True)
+        t = np.exp(-alpha * (dist - dist.min(axis=1, keepdims=True)))
+        targets[idx, start:end] = t / t.sum(axis=1, keepdims=True)
 
     aug = np.hstack([X, np.ones((24, 1))])
     lhs = (aug.T @ aug + lam * np.eye(6)) @ model.weights

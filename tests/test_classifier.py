@@ -194,8 +194,7 @@ class TestPredict:
     def test_argmax_tie_takes_lower_id(self):
         model = SvmModel(weights=np.zeros((3, 2)),
                          intercepts=np.array([1.0, 1.0, 0.5]),
-                         mean=np.zeros(2), scale=np.ones(2), cost=1.0,
-                         class_count=3)
+                         mean=np.zeros(2), scale=np.ones(2))
         pred, scores = predict(model, np.zeros((4, 2)))
         assert scores[0, 0] == scores[0, 1]
         np.testing.assert_array_equal(pred, 0)

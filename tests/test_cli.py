@@ -325,9 +325,16 @@ class TestErrorSurface:
         lambda meta: meta.update(class_table=["a"]),
         lambda meta: meta.update(class_table=[1, 2, 3]),
         lambda meta: meta["stages"][0][0]["saab"].update(padded=-4),
+        lambda meta: meta["stages"][0][0]["entropy"].update(kept=[7, 9]),
+        lambda meta: meta["stages"][0][0]["entropy"].update(kept=[0, 0]),
+        lambda meta: meta.update(seed=meta["config"]["seed"]),
+        lambda meta: meta.update(tensors=[]),
+        lambda meta: meta["stages"][0][0]["saab"].update(bias=5.0),
     ], ids=["no-config", "stages-int", "kept-string", "bad-config",
             "lag-blocks-off-config", "ledger-off-config", "config-off-ledger",
-            "class-table-short", "class-table-ints", "padded-negative"])
+            "class-table-short", "class-table-ints", "padded-negative",
+            "kept-off-channels", "kept-repeated", "stray-seed",
+            "stray-tensors", "stray-saab-bias"])
     def test_metadata_off_the_schema_is_a_data_error(
             self, cohort, fit_dir, tmp_path, edit_model_meta, edit, capsys):
         bad = edit_model_meta(fit_dir / "model.sslm", tmp_path / "bad.sslm",

@@ -17,6 +17,21 @@ from sslhop.errors import (
 from sslhop.model_io import _HEADER, MAGIC
 
 
+def _assert_fields_equal(a, b):
+    """Every compared dataclass field of ``a`` equals ``b``'s: arrays by
+    dtype and value, scalars by type and value."""
+    for f in dataclasses.fields(a):
+        if not f.compare:
+            continue
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert type(x) is type(y), f.name
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype, f.name
+            np.testing.assert_array_equal(x, y, err_msg=f.name)
+        else:
+            assert x == y, f.name
+
+
 @pytest.fixture(scope="module")
 def saved(tiny_model, tmp_path_factory):
     path = tmp_path_factory.mktemp("models") / "tiny.sslm"
@@ -35,65 +50,50 @@ class TestRoundTrip:
                                       sh.transform(tiny_model, s))
 
     def test_every_stage_survives(self, saved, tiny_model):
-        """Stored arrays and decisions come back as they were; the bias,
-        alpha, cost and class ids rebuilt from the config equal the fit's."""
+        """Stored arrays and decisions come back as they were; the bias
+        rebuilt from the config equals the fit's. Every field of each
+        stage and of the SVM is compared, so a field added to one of them
+        must be stored or rebuilt here."""
         loaded = sh.load_model(saved)
         assert loaded.config == tiny_model.config
         assert loaded.input_dims == tiny_model.input_dims
+        assert loaded.class_count == tiny_model.class_count
+        assert loaded.class_table == tiny_model.class_table
         assert loaded.ledger == tiny_model.ledger
         assert loaded.train_subject_ids == tiny_model.train_subject_ids
         for d in range(3):
             for a, b in zip(loaded.stages[d], tiny_model.stages[d]):
-                np.testing.assert_array_equal(a.kernel.dc, b.kernel.dc)
-                np.testing.assert_array_equal(a.kernel.ac, b.kernel.ac)
-                assert a.kernel.bias == b.kernel.bias
-                assert a.kernel.padded == b.kernel.padded
-                assert a.kernel.degenerate == b.kernel.degenerate
-                assert a.lag.alpha == b.lag.alpha
-                for x, y in ((a.lag.classes, b.lag.classes),
-                             (a.entropy.classes, b.entropy.classes)):
-                    np.testing.assert_array_equal(x, y)
-                    assert x.dtype == y.dtype
-                np.testing.assert_array_equal(a.entropy.kept, b.entropy.kept)
-                np.testing.assert_array_equal(a.lag.centroids, b.lag.centroids)
-                np.testing.assert_array_equal(a.lag.weights, b.lag.weights)
-                np.testing.assert_array_equal(a.lag.block_sizes,
-                                              b.lag.block_sizes)
-        np.testing.assert_array_equal(loaded.svm.weights,
-                                      tiny_model.svm.weights)
-        np.testing.assert_array_equal(loaded.svm.scale, tiny_model.svm.scale)
-        assert loaded.svm.cost == tiny_model.svm.cost
-        assert loaded.svm.class_count == tiny_model.svm.class_count
+                for part in ("kernel", "entropy", "lag"):
+                    _assert_fields_equal(getattr(a, part), getattr(b, part))
+        _assert_fields_equal(loaded.svm, tiny_model.svm)
 
     def test_metadata_stores_each_fact_once(self, saved):
-        """Format 2 keeps the config, class bookkeeping, the ledger and each
+        """Format 3 keeps the config, class bookkeeping, the ledger and each
         stage's fitted decisions; no tensor index and no restated values."""
         raw = saved.read_bytes()
         _, major, _, meta_len = _HEADER.unpack_from(raw)
         meta = json.loads(raw[_HEADER.size:_HEADER.size + meta_len])
-        assert major == 2
+        assert major == 3
         assert set(meta) == {"config", "input_dims", "class_count",
                              "class_table", "train_subject_ids", "ledger",
                              "stages"}
         for per_dir in meta["stages"]:
             for sm in per_dir:
                 assert {part: set(v) for part, v in sm.items()} == {
-                    "saab": {"padded", "degenerate"},
+                    "saab": {"padded"},
                     "entropy": {"kept"},
                     "lag": {"block_sizes"}}
 
     def test_config_is_the_one_source(self, saved, tmp_path, edit_model_meta):
-        """Editing the config's bias_scale, alpha or svm_cost in a saved
-        file shows up in the loaded kernels, LAG stages and SVM."""
+        """Editing the config's bias_scale in a saved file shows up in the
+        loaded kernels."""
         def change(meta):
-            meta["config"].update(bias_scale=0.5, alpha=3.0, svm_cost=2.0)
+            meta["config"].update(bias_scale=0.5)
         loaded = sh.load_model(edit_model_meta(saved, tmp_path / "m.sslm",
                                                change))
         for per_dir in loaded.stages:
             for stage in per_dir:
                 assert stage.kernel.bias == 0.5 * np.sqrt(stage.kernel.channels)
-                assert stage.lag.alpha == 3.0
-        assert loaded.svm.cost == 2.0
 
     def test_arrays_off_the_config_are_not_saved(self, tiny_model, tmp_path):
         """The file stores no shapes, so saving a kernel whose AC block is
@@ -160,6 +160,23 @@ class TestCorruption:
         path = tmp_path / "m.sslm"
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         with pytest.raises(VersionMismatchError):
+            sh.load_model(path)
+
+    def test_format_2_is_refused(self, saved, tmp_path, edit_model_meta):
+        """A format-2 file, which also stored ``saab.degenerate``, is refused
+        on its version alone; there is no second read path."""
+        def to_format_2(meta):
+            for per_dir in meta["stages"]:
+                for sm in per_dir:
+                    sm["saab"]["degenerate"] = False
+        raw = bytearray(edit_model_meta(saved, tmp_path / "v2.sslm",
+                                        to_format_2).read_bytes())
+        _, _, minor, meta_len = _HEADER.unpack_from(bytes(raw))
+        raw[:_HEADER.size] = _HEADER.pack(MAGIC, 2, minor, meta_len)
+        body = bytes(raw[:-4])
+        path = tmp_path / "m.sslm"
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(VersionMismatchError, match="major 2"):
             sh.load_model(path)
 
     def test_flipped_blob_byte(self, saved, tmp_path):
@@ -240,9 +257,26 @@ class TestCorruption:
         with pytest.raises(CorruptFileError, match="stages|keeps"):
             sh.load_model(path)
 
-    def test_older_files_with_a_seed_still_load(self, saved, tmp_path,
-                                                edit_model_meta):
+    @pytest.mark.parametrize("kept", [[7, 9], [0, 0], [2, 1], [-1, 2]],
+                             ids=str)
+    def test_kept_must_be_increasing_channel_ids(self, saved, tmp_path,
+                                                 edit_model_meta, kept):
+        """Layer 1 of the tiny config keeps 2 of F = 4 channels: strictly
+        increasing ids in 0..3."""
         def change(meta):
-            meta["seed"] = meta["config"]["seed"]
+            meta["stages"][0][0]["entropy"]["kept"] = kept
         path = edit_model_meta(saved, tmp_path / "m.sslm", change)
-        assert sh.load_model(path).config == sh.load_model(saved).config
+        with pytest.raises(CorruptFileError, match="keeps channels"):
+            sh.load_model(path)
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda meta: meta.update(seed=meta["config"]["seed"]), "seed"),
+        (lambda meta: meta.update(tensors=[]), "tensors"),
+        (lambda meta: meta["stages"][0][0]["saab"].update(bias=5.0), "bias"),
+        (lambda meta: meta["ledger"][0].update(stride=2), "stride"),
+    ], ids=["seed", "tensors", "saab-bias", "ledger-entry"])
+    def test_unknown_metadata_keys_are_refused(self, saved, tmp_path,
+                                               edit_model_meta, edit, key):
+        path = edit_model_meta(saved, tmp_path / "m.sslm", edit)
+        with pytest.raises(CorruptFileError, match=f"{key} is not a known key"):
+            sh.load_model(path)

@@ -237,9 +237,11 @@ class TestEdgeCases:
     def test_constant_rows_are_degenerate(self):
         # every union on the DC axis: no residual variance at all
         X = np.outer(np.arange(1.0, 7.0), np.ones(5))
-        with pytest.warns(DegenerateInputWarning):
+        with pytest.warns(DegenerateInputWarning, match="no residual variance"):
             k = fit_saab(X, channels=3)
-        assert k.degenerate
+        assert k.padded == 2
+        np.testing.assert_array_equal(k.ac, 0.0)
+        np.testing.assert_array_equal(k.energy, 0.0)
         out = apply_saab(k, X)
         np.testing.assert_allclose(out[:, 1:], k.bias)
 
@@ -250,7 +252,8 @@ class TestEdgeCases:
         X = np.outer(np.arange(1.0, 21.0), np.ones(dim))
         with pytest.warns(DegenerateInputWarning, match="no residual variance"):
             k = fit_saab(X, channels=4)
-        assert k.degenerate and k.padded == 3
+        assert k.padded == 3
+        np.testing.assert_array_equal(k.energy, 0.0)
 
     def test_tied_eigenvalues_are_deterministic(self):
         # two orthogonal +/- pairs of equal norm: the residual covariance has

@@ -151,14 +151,14 @@ class TestLag:
         X = rng.normal(size=(40, 6))
         labels = rng.integers(0, 3, size=40)
         lam = 1e-3
-        model = fit_lag(X, labels, centroids_per_class=2, ridge_lambda=lam,
-                        seed=5)
+        model = fit_lag(X, labels, centroids_per_class=2, alpha=10.0,
+                        ridge_lambda=lam, seed=5)
         aug = np.hstack([X, np.ones((40, 1))])
         # recover the targets implied by the fitted system: with
         # (A^T A + lam I) W = A^T Y the residual of the normal equations
         # against a reconstructed Y must vanish; reconstruct Y through the
         # same centroid/soft-target rule
-        Y = _soft_targets(X, labels, model)
+        Y = _soft_targets(X, labels, model, alpha=10.0)
         lhs = (aug.T @ aug + lam * np.eye(7)) @ model.weights
         np.testing.assert_allclose(lhs, aug.T @ Y, atol=1e-8)
 
@@ -166,10 +166,10 @@ class TestLag:
         X = rng.normal(size=(10, 50))           # features outnumber samples
         labels = np.repeat([0, 1], 5)
         lam = 1e-3
-        model = fit_lag(X, labels, centroids_per_class=2, ridge_lambda=lam,
-                        seed=5)
+        model = fit_lag(X, labels, centroids_per_class=2, alpha=10.0,
+                        ridge_lambda=lam, seed=5)
         aug = np.hstack([X, np.ones((10, 1))])
-        Y = _soft_targets(X, labels, model)
+        Y = _soft_targets(X, labels, model, alpha=10.0)
         lhs = (aug.T @ aug + lam * np.eye(51)) @ model.weights
         np.testing.assert_allclose(lhs, aug.T @ Y, atol=1e-8)
 
@@ -179,7 +179,8 @@ class TestLag:
         labels = np.repeat([0, 1], 15)
         model = fit_lag(X, labels, centroids_per_class=3, seed=1)
         out = apply_lag(model, X)
-        b0, b1 = model.block_slice(0), model.block_slice(1)
+        b0, b1 = slice(0, 3), slice(3, 6)
+        np.testing.assert_array_equal(model.block_sizes, [3, 3])
         assert out[:15, b0].sum(axis=1).mean() > out[:15, b1].sum(axis=1).mean()
         assert out[15:, b1].sum(axis=1).mean() > out[15:, b0].sum(axis=1).mean()
 
@@ -227,13 +228,16 @@ class TestLag:
             apply_lag(model, rng.normal(size=(3, 5)))
 
 
-def _soft_targets(X, labels, model):
-    """Re-derive the soft targets from the fitted centroids."""
+def _soft_targets(X, labels, model, alpha):
+    """Re-derive the soft targets from the fitted centroids, with the
+    ``alpha`` the fit was given and one centroid block per sorted label."""
     targets = np.zeros((X.shape[0], model.output_dim))
-    for row, cls in enumerate(model.classes):
+    ends = np.cumsum(model.block_sizes)
+    for cls, start, end in zip(np.unique(labels), ends - model.block_sizes,
+                               ends):
         idx = np.flatnonzero(labels == cls)
-        block = model.centroids[model.block_slice(row)]
+        block = model.centroids[start:end]
         dist = np.sqrt(((X[idx, None, :] - block[None, :, :]) ** 2).sum(axis=2))
-        t = np.exp(-model.alpha * (dist - dist.min(axis=1, keepdims=True)))
-        targets[idx, model.block_slice(row)] = t / t.sum(axis=1, keepdims=True)
+        t = np.exp(-alpha * (dist - dist.min(axis=1, keepdims=True)))
+        targets[idx, start:end] = t / t.sum(axis=1, keepdims=True)
     return targets
