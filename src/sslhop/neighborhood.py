@@ -10,8 +10,10 @@ never hold the union matrix of a whole map, only about ``SLAB_BYTES`` of it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ShapeMismatchError, WindowTooLargeError
 
@@ -45,11 +47,14 @@ def extract_unions(fmap: np.ndarray, window: tuple[int, int, int]) -> np.ndarray
         raise WindowTooLargeError(f"window must be positive, got {window}")
     if h > H or w > W or z > Z:
         raise WindowTooLargeError(f"window {window} exceeds map dims {(H, W, Z)}")
-    view = sliding_window_view(arr, (h, w, z), axis=(0, 1, 2))
-    # view: (Y, X, Z', C, h, w, z) -> column-major (h, w, z, C, Y, X, Z'),
-    # so every union element is copied as one run over the window origins
-    cols = view.transpose(4, 5, 6, 3, 0, 1, 2).copy()
-    return cols.reshape(h * w * z * C, union_count(arr.shape, (h, w, z))).T
+    # read-only (h, w, z, C, Y, X, Z') view from the map's own strides: the
+    # window offsets and the origins step alike, so its C-order copy is
+    # column-major and every union element is one run over the origins
+    origins = (H - h + 1, W - w + 1, Z - z + 1)
+    sy, sx, sz, sc = arr.strides
+    view = as_strided(arr, (h, w, z, C) + origins,
+                      (sy, sx, sz, sc, sy, sx, sz), writeable=False)
+    return view.copy().reshape(h * w * z * C, math.prod(origins)).T
 
 
 def union_slabs(fmap: np.ndarray, window: tuple[int, int, int]):

@@ -337,11 +337,28 @@ def _features(blocks: list[list[np.ndarray]]) -> np.ndarray:
 
 
 def _union_moments(maps, window):
-    """Per-map moments of every map's neighborhood unions, one map at a
-    time; a map's moments are the in-order merge of its slabs' moments."""
-    return (saab.merge_moments(saab.union_moments(unions)
-                               for unions in union_slabs(m, window))
-            for m in maps)
+    """Moments of every map's neighborhood unions, one map at a time.
+
+    Each channel's mean is subtracted from the map once, a copy D/C times
+    smaller than its unions; the slabs of the shifted map add up raw sums
+    and Gram matrices, corrected once per map (the shifted-data algorithm
+    of Chan, Golub & LeVeque 1983). The mean is taken about the first
+    voxel, so a constant channel shifts to exact zeros and adds exactly
+    nothing to the scatter.
+    """
+    for fmap in maps:
+        shifted = np.subtract(fmap, fmap[0, 0, 0], dtype=np.float64)
+        shift = shifted.mean(axis=(0, 1, 2))
+        shifted -= shift
+        total = gram = 0.0
+        for unions in union_slabs(shifted, window):
+            total += unions.sum(axis=0)
+            gram += unions.T @ unions
+        n = union_count(fmap.shape, window)
+        mean = total / n
+        shift += fmap[0, 0, 0]
+        yield saab.Moments(n, mean + np.tile(shift, math.prod(window)),
+                           gram - n * np.outer(mean, mean))
 
 
 def first_layer_moments(samples: list[DeformationSample],

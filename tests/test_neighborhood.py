@@ -77,6 +77,25 @@ class TestUnions:
             u = extract_unions(fmap, (h, w, z))
             np.testing.assert_array_equal(u, _brute_unions(fmap, (h, w, z)))
 
+    @pytest.mark.parametrize("view", [lambda m: m[:, ::-1],
+                                      lambda m: m[..., 1:4],
+                                      lambda m: m.transpose(1, 0, 2, 3)],
+                             ids=["reversed-axis", "channel-slice",
+                                  "transposed"])
+    def test_non_contiguous_maps_match_oracle(self, rng, view):
+        fmap = view(rng.normal(size=(5, 6, 7, 5)))
+        assert not fmap.flags.c_contiguous
+        for window in ((1, 1, 1), (2, 3, 4), (4, 5, 6)):
+            np.testing.assert_array_equal(extract_unions(fmap, window),
+                                          _brute_unions(fmap, window))
+
+    def test_unions_are_a_copy(self, rng):
+        fmap = rng.normal(size=(5, 6, 7, 2))
+        u = extract_unions(fmap, (2, 3, 4))
+        expect = u.copy()
+        fmap[...] = 0.0
+        np.testing.assert_array_equal(u, expect)
+
     def test_window_larger_than_map(self):
         with pytest.raises(WindowTooLargeError):
             extract_unions(np.zeros((4, 4, 4, 1)), (5, 3, 3))
