@@ -18,11 +18,13 @@ from .fields import (DeformationSample, centered_origin, crop_roi,
 from .model_io import load_model, save_model
 from .neighborhood import (extract_unions, max_pool, pooled_dims, union_count,
                            union_slabs)
-from .pipeline import (LayerShapes, LayerSpec, PipelineConfig, PipelineModel,
-                       assemble_sample, compute_ledger, count_parameters,
-                       first_layer_moments, fit_pipeline, forward_maps,
-                       full_config, parameter_breakdown, predict_samples,
-                       small_config, transform, transform_many)
+from .pipeline import (FittedStages, LayerShapes, LayerSpec, PipelineConfig,
+                       PipelineModel, assemble_sample, compute_ledger,
+                       concat_features, count_parameters, first_layer_maps,
+                       first_layer_moments, fit_direction, fit_pipeline,
+                       fit_stages, forward_maps, full_config,
+                       parameter_breakdown, predict_samples, small_config,
+                       transform_many)
 from .saab import (Moments, SaabKernel, apply_saab, energy_curve, fit_saab,
                    fit_saab_batches, merge_moments, union_moments)
 from .supervise import (ChannelEntropy, LagModel, apply_lag, channel_entropy,
@@ -43,11 +45,12 @@ __all__ = [
     "interlace_concat", "plain_concat", "validate_field",
     "load_model", "save_model",
     "extract_unions", "max_pool", "pooled_dims", "union_count", "union_slabs",
-    "LayerShapes", "LayerSpec", "PipelineConfig", "PipelineModel",
-    "assemble_sample", "compute_ledger", "count_parameters",
-    "first_layer_moments", "fit_pipeline", "forward_maps", "full_config",
-    "parameter_breakdown", "predict_samples", "small_config", "transform",
-    "transform_many",
+    "FittedStages", "LayerShapes", "LayerSpec", "PipelineConfig",
+    "PipelineModel", "assemble_sample", "compute_ledger",
+    "concat_features", "count_parameters", "first_layer_maps",
+    "first_layer_moments", "fit_direction", "fit_pipeline", "fit_stages",
+    "forward_maps", "full_config", "parameter_breakdown", "predict_samples",
+    "small_config", "transform_many",
     "Moments", "SaabKernel", "apply_saab", "energy_curve", "fit_saab",
     "fit_saab_batches", "merge_moments", "union_moments",
     "ChannelEntropy", "LagModel", "apply_lag", "channel_entropy", "fit_lag",

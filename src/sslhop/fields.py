@@ -5,21 +5,20 @@ Layout conventions, fixed across the package:
 * raw per-subject fields are direction-major ``(3, H, W, Z)`` arrays,
   one scalar displacement component per direction per voxel;
 * two acquisition phases (end-diastole / end-systole) are merged along
-  depth before feature extraction, either interlaced (default) or as
-  plain blocks, giving ``(3, H, W, 2Z)``.
+  depth, either interlaced (default) or as plain blocks, giving
+  ``(3, H, W, 2Z)``; a sample merges one direction's map on demand.
 
 All operations are pure: they never mutate their inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NonFiniteValuesError, OutOfBoundsError, ShapeMismatchError
 
 DIRECTIONS = 3
+CONCAT_MODES = ("interlaced", "plain")
 
 
 def validate_field(field: np.ndarray) -> np.ndarray:
@@ -96,22 +95,67 @@ def deinterlace(field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return arr[..., 0::2].copy(), arr[..., 1::2].copy()
 
 
-@dataclass(frozen=True)
 class DeformationSample:
-    """One subject's assembled two-phase field plus its class label."""
+    """One subject's two validated phase fields, the order in which they
+    merge along depth, and its class label.
 
-    interlaced: np.ndarray  # (3, H, W, 2Z), float64
-    label: int
-    subject_id: str
+    The assembled float64 (3, H, W, 2Z) stack is not stored: each
+    direction's map is built on demand (:meth:`direction`), so a cohort of
+    samples holds no more than its phase fields, which stay float32 when
+    read from field files. Widening float32 to float64 is exact.
+    """
 
-    def __post_init__(self) -> None:
-        arr = validate_field(self.interlaced)
+    __slots__ = ("phases", "concat_mode", "label", "subject_id")
+
+    def __init__(self, interlaced: np.ndarray, label: int,
+                 subject_id: str) -> None:
+        """A sample of an assembled (3, H, W, 2Z) stack, held as its two
+        depth halves in plain order."""
+        arr = validate_field(interlaced)
         if arr.shape[3] % 2:
             raise ShapeMismatchError("assembled depth must be even (two phases)")
-        if self.label < 0:
-            raise ShapeMismatchError(f"label must be a non-negative id, got {self.label}")
-        object.__setattr__(self, "interlaced", np.ascontiguousarray(arr, dtype=np.float64))
+        half = arr.shape[3] // 2
+        self._hold(arr[..., :half], arr[..., half:], "plain", label, subject_id)
+
+    @classmethod
+    def from_phases(cls, ed: np.ndarray, es: np.ndarray, concat_mode: str,
+                    label: int, subject_id: str) -> "DeformationSample":
+        """A sample of two phase fields of one shape, merged in
+        ``concat_mode`` (interlaced or plain) whenever a map is built."""
+        if concat_mode not in CONCAT_MODES:
+            raise ValueError(f"concat_mode must be one of {CONCAT_MODES}")
+        sample = cls.__new__(cls)
+        sample._hold(*_check_phase_pair(ed, es), concat_mode, label, subject_id)
+        return sample
+
+    def _hold(self, ed, es, concat_mode, label, subject_id) -> None:
+        if label < 0:
+            raise ShapeMismatchError(f"label must be a non-negative id, got {label}")
+        self.phases = (ed, es)
+        self.concat_mode = concat_mode
+        self.label = label
+        self.subject_id = subject_id
 
     @property
     def dims(self) -> tuple[int, int, int]:
-        return self.interlaced.shape[1:]
+        _, H, W, Z = self.phases[0].shape
+        return (H, W, 2 * Z)
+
+    def _merge(self, ed: np.ndarray, es: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if self.concat_mode == "interlaced":
+            out[..., 0::2], out[..., 1::2] = ed, es
+        else:
+            depth = ed.shape[-1]
+            out[..., :depth], out[..., depth:] = ed, es
+        return out
+
+    def direction(self, d: int) -> np.ndarray:
+        """The float64 (H, W, 2Z) map of direction ``d``, built on demand."""
+        ed, es = self.phases
+        return self._merge(ed[d], es[d], np.empty(self.dims))
+
+    @property
+    def interlaced(self) -> np.ndarray:
+        """The float64 (3, H, W, 2Z) assembled stack, built on demand."""
+        ed, es = self.phases
+        return self._merge(ed, es, np.empty((DIRECTIONS,) + self.dims))

@@ -25,12 +25,9 @@ import numpy as np
 from . import classifier, saab, supervise
 from .errors import (MissingClassError, ShapeLedgerMismatchError,
                      ShapeMismatchError, SingleClassError, WindowTooLargeError)
-from .fields import DIRECTIONS, DeformationSample, centered_origin, \
-    crop_roi, interlace_concat, plain_concat, validate_field
+from .fields import CONCAT_MODES, DIRECTIONS, DeformationSample, \
+    centered_origin, crop_roi, validate_field
 from .neighborhood import max_pool, pooled_dims, union_count, union_slabs
-
-CONCAT_MODES = ("interlaced", "plain")
-
 
 @dataclass(frozen=True)
 class LayerSpec:
@@ -223,17 +220,29 @@ def compute_ledger(cfg: PipelineConfig,
 
 def assemble_sample(ed: np.ndarray, es: np.ndarray, cfg: PipelineConfig,
                     label: int, subject_id: str) -> DeformationSample:
-    """Crop both phases to the configured ROI and merge them along depth."""
-    ed, es = validate_field(ed), validate_field(es)
+    """Validate both phases and crop them to the configured ROI; they merge
+    along depth, in the configured order, whenever a map is built."""
     if cfg.roi_size is not None:
+        ed, es = validate_field(ed), validate_field(es)
         origin = cfg.roi_origin
         if origin is None:
             origin = centered_origin(ed.shape[1:], cfg.roi_size)
         ed = crop_roi(ed, origin, cfg.roi_size)
         es = crop_roi(es, origin, cfg.roi_size)
-    merge = interlace_concat if cfg.concat_mode == "interlaced" else plain_concat
-    return DeformationSample(interlaced=merge(ed, es), label=label,
-                             subject_id=subject_id)
+    return DeformationSample.from_phases(ed, es, cfg.concat_mode, label,
+                                         subject_id)
+
+
+def common_dims(samples: list[DeformationSample]) -> tuple[int, int, int]:
+    """The (H, W, 2Z) dims every sample shares."""
+    if not samples:
+        raise ShapeMismatchError("no training samples")
+    dims = samples[0].dims
+    for s in samples:
+        if s.dims != dims:
+            raise ShapeMismatchError(
+                f"sample {s.subject_id} dims {s.dims} != {dims}")
+    return dims
 
 
 # -- fitted model ---------------------------------------------------------------
@@ -245,6 +254,17 @@ class LayerStage:
     kernel: saab.SaabKernel
     entropy: supervise.ChannelEntropy
     lag: supervise.LagModel
+
+
+@dataclass(frozen=True)
+class FittedStages:
+    """All of a fit but its SVM: every direction's fitted layer stages and
+    the LAG feature blocks they give the subjects they were fitted on, in
+    subject order."""
+
+    subject_ids: tuple[str, ...]
+    stages: tuple[tuple[LayerStage, ...], ...]   # [direction][layer]
+    blocks: tuple[tuple[np.ndarray, ...], ...]   # [direction][layer], (N, B)
 
 
 @dataclass(frozen=True)
@@ -275,49 +295,78 @@ def _lag_seed(seed: int, layer: int, direction: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _direction_maps(samples: list[DeformationSample],
-                    direction: int) -> list[np.ndarray]:
-    """One-channel (H, W, Z, 1) input maps of one direction of every sample."""
-    return [np.ascontiguousarray(s.interlaced[direction])[..., None]
-            for s in samples]
+class _DirectionMaps:
+    """The one-channel (H, W, Z, 1) float64 input maps of one direction of
+    every sample, as a sequence; each map is built when it is indexed."""
+
+    def __init__(self, samples: list[DeformationSample], direction: int):
+        self.samples, self.direction = samples, direction
+
+    def __len__(self) -> int:
+        return len(self.samples)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self.samples[i].direction(self.direction)[..., None]
 
 
-def _project(kernel: saab.SaabKernel, fmap: np.ndarray, window) -> np.ndarray:
-    """Project the unions of one map, slab by slab, into a preallocated
-    (H-h+1, W-w+1, Z-z+1, F) conv map. Returning frees the last slab
-    before the caller pools."""
+def _project(kernels, fmap: np.ndarray, window) -> list[np.ndarray]:
+    """Project the unions of one map with each kernel into a preallocated
+    (H-h+1, W-w+1, Z-z+1, F) conv map of its own. Each slab is extracted
+    once, and every kernel writes its projection of it in place, at the
+    slab's rows of its conv map. Returning frees the last slab before the
+    caller pools."""
     (H, W, Z, _), (h, w, z) = fmap.shape, window
-    conv = np.empty((H - h + 1, W - w + 1, Z - z + 1, kernel.channels))
-    rows, start = conv.reshape(-1, kernel.channels), 0
+    convs = [np.empty((H - h + 1, W - w + 1, Z - z + 1, k.channels))
+             for k in kernels]
+    rows = [conv.reshape(-1, conv.shape[-1]) for conv in convs]
+    start = 0
     for unions in union_slabs(fmap, window):
-        rows[start:start + len(unions)] = saab.apply_saab(kernel, unions)
-        start += len(unions)
-    return conv
+        stop = start + len(unions)
+        for kernel, out in zip(kernels, rows):
+            saab.apply_saab(kernel, unions, out=out[start:stop])
+        start = stop
+    return convs
 
 
-def _run_layer(kernel: saab.SaabKernel, fmap: np.ndarray, window,
-               shapes: LayerShapes) -> tuple[np.ndarray, np.ndarray]:
-    """Apply one fitted layer to one map; returns (conv, pooled)."""
+def _run_layer(kernels, fmap: np.ndarray, window,
+               shapes: LayerShapes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Apply one layer's fitted kernels to one map; (conv, pooled) per
+    kernel."""
     if fmap.shape != shapes.input_dims:
         raise ShapeLedgerMismatchError(
             f"layer {shapes.layer} input {fmap.shape}, "
             f"ledger says {shapes.input_dims}")
-    conv = _project(kernel, fmap, window)
-    conv = conv[:, :, :shapes.conv_dims[2]]           # optional depth truncation
-    if conv.shape != shapes.conv_dims:
-        raise ShapeLedgerMismatchError(
-            f"projection produced {conv.shape}, ledger says {shapes.conv_dims}")
-    pooled = max_pool(conv)
-    if pooled.shape != shapes.pool_dims:
-        raise ShapeLedgerMismatchError(
-            f"pooling produced {pooled.shape}, ledger says {shapes.pool_dims}")
-    return conv, pooled
+    out = []
+    for conv in _project(kernels, fmap, window):
+        conv = conv[:, :, :shapes.conv_dims[2]]       # optional depth truncation
+        if conv.shape != shapes.conv_dims:
+            raise ShapeLedgerMismatchError(
+                f"projection produced {conv.shape}, ledger says {shapes.conv_dims}")
+        pooled = max_pool(conv)
+        if pooled.shape != shapes.pool_dims:
+            raise ShapeLedgerMismatchError(
+                f"pooling produced {pooled.shape}, ledger says {shapes.pool_dims}")
+        out.append((conv, pooled))
+    return out
 
 
-def _pool_layer(kernel: saab.SaabKernel, maps, window,
-                shapes: LayerShapes) -> np.ndarray:
-    """Apply one fitted layer to every map; stacked (N, H, W, Z, C)."""
-    return np.stack([_run_layer(kernel, m, window, shapes)[1] for m in maps])
+def _pool_layer(kernels, maps, window, shapes: LayerShapes,
+                rows: np.ndarray | None = None, map_fn=map) -> np.ndarray:
+    """Apply one layer's kernels to a sequence of maps; one stacked
+    (N, H, W, Z, C) array per kernel, as a (K, N, ...) array. Map ``i``
+    goes to row ``rows[k, i]`` of stack ``k`` (row ``i`` by default).
+    ``map_fn`` runs the per-map work; each map writes only its own rows, so
+    a thread pool's ``map`` may run maps side by side."""
+    out = np.empty((len(kernels), len(maps)) + shapes.pool_dims)
+
+    def run(i: int) -> None:
+        for k, (_, pooled) in enumerate(_run_layer(kernels, maps[i], window,
+                                                   shapes)):
+            out[k, i if rows is None else rows[k, i]] = pooled
+
+    for _ in map_fn(run, range(len(maps))):
+        pass
+    return out
 
 
 def _reduce(pooled: np.ndarray, kept: np.ndarray,
@@ -331,9 +380,11 @@ def _reduce(pooled: np.ndarray, kept: np.ndarray,
     return flat
 
 
-def _features(blocks: list[list[np.ndarray]]) -> np.ndarray:
-    """Concatenate [layer][direction] blocks, layer-major, direction-minor."""
-    return np.concatenate([b for per_layer in blocks for b in per_layer], axis=1)
+def concat_features(blocks) -> np.ndarray:
+    """Concatenate [direction][layer] LAG blocks into (N, feature_dim)
+    features, layer-major, direction-minor."""
+    return np.concatenate([b for per_layer in zip(*blocks) for b in per_layer],
+                          axis=1)
 
 
 def _union_moments(maps, window):
@@ -370,28 +421,93 @@ def first_layer_moments(samples: list[DeformationSample],
     """
     window = cfg.layers[0].window
     return [saab.merge_moments(
-                _union_moments(_direction_maps(samples, d), window))
+                _union_moments(_DirectionMaps(samples, d), window))
             for d in range(DIRECTIONS)]
+
+
+def first_layer_maps(samples: list[DeformationSample], direction: int,
+                     kernels, cfg: PipelineConfig,
+                     ledger: tuple[LayerShapes, ...],
+                     rows: np.ndarray | None = None, map_fn=map) -> np.ndarray:
+    """Layer-1 pooled maps of one direction of every sample under each
+    layer-1 kernel, as a (K, N, H, W, Z, C) array; sample ``i`` goes to
+    row ``rows[k, i]`` of stack ``k`` (row ``i`` by default).
+
+    Each sample's direction map is built once and each slab of its unions
+    extracted once, however many kernels project it. ``map_fn`` runs the
+    per-sample work, as in :func:`_pool_layer`.
+    """
+    return _pool_layer(kernels, _DirectionMaps(samples, direction),
+                       cfg.layers[0].window, ledger[0], rows, map_fn)
+
+
+def fit_direction(pooled: np.ndarray, kernel: saab.SaabKernel,
+                  labels: np.ndarray, cfg: PipelineConfig,
+                  ledger: tuple[LayerShapes, ...], direction: int):
+    """Fit one direction's layer stages from its layer-1 pooled maps.
+
+    ``pooled`` stacks the maps that layer-1 ``kernel`` gave the subjects:
+    first the ``len(labels)`` training subjects the stages are fitted on,
+    with their ``labels``, then any held-out subjects, which only run
+    through each fitted layer beside them. Returns the stages, then the
+    LAG blocks of the training rows and of the held-out rows (empty when
+    there are none), one per layer.
+    """
+    n = len(labels)
+    stages, train_blocks, held_blocks = [], [], []
+    for li, (layer, shapes) in enumerate(zip(cfg.layers, ledger)):
+        if li:
+            kernel = saab.fit_saab_batches(
+                _union_moments(pooled[:n], layer.window), layer.channels,
+                cfg.bias_scale)
+            pooled = _pool_layer([kernel], pooled, layer.window, shapes)[0]
+        entropy = supervise.channel_entropy(pooled[:n], labels, cfg.keep_ratio)
+        flat = _reduce(pooled, entropy.kept, shapes)
+        lag = supervise.fit_lag(flat[:n], labels, cfg.centroids_per_class,
+                                cfg.alpha, cfg.ridge_lambda,
+                                seed=_lag_seed(cfg.seed, li, direction))
+        train_blocks.append(supervise.apply_lag(lag, flat[:n]))
+        if len(pooled) > n:
+            held_blocks.append(supervise.apply_lag(lag, flat[n:]))
+        stages.append(LayerStage(kernel=kernel, entropy=entropy, lag=lag))
+    return tuple(stages), tuple(train_blocks), tuple(held_blocks)
+
+
+def fit_stages(samples: list[DeformationSample],
+               cfg: PipelineConfig) -> FittedStages:
+    """Fit every direction's layer stages on ``samples``, direction by
+    direction: layer 1 from the union moments of every sample, merged in
+    subject order, then :func:`first_layer_maps` and
+    :func:`fit_direction`."""
+    ledger = compute_ledger(cfg, common_dims(samples))
+    labels = np.array([s.label for s in samples], dtype=np.int64)
+    layer = cfg.layers[0]
+    stages, blocks = [], []
+    for d in range(DIRECTIONS):
+        kernel = saab.fit_saab_batches(
+            _union_moments(_DirectionMaps(samples, d), layer.window),
+            layer.channels, cfg.bias_scale)
+        pooled = first_layer_maps(samples, d, [kernel], cfg, ledger)[0]
+        per_dir, train_blocks, _ = fit_direction(pooled, kernel, labels, cfg,
+                                                 ledger, d)
+        stages.append(per_dir)
+        blocks.append(train_blocks)
+    return FittedStages(subject_ids=tuple(s.subject_id for s in samples),
+                        stages=tuple(stages), blocks=tuple(blocks))
 
 
 def fit_pipeline(samples: list[DeformationSample], cfg: PipelineConfig,
                  class_count: int | None = None,
                  class_table: dict[int, str] | None = None, *,
-                 layer1=None) -> PipelineModel:
+                 fitted: FittedStages | None = None) -> PipelineModel:
     """Fit every layer, the per-layer supervised branches, and the SVM.
 
-    ``layer1`` optionally gives, per direction, a sequence of layer-1
-    :class:`~sslhop.saab.Moments` that together cover exactly ``samples``;
-    they are merged in the given order. By default they are computed from
-    ``samples`` by :func:`first_layer_moments`.
+    ``fitted`` optionally hands over the layer stages, fitted on exactly
+    ``samples`` in the same order (cross-validation fits every fold's
+    stages in phases); only the SVM is then fitted here. By default they
+    come from :func:`fit_stages`.
     """
-    if not samples:
-        raise ShapeMismatchError("no training samples")
-    dims = samples[0].dims
-    for s in samples:
-        if s.dims != dims:
-            raise ShapeMismatchError(
-                f"sample {s.subject_id} dims {s.dims} != {dims}")
+    dims = common_dims(samples)
     labels = np.array([s.label for s in samples], dtype=np.int64)
     present = np.unique(labels)
     k = int(class_count) if class_count is not None else int(present.max()) + 1
@@ -402,36 +518,14 @@ def fit_pipeline(samples: list[DeformationSample], cfg: PipelineConfig,
         raise MissingClassError(f"labels must cover 0..{k - 1}; missing {missing}")
 
     ledger = compute_ledger(cfg, dims)
-    if layer1 is None:
-        layer1 = [[m] for m in first_layer_moments(samples, cfg)]
-    expected = len(samples) * union_count(dims, cfg.layers[0].window)
-    for d, moments in enumerate(layer1):
-        count = sum(m.count for m in moments)
-        if count != expected:
-            raise ShapeLedgerMismatchError(
-                f"direction {d} layer-1 statistics cover {count} unions, "
-                f"{len(samples)} samples give {expected}")
-    stages: list[tuple[LayerStage, ...]] = []
-    blocks = [[None] * DIRECTIONS for _ in cfg.layers]
-    for d in range(DIRECTIONS):
-        maps = _direction_maps(samples, d)
-        per_dir = []
-        for li, (layer, shapes) in enumerate(zip(cfg.layers, ledger)):
-            moments = (layer1[d] if li == 0
-                       else _union_moments(maps, layer.window))
-            kernel = saab.fit_saab_batches(moments, layer.channels,
-                                           cfg.bias_scale)
-            maps = _pool_layer(kernel, maps, layer.window, shapes)
-            entropy = supervise.channel_entropy(maps, labels, cfg.keep_ratio)
-            flat = _reduce(maps, entropy.kept, shapes)
-            lag = supervise.fit_lag(flat, labels, cfg.centroids_per_class,
-                                    cfg.alpha, cfg.ridge_lambda,
-                                    seed=_lag_seed(cfg.seed, li, d))
-            blocks[li][d] = supervise.apply_lag(lag, flat)
-            per_dir.append(LayerStage(kernel=kernel, entropy=entropy, lag=lag))
-        stages.append(tuple(per_dir))
-
-    features = _features(blocks)
+    ids = tuple(s.subject_id for s in samples)
+    if fitted is None:
+        fitted = fit_stages(samples, cfg)
+    elif fitted.subject_ids != ids:
+        raise ShapeLedgerMismatchError(
+            f"stages were fitted on {len(fitted.subject_ids)} subjects, not "
+            f"on the {len(ids)} training samples in their order")
+    features = concat_features(fitted.blocks)
     svm = classifier.fit_svm(features, labels, cost=cfg.svm_cost, class_count=k)
 
     table = None
@@ -439,15 +533,14 @@ def fit_pipeline(samples: list[DeformationSample], cfg: PipelineConfig,
         table = tuple(class_table[i] for i in range(k))
     return PipelineModel(
         config=cfg, input_dims=dims, class_count=k, class_table=table,
-        stages=tuple(stages), svm=svm, ledger=ledger,
-        train_subject_ids=tuple(s.subject_id for s in samples),
-        training_features=features)
+        stages=fitted.stages, svm=svm, ledger=ledger,
+        train_subject_ids=ids, training_features=features)
 
 
 def transform_many(model: PipelineModel,
                    samples: list[DeformationSample]) -> np.ndarray:
     """Final (N, feature_dim) feature vectors of assembled samples, computed
-    by the same batched layer steps as :func:`fit_pipeline`."""
+    by the same layer steps as :func:`fit_pipeline`."""
     if not samples:
         raise ShapeMismatchError("no samples to transform")
     for s in samples:
@@ -456,33 +549,31 @@ def transform_many(model: PipelineModel,
                 f"sample {s.subject_id} dims {s.dims} != model input "
                 f"{model.input_dims}")
     layers = model.config.layers
-    blocks = [[None] * DIRECTIONS for _ in layers]
+    blocks = []
     for d in range(DIRECTIONS):
-        maps = _direction_maps(samples, d)
+        maps, per_dir = _DirectionMaps(samples, d), []
         for li, (stage, shapes) in enumerate(zip(model.stages[d], model.ledger)):
-            maps = _pool_layer(stage.kernel, maps, layers[li].window, shapes)
-            blocks[li][d] = supervise.apply_lag(
-                stage.lag, _reduce(maps, stage.entropy.kept, shapes))
-    features = _features(blocks)
+            maps = _pool_layer([stage.kernel], maps, layers[li].window,
+                               shapes)[0]
+            per_dir.append(supervise.apply_lag(
+                stage.lag, _reduce(maps, stage.entropy.kept, shapes)))
+        blocks.append(per_dir)
+    features = concat_features(blocks)
     if features.shape[1] != model.feature_dim:
         raise ShapeLedgerMismatchError(
             f"feature length {features.shape[1]} != ledger {model.feature_dim}")
     return features
 
 
-def transform(model: PipelineModel, sample: DeformationSample) -> np.ndarray:
-    """Compute the final feature vector of one assembled sample."""
-    return transform_many(model, [sample])[0]
-
-
 def forward_maps(model: PipelineModel, sample: DeformationSample,
                  direction: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Diagnostic: (conv, pooled) maps of every layer for one direction."""
-    fmap = _direction_maps([sample], direction)[0]
+    fmap = _DirectionMaps([sample], direction)[0]
     out = []
     for li, stage in enumerate(model.stages[direction]):
-        conv, fmap = _run_layer(stage.kernel, fmap, model.config.layers[li].window,
-                                model.ledger[li])
+        ((conv, fmap),) = _run_layer([stage.kernel], fmap,
+                                     model.config.layers[li].window,
+                                     model.ledger[li])
         out.append((conv, fmap))
     return out
 

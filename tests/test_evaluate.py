@@ -5,12 +5,18 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sslhop as sh
+import sslhop.classifier
+import sslhop.neighborhood
+import sslhop.pipeline
+import sslhop.supervise
 from sslhop.errors import TooFewSubjectsError
 
 # Measured between 1 and 2 OpenBLAS threads (OpenBLAS 0.3.31, 2 cores) with
@@ -110,6 +116,61 @@ class TestCrossValidate:
         assert a.pooled_accuracy == b.pooled_accuracy
         np.testing.assert_array_equal(a.scores, b.scores)
         np.testing.assert_array_equal(a.predicted_labels, b.predicted_labels)
+
+    def test_svms_run_on_the_calling_thread_after_the_fold_work(
+            self, tiny_cohort, tiny_cfg, monkeypatch):
+        """At 2 threads, with tiny maps counted as big enough to fan out:
+        fold work runs on the pool, and every SVM fit on the calling
+        thread once the last of it has ended. Predictions equal those at
+        1 thread, and at 3 threads with frequent thread switches."""
+        _, records = tiny_cohort
+        monkeypatch.setattr(sslhop.neighborhood, "SLAB_BYTES", 1 << 16)
+        spans = []
+
+        def traced(name, fn):
+            def call(*args, **kwargs):
+                start = time.perf_counter()
+                out = fn(*args, **kwargs)
+                spans.append((name, threading.get_ident(), start,
+                              time.perf_counter()))
+                return out
+            return call
+
+        def traced_moments(*args, **kwargs):
+            start = time.perf_counter()
+            yield from union_moments(*args, **kwargs)
+            spans.append(("_union_moments", threading.get_ident(), start,
+                          time.perf_counter()))
+
+        union_moments = sslhop.pipeline._union_moments
+        monkeypatch.setattr(sslhop.pipeline, "_union_moments", traced_moments)
+        monkeypatch.setattr(sslhop.supervise, "fit_lag",
+                            traced("fit_lag", sslhop.supervise.fit_lag))
+        monkeypatch.setattr(sslhop.classifier, "fit_svm",
+                            traced("fit_svm", sslhop.classifier.fit_svm))
+        two = sh.cross_validate(records, tiny_cfg, folds=3, seed=3, threads=2)
+        svms = [s for s in spans if s[0] == "fit_svm"]
+        work = [s for s in spans if s[0] != "fit_svm"]
+        assert len(svms) == 3
+        assert {"fit_lag", "_union_moments"} <= {s[0] for s in work}
+        main = threading.get_ident()
+        assert any(thread != main for _, thread, _, _ in work)
+        last_work = max(end for *_, end in work)
+        for _, thread, start, _ in svms:
+            assert thread == main
+            assert start >= last_work
+        one = sh.cross_validate(records, tiny_cfg, folds=3, seed=3, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)        # more thread switches than cores
+        try:
+            three = sh.cross_validate(records, tiny_cfg, folds=3, seed=3,
+                                      threads=3)
+        finally:
+            sys.setswitchinterval(interval)
+        for other in (one, three):
+            np.testing.assert_array_equal(other.scores, two.scores)
+            np.testing.assert_array_equal(other.predicted_labels,
+                                          two.predicted_labels)
 
     def test_blas_thread_count_changes_no_decision(self, tiny_cohort, tiny_cfg,
                                                    tmp_path):

@@ -46,8 +46,8 @@ class TestRoundTrip:
         loaded = sh.load_model(saved)
         r = records[0]
         s = sh.assemble_sample(r.ed, r.es, tiny_cfg, r.label, r.subject_id)
-        np.testing.assert_array_equal(sh.transform(loaded, s),
-                                      sh.transform(tiny_model, s))
+        np.testing.assert_array_equal(sh.transform_many(loaded, [s])[0],
+                                      sh.transform_many(tiny_model, [s])[0])
 
     def test_every_stage_survives(self, saved, tiny_model):
         """Stored arrays and decisions come back as they were; the bias

@@ -159,7 +159,7 @@ class TestUnionSlabs:
             dim = dense.shape[1]
             kernel = fit_saab(rng.normal(size=(40, dim)), min(4, dim))
             _set_budget(monkeypatch, fmap, window, budget)
-            conv = sslhop.pipeline._project(kernel, fmap, window)
+            (conv,) = sslhop.pipeline._project([kernel], fmap, window)
             grid = tuple(d - k + 1 for d, k in zip(fmap.shape, window))
             expect = apply_saab(kernel, dense).reshape(
                 grid + (kernel.channels,))

@@ -14,6 +14,8 @@ import sslhop.pipeline
 from sslhop.errors import (
     DegenerateInputWarning,
     MissingClassError,
+    NonFiniteValuesError,
+    OutOfBoundsError,
     ShapeLedgerMismatchError,
     ShapeMismatchError,
     SingleClassError,
@@ -137,6 +139,65 @@ class TestAssemble:
         np.testing.assert_array_equal(s.interlaced[..., 3:], es)
 
 
+def _assembled_stack(ed, es, cfg):
+    """The float64 stack an assembled sample held before maps were built
+    on demand: crop, merge at the phases' dtype, then widen."""
+    if cfg.roi_size is not None:
+        origin = cfg.roi_origin or sh.centered_origin(ed.shape[1:],
+                                                      cfg.roi_size)
+        ed = sh.crop_roi(ed, origin, cfg.roi_size)
+        es = sh.crop_roi(es, origin, cfg.roi_size)
+    merge = (sh.interlace_concat if cfg.concat_mode == "interlaced"
+             else sh.plain_concat)
+    return np.ascontiguousarray(merge(ed, es), dtype=np.float64)
+
+
+class TestOnDemandMaps:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("roi", [None, (4, 5, 2)])
+    @pytest.mark.parametrize("mode", ["interlaced", "plain"])
+    def test_direction_maps_match_the_assembled_stack(self, rng, mode, roi,
+                                                      dtype):
+        cfg = dataclasses.replace(sh.small_config(), concat_mode=mode,
+                                  roi_size=roi)
+        ed = rng.normal(size=(3, 7, 6, 3)).astype(dtype)
+        es = rng.normal(size=(3, 7, 6, 3)).astype(dtype)
+        sample = sh.assemble_sample(ed, es, cfg, label=1, subject_id="a")
+        stack = _assembled_stack(ed, es, cfg)
+        assert sample.dims == stack.shape[1:]
+        for d in range(3):
+            fmap = sample.direction(d)
+            assert fmap.dtype == np.float64 and fmap.flags["C_CONTIGUOUS"]
+            np.testing.assert_array_equal(fmap, stack[d])
+        np.testing.assert_array_equal(sample.interlaced, stack)
+
+    def test_float32_phases_are_held_as_given(self, rng):
+        ed = rng.normal(size=(3, 4, 4, 2)).astype(np.float32)
+        es = rng.normal(size=(3, 4, 4, 2)).astype(np.float32)
+        sample = sh.assemble_sample(ed, es, sh.small_config(), 0, "a")
+        assert all(p.dtype == np.float32 for p in sample.phases)
+
+    @pytest.mark.parametrize("roi", [None, (2, 2, 2)])
+    def test_bad_fields_fail_at_assembly(self, rng, roi):
+        cfg = dataclasses.replace(sh.small_config(), roi_size=roi)
+        good = rng.normal(size=(3, 6, 6, 4))
+        nan = good.copy()
+        nan[1, 0, 0, 0] = np.nan                 # outside any centered ROI
+        with pytest.raises(NonFiniteValuesError):
+            sh.assemble_sample(good, nan, cfg, 0, "a")
+        with pytest.raises(ShapeMismatchError):
+            sh.assemble_sample(good, good[..., :3] if roi is None
+                               else good[:2], cfg, 0, "a")
+
+    def test_out_of_bounds_roi_fails_at_assembly(self, rng):
+        field = rng.normal(size=(3, 6, 6, 4))
+        for extra in ({"roi_size": (7, 2, 2)},
+                      {"roi_size": (2, 2, 2), "roi_origin": (5, 0, 0)}):
+            cfg = dataclasses.replace(sh.small_config(), **extra)
+            with pytest.raises(OutOfBoundsError):
+                sh.assemble_sample(field, field, cfg, 0, "a")
+
+
 class TestFit:
     def test_model_structure(self, tiny_model, tiny_cohort, tiny_cfg):
         _, records = tiny_cohort
@@ -221,7 +282,7 @@ class TestFit:
         bad = sh.DeformationSample(interlaced=rng.normal(size=(3, 10, 10, 12)),
                                    label=0, subject_id="x")
         with pytest.raises(ShapeMismatchError):
-            sh.transform(tiny_model, bad)
+            sh.transform_many(tiny_model, [bad])[0]
 
     def test_transform_many_rejects_no_samples(self, tiny_model):
         with pytest.raises(ShapeMismatchError):
@@ -253,10 +314,29 @@ def _subject_moments(samples, cfg):
     return [[moments[d] for moments in per_subject] for d in range(3)]
 
 
+def _stages_from_subject_moments(samples, cfg):
+    """The stages of a fit whose layer-1 kernels merge each subject's
+    moments, fitted through the steps cross-validation drives."""
+    ledger = sh.compute_ledger(cfg, samples[0].dims)
+    labels = np.array([s.label for s in samples])
+    layer = cfg.layers[0]
+    stages, blocks = [], []
+    for d, moments in enumerate(_subject_moments(samples, cfg)):
+        kernel = sh.fit_saab_batches(moments, layer.channels, cfg.bias_scale)
+        (pooled,) = sh.first_layer_maps(samples, d, [kernel], cfg, ledger)
+        per_dir, train_blocks, held_blocks = sh.fit_direction(
+            pooled, kernel, labels, cfg, ledger, d)
+        assert held_blocks == ()
+        stages.append(per_dir)
+        blocks.append(train_blocks)
+    return sh.FittedStages(tuple(s.subject_id for s in samples),
+                           tuple(stages), tuple(blocks))
+
+
 def _assert_handed_moments_give_identical_bytes(plain, samples, cfg,
                                                 tmp_path):
-    handed = sh.fit_pipeline(samples, cfg,
-                             layer1=_subject_moments(samples, cfg))
+    handed = sh.fit_pipeline(
+        samples, cfg, fitted=_stages_from_subject_moments(samples, cfg))
     a = sh.save_model(plain, tmp_path / "plain.sslm").read_bytes()
     b = sh.save_model(handed, tmp_path / "handed.sslm").read_bytes()
     assert a == b
@@ -337,12 +417,63 @@ class TestLayerOneHandOff:
 
     def test_block_with_a_held_out_subject_is_rejected(self, tiny_cohort,
                                                        tiny_cfg):
+        """Stages handed to a fit must cover exactly its samples, in their
+        order."""
         _, records = tiny_cohort
         samples = _samples(records, tiny_cfg)
-        every = sh.first_layer_moments(samples, tiny_cfg)
-        with pytest.raises(ShapeLedgerMismatchError, match="layer-1"):
-            sh.fit_pipeline(samples[1:], tiny_cfg, class_count=3,
-                            layer1=[[m] for m in every])
+        every = sh.fit_stages(samples, tiny_cfg)
+        for other in (samples[1:], samples[::-1]):
+            with pytest.raises(ShapeLedgerMismatchError, match="fitted on"):
+                sh.fit_pipeline(other, tiny_cfg, class_count=3, fitted=every)
+
+
+def _fold_kernels(rng, dims, window, count=5, channels=5):
+    """Kernels fitted on ``count`` different random maps, as fold kernels
+    are fitted on different subjects."""
+    return [sh.fit_saab_batches(
+                sslhop.pipeline._union_moments([rng.normal(size=dims)],
+                                               window), channels)
+            for _ in range(count)]
+
+
+def _assert_shared_slab_pass_matches_one_kernel_calls(rng, dims, window):
+    kernels = _fold_kernels(rng, dims, window)
+    fmap = rng.normal(size=dims)
+    convs = sslhop.pipeline._project(kernels, fmap, window)
+    assert len(convs) == len(kernels)
+    for kernel, conv in zip(kernels, convs):
+        (alone,) = sslhop.pipeline._project([kernel], fmap, window)
+        np.testing.assert_array_equal(conv, alone)
+        np.testing.assert_array_equal(sh.max_pool(conv), sh.max_pool(alone))
+
+
+class TestSharedSlabPass:
+    def test_fold_kernels_match_one_kernel_calls(self, rng):
+        """A layer-1 map of the standard cohort, in 15 slabs of 2 rows."""
+        _assert_shared_slab_pass_matches_one_kernel_calls(
+            rng, (32, 32, 32, 1), (3, 3, 6))
+
+    def test_fold_kernels_match_one_kernel_calls_in_slabs(self, rng,
+                                                          tiny_slabs):
+        _assert_shared_slab_pass_matches_one_kernel_calls(
+            rng, (12, 12, 12, 1), (3, 3, 4))
+
+    def test_rows_place_each_sample_per_kernel(self, rng, tiny_cohort,
+                                               tiny_cfg, tiny_slabs):
+        """Stacks of :func:`first_layer_maps` under several kernels, each
+        in its own row order, equal one-kernel stacks bit for bit."""
+        _, records = tiny_cohort
+        samples = _samples(records, tiny_cfg)
+        ledger = sh.compute_ledger(tiny_cfg, samples[0].dims)
+        kernels = _fold_kernels(rng, (12, 12, 12, 1), (3, 3, 4), count=3,
+                                channels=4)
+        order = np.array([rng.permutation(len(samples)) for _ in kernels])
+        stacks = sh.first_layer_maps(samples, 2, kernels, tiny_cfg, ledger,
+                                     rows=np.argsort(order, axis=1))
+        for kernel, stack, rows in zip(kernels, stacks, order):
+            (alone,) = sh.first_layer_maps(samples, 2, [kernel], tiny_cfg,
+                                           ledger)
+            np.testing.assert_array_equal(stack, alone[rows])
 
 
 def _dense_moments(fmap, window):
@@ -444,4 +575,4 @@ class TestParameterAccounting:
             samples.append(sh.assemble_sample(ed, es, cfg, i % 2, f"s{i}"))
         model = sh.fit_pipeline(samples, cfg)
         assert model.feature_dim == 6
-        assert sh.transform(model, samples[0]).shape == (6,)
+        assert sh.transform_many(model, [samples[0]])[0].shape == (6,)
