@@ -149,7 +149,7 @@ def cross_validate(records: list[SubjectRecord], cfg: PipelineConfig,
                                              layer.window) * ledger[0].union_dim
     fan = threads > 1 and map_bytes >= neighborhood.SLAB_BYTES
     fitted = []                                  # [direction][fold]
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+    with ThreadPoolExecutor(max_workers=max(1, min(threads, folds))) as pool:
         map_fn = pool.map if fan else map
         moments = list(map_fn(lambda g: first_layer_moments(
             [samples[i] for i in test[g]], cfg), range(folds)))
