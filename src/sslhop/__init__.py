@@ -20,11 +20,9 @@ from .neighborhood import (extract_unions, max_pool, pooled_dims, union_count,
                            union_slabs)
 from .pipeline import (FittedStages, LayerShapes, LayerSpec, PipelineConfig,
                        PipelineModel, assemble_sample, compute_ledger,
-                       concat_features, count_parameters, first_layer_maps,
-                       first_layer_moments, fit_direction, fit_pipeline,
-                       fit_stages, forward_maps, full_config,
-                       parameter_breakdown, predict_samples, small_config,
-                       transform_many)
+                       concat_features, count_parameters, fit_folds,
+                       fit_pipeline, full_config, parameter_breakdown,
+                       predict_samples, small_config, transform_many)
 from .saab import (Moments, SaabKernel, apply_saab, energy_curve, fit_saab,
                    fit_saab_batches, merge_moments, union_moments)
 from .supervise import (ChannelEntropy, LagModel, apply_lag, channel_entropy,
@@ -47,10 +45,9 @@ __all__ = [
     "extract_unions", "max_pool", "pooled_dims", "union_count", "union_slabs",
     "FittedStages", "LayerShapes", "LayerSpec", "PipelineConfig",
     "PipelineModel", "assemble_sample", "compute_ledger",
-    "concat_features", "count_parameters", "first_layer_maps",
-    "first_layer_moments", "fit_direction", "fit_pipeline", "fit_stages",
-    "forward_maps", "full_config", "parameter_breakdown", "predict_samples",
-    "small_config", "transform_many",
+    "concat_features", "count_parameters", "fit_folds", "fit_pipeline",
+    "full_config", "parameter_breakdown", "predict_samples", "small_config",
+    "transform_many",
     "Moments", "SaabKernel", "apply_saab", "energy_curve", "fit_saab",
     "fit_saab_batches", "merge_moments", "union_moments",
     "ChannelEntropy", "LagModel", "apply_lag", "channel_entropy", "fit_lag",

@@ -78,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ablation", choices=ABLATIONS, default="none")
         p.add_argument("--truncate-layer5", action="store_true")
         if folds:
-            p.add_argument("--folds", type=int, default=5)
+            p.add_argument("--folds", default=5,
+                           type=_checked(int, lambda v: v >= 2, "at least 2"))
             p.add_argument("--fraction", default=1.0,
                            type=_checked(float, lambda v: 0 < v <= 1,
                                          "a value in (0, 1]"),

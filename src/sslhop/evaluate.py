@@ -6,12 +6,14 @@ across classes so degenerate splits (k = N) still fill every fold.
 Every fit sees only its training fold; a runtime guard asserts that no
 test subject id ever reaches a fit call.
 
-A run fits every fold in phases, one direction at a time:
+A run fits every fold's layer stages in one :func:`fit_folds` call,
+one direction at a time:
 
-(a) layer-1 union moments once per fold block, since layer-1 input is the
-    raw field and does not depend on the fold;
-(b) each fold's layer-1 kernel, from the blocks it trains on, merged in
-    fold order;
+(a) each subject's layer-1 union moments, once, since layer-1 input is
+    the raw field and does not depend on the fold;
+(b) each fold's layer-1 kernel, from its training subjects' moments
+    merged in subject order, exactly as a fit of those subjects merges
+    them; the moments are then freed;
 (c) one slab pass per subject: its direction map is built on demand, each
     slab of its unions extracted once and projected with every fold
     kernel straight into that fold's conv map, which is then pooled;
@@ -21,11 +23,13 @@ A run fits every fold in phases, one direction at a time:
 (e) per fold, in fold order, :func:`fit_pipeline` on the handed-over
     stages fits the SVM, and the held-out subjects are classified.
 
-With ``threads`` > 1, phases (a), (c) and (d) run on a thread pool when a
-layer-1 map's unions fill at least one slab; phase (e) runs on the calling
-thread once the pool has drained, so the SVMs' Python loop never competes
-for the GIL. Each piece of work writes only its own results, so the
-output does not depend on the thread count.
+A fold model is therefore the model :func:`fit_pipeline` fits on the
+fold's training subjects, byte for byte, and its held-out scores are that
+model's predictions. With ``threads`` > 1, phases (a), (c) and (d) run on
+a thread pool when a layer-1 map's unions fill at least one slab; phase
+(e) runs on the calling thread once the pool has drained, so the SVMs'
+Python loop never competes for the GIL. Each piece of work writes only
+its own results, so the output does not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -33,19 +37,16 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import classifier, neighborhood
+from . import classifier
 from .dataio import SubjectRecord
 from .errors import TooFewSubjectsError
-from .pipeline import DIRECTIONS, FittedStages, PipelineConfig, \
-    assemble_sample, common_dims, compute_ledger, concat_features, \
-    first_layer_maps, first_layer_moments, fit_direction, fit_pipeline
-from .saab import fit_saab_batches
+from .pipeline import PipelineConfig, assemble_sample, concat_features, \
+    fit_folds, fit_pipeline
 
 
 @dataclass(frozen=True)
@@ -134,57 +135,22 @@ def cross_validate(records: list[SubjectRecord], cfg: PipelineConfig,
     labels = np.array([r.label for r in records], dtype=np.int64)
     k_classes = int(labels.max()) + 1
     fold = stratified_folds(labels, folds, seed)
-    ledger = compute_ledger(cfg, common_dims(samples))
     train = [np.flatnonzero(fold != f) for f in range(folds)]
-    test = [np.flatnonzero(fold == f) for f in range(folds)]
-    # each fold's layer-1 stack holds its training subjects, then its
-    # held-out ones, each in record order
-    rows = np.argsort([np.concatenate(p) for p in zip(train, test)], axis=1)
-    layer = cfg.layers[0]
-
-    # fold threads pay only when a layer-1 map's unions fill a slab: below
-    # that, a map's work is a run of small numpy calls that hold the GIL,
-    # and threads only contend for it
-    map_bytes = 8 * neighborhood.union_count(ledger[0].input_dims,
-                                             layer.window) * ledger[0].union_dim
-    fan = threads > 1 and map_bytes >= neighborhood.SLAB_BYTES
-    fitted = []                                  # [direction][fold]
-    with ThreadPoolExecutor(max_workers=max(1, min(threads, folds))) as pool:
-        map_fn = pool.map if fan else map
-        moments = list(map_fn(lambda g: first_layer_moments(
-            [samples[i] for i in test[g]], cfg), range(folds)))
-        for d in range(DIRECTIONS):
-            kernels = [fit_saab_batches(
-                [moments[g][d] for g in range(folds) if g != f],
-                layer.channels, cfg.bias_scale) for f in range(folds)]
-            pooled = first_layer_maps(samples, d, kernels, cfg, ledger, rows,
-                                      map_fn)
-            fitted.append(list(map_fn(lambda f: fit_direction(
-                pooled[f], kernels[f], labels[train[f]], cfg, ledger, d),
-                range(folds))))
-            del pooled
-
-    results = []
-    for f in range(folds):
-        stages, blocks, held_blocks = zip(*(fits[f] for fits in fitted))
-        train_samples = [samples[i] for i in train[f]]
-        model = fit_pipeline(train_samples, cfg, class_count=k_classes,
-                             class_table=class_table, fitted=FittedStages(
-                                 tuple(s.subject_id for s in train_samples),
-                                 stages, blocks))
-        held_out = {samples[i].subject_id for i in test[f]}
-        assert not held_out & set(model.train_subject_ids), \
-            f"fold {f}: test subjects leaked into training"
-        pred, scr = classifier.predict(model.svm, concat_features(held_blocks))
-        results.append((test[f], pred, scr))
 
     predicted = np.empty(len(records), dtype=np.int64)
     scores = np.empty((len(records), k_classes))
     per_fold_acc = []
-    for (idx, pred, scr) in results:
-        predicted[idx] = pred
-        scores[idx] = scr
-        per_fold_acc.append(float(np.mean(pred == labels[idx])) if idx.size else 1.0)
+    for f, stages in enumerate(fit_folds(samples, cfg, train, threads)):
+        model = fit_pipeline([samples[i] for i in train[f]], cfg,
+                             class_count=k_classes, class_table=class_table,
+                             fitted=stages)
+        test = np.flatnonzero(fold == f)
+        held_out = {samples[i].subject_id for i in test}
+        assert not held_out & set(model.train_subject_ids), \
+            f"fold {f}: test subjects leaked into training"
+        predicted[test], scores[test] = classifier.predict(
+            model.svm, concat_features(stages.held_blocks))
+        per_fold_acc.append(float(np.mean(predicted[test] == labels[test])))
 
     pooled_accuracy = float(np.mean(predicted == labels))
     confusion = np.zeros((k_classes, k_classes), dtype=np.int64)

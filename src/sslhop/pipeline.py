@@ -18,11 +18,12 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import classifier, saab, supervise
+from . import classifier, neighborhood, saab, supervise
 from .errors import (MissingClassError, ShapeLedgerMismatchError,
                      ShapeMismatchError, SingleClassError, WindowTooLargeError)
 from .fields import CONCAT_MODES, DIRECTIONS, DeformationSample, \
@@ -258,13 +259,15 @@ class LayerStage:
 
 @dataclass(frozen=True)
 class FittedStages:
-    """All of a fit but its SVM: every direction's fitted layer stages and
-    the LAG feature blocks they give the subjects they were fitted on, in
-    subject order."""
+    """All of a fit but its SVM: every direction's fitted layer stages, the
+    LAG feature blocks they give the subjects they were fitted on, in
+    subject order, and those they give the samples held out of the fit, in
+    sample order (none for a plain fit)."""
 
     subject_ids: tuple[str, ...]
     stages: tuple[tuple[LayerStage, ...], ...]   # [direction][layer]
     blocks: tuple[tuple[np.ndarray, ...], ...]   # [direction][layer], (N, B)
+    held_blocks: tuple[tuple[np.ndarray, ...], ...]  # [direction][layer], (M, B)
 
 
 @dataclass(frozen=True)
@@ -387,8 +390,8 @@ def concat_features(blocks) -> np.ndarray:
                           axis=1)
 
 
-def _union_moments(maps, window):
-    """Moments of every map's neighborhood unions, one map at a time.
+def _union_moments(fmap: np.ndarray, window) -> saab.Moments:
+    """Moments of one map's neighborhood unions.
 
     Each channel's mean is subtracted from the map once, a copy D/C times
     smaller than its unions; the slabs of the shifted map add up raw sums
@@ -397,53 +400,23 @@ def _union_moments(maps, window):
     voxel, so a constant channel shifts to exact zeros and adds exactly
     nothing to the scatter.
     """
-    for fmap in maps:
-        shifted = np.subtract(fmap, fmap[0, 0, 0], dtype=np.float64)
-        shift = shifted.mean(axis=(0, 1, 2))
-        shifted -= shift
-        total = gram = 0.0
-        for unions in union_slabs(shifted, window):
-            total += unions.sum(axis=0)
-            gram += unions.T @ unions
-        n = union_count(fmap.shape, window)
-        mean = total / n
-        shift += fmap[0, 0, 0]
-        yield saab.Moments(n, mean + np.tile(shift, math.prod(window)),
-                           gram - n * np.outer(mean, mean))
+    shifted = np.subtract(fmap, fmap[0, 0, 0], dtype=np.float64)
+    shift = shifted.mean(axis=(0, 1, 2))
+    shifted -= shift
+    total = gram = 0.0
+    for unions in union_slabs(shifted, window):
+        total += unions.sum(axis=0)
+        gram += unions.T @ unions
+    n = union_count(fmap.shape, window)
+    mean = total / n
+    shift += fmap[0, 0, 0]
+    return saab.Moments(n, mean + np.tile(shift, math.prod(window)),
+                        gram - n * np.outer(mean, mean))
 
 
-def first_layer_moments(samples: list[DeformationSample],
-                        cfg: PipelineConfig) -> list[saab.Moments]:
-    """Layer-1 union moments of each direction, merged in subject order.
-
-    Layer-1 input is the raw field, so these statistics do not depend on
-    anything fitted and can be computed once per set of subjects.
-    """
-    window = cfg.layers[0].window
-    return [saab.merge_moments(
-                _union_moments(_DirectionMaps(samples, d), window))
-            for d in range(DIRECTIONS)]
-
-
-def first_layer_maps(samples: list[DeformationSample], direction: int,
-                     kernels, cfg: PipelineConfig,
-                     ledger: tuple[LayerShapes, ...],
-                     rows: np.ndarray | None = None, map_fn=map) -> np.ndarray:
-    """Layer-1 pooled maps of one direction of every sample under each
-    layer-1 kernel, as a (K, N, H, W, Z, C) array; sample ``i`` goes to
-    row ``rows[k, i]`` of stack ``k`` (row ``i`` by default).
-
-    Each sample's direction map is built once and each slab of its unions
-    extracted once, however many kernels project it. ``map_fn`` runs the
-    per-sample work, as in :func:`_pool_layer`.
-    """
-    return _pool_layer(kernels, _DirectionMaps(samples, direction),
-                       cfg.layers[0].window, ledger[0], rows, map_fn)
-
-
-def fit_direction(pooled: np.ndarray, kernel: saab.SaabKernel,
-                  labels: np.ndarray, cfg: PipelineConfig,
-                  ledger: tuple[LayerShapes, ...], direction: int):
+def _fit_direction(pooled: np.ndarray, kernel: saab.SaabKernel,
+                   labels: np.ndarray, cfg: PipelineConfig,
+                   ledger: tuple[LayerShapes, ...], direction: int):
     """Fit one direction's layer stages from its layer-1 pooled maps.
 
     ``pooled`` stacks the maps that layer-1 ``kernel`` gave the subjects:
@@ -458,8 +431,8 @@ def fit_direction(pooled: np.ndarray, kernel: saab.SaabKernel,
     for li, (layer, shapes) in enumerate(zip(cfg.layers, ledger)):
         if li:
             kernel = saab.fit_saab_batches(
-                _union_moments(pooled[:n], layer.window), layer.channels,
-                cfg.bias_scale)
+                (_union_moments(m, layer.window) for m in pooled[:n]),
+                layer.channels, cfg.bias_scale)
             pooled = _pool_layer([kernel], pooled, layer.window, shapes)[0]
         entropy = supervise.channel_entropy(pooled[:n], labels, cfg.keep_ratio)
         flat = _reduce(pooled, entropy.kept, shapes)
@@ -473,27 +446,55 @@ def fit_direction(pooled: np.ndarray, kernel: saab.SaabKernel,
     return tuple(stages), tuple(train_blocks), tuple(held_blocks)
 
 
-def fit_stages(samples: list[DeformationSample],
-               cfg: PipelineConfig) -> FittedStages:
-    """Fit every direction's layer stages on ``samples``, direction by
-    direction: layer 1 from the union moments of every sample, merged in
-    subject order, then :func:`first_layer_maps` and
-    :func:`fit_direction`."""
+def fit_folds(samples: list[DeformationSample], cfg: PipelineConfig,
+              train: list[np.ndarray], threads: int = 1) -> list[FittedStages]:
+    """Fit one set of layer stages per index array in ``train``, each on
+    those samples, in that order; the other samples are held out of it.
+
+    Direction by direction: each sample's layer-1 union moments are taken
+    once, and each set's layer-1 kernel merges those of its training
+    samples in their order, so its stages are those of a fit of its
+    training samples alone, bit for bit. The moments are freed before one
+    slab pass projects every sample's map with every set's kernel, into a
+    stack per set that holds its training samples, then its held-out ones;
+    :func:`_fit_direction` then fits each set's layers from its stack.
+
+    With ``threads`` > 1, the per-sample and per-set work runs on a pool
+    of at most one worker per set when a layer-1 map's unions fill a slab:
+    below that, a map's work is a run of small numpy calls that hold the
+    GIL, and threads only contend for it. Each piece of work writes only
+    its own results, so the output does not depend on the thread count.
+    """
     ledger = compute_ledger(cfg, common_dims(samples))
     labels = np.array([s.label for s in samples], dtype=np.int64)
-    layer = cfg.layers[0]
-    stages, blocks = [], []
-    for d in range(DIRECTIONS):
-        kernel = saab.fit_saab_batches(
-            _union_moments(_DirectionMaps(samples, d), layer.window),
-            layer.channels, cfg.bias_scale)
-        pooled = first_layer_maps(samples, d, [kernel], cfg, ledger)[0]
-        per_dir, train_blocks, _ = fit_direction(pooled, kernel, labels, cfg,
-                                                 ledger, d)
-        stages.append(per_dir)
-        blocks.append(train_blocks)
-    return FittedStages(subject_ids=tuple(s.subject_id for s in samples),
-                        stages=tuple(stages), blocks=tuple(blocks))
+    held = [np.setdiff1d(np.arange(len(samples)), t) for t in train]
+    rows = np.argsort([np.concatenate(p) for p in zip(train, held)], axis=1)
+    layer, shapes = cfg.layers[0], ledger[0]
+    map_bytes = 8 * union_count(shapes.input_dims, layer.window) \
+        * shapes.union_dim
+    fan = threads > 1 and map_bytes >= neighborhood.SLAB_BYTES
+    fits = []                                    # [direction][set]
+    with ThreadPoolExecutor(max_workers=max(1, min(threads,
+                                                   len(train)))) as pool:
+        map_fn = pool.map if fan else map
+        for d in range(DIRECTIONS):
+            maps = _DirectionMaps(samples, d)
+            moments = list(map_fn(
+                lambda i: _union_moments(maps[i], layer.window),
+                range(len(maps))))
+            kernels = [saab.fit_saab_batches([moments[i] for i in t],
+                                             layer.channels, cfg.bias_scale)
+                       for t in train]
+            del moments
+            pooled = _pool_layer(kernels, maps, layer.window, shapes, rows,
+                                 map_fn)
+            fits.append(list(map_fn(lambda f: _fit_direction(
+                pooled[f], kernels[f], labels[train[f]], cfg, ledger, d),
+                range(len(train)))))
+            del pooled
+    return [FittedStages(tuple(samples[i].subject_id for i in t),
+                         *zip(*(per_set[f] for per_set in fits)))
+            for f, t in enumerate(train)]
 
 
 def fit_pipeline(samples: list[DeformationSample], cfg: PipelineConfig,
@@ -504,8 +505,8 @@ def fit_pipeline(samples: list[DeformationSample], cfg: PipelineConfig,
 
     ``fitted`` optionally hands over the layer stages, fitted on exactly
     ``samples`` in the same order (cross-validation fits every fold's
-    stages in phases); only the SVM is then fitted here. By default they
-    come from :func:`fit_stages`.
+    stages in one :func:`fit_folds` call); only the SVM is then fitted
+    here. By default they come from :func:`fit_folds` of ``samples``.
     """
     dims = common_dims(samples)
     labels = np.array([s.label for s in samples], dtype=np.int64)
@@ -520,7 +521,7 @@ def fit_pipeline(samples: list[DeformationSample], cfg: PipelineConfig,
     ledger = compute_ledger(cfg, dims)
     ids = tuple(s.subject_id for s in samples)
     if fitted is None:
-        fitted = fit_stages(samples, cfg)
+        (fitted,) = fit_folds(samples, cfg, [np.arange(len(samples))])
     elif fitted.subject_ids != ids:
         raise ShapeLedgerMismatchError(
             f"stages were fitted on {len(fitted.subject_ids)} subjects, not "
@@ -563,19 +564,6 @@ def transform_many(model: PipelineModel,
         raise ShapeLedgerMismatchError(
             f"feature length {features.shape[1]} != ledger {model.feature_dim}")
     return features
-
-
-def forward_maps(model: PipelineModel, sample: DeformationSample,
-                 direction: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Diagnostic: (conv, pooled) maps of every layer for one direction."""
-    fmap = _DirectionMaps([sample], direction)[0]
-    out = []
-    for li, stage in enumerate(model.stages[direction]):
-        ((conv, fmap),) = _run_layer([stage.kernel], fmap,
-                                     model.config.layers[li].window,
-                                     model.ledger[li])
-        out.append((conv, fmap))
-    return out
 
 
 def predict_samples(model: PipelineModel,

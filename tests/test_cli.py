@@ -402,22 +402,35 @@ class TestErrorSurface:
         ["evaluate", "--fraction", "0"],
         ["evaluate", "--fraction", "1.5"],
         ["evaluate", "--threads", "0"],
+        ["evaluate", "--folds", "1"],
         ["gen-synthetic", "--classes", "1"],
         ["gen-synthetic", "--per-class", "0"],
         ["gen-synthetic", "--dims", "0,4,4"],
         ["gen-synthetic", "--noise-sigma", "-1"],
         ["gen-synthetic", "--margin", "0"],
-    ], ids=["fraction-0", "fraction-1.5", "threads-0", "classes-1",
-            "per-class-0", "dims-0", "noise-negative", "margin-0"])
+    ], ids=["fraction-0", "fraction-1.5", "threads-0", "folds-1",
+            "classes-1", "per-class-0", "dims-0", "noise-negative",
+            "margin-0"])
     def test_out_of_range_flag_is_a_usage_error(self, cohort, config_file,
                                                 tmp_path, argv, capsys):
         if argv[0] == "evaluate":
-            argv = argv + ["--manifest", str(cohort), "--config",
-                           str(config_file), "--folds", "2"]
+            # the flag under test comes last, so no default value follows it
+            argv = [argv[0], "--manifest", str(cohort), "--config",
+                    str(config_file), "--folds", "2"] + argv[1:]
         code = main(argv + ["--out", str(tmp_path / "out")])
         capsys.readouterr()
         assert code == 2
         assert not (tmp_path / "out").exists()
+
+    def test_more_folds_than_subjects_is_a_data_error(self, cohort,
+                                                      config_file, tmp_path,
+                                                      capsys):
+        code = main(["evaluate", "--manifest", str(cohort), "--config",
+                     str(config_file), "--folds", "19", "--threads", "1",
+                     "--out", str(tmp_path / "out")])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 3
+        assert err["error"]["type"] == "TooFewSubjectsError"
 
     def test_unknown_subcommand_is_a_usage_error(self, capsys):
         code = main(["frobnicate"])

@@ -109,7 +109,7 @@ class TestCrossValidate:
         assert sorted(report.rocs) == [0, 1, 2]
 
     def test_thread_count_does_not_change_results(self, tiny_cohort, tiny_cfg):
-        # 3 folds: each fold merges two layer-1 blocks
+        # 3 folds: each fold merges its 8 training subjects' layer-1 moments
         manifest, records = tiny_cohort
         a = sh.cross_validate(records, tiny_cfg, folds=3, seed=3, threads=1)
         b = sh.cross_validate(records, tiny_cfg, folds=3, seed=3, threads=3)
@@ -136,14 +136,9 @@ class TestCrossValidate:
                 return out
             return call
 
-        def traced_moments(*args, **kwargs):
-            start = time.perf_counter()
-            yield from union_moments(*args, **kwargs)
-            spans.append(("_union_moments", threading.get_ident(), start,
-                          time.perf_counter()))
-
-        union_moments = sslhop.pipeline._union_moments
-        monkeypatch.setattr(sslhop.pipeline, "_union_moments", traced_moments)
+        monkeypatch.setattr(sslhop.pipeline, "_union_moments",
+                            traced("_union_moments",
+                                   sslhop.pipeline._union_moments))
         monkeypatch.setattr(sslhop.supervise, "fit_lag",
                             traced("fit_lag", sslhop.supervise.fit_lag))
         monkeypatch.setattr(sslhop.classifier, "fit_svm",

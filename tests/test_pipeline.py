@@ -256,10 +256,17 @@ class TestFit:
 
     def test_forward_maps_follow_ledger(self, tiny_model, tiny_cohort,
                                         tiny_cfg):
+        """The (conv, pooled) maps of every layer of one direction's
+        forward pass."""
         _, records = tiny_cohort
         s = sh.assemble_sample(records[0].ed, records[0].es, tiny_cfg,
                                records[0].label, records[0].subject_id)
-        maps = sh.forward_maps(tiny_model, s, direction=1)
+        pooled, maps = s.direction(1)[..., None], []
+        for stage, layer, row in zip(tiny_model.stages[1], tiny_cfg.layers,
+                                     tiny_model.ledger):
+            ((conv, pooled),) = sslhop.pipeline._run_layer(
+                [stage.kernel], pooled, layer.window, row)
+            maps.append((conv, pooled))
         assert len(maps) == len(tiny_cfg.layers)
         for (conv, pooled), row in zip(maps, tiny_model.ledger):
             assert conv.shape == row.conv_dims
@@ -291,14 +298,6 @@ class TestFit:
             sh.transform_many(tiny_model, [])
 
 
-# Measured between 5-fold CV fold models and standalone fits on the same
-# subjects (tiny cohorts of seeds 1-3 and 7, run seeds 3 and 11): Saab
-# anchors differed by at most 1.1e-14, training features (magnitude <= 1)
-# by 3.0e-11 and held-out decision scores by 5.1e-11; labels never.
-FOLD_ANCHOR_TOL = 1e-12
-FOLD_FEATURE_TOL = 1e-9
-
-
 def _samples(records, cfg):
     return [sh.assemble_sample(r.ed, r.es, cfg, r.label, r.subject_id)
             for r in records]
@@ -310,35 +309,14 @@ def _samples(records, cfg):
 TINY_SLAB_BYTES = 3 * 10 * 9 * 36 * 8
 
 
-def _subject_moments(samples, cfg):
-    """Per direction, each subject's layer-1 moments."""
-    per_subject = [sh.first_layer_moments([s], cfg) for s in samples]
-    return [[moments[d] for moments in per_subject] for d in range(3)]
-
-
-def _stages_from_subject_moments(samples, cfg):
-    """The stages of a fit whose layer-1 kernels merge each subject's
-    moments, fitted through the steps cross-validation drives."""
-    ledger = sh.compute_ledger(cfg, samples[0].dims)
-    labels = np.array([s.label for s in samples])
-    layer = cfg.layers[0]
-    stages, blocks = [], []
-    for d, moments in enumerate(_subject_moments(samples, cfg)):
-        kernel = sh.fit_saab_batches(moments, layer.channels, cfg.bias_scale)
-        (pooled,) = sh.first_layer_maps(samples, d, [kernel], cfg, ledger)
-        per_dir, train_blocks, held_blocks = sh.fit_direction(
-            pooled, kernel, labels, cfg, ledger, d)
-        assert held_blocks == ()
-        stages.append(per_dir)
-        blocks.append(train_blocks)
-    return sh.FittedStages(tuple(s.subject_id for s in samples),
-                           tuple(stages), tuple(blocks))
-
-
-def _assert_handed_moments_give_identical_bytes(plain, samples, cfg,
-                                                tmp_path):
-    handed = sh.fit_pipeline(
-        samples, cfg, fitted=_stages_from_subject_moments(samples, cfg))
+def _assert_handed_stages_give_identical_bytes(plain, samples, cfg,
+                                               tmp_path):
+    """Stages that :func:`fit_folds` fits on every sample, beside a set
+    that leaves the first one out, handed over through ``fitted=``."""
+    stages, _ = sh.fit_folds(samples, cfg, [np.arange(len(samples)),
+                                            np.arange(1, len(samples))])
+    assert stages.held_blocks == ((), (), ())
+    handed = sh.fit_pipeline(samples, cfg, fitted=stages)
     a = sh.save_model(plain, tmp_path / "plain.sslm").read_bytes()
     b = sh.save_model(handed, tmp_path / "handed.sslm").read_bytes()
     assert a == b
@@ -346,7 +324,10 @@ def _assert_handed_moments_give_identical_bytes(plain, samples, cfg,
                                   plain.training_features)
 
 
-def _assert_fold_models_match_standalone_fits(records, cfg, monkeypatch):
+def _assert_fold_models_match_standalone_fits(records, cfg, monkeypatch,
+                                              tmp_path):
+    """Every fold model is saved as the bytes of a fit of its training
+    subjects alone, and its held-out scores are that fit's predictions."""
     fit = sslhop.evaluate.fit_pipeline
     models = []
 
@@ -357,26 +338,21 @@ def _assert_fold_models_match_standalone_fits(records, cfg, monkeypatch):
     monkeypatch.setattr(sslhop.evaluate, "fit_pipeline", keep)
     report = sh.cross_validate(records, cfg, folds=5, seed=3)
     samples = _samples(records, cfg)
+    fold = np.array([report.fold_of[s.subject_id] for s in samples])
     assert len(models) == 5
     for f, model in enumerate(models):
-        train = [s for s in samples if report.fold_of[s.subject_id] != f]
-        test = [s for s in samples if report.fold_of[s.subject_id] == f]
+        train = [s for s, g in zip(samples, fold) if g != f]
+        test = [s for s, g in zip(samples, fold) if g == f]
         alone = sh.fit_pipeline(train, cfg, class_count=3)
-        for per_a, per_b in zip(model.stages, alone.stages):
-            for a, b in zip(per_a, per_b):
-                np.testing.assert_allclose(a.kernel.ac, b.kernel.ac,
-                                           rtol=0, atol=FOLD_ANCHOR_TOL)
-                np.testing.assert_allclose(a.kernel.mean_ac,
-                                           b.kernel.mean_ac,
-                                           rtol=0, atol=FOLD_ANCHOR_TOL)
-        np.testing.assert_allclose(model.training_features,
-                                   alone.training_features,
-                                   rtol=0, atol=FOLD_FEATURE_TOL)
-        pred_a, scores_a = sh.predict_samples(model, test)
-        pred_b, scores_b = sh.predict_samples(alone, test)
-        np.testing.assert_array_equal(pred_a, pred_b)
-        np.testing.assert_allclose(scores_a, scores_b, rtol=0,
-                                   atol=FOLD_FEATURE_TOL)
+        a = sh.save_model(model, tmp_path / f"fold{f}.sslm").read_bytes()
+        b = sh.save_model(alone, tmp_path / f"alone{f}.sslm").read_bytes()
+        assert a == b
+        np.testing.assert_array_equal(model.training_features,
+                                      alone.training_features)
+        pred, scores = sh.predict_samples(alone, test)
+        np.testing.assert_array_equal(report.predicted_labels[fold == f],
+                                      pred)
+        np.testing.assert_array_equal(report.scores[fold == f], scores)
 
 
 @pytest.fixture()
@@ -392,7 +368,7 @@ class TestLayerOneHandOff:
                                                       tiny_cfg, tiny_model,
                                                       tmp_path):
         _, records = tiny_cohort
-        _assert_handed_moments_give_identical_bytes(
+        _assert_handed_stages_give_identical_bytes(
             tiny_model, _samples(records, tiny_cfg), tiny_cfg, tmp_path)
 
     def test_per_subject_moments_give_identical_bytes_in_slabs(
@@ -400,22 +376,22 @@ class TestLayerOneHandOff:
         _, records = tiny_cohort
         samples = _samples(records, tiny_cfg)
         plain = sh.fit_pipeline(samples, tiny_cfg)
-        _assert_handed_moments_give_identical_bytes(plain, samples, tiny_cfg,
-                                                    tmp_path)
+        _assert_handed_stages_give_identical_bytes(plain, samples, tiny_cfg,
+                                                   tmp_path)
         np.testing.assert_array_equal(sh.transform_many(plain, samples),
                                       plain.training_features)
 
     def test_cv_fold_models_match_standalone_fits(self, tiny_cohort, tiny_cfg,
-                                                  monkeypatch):
+                                                  monkeypatch, tmp_path):
         _, records = tiny_cohort
         _assert_fold_models_match_standalone_fits(records, tiny_cfg,
-                                                  monkeypatch)
+                                                  monkeypatch, tmp_path)
 
     def test_cv_fold_models_match_standalone_fits_in_slabs(
-            self, tiny_cohort, tiny_cfg, tiny_slabs, monkeypatch):
+            self, tiny_cohort, tiny_cfg, tiny_slabs, monkeypatch, tmp_path):
         _, records = tiny_cohort
         _assert_fold_models_match_standalone_fits(records, tiny_cfg,
-                                                  monkeypatch)
+                                                  monkeypatch, tmp_path)
 
     def test_block_with_a_held_out_subject_is_rejected(self, tiny_cohort,
                                                        tiny_cfg):
@@ -423,7 +399,7 @@ class TestLayerOneHandOff:
         order."""
         _, records = tiny_cohort
         samples = _samples(records, tiny_cfg)
-        every = sh.fit_stages(samples, tiny_cfg)
+        (every,) = sh.fit_folds(samples, tiny_cfg, [np.arange(len(samples))])
         for other in (samples[1:], samples[::-1]):
             with pytest.raises(ShapeLedgerMismatchError, match="fitted on"):
                 sh.fit_pipeline(other, tiny_cfg, class_count=3, fitted=every)
@@ -433,8 +409,8 @@ def _fold_kernels(rng, dims, window, count=5, channels=5):
     """Kernels fitted on ``count`` different random maps, as fold kernels
     are fitted on different subjects."""
     return [sh.fit_saab_batches(
-                sslhop.pipeline._union_moments([rng.normal(size=dims)],
-                                               window), channels)
+                [sslhop.pipeline._union_moments(rng.normal(size=dims),
+                                                window)], channels)
             for _ in range(count)]
 
 
@@ -462,19 +438,21 @@ class TestSharedSlabPass:
 
     def test_rows_place_each_sample_per_kernel(self, rng, tiny_cohort,
                                                tiny_cfg, tiny_slabs):
-        """Stacks of :func:`first_layer_maps` under several kernels, each
-        in its own row order, equal one-kernel stacks bit for bit."""
+        """Layer-1 stacks of :func:`_pool_layer` under several kernels,
+        each in its own row order, equal one-kernel stacks bit for bit."""
         _, records = tiny_cohort
         samples = _samples(records, tiny_cfg)
         ledger = sh.compute_ledger(tiny_cfg, samples[0].dims)
-        kernels = _fold_kernels(rng, (12, 12, 12, 1), (3, 3, 4), count=3,
+        maps = sslhop.pipeline._DirectionMaps(samples, 2)
+        window = tiny_cfg.layers[0].window
+        kernels = _fold_kernels(rng, (12, 12, 12, 1), window, count=3,
                                 channels=4)
         order = np.array([rng.permutation(len(samples)) for _ in kernels])
-        stacks = sh.first_layer_maps(samples, 2, kernels, tiny_cfg, ledger,
-                                     rows=np.argsort(order, axis=1))
+        stacks = sslhop.pipeline._pool_layer(kernels, maps, window, ledger[0],
+                                             rows=np.argsort(order, axis=1))
         for kernel, stack, rows in zip(kernels, stacks, order):
-            (alone,) = sh.first_layer_maps(samples, 2, [kernel], tiny_cfg,
-                                           ledger)
+            (alone,) = sslhop.pipeline._pool_layer([kernel], maps, window,
+                                                   ledger[0])
             np.testing.assert_array_equal(stack, alone[rows])
 
 
@@ -501,7 +479,7 @@ class TestUnionMoments:
         monkeypatch.setattr(sslhop.neighborhood, "SLAB_BYTES",
                             rows // 3 * row_bytes)
         assert len(list(sh.union_slabs(fmap, window))) >= 3
-        (moments,) = sslhop.pipeline._union_moments([fmap], window)
+        moments = sslhop.pipeline._union_moments(fmap, window)
         mean, scatter = _dense_moments(fmap, window)
         assert moments.count == sh.union_count(dims, window)
         assert np.abs(moments.scatter - scatter).max() \
@@ -515,7 +493,8 @@ class TestUnionMoments:
         fmap = np.broadcast_to(levels, (15, 15, 14, 5)).copy()
         monkeypatch.setattr(sslhop.neighborhood, "SLAB_BYTES", 1 << 17)
         assert len(list(sh.union_slabs(fmap, (3, 3, 3)))) >= 3
-        moments = list(sslhop.pipeline._union_moments([fmap, fmap], (3, 3, 3)))
+        moments = [sslhop.pipeline._union_moments(fmap, (3, 3, 3))
+                   for _ in range(2)]
         for m in moments:
             assert not m.scatter.any()
             np.testing.assert_array_equal(m.mean, np.tile(levels, 27))
@@ -535,15 +514,18 @@ class TestBoundedMemory:
                                         label, f"s{label}")
                    for label in (0, 1)]
         model = sh.fit_pipeline(samples, cfg)
-        shapes = model.ledger[0]
+        shapes, window = model.ledger[0], cfg.layers[0].window
         budget = (8 * (math.prod(shapes.conv_dims) + math.prod(shapes.pool_dims))
                   + 3 * sslhop.neighborhood.SLAB_BYTES)
         tracemalloc.start()
         try:
-            sh.forward_maps(model, samples[0], 0)
+            sslhop.pipeline._run_layer([model.stages[0][0].kernel],
+                                       samples[0].direction(0)[..., None],
+                                       window, shapes)
             forward_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            sh.first_layer_moments(samples[:1], cfg)
+            sslhop.pipeline._union_moments(samples[0].direction(0)[..., None],
+                                           window)
             moments_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
