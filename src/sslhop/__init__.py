@@ -13,7 +13,6 @@ from .evaluate import (FoldReport, RocCurve, cross_validate, stratified_folds,
                        write_confusion_csv, write_predictions_csv,
                        write_report_json, write_roc_csv)
 from .fields import (DeformationSample, centered_origin, crop_roi,
-                     deinterlace, interlace_concat, plain_concat,
                      validate_field)
 from .model_io import load_model, save_model
 from .neighborhood import (extract_unions, max_pool, pooled_dims, union_count,
@@ -39,8 +38,7 @@ __all__ = [
     "FoldReport", "RocCurve", "cross_validate", "stratified_folds",
     "write_confusion_csv", "write_predictions_csv", "write_report_json",
     "write_roc_csv",
-    "DeformationSample", "centered_origin", "crop_roi", "deinterlace",
-    "interlace_concat", "plain_concat", "validate_field",
+    "DeformationSample", "centered_origin", "crop_roi", "validate_field",
     "load_model", "save_model",
     "extract_unions", "max_pool", "pooled_dims", "union_count", "union_slabs",
     "FittedStages", "LayerShapes", "LayerSpec", "PipelineConfig",

@@ -88,6 +88,11 @@ def read_field_header(path: str | Path) -> dict:
 
 def read_field(path: str | Path) -> np.ndarray:
     """Read one field file back into a float32 (3, H, W, Z) array."""
+    return _read_field(path)[1]
+
+
+def _read_field(path: str | Path) -> tuple[dict, np.ndarray]:
+    """The validated header and float32 (3, H, W, Z) array of a field file."""
     header = read_field_header(path)
     raw = Path(path).read_bytes()
     body = raw[raw.index(b"\n") + 1:]
@@ -105,7 +110,7 @@ def read_field(path: str | Path) -> np.ndarray:
     if not finite.all():
         voxel = tuple(int(v) for v in np.argwhere(~finite)[0])
         raise NonFiniteValuesError(f"{path}: non-finite value at voxel {voxel}")
-    return arr.copy()
+    return header, arr.copy()
 
 
 # -- manifests --------------------------------------------------------------------
@@ -169,13 +174,19 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     try:
         classes = {int(k): str(v) for k, v in doc["classes"].items()}
         root = path.parent
-        records = [ManifestRecord(subject_id=str(r["subject_id"]),
+        records = [ManifestRecord(subject_id=r["subject_id"],
                                   ed_path=root / r["ed"], es_path=root / r["es"],
-                                  label=int(r["label"]),
+                                  label=r["label"],
                                   label_name=str(r["label_name"]))
                    for r in doc["records"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise BadHeaderError(f"{path}: malformed manifest: {exc}") from exc
+    for rec in records:
+        if not isinstance(rec.subject_id, str):
+            raise BadHeaderError(f"{path}: subject id {rec.subject_id!r} is not a string")
+        if isinstance(rec.label, bool) or not isinstance(rec.label, int):
+            raise BadHeaderError(
+                f"{path}: subject {rec.subject_id}: label {rec.label!r} is not an integer")
     return _validate_manifest(classes, records)
 
 
@@ -205,11 +216,20 @@ class SubjectRecord:
 
 
 def load_subjects(manifest: DatasetManifest) -> list[SubjectRecord]:
-    """Read every subject's phase files (validated on read)."""
+    """Read every subject's phase files (validated on read), refusing a
+    file whose header names another phase or subject than its record."""
     out = []
     for rec in manifest.records:
-        ed = read_field(rec.ed_path)
-        es = read_field(rec.es_path)
+        fields = []
+        for phase, path in zip(PHASES, (rec.ed_path, rec.es_path)):
+            header, arr = _read_field(path)
+            if (header["phase"], header["subject_id"]) != (phase, rec.subject_id):
+                raise BadHeaderError(
+                    f"subject {rec.subject_id}: {path} holds the "
+                    f"{header['phase']} field of subject "
+                    f"{header['subject_id']!r}, not its {phase} field")
+            fields.append(arr)
+        ed, es = fields
         if ed.shape != es.shape:
             raise ShapeMismatchError(
                 f"subject {rec.subject_id}: phase dims differ "
@@ -238,9 +258,8 @@ class SyntheticSpec:
     per_class: int = 20
     dims: tuple[int, int, int] = (32, 32, 16)
     noise_sigma: float = 0.2
-    margin: float = 0.5           # minimum amplitude separation between classes
+    margin: float = 0.5           # amplitude step between class templates
     seed: int = 42
-    templates: tuple[ClassTemplate, ...] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dims", tuple(int(v) for v in self.dims))
@@ -250,22 +269,9 @@ class SyntheticSpec:
             raise ValueError("need at least 2 classes and 1 subject per class")
         if self.noise_sigma < 0 or self.margin <= 0:
             raise ValueError("noise_sigma must be >= 0 and margin > 0")
-        if self.templates is not None:
-            templates = tuple(self.templates)
-            if len(templates) != self.classes:
-                raise ValueError("one template per class is required")
-            amps = sorted(t.amplitude for t in templates)
-            gaps = [b - a for a, b in zip(amps, amps[1:])]
-            if gaps and min(gaps) < self.margin:
-                raise ValueError(
-                    f"template amplitude separation {min(gaps):.3g} < "
-                    f"margin {self.margin:.3g}")
-            object.__setattr__(self, "templates", templates)
 
     def resolved_templates(self) -> tuple[ClassTemplate, ...]:
-        """Explicit templates, or the default ladder derived from ``margin``."""
-        if self.templates is not None:
-            return self.templates
+        """One template per class, amplitudes ``margin`` apart."""
         return tuple(
             ClassTemplate(amplitude=1.0 + self.margin * k, axis=k % 3,
                           contrast=0.35 + 0.55 * k / max(1, self.classes - 1))

@@ -60,41 +60,6 @@ def centered_origin(dims: tuple[int, int, int],
     return tuple((d - s) // 2 for d, s in zip(dims, size))
 
 
-def _check_phase_pair(ed: np.ndarray, es: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ed, es = validate_field(ed), validate_field(es)
-    if ed.shape != es.shape:
-        raise ShapeMismatchError(f"phase shapes differ: {ed.shape} vs {es.shape}")
-    return ed, es
-
-
-def interlace_concat(ed: np.ndarray, es: np.ndarray) -> np.ndarray:
-    """Merge two phases along depth, alternating slices (ED_k, ES_k, ...).
-
-    A depth-6 analysis window over the result spans three consecutive
-    slice *pairs*, so phase contrast is visible to the earliest local
-    features rather than only at block boundaries.
-    """
-    ed, es = _check_phase_pair(ed, es)
-    out = np.empty(ed.shape[:3] + (2 * ed.shape[3],), dtype=np.result_type(ed, es))
-    out[..., 0::2] = ed
-    out[..., 1::2] = es
-    return out
-
-
-def plain_concat(ed: np.ndarray, es: np.ndarray) -> np.ndarray:
-    """Merge two phases along depth as two contiguous blocks (ED then ES)."""
-    ed, es = _check_phase_pair(ed, es)
-    return np.concatenate([ed, es], axis=3)
-
-
-def deinterlace(field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`interlace_concat`; returns (ed, es) copies."""
-    arr = validate_field(field)
-    if arr.shape[3] % 2:
-        raise ShapeMismatchError("interlaced depth must be even")
-    return arr[..., 0::2].copy(), arr[..., 1::2].copy()
-
-
 class DeformationSample:
     """One subject's two validated phase fields, the order in which they
     merge along depth, and its class label.
@@ -107,28 +72,15 @@ class DeformationSample:
 
     __slots__ = ("phases", "concat_mode", "label", "subject_id")
 
-    def __init__(self, interlaced: np.ndarray, label: int,
-                 subject_id: str) -> None:
-        """A sample of an assembled (3, H, W, 2Z) stack, held as its two
-        depth halves in plain order."""
-        arr = validate_field(interlaced)
-        if arr.shape[3] % 2:
-            raise ShapeMismatchError("assembled depth must be even (two phases)")
-        half = arr.shape[3] // 2
-        self._hold(arr[..., :half], arr[..., half:], "plain", label, subject_id)
-
-    @classmethod
-    def from_phases(cls, ed: np.ndarray, es: np.ndarray, concat_mode: str,
-                    label: int, subject_id: str) -> "DeformationSample":
+    def __init__(self, ed: np.ndarray, es: np.ndarray, concat_mode: str,
+                 label: int, subject_id: str) -> None:
         """A sample of two phase fields of one shape, merged in
         ``concat_mode`` (interlaced or plain) whenever a map is built."""
+        ed, es = validate_field(ed), validate_field(es)
+        if ed.shape != es.shape:
+            raise ShapeMismatchError(f"phase shapes differ: {ed.shape} vs {es.shape}")
         if concat_mode not in CONCAT_MODES:
             raise ValueError(f"concat_mode must be one of {CONCAT_MODES}")
-        sample = cls.__new__(cls)
-        sample._hold(*_check_phase_pair(ed, es), concat_mode, label, subject_id)
-        return sample
-
-    def _hold(self, ed, es, concat_mode, label, subject_id) -> None:
         if label < 0:
             raise ShapeMismatchError(f"label must be a non-negative id, got {label}")
         self.phases = (ed, es)
@@ -142,6 +94,8 @@ class DeformationSample:
         return (H, W, 2 * Z)
 
     def _merge(self, ed: np.ndarray, es: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # interlaced (ED_k, ES_k, ...): a depth-6 window spans three slice
+        # pairs, so the earliest local features already see phase contrast
         if self.concat_mode == "interlaced":
             out[..., 0::2], out[..., 1::2] = ed, es
         else:

@@ -37,7 +37,7 @@ from .pipeline import (DIRECTIONS, LayerShapes, LayerStage, PipelineConfig,
                        PipelineModel, compute_ledger)
 
 MAGIC = b"SSLHOP01"
-FORMAT_MAJOR = 3
+FORMAT_MAJOR = 4
 FORMAT_MINOR = 0
 _HEADER = struct.Struct("<8sHHQ")
 
@@ -110,7 +110,6 @@ def _layout(meta: dict, cfg: PipelineConfig, ledger: tuple[LayerShapes, ...]):
                     ("kernel", "mean_ac", (union,)),
                     ("kernel", "energy", (channels - 1,)),
                     ("entropy", "per_channel", (channels,)),
-                    ("entropy", "per_class", (k, channels)),
                     ("lag", "centroids", (centroids, lag_in)),
                     ("lag", "weights", (lag_in + 1, centroids))):
                 yield (d, li, part), field, shape

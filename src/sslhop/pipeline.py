@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -30,6 +29,14 @@ from .fields import CONCAT_MODES, DIRECTIONS, DeformationSample, \
     centered_origin, crop_roi, validate_field
 from .neighborhood import max_pool, pooled_dims, union_count, union_slabs
 
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; bool and non-integral values are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class LayerSpec:
     """Window geometry and output channel count of one layer."""
@@ -38,8 +45,9 @@ class LayerSpec:
     channels: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "window", tuple(int(v) for v in self.window))
-        object.__setattr__(self, "channels", int(self.channels))
+        object.__setattr__(self, "window",
+                           tuple(_integer("window", v) for v in self.window))
+        object.__setattr__(self, "channels", _integer("channels", self.channels))
         if len(self.window) != 3 or min(self.window) < 1:
             raise ValueError(f"window must be three positive ints, got {self.window}")
         if self.channels < 1:
@@ -86,7 +94,7 @@ class PipelineConfig:
             raise ValueError("truncate_layer5 must be true or false, "
                              f"got {self.truncate_layer5!r}")
         for name in ("centroids_per_class", "seed"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.centroids_per_class < 1:
             raise ValueError("centroids_per_class must be positive, "
                              f"got {self.centroids_per_class}")
@@ -95,7 +103,7 @@ class PipelineConfig:
         for name in ("roi_size", "roi_origin"):
             val = getattr(self, name)
             if val is not None:
-                val = tuple(int(v) for v in val)
+                val = tuple(_integer(name, v) for v in val)
                 if len(val) != 3:
                     raise ValueError(f"{name} must have 3 values, got {val}")
                 object.__setattr__(self, name, val)
@@ -230,8 +238,7 @@ def assemble_sample(ed: np.ndarray, es: np.ndarray, cfg: PipelineConfig,
             origin = centered_origin(ed.shape[1:], cfg.roi_size)
         ed = crop_roi(ed, origin, cfg.roi_size)
         es = crop_roi(es, origin, cfg.roi_size)
-    return DeformationSample.from_phases(ed, es, cfg.concat_mode, label,
-                                         subject_id)
+    return DeformationSample(ed, es, cfg.concat_mode, label, subject_id)
 
 
 def common_dims(samples: list[DeformationSample]) -> tuple[int, int, int]:

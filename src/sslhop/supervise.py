@@ -31,8 +31,21 @@ class ChannelEntropy:
     """Per-channel class-summed entropies and the retained channel ids."""
 
     per_channel: np.ndarray   # (C,) summed over classes
-    per_class: np.ndarray     # (K, C), one row per sorted distinct label
     kept: np.ndarray          # strictly increasing channel ids
+
+
+def _class_entropies(feats: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """(K, C) entropy of each channel within each class, one row per
+    sorted distinct label, of float64 (N, H, W, Z, C) maps."""
+    classes = np.unique(labels)
+    n_channels = feats.shape[-1]
+    per_class = np.empty((classes.size, n_channels))
+    for row, cls in enumerate(classes):
+        pooled = feats[labels == cls].reshape(-1, n_channels)
+        shifted = pooled - pooled.min(axis=0) + ENTROPY_EPS
+        p = shifted / shifted.sum(axis=0)
+        per_class[row] = -(p * np.log(p)).sum(axis=0)
+    return per_class
 
 
 def channel_entropy(features: np.ndarray, labels: np.ndarray,
@@ -50,24 +63,15 @@ def channel_entropy(features: np.ndarray, labels: np.ndarray,
         raise ShapeMismatchError(f"labels shape {labels.shape} != ({feats.shape[0]},)")
     if not 0.0 < keep_ratio <= 1.0:
         raise ValueError(f"keep_ratio must lie in (0, 1], got {keep_ratio}")
-    classes = np.unique(labels)
-    if classes.size < 2:
+    if np.unique(labels).size < 2:
         raise SingleClassError("channel screening needs at least two classes")
 
+    per_channel = _class_entropies(feats, labels).sum(axis=0)
     n_channels = feats.shape[-1]
-    per_class = np.empty((classes.size, n_channels))
-    for row, cls in enumerate(classes):
-        pooled = feats[labels == cls].reshape(-1, n_channels)
-        shifted = pooled - pooled.min(axis=0) + ENTROPY_EPS
-        p = shifted / shifted.sum(axis=0)
-        per_class[row] = -(p * np.log(p)).sum(axis=0)
-    per_channel = per_class.sum(axis=0)
-
     n_keep = max(1, int(np.floor(n_channels * keep_ratio)))
     order = np.argsort(per_channel, kind="stable")   # stable: ties -> lower id
     kept = np.sort(order[:n_keep])
-    return ChannelEntropy(per_channel=per_channel, per_class=per_class,
-                          kept=kept)
+    return ChannelEntropy(per_channel=per_channel, kept=kept)
 
 
 def select_channels(fmap: np.ndarray, kept: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ import pytest
 
 import sslhop as sh
 from sslhop.evaluate import stratified_folds
+from sslhop.supervise import _class_entropies
 
 # Regression constants, frozen after the first verified run of the seed-42
 # benchmark (criterion 6). Any drift in numerics, fold dealing, or the
@@ -107,13 +108,16 @@ def test_criterion_3_channel_entropy_micro_case():
     feats[0, :, :, 0, 1] = [[5.0, 5.0], [5.0, 5.0]]
     feats[1, :, :, 0, 1] = [[0.0, 10.0], [0.0, 0.0]]
     feats[2, :, :, 0, 1] = [[3.0, 1.0], [4.0, 1.0]]
-    ent = sh.channel_entropy(feats, np.array([0, 1, 2]), keep_ratio=0.5)
+    labels = np.array([0, 1, 2])
+    ent = sh.channel_entropy(feats, labels, keep_ratio=0.5)
+    per_class = _class_entropies(feats, labels)   # the rows ent sums
     expected_per_class = np.array([
         [1.0114042647123451, 1.3862943611198906],
         [0.5623351446336732, 9.280064123926979e-12],
         [1.3862943611198906, 0.6730116670210996],
     ])
-    np.testing.assert_allclose(ent.per_class, expected_per_class, atol=1e-12)
+    np.testing.assert_allclose(per_class, expected_per_class, atol=1e-12)
+    np.testing.assert_array_equal(ent.per_channel, per_class.sum(axis=0))
     np.testing.assert_allclose(
         ent.per_channel, [2.960033770465909, 2.0593060281502704], atol=1e-12)
     assert list(ent.kept) == [1]
@@ -122,8 +126,10 @@ def test_criterion_3_channel_entropy_micro_case():
     uniform[0] = 7.5
     uniform[1] = -3.25
     u = sh.channel_entropy(uniform, np.array([0, 1]), keep_ratio=1.0)
-    assert u.per_class[0, 0] == math.log(4)
-    assert u.per_class[1, 0] == math.log(4)
+    u_per_class = _class_entropies(uniform, np.array([0, 1]))
+    assert u_per_class[0, 0] == math.log(4)
+    assert u_per_class[1, 0] == math.log(4)
+    assert u.per_channel[0] == u_per_class[0, 0] + u_per_class[1, 0]
 
 
 @pytest.mark.acceptance(4, "lag-ridge-optimality")

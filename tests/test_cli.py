@@ -268,6 +268,17 @@ MALFORMED_CONFIGS = {
     "ridge-lambda-negative": {"ridge_lambda": -1},
     "bias-scale-nan": {"bias_scale": float("nan")},
     "truncate-layer5-string": {"truncate_layer5": "x"},
+    "window-float": {"layers": [{"window": [3.9, 3, 3], "channels": 4},
+                                {"window": [3, 3, 3], "channels": 5}]},
+    "channels-float": {"layers": [{"window": [3, 3, 4], "channels": 4},
+                                  {"window": [3, 3, 3], "channels": 5.5}]},
+    "channels-true": {"layers": [{"window": [3, 3, 4], "channels": 4},
+                                 {"window": [3, 3, 3], "channels": True}]},
+    # a ROI that fits the 12x12x6 cohort once truncated to ints
+    "roi-float": {"roi_size": [10.7, 10, 6]},
+    "roi-origin-float": {"roi_size": [10, 10, 6], "roi_origin": [1.5, 1, 0]},
+    "centroids-true": {"centroids_per_class": True},
+    "seed-false": {"seed": False},
 }
 
 
@@ -292,6 +303,25 @@ class TestErrorSurface:
         header = json.loads(raw[:nl])
         header["dims"] = dims
         field.write_bytes(json.dumps(header).encode() + raw[nl:])
+        code = main(["predict", "--model", str(fit_dir / "model.sslm"),
+                     "--manifest", str(copy / "manifest.json"),
+                     "--out", str(tmp_path / "pred")])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 3
+        assert err["error"]["type"] == "BadHeaderError"
+
+    @pytest.mark.parametrize("edit", ["swap-phases", "other-subject-es"])
+    def test_field_of_another_record_is_a_data_error(self, cohort, fit_dir,
+                                                     tmp_path, edit, capsys):
+        copy = tmp_path / "cohort"
+        shutil.copytree(cohort.parent, copy)
+        doc = json.loads((copy / "manifest.json").read_text())
+        first, second = doc["records"][:2]
+        if edit == "swap-phases":
+            first["ed"], first["es"] = first["es"], first["ed"]
+        else:
+            first["es"] = second["es"]
+        (copy / "manifest.json").write_text(json.dumps(doc))
         code = main(["predict", "--model", str(fit_dir / "model.sslm"),
                      "--manifest", str(copy / "manifest.json"),
                      "--out", str(tmp_path / "pred")])

@@ -196,6 +196,17 @@ class TestManifests:
         with pytest.raises(MissingFileError):
             sh.load_manifest(self._write_doc(tmp_path, doc))
 
+    @pytest.mark.parametrize("key,value", [
+        ("label", 1.7), ("label", True), ("label", "1"), ("label", 1.0),
+        ("subject_id", 12)])
+    def test_label_and_id_types(self, tmp_path, rng, key, value):
+        """A record's label must be an int and its id a string; neither is
+        coerced from another JSON type."""
+        doc = self._valid_doc(tmp_path, rng)
+        doc["records"][1][key] = value
+        with pytest.raises(BadHeaderError):
+            sh.load_manifest(self._write_doc(tmp_path, doc))
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(MissingFileError):
             sh.load_manifest(tmp_path / "nope.json")
@@ -256,9 +267,6 @@ class TestSynthetic:
         {"per_class": 0},
         {"noise_sigma": -0.1},
         {"margin": 0.0},
-        {"templates": (sh.ClassTemplate(1.0, 0, 0.5),)},        # wrong count
-        {"templates": (sh.ClassTemplate(1.0, 0, 0.5),
-                       sh.ClassTemplate(1.2, 1, 0.6))},          # gap < margin
         {"dims": (0, 4, 4)},
         {"dims": (4, -1, 4)},
         {"dims": (4, 4)},
@@ -328,4 +336,21 @@ class TestLoadSubjects:
         path = man_dir / "manifest.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ShapeMismatchError):
+            sh.load_subjects(sh.load_manifest(path))
+
+    @pytest.mark.parametrize("edit", ["swap-phases", "other-subject-es"])
+    def test_field_of_another_record_rejected(self, tmp_path, edit):
+        """Each field file's header must name its record's subject and the
+        phase the record reads it as."""
+        spec = sh.SyntheticSpec(classes=2, per_class=1, dims=(4, 4, 4), seed=8)
+        sh.gen_synthetic(spec, tmp_path)
+        path = tmp_path / "manifest.json"
+        doc = json.loads(path.read_text())
+        first, second = doc["records"]
+        if edit == "swap-phases":
+            first["ed"], first["es"] = first["es"], first["ed"]
+        else:
+            first["es"] = second["es"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BadHeaderError, match=first["subject_id"]):
             sh.load_subjects(sh.load_manifest(path))

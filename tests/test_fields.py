@@ -1,4 +1,4 @@
-"""Deformation-field plumbing: validation, ROI crops, phase concatenation."""
+"""Deformation-field plumbing: validation, ROI crops, phase merging."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,14 @@ from sslhop import (
     DeformationSample,
     centered_origin,
     crop_roi,
-    deinterlace,
-    interlace_concat,
-    plain_concat,
     validate_field,
 )
 from sslhop.errors import OutOfBoundsError, ShapeMismatchError
+
+
+def _merged(ed, es, mode):
+    """The (3, H, W, 2Z) stack a sample of ``ed`` and ``es`` assembles."""
+    return DeformationSample(ed, es, mode, 0, "s").interlaced
 
 
 def _ramp(dims=(4, 5, 6)):
@@ -72,47 +74,42 @@ class TestPhaseConcat:
     def test_interlace_slice_placement(self):
         ed = np.full((3, 2, 2, 3), 1.0)
         es = np.full((3, 2, 2, 3), 2.0)
-        out = interlace_concat(ed, es)
+        out = _merged(ed, es, "interlaced")
         assert out.shape == (3, 2, 2, 6)
         np.testing.assert_array_equal(out[..., 0::2], ed)
         np.testing.assert_array_equal(out[..., 1::2], es)
 
-    def test_interlace_round_trip(self, rng):
-        ed = rng.normal(size=(3, 4, 5, 7))
-        es = rng.normal(size=(3, 4, 5, 7))
-        back_ed, back_es = deinterlace(interlace_concat(ed, es))
-        np.testing.assert_array_equal(back_ed, ed)
-        np.testing.assert_array_equal(back_es, es)
-
     def test_plain_concat_blocks(self, rng):
         ed = rng.normal(size=(3, 4, 5, 7))
         es = rng.normal(size=(3, 4, 5, 7))
-        out = plain_concat(ed, es)
+        out = _merged(ed, es, "plain")
         np.testing.assert_array_equal(out[..., :7], ed)
         np.testing.assert_array_equal(out[..., 7:], es)
 
     def test_phase_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            interlace_concat(np.zeros((3, 4, 4, 4)), np.zeros((3, 4, 4, 5)))
+            DeformationSample(np.zeros((3, 4, 4, 4)), np.zeros((3, 4, 4, 5)),
+                              "interlaced", 0, "s")
 
     def test_interlace_differs_from_plain(self, rng):
         """The two layouts agree per-slice only after reordering."""
         ed = rng.normal(size=(3, 2, 2, 2))
         es = rng.normal(size=(3, 2, 2, 2))
-        assert not np.array_equal(interlace_concat(ed, es),
-                                  plain_concat(ed, es))
+        assert not np.array_equal(_merged(ed, es, "interlaced"),
+                                  _merged(ed, es, "plain"))
 
 
 class TestDeformationSample:
     def test_holds_contiguous_float64(self, rng):
-        data = rng.normal(size=(3, 4, 4, 6)).astype(np.float32)
-        s = DeformationSample(interlaced=data, label=2, subject_id="s0")
+        ed, es = rng.normal(size=(2, 3, 4, 4, 3)).astype(np.float32)
+        s = DeformationSample(ed, es, "interlaced", label=2, subject_id="s0")
         assert s.interlaced.dtype == np.float64
         assert s.interlaced.flags["C_CONTIGUOUS"]
         assert s.dims == (4, 4, 6)
 
-    def test_rejects_odd_depth(self):
-        # an interlaced stack must pair every slice, hence even depth
-        with pytest.raises(ShapeMismatchError):
-            DeformationSample(interlaced=np.zeros((3, 4, 4, 5)), label=0,
-                              subject_id="s0")
+    @pytest.mark.parametrize("mode,label,error", [
+        ("stacked", 0, ValueError), ("plain", -1, ShapeMismatchError)])
+    def test_rejects_bad_mode_and_label(self, mode, label, error):
+        with pytest.raises(error):
+            DeformationSample(np.zeros((3, 4, 4, 2)), np.zeros((3, 4, 4, 2)),
+                              mode, label, "s0")

@@ -67,13 +67,23 @@ class TestRoundTrip:
                     _assert_fields_equal(getattr(a, part), getattr(b, part))
         _assert_fields_equal(loaded.svm, tiny_model.svm)
 
-    def test_metadata_stores_each_fact_once(self, saved):
-        """Format 3 keeps the config, class bookkeeping, the ledger and each
-        stage's fitted decisions; no tensor index and no restated values."""
+    def test_metadata_stores_each_fact_once(self, saved, tiny_model):
+        """Format 4 keeps the config, class bookkeeping, the ledger and each
+        stage's fitted decisions; no tensor index and no restated values.
+        Its payload holds the arrays that prediction and ``inspect`` read,
+        and no per-class entropy table."""
         raw = saved.read_bytes()
         _, major, _, meta_len = _HEADER.unpack_from(raw)
         meta = json.loads(raw[_HEADER.size:_HEADER.size + meta_len])
-        assert major == 3
+        assert major == 4
+        arrays = [a for per_dir in tiny_model.stages for st in per_dir
+                  for a in (st.kernel.dc, st.kernel.ac, st.kernel.mean_ac,
+                            st.kernel.energy, st.entropy.per_channel,
+                            st.lag.centroids, st.lag.weights)]
+        svm = tiny_model.svm
+        arrays += [svm.weights, svm.intercepts, svm.mean, svm.scale]
+        assert len(raw) == (_HEADER.size + meta_len
+                            + 8 * sum(a.size for a in arrays) + 4)
         assert set(meta) == {"config", "input_dims", "class_count",
                              "class_table", "train_subject_ids", "ledger",
                              "stages"}
@@ -163,21 +173,24 @@ class TestCorruption:
             sh.load_model(path)
 
     def test_format_2_is_refused(self, saved, tmp_path, edit_model_meta):
-        """A format-2 file, which also stored ``saab.degenerate``, is refused
-        on its version alone; there is no second read path."""
+        """Formats 2 (which also stored ``saab.degenerate``) and 3 (which
+        also stored ``per_class`` entropy tensors) are refused on their
+        version alone, with a valid CRC; there is no second read path."""
         def to_format_2(meta):
             for per_dir in meta["stages"]:
                 for sm in per_dir:
                     sm["saab"]["degenerate"] = False
-        raw = bytearray(edit_model_meta(saved, tmp_path / "v2.sslm",
-                                        to_format_2).read_bytes())
-        _, _, minor, meta_len = _HEADER.unpack_from(bytes(raw))
-        raw[:_HEADER.size] = _HEADER.pack(MAGIC, 2, minor, meta_len)
-        body = bytes(raw[:-4])
-        path = tmp_path / "m.sslm"
-        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
-        with pytest.raises(VersionMismatchError, match="major 2"):
-            sh.load_model(path)
+        for major, source in (
+                (2, edit_model_meta(saved, tmp_path / "v2.sslm", to_format_2)),
+                (3, saved)):
+            raw = bytearray(source.read_bytes())
+            _, _, minor, meta_len = _HEADER.unpack_from(bytes(raw))
+            raw[:_HEADER.size] = _HEADER.pack(MAGIC, major, minor, meta_len)
+            body = bytes(raw[:-4])
+            path = tmp_path / "m.sslm"
+            path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+            with pytest.raises(VersionMismatchError, match=f"major {major}"):
+                sh.load_model(path)
 
     def test_flipped_blob_byte(self, saved, tmp_path):
         raw = bytearray(saved.read_bytes())

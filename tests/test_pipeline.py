@@ -147,9 +147,12 @@ def _assembled_stack(ed, es, cfg):
                                                       cfg.roi_size)
         ed = sh.crop_roi(ed, origin, cfg.roi_size)
         es = sh.crop_roi(es, origin, cfg.roi_size)
-    merge = (sh.interlace_concat if cfg.concat_mode == "interlaced"
-             else sh.plain_concat)
-    return np.ascontiguousarray(merge(ed, es), dtype=np.float64)
+    stack = np.empty(ed.shape[:3] + (2 * ed.shape[3],), dtype=ed.dtype)
+    if cfg.concat_mode == "interlaced":
+        stack[..., 0::2], stack[..., 1::2] = ed, es
+    else:
+        stack[..., :ed.shape[3]], stack[..., ed.shape[3]:] = ed, es
+    return np.ascontiguousarray(stack, dtype=np.float64)
 
 
 class TestOnDemandMaps:
@@ -288,8 +291,8 @@ class TestFit:
             sh.fit_pipeline(samples, tiny_cfg)
 
     def test_transform_rejects_wrong_dims(self, tiny_model, rng):
-        bad = sh.DeformationSample(interlaced=rng.normal(size=(3, 10, 10, 12)),
-                                   label=0, subject_id="x")
+        ed, es = rng.normal(size=(2, 3, 10, 10, 6))
+        bad = sh.DeformationSample(ed, es, "interlaced", label=0, subject_id="x")
         with pytest.raises(ShapeMismatchError):
             sh.transform_many(tiny_model, [bad])[0]
 
@@ -510,9 +513,10 @@ class TestBoundedMemory:
         matrix alone would take 62 * 62 * 27 * 54 * 8 = 44.8 MB."""
         cfg = sh.PipelineConfig(layers=(sh.LayerSpec((3, 3, 6), 5),),
                                 centroids_per_class=1)
-        samples = [sh.DeformationSample(rng.normal(size=(3, 64, 64, 32)),
-                                        label, f"s{label}")
-                   for label in (0, 1)]
+        stacks = [rng.normal(size=(3, 64, 64, 32)) for _ in range(2)]
+        samples = [sh.DeformationSample(stack[..., :16], stack[..., 16:],
+                                        "plain", label, f"s{label}")
+                   for label, stack in enumerate(stacks)]
         model = sh.fit_pipeline(samples, cfg)
         shapes, window = model.ledger[0], cfg.layers[0].window
         budget = (8 * (math.prod(shapes.conv_dims) + math.prod(shapes.pool_dims))

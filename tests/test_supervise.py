@@ -14,6 +14,7 @@ from sslhop.errors import (
     SingleClassError,
     TooFewSamplesError,
 )
+from sslhop.supervise import _class_entropies
 
 # Hand-computed with an independent pure-python loop (shift each class pool
 # by its min, add 1e-12, L1-normalize, natural-log entropy, sum classes):
@@ -43,7 +44,9 @@ class TestChannelEntropy:
     def test_micro_case(self):
         feats, labels = _micro_features()
         ent = channel_entropy(feats, labels, keep_ratio=0.5)
-        np.testing.assert_allclose(ent.per_class, MICRO_PER_CLASS, atol=1e-12)
+        per_class = _class_entropies(feats, labels)
+        np.testing.assert_allclose(per_class, MICRO_PER_CLASS, atol=1e-12)
+        np.testing.assert_array_equal(ent.per_channel, per_class.sum(axis=0))
         np.testing.assert_allclose(ent.per_channel, MICRO_PER_CHANNEL,
                                    atol=1e-12)
         np.testing.assert_array_equal(ent.kept, [1])
@@ -54,8 +57,10 @@ class TestChannelEntropy:
         feats[0] = 7.5
         feats[1] = -3.25
         ent = channel_entropy(feats, np.array([0, 1]), keep_ratio=1.0)
-        assert ent.per_class[0, 0] == math.log(4)
-        assert ent.per_class[1, 0] == math.log(4)
+        per_class = _class_entropies(feats, np.array([0, 1]))
+        assert per_class[0, 0] == math.log(4)
+        assert per_class[1, 0] == math.log(4)
+        assert ent.per_channel[0] == per_class[0, 0] + per_class[1, 0]
 
     def test_concentrated_channel_wins(self, rng):
         """One-spike-per-class maps carry less entropy than i.i.d. noise."""
@@ -95,10 +100,12 @@ class TestChannelEntropy:
     def test_entropy_bounded_by_log_pool_size(self, rng):
         feats = rng.normal(size=(8, 3, 3, 2, 6))
         labels = np.repeat([0, 1], 4)
-        ent = channel_entropy(feats, labels)
+        per_class = _class_entropies(feats, labels)
         pool = 4 * 3 * 3 * 2
-        assert np.all(ent.per_class >= 0.0)
-        assert np.all(ent.per_class <= math.log(pool) + 1e-9)
+        assert np.all(per_class >= 0.0)
+        assert np.all(per_class <= math.log(pool) + 1e-9)
+        np.testing.assert_array_equal(channel_entropy(feats, labels).per_channel,
+                                      per_class.sum(axis=0))
 
     def test_single_class_rejected(self, rng):
         with pytest.raises(SingleClassError):
