@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, evaluate, model_io, pipeline, saab
-from .errors import BadHeaderError, MissingFileError, SslhopError
+from .errors import (BadHeaderError, MissingFileError, SslhopError,
+                     UnknownLabelError)
 
 log = logging.getLogger("sslhop")
 
@@ -196,6 +197,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     model = model_io.load_model(args.model)
     manifest = dataio.load_manifest(args.manifest)
+    table = model.class_table      # a manifest names a subset of its classes
+    for cid, name in manifest.classes.items():
+        if cid >= model.class_count or (table and name != table[cid]):
+            raise UnknownLabelError(
+                f"manifest class {cid} {name!r} is not one of the model's "
+                f"classes {list(table or range(model.class_count))}")
     records = dataio.load_subjects(manifest)
     cfg = model.config
     samples = [pipeline.assemble_sample(r.ed, r.es, cfg, r.label, r.subject_id)

@@ -16,6 +16,7 @@ paths are resolved relative to the manifest's directory.
 from __future__ import annotations
 
 import json
+import re
 import struct
 import zlib
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import (BadHeaderError, ChecksumMismatchError,
                      DuplicateSubjectError, MissingFileError,
                      NonFiniteValuesError, ShapeMismatchError,
-                     TooFewSubjectsError, UnknownLabelError)
+                     TooFewSubjectsError, UnknownLabelError, as_integer)
 
 PHASES = ("ED", "ES")
 _MAX_HEADER = 4096
@@ -62,11 +63,17 @@ def write_field(field: np.ndarray, path: str | Path, phase: str,
 def read_field_header(path: str | Path) -> dict:
     """Parse and validate just the JSON header line of a field file."""
     with open(path, "rb") as fh:
-        line = fh.readline(_MAX_HEADER)
-    if not line.endswith(b"\n"):
+        return _parse_header(fh.readline(_MAX_HEADER), path)[0]
+
+
+def _parse_header(data: bytes, path: str | Path) -> tuple[dict, int]:
+    """The validated JSON header that starts a field file's ``data``, and
+    the offset of the payload after its line."""
+    end = data.find(b"\n", 0, _MAX_HEADER)
+    if end < 0:
         raise BadHeaderError(f"{path}: header line missing or too long")
     try:
-        header = json.loads(line.decode())
+        header = json.loads(data[:end].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise BadHeaderError(f"{path}: undecodable header: {exc}") from exc
     if not isinstance(header, dict):
@@ -83,7 +90,7 @@ def read_field_header(path: str | Path) -> dict:
         raise BadHeaderError(f"{path}: unsupported dtype/endian tags")
     if header["phase"] not in PHASES:
         raise BadHeaderError(f"{path}: bad phase tag {header['phase']!r}")
-    return header
+    return header, end + 1
 
 
 def read_field(path: str | Path) -> np.ndarray:
@@ -92,20 +99,20 @@ def read_field(path: str | Path) -> np.ndarray:
 
 
 def _read_field(path: str | Path) -> tuple[dict, np.ndarray]:
-    """The validated header and float32 (3, H, W, Z) array of a field file."""
-    header = read_field_header(path)
+    """The validated header and float32 (3, H, W, Z) array of a field file,
+    read once."""
     raw = Path(path).read_bytes()
-    body = raw[raw.index(b"\n") + 1:]
+    header, start = _parse_header(raw, path)
+    body = memoryview(raw)[start:]
     dims = tuple(header["dims"])
     expected = int(np.prod(dims)) * 4
     if len(body) != expected + 4:
         raise ShapeMismatchError(
             f"{path}: payload holds {len(body) - 4} bytes, dims {dims} "
             f"need {expected}")
-    payload, crc_bytes = body[:expected], body[expected:]
-    if zlib.crc32(payload) != struct.unpack("<I", crc_bytes)[0]:
+    if zlib.crc32(body[:expected]) != struct.unpack("<I", body[expected:])[0]:
         raise ChecksumMismatchError(f"{path}: payload CRC mismatch")
-    arr = np.frombuffer(payload, dtype="<f4").reshape(dims)
+    arr = np.frombuffer(body, dtype="<f4", count=expected // 4).reshape(dims)
     finite = np.isfinite(arr)
     if not finite.all():
         voxel = tuple(int(v) for v in np.argwhere(~finite)[0])
@@ -172,22 +179,30 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     except json.JSONDecodeError as exc:
         raise BadHeaderError(f"{path}: undecodable manifest: {exc}") from exc
     try:
-        classes = {int(k): str(v) for k, v in doc["classes"].items()}
+        classes = list(doc["classes"].items())
         root = path.parent
         records = [ManifestRecord(subject_id=r["subject_id"],
                                   ed_path=root / r["ed"], es_path=root / r["es"],
-                                  label=r["label"],
-                                  label_name=str(r["label_name"]))
+                                  label=r["label"], label_name=r["label_name"])
                    for r in doc["records"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise BadHeaderError(f"{path}: malformed manifest: {exc}") from exc
+    for key, name in classes:
+        if not re.fullmatch("0|[1-9][0-9]*", key):
+            raise BadHeaderError(
+                f"{path}: class id {key!r} is not a canonical decimal string")
+        if not isinstance(name, str):
+            raise BadHeaderError(f"{path}: class {key} name {name!r} is not a string")
     for rec in records:
         if not isinstance(rec.subject_id, str):
             raise BadHeaderError(f"{path}: subject id {rec.subject_id!r} is not a string")
         if isinstance(rec.label, bool) or not isinstance(rec.label, int):
             raise BadHeaderError(
                 f"{path}: subject {rec.subject_id}: label {rec.label!r} is not an integer")
-    return _validate_manifest(classes, records)
+        if not isinstance(rec.label_name, str):
+            raise BadHeaderError(f"{path}: subject {rec.subject_id}: label name "
+                                 f"{rec.label_name!r} is not a string")
+    return _validate_manifest({int(k): v for k, v in classes}, records)
 
 
 def save_manifest(manifest: DatasetManifest, path: str | Path) -> Path:
@@ -262,7 +277,10 @@ class SyntheticSpec:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(int(v) for v in self.dims))
+        for name in ("classes", "per_class", "seed"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
+        object.__setattr__(self, "dims",
+                           tuple(as_integer("dims", v) for v in self.dims))
         if len(self.dims) != 3 or min(self.dims) < 1:
             raise ValueError(f"dims must be three positive ints, got {self.dims}")
         if self.classes < 2 or self.per_class < 1:

@@ -2,8 +2,18 @@
 
 Every error type carries an ``exit_code`` consumed by the CLI: 3 for
 problems attributable to inputs (bad files, bad shapes, degenerate data),
-4 for violated internal invariants.
+4 for violated internal invariants. The integer rule that settings share
+lives here too, so every module can import it.
 """
+
+import numbers
+
+
+def as_integer(name: str, value) -> int:
+    """``value`` as an int; bool and non-integral values are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class SslhopError(Exception):

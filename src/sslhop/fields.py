@@ -33,6 +33,15 @@ def validate_field(field: np.ndarray) -> np.ndarray:
     return arr
 
 
+def validate_phases(ed: np.ndarray,
+                    es: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Check both phase fields, and that they share one shape."""
+    ed, es = validate_field(ed), validate_field(es)
+    if ed.shape != es.shape:
+        raise ShapeMismatchError(f"phase shapes differ: {ed.shape} vs {es.shape}")
+    return ed, es
+
+
 def crop_roi(field: np.ndarray, origin: tuple[int, int, int],
              size: tuple[int, int, int]) -> np.ndarray:
     """Copy the (h, w, z) region of interest starting at voxel ``origin``.
@@ -76,9 +85,7 @@ class DeformationSample:
                  label: int, subject_id: str) -> None:
         """A sample of two phase fields of one shape, merged in
         ``concat_mode`` (interlaced or plain) whenever a map is built."""
-        ed, es = validate_field(ed), validate_field(es)
-        if ed.shape != es.shape:
-            raise ShapeMismatchError(f"phase shapes differ: {ed.shape} vs {es.shape}")
+        ed, es = validate_phases(ed, es)
         if concat_mode not in CONCAT_MODES:
             raise ValueError(f"concat_mode must be one of {CONCAT_MODES}")
         if label < 0:

@@ -13,9 +13,11 @@ Layout (all integers little-endian):
     end-4   4     CRC32 (uint32) of every preceding byte
 
 The metadata stores each fact once: the config, input dims, class
-bookkeeping, the shape ledger (checked against a dry run of the config)
-and each stage's fitted decisions. The Saab bias follows from the config
-and is rebuilt on load; there is no tensor index. Nothing volatile is
+bookkeeping, the training subject ids, the shape ledger (checked against
+a dry run of the config) and each LAG stage's centroid block sizes. The
+fit's own functions derive the rest on load: the Saab bias and DC anchor,
+the padding (all-zero AC rows) and the kept channels (the entropy screen
+of the stored entropies). There is no tensor index. Nothing volatile is
 stored (no timestamps), so identical fits serialize to identical bytes. A
 loader refuses files whose major version differs from its own.
 """
@@ -37,7 +39,7 @@ from .pipeline import (DIRECTIONS, LayerShapes, LayerStage, PipelineConfig,
                        PipelineModel, compute_ledger)
 
 MAGIC = b"SSLHOP01"
-FORMAT_MAJOR = 4
+FORMAT_MAJOR = 5
 FORMAT_MINOR = 0
 _HEADER = struct.Struct("<8sHHQ")
 
@@ -55,9 +57,7 @@ _SCHEMA = {
     "ledger": [{"layer": int, "input_dims": [int], "union_dim": int,
                 "conv_dims": [int], "pool_dims": [int], "kept_channels": int,
                 "lag_input_dim": int}],
-    "stages": [[{"saab": {"padded": int},
-                 "entropy": {"kept": [int]},
-                 "lag": {"block_sizes": [int]}}]],
+    "stages": [[{"lag": {"block_sizes": [int]}}]],
 }
 
 
@@ -105,7 +105,6 @@ def _layout(meta: dict, cfg: PipelineConfig, ledger: tuple[LayerShapes, ...]):
             lag_in = entry.lag_input_dim
             centroids = sum(sm["lag"]["block_sizes"])
             for part, field, shape in (
-                    ("kernel", "dc", (union,)),
                     ("kernel", "ac", (channels - 1, union)),
                     ("kernel", "mean_ac", (union,)),
                     ("kernel", "energy", (channels - 1,)),
@@ -129,9 +128,7 @@ def save_model(model: PipelineModel, path: str | Path) -> Path:
         "class_table": list(model.class_table) if model.class_table else None,
         "train_subject_ids": list(model.train_subject_ids),
         "ledger": [e.to_dict() for e in model.ledger],
-        "stages": [[{"saab": {"padded": stage.kernel.padded},
-                     "entropy": {"kept": stage.entropy.kept.tolist()},
-                     "lag": {"block_sizes": stage.lag.block_sizes.tolist()}}
+        "stages": [[{"lag": {"block_sizes": stage.lag.block_sizes.tolist()}}
                     for stage in per_dir]
                    for per_dir in model.stages],
     }
@@ -200,27 +197,12 @@ def load_model(path: str | Path) -> PipelineModel:
     cap = cfg.centroids_per_class
     for d, dir_meta in enumerate(meta["stages"]):
         for li, sm in enumerate(dir_meta):
-            where = f"{path}: direction {d} layer {li + 1}"
-            channels = cfg.layers[li].channels
-            if not 0 <= sm["saab"]["padded"] < channels:
-                raise CorruptFileError(
-                    f"{where} pads {sm['saab']['padded']} components, "
-                    f"not 0..{channels - 1}")
-            kept = sm["entropy"]["kept"]
-            if len(kept) != ledger[li].kept_channels:
-                raise CorruptFileError(
-                    f"{where} keeps {len(kept)} channels, ledger says "
-                    f"{ledger[li].kept_channels}")
-            if kept != sorted(set(kept)) or not all(
-                    0 <= c < channels for c in kept):
-                raise CorruptFileError(
-                    f"{where} keeps channels {kept}, not strictly increasing "
-                    f"ids in 0..{channels - 1}")
             blocks = sm["lag"]["block_sizes"]
             if len(blocks) != k or any(not 1 <= b <= cap for b in blocks):
                 raise CorruptFileError(
-                    f"{where} centroid blocks {blocks} do not give "
-                    f"1..{cap} centroids to each of {k} classes")
+                    f"{path}: direction {d} layer {li + 1} centroid blocks "
+                    f"{blocks} do not give 1..{cap} centroids to each of "
+                    f"{k} classes")
 
     arrays: dict = {}
     offset = meta_end
@@ -239,11 +221,10 @@ def load_model(path: str | Path) -> PipelineModel:
         LayerStage(
             kernel=saab.SaabKernel(
                 **arrays[(d, li, "kernel")],
-                bias=saab.shared_bias(cfg.bias_scale, cfg.layers[li].channels),
-                padded=sm["saab"]["padded"]),
-            entropy=supervise.ChannelEntropy(
-                **arrays[(d, li, "entropy")],
-                kept=np.asarray(sm["entropy"]["kept"], dtype=np.int64)),
+                bias=saab.shared_bias(cfg.bias_scale, cfg.layers[li].channels)),
+            entropy=supervise.screen_channels(
+                arrays[(d, li, "entropy")]["per_channel"],
+                ledger[li].kept_channels),
             lag=supervise.LagModel(
                 **arrays[(d, li, "lag")],
                 block_sizes=np.asarray(sm["lag"]["block_sizes"],

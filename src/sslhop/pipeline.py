@@ -24,17 +24,11 @@ import numpy as np
 
 from . import classifier, neighborhood, saab, supervise
 from .errors import (MissingClassError, ShapeLedgerMismatchError,
-                     ShapeMismatchError, SingleClassError, WindowTooLargeError)
+                     ShapeMismatchError, SingleClassError, WindowTooLargeError,
+                     as_integer)
 from .fields import CONCAT_MODES, DIRECTIONS, DeformationSample, \
-    centered_origin, crop_roi, validate_field
+    centered_origin, crop_roi, validate_phases
 from .neighborhood import max_pool, pooled_dims, union_count, union_slabs
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int; bool and non-integral values are refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -46,8 +40,8 @@ class LayerSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "window",
-                           tuple(_integer("window", v) for v in self.window))
-        object.__setattr__(self, "channels", _integer("channels", self.channels))
+                           tuple(as_integer("window", v) for v in self.window))
+        object.__setattr__(self, "channels", as_integer("channels", self.channels))
         if len(self.window) != 3 or min(self.window) < 1:
             raise ValueError(f"window must be three positive ints, got {self.window}")
         if self.channels < 1:
@@ -94,7 +88,7 @@ class PipelineConfig:
             raise ValueError("truncate_layer5 must be true or false, "
                              f"got {self.truncate_layer5!r}")
         for name in ("centroids_per_class", "seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.centroids_per_class < 1:
             raise ValueError("centroids_per_class must be positive, "
                              f"got {self.centroids_per_class}")
@@ -103,7 +97,7 @@ class PipelineConfig:
         for name in ("roi_size", "roi_origin"):
             val = getattr(self, name)
             if val is not None:
-                val = tuple(_integer(name, v) for v in val)
+                val = tuple(as_integer(name, v) for v in val)
                 if len(val) != 3:
                     raise ValueError(f"{name} must have 3 values, got {val}")
                 object.__setattr__(self, name, val)
@@ -211,7 +205,7 @@ def compute_ledger(cfg: PipelineConfig,
         conv = (H - h + 1, W - w + 1, Z - z + 1)
         conv = conv[:2] + (_truncated_depth(cfg, i, conv[2]),)
         pool = pooled_dims(conv)
-        kept = max(1, int(np.floor(layer.channels * cfg.keep_ratio)))
+        kept = supervise.keep_count(layer.channels, cfg.keep_ratio)
         entries.append(LayerShapes(
             layer=i,
             input_dims=dims + (channels_in,),
@@ -232,7 +226,7 @@ def assemble_sample(ed: np.ndarray, es: np.ndarray, cfg: PipelineConfig,
     """Validate both phases and crop them to the configured ROI; they merge
     along depth, in the configured order, whenever a map is built."""
     if cfg.roi_size is not None:
-        ed, es = validate_field(ed), validate_field(es)
+        ed, es = validate_phases(ed, es)
         origin = cfg.roi_origin
         if origin is None:
             origin = centered_origin(ed.shape[1:], cfg.roi_size)
@@ -606,7 +600,7 @@ def parameter_breakdown(cfg: PipelineConfig, input_dims: tuple[int, int, int],
 
 
 def count_parameters(model: PipelineModel) -> dict:
-    """Exact integer parameter counts of a fitted model's stored arrays."""
+    """Exact integer parameter counts of a fitted model's arrays."""
     saab_total = 0
     lag_total = 0
     for per_dir in model.stages:

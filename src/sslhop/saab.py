@@ -40,20 +40,27 @@ RANK_RTOL = 1e-10
 class SaabKernel:
     """One fitted union-to-channels affine transform."""
 
-    dc: np.ndarray        # (D,) constant direction, unit norm
     ac: np.ndarray        # (F-1, D) orthonormal rows; zero rows where padded
     bias: float           # shared additive offset, bias_scale * sqrt(F)
     mean_ac: np.ndarray   # (D,) training mean of the DC-removed unions
     energy: np.ndarray    # (F-1,) per-component explained-variance ratios
-    padded: int = 0       # trailing AC rows beyond the training rank (zeros)
 
     @property
     def dim(self) -> int:
-        return self.dc.shape[0]
+        return self.mean_ac.shape[0]
 
     @property
     def channels(self) -> int:
         return self.ac.shape[0] + 1
+
+    @property
+    def dc(self) -> np.ndarray:   # (D,) constant direction, unit norm
+        return dc_anchor(self.dim)
+
+    @property
+    def padded(self) -> int:
+        """Trailing AC rows beyond the training rank: the all-zero ones."""
+        return int(np.count_nonzero(~self.ac.any(axis=1)))
 
     @cached_property
     def projection(self) -> tuple[np.ndarray, np.ndarray]:
@@ -61,6 +68,11 @@ class SaabKernel:
         first use; not a field, so equality and saved bytes ignore it."""
         offset = self.bias - np.concatenate(([0.0], self.ac @ self.mean_ac))
         return np.vstack([self.dc, self.ac]).T, offset
+
+
+def dc_anchor(dim: int) -> np.ndarray:
+    """The unit-norm constant direction of length-``dim`` unions."""
+    return np.full(dim, 1.0 / np.sqrt(dim))
 
 
 def shared_bias(bias_scale: float, channels: int) -> float:
@@ -159,7 +171,7 @@ def fit_saab_batches(batches: Iterable[Moments], channels: int,
     if channels < 1 or channels > dim:
         raise DegenerateInputError(
             f"channels must lie in [1, {dim}], got {channels}")
-    dc = np.full(dim, 1.0 / np.sqrt(dim))
+    dc = dc_anchor(dim)
     proj = np.eye(dim) - np.outer(dc, dc)
     mean_ac = proj @ mean
     cov = proj @ m2 @ proj / (n - 1)
@@ -168,7 +180,6 @@ def fit_saab_batches(batches: Iterable[Moments], channels: int,
     n_ac = channels - 1
     ac = np.zeros((n_ac, dim))
     energy = np.zeros(n_ac)
-    padded = n_ac
     evals, evecs = np.linalg.eigh(cov)
     evals = np.clip(evals, 0.0, None)
     total = float(evals.sum())
@@ -188,8 +199,8 @@ def fit_saab_batches(batches: Iterable[Moments], channels: int,
         if padded:
             warnings.warn(f"{padded} requested components exceed the training "
                           f"rank {rank}; zero-padded", DegenerateInputWarning)
-    return SaabKernel(dc=dc, ac=ac, bias=shared_bias(bias_scale, channels),
-                      mean_ac=mean_ac, energy=energy, padded=padded)
+    return SaabKernel(ac=ac, bias=shared_bias(bias_scale, channels),
+                      mean_ac=mean_ac, energy=energy)
 
 
 def fit_saab(X, channels: int, bias_scale: float = 0.0) -> SaabKernel:

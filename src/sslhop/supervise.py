@@ -48,13 +48,22 @@ def _class_entropies(feats: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return per_class
 
 
+def keep_count(channels: int, keep_ratio: float) -> int:
+    """How many of ``channels`` channels the screen keeps at ``keep_ratio``."""
+    return max(1, int(np.floor(channels * keep_ratio)))
+
+
+def screen_channels(per_channel: np.ndarray, count: int) -> ChannelEntropy:
+    """Keep the ``count`` smallest-entropy channels of ``per_channel``,
+    breaking ties toward lower channel ids."""
+    order = np.argsort(per_channel, kind="stable")   # stable: ties -> lower id
+    return ChannelEntropy(per_channel=per_channel, kept=np.sort(order[:count]))
+
+
 def channel_entropy(features: np.ndarray, labels: np.ndarray,
                     keep_ratio: float = 0.5) -> ChannelEntropy:
-    """Rank channels of stacked (N, H, W, Z, C) maps by class-summed entropy.
-
-    Keeps the max(1, floor(C * keep_ratio)) smallest-entropy channels,
-    breaking ties toward lower channel ids.
-    """
+    """Rank channels of stacked (N, H, W, Z, C) maps by class-summed entropy
+    and keep the :func:`keep_count` lowest (:func:`screen_channels`)."""
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 5:
         raise ShapeMismatchError(f"expected stacked (N, H, W, Z, C) maps, got {feats.shape}")
@@ -67,11 +76,7 @@ def channel_entropy(features: np.ndarray, labels: np.ndarray,
         raise SingleClassError("channel screening needs at least two classes")
 
     per_channel = _class_entropies(feats, labels).sum(axis=0)
-    n_channels = feats.shape[-1]
-    n_keep = max(1, int(np.floor(n_channels * keep_ratio)))
-    order = np.argsort(per_channel, kind="stable")   # stable: ties -> lower id
-    kept = np.sort(order[:n_keep])
-    return ChannelEntropy(per_channel=per_channel, kept=kept)
+    return screen_channels(per_channel, keep_count(feats.shape[-1], keep_ratio))
 
 
 def select_channels(fmap: np.ndarray, kept: np.ndarray) -> np.ndarray:

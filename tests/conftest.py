@@ -184,16 +184,16 @@ def _one_direction(meta):
     meta["stages"] = meta["stages"][:1]
 
 
-def _extra_kept_channel(meta):
-    kept = meta["stages"][0][0]["entropy"]["kept"]
-    kept.append(max(kept) + 1)
+def _one_layer_short(meta):
+    meta["stages"][0] = meta["stages"][0][:-1]
 
 
-@pytest.fixture(params=[_one_direction, _extra_kept_channel],
-                ids=["one-direction", "extra-kept-channel"])
+@pytest.fixture(params=[_one_direction, _one_layer_short],
+                ids=["one-direction", "one-layer-short"])
 def stage_edit(request):
     """A metadata edit that leaves a model's stages off its ledger: one
-    direction instead of three, or one more kept channel than the ledger's."""
+    direction instead of three, or one layer fewer than the ledger's in
+    one direction."""
     return request.param
 
 

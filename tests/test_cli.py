@@ -128,6 +128,24 @@ class TestFit:
         assert err["error"]["type"] == "MissingFileError"
 
 
+def _edited_manifest(cohort, tmp_path, edit):
+    """A copy of the cohort manifest, edited, with absolute paths."""
+    doc = json.loads(cohort.read_text())
+    for rec in doc["records"]:
+        rec["ed"], rec["es"] = (str(cohort.parent / rec[k]) for k in ("ed", "es"))
+    edit(doc)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _rename_class_0(doc):
+    doc["classes"]["0"] = "CLS2"
+    for rec in doc["records"]:
+        if rec["label"] == 0:
+            rec["label_name"] = "CLS2"
+
+
 class TestPredict:
     def test_training_set_accuracy(self, work, cohort, fit_dir, capsys):
         code, doc = run(capsys, "predict", "--model", fit_dir / "model.sslm",
@@ -145,6 +163,34 @@ class TestPredict:
         for row in rows[1:]:
             assert row[1] == row[2]          # every training subject correct
             float(row[3]), float(row[4]), float(row[5])
+
+    @pytest.mark.parametrize("edit", [
+        _rename_class_0,
+        lambda doc: doc["classes"].update({"3": "CLS3"}),
+    ], ids=["renamed", "extra"])
+    def test_classes_the_model_lacks_are_a_data_error(
+            self, cohort, fit_dir, tmp_path, edit, capsys):
+        """The model was fitted on classes CLS0..CLS2; a manifest that
+        names class 0 CLS2, or adds a class 3, contradicts it."""
+        manifest = _edited_manifest(cohort, tmp_path, edit)
+        code = main(["predict", "--model", str(fit_dir / "model.sslm"),
+                     "--manifest", str(manifest), "--out",
+                     str(tmp_path / "pred")])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 3
+        assert err["error"]["type"] == "UnknownLabelError"
+        assert not (tmp_path / "pred").exists()
+
+    def test_a_subset_of_the_classes_is_predicted(self, cohort, fit_dir,
+                                                   tmp_path, capsys):
+        def drop_class_2(doc):
+            del doc["classes"]["2"]
+            doc["records"] = [r for r in doc["records"] if r["label"] != 2]
+        manifest = _edited_manifest(cohort, tmp_path, drop_class_2)
+        code, doc = run(capsys, "predict", "--model", fit_dir / "model.sslm",
+                        "--manifest", manifest, "--out", tmp_path / "pred")
+        assert code == 0
+        assert doc["accuracy"] == 1.0
 
 
 @pytest.fixture(scope="module")
@@ -346,7 +392,6 @@ class TestErrorSurface:
     @pytest.mark.parametrize("edit", [
         lambda meta: meta.pop("config"),
         lambda meta: meta.update(stages=5),
-        lambda meta: meta["stages"][0][0]["entropy"].update(kept="ab"),
         lambda meta: meta["config"].update(layers=5),
         lambda meta: meta["stages"][0][0]["lag"].update(block_sizes=[3, 2, 1]),
         lambda meta: meta["ledger"][0].update(
@@ -354,16 +399,12 @@ class TestErrorSurface:
         lambda meta: meta["config"]["layers"][0].update(channels=5),
         lambda meta: meta.update(class_table=["a"]),
         lambda meta: meta.update(class_table=[1, 2, 3]),
-        lambda meta: meta["stages"][0][0]["saab"].update(padded=-4),
-        lambda meta: meta["stages"][0][0]["entropy"].update(kept=[7, 9]),
-        lambda meta: meta["stages"][0][0]["entropy"].update(kept=[0, 0]),
         lambda meta: meta.update(seed=meta["config"]["seed"]),
         lambda meta: meta.update(tensors=[]),
-        lambda meta: meta["stages"][0][0]["saab"].update(bias=5.0),
-    ], ids=["no-config", "stages-int", "kept-string", "bad-config",
+        lambda meta: meta["stages"][0][0].update(saab={"bias": 5.0}),
+    ], ids=["no-config", "stages-int", "bad-config",
             "lag-blocks-off-config", "ledger-off-config", "config-off-ledger",
-            "class-table-short", "class-table-ints", "padded-negative",
-            "kept-off-channels", "kept-repeated", "stray-seed",
+            "class-table-short", "class-table-ints", "stray-seed",
             "stray-tensors", "stray-saab-bias"])
     def test_metadata_off_the_schema_is_a_data_error(
             self, cohort, fit_dir, tmp_path, edit_model_meta, edit, capsys):

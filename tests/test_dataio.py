@@ -207,6 +207,39 @@ class TestManifests:
         with pytest.raises(BadHeaderError):
             sh.load_manifest(self._write_doc(tmp_path, doc))
 
+    @pytest.mark.parametrize("classes", [
+        {"00": "NOR", "01": "DCM"},
+        {"0": "NOR", "00": "HCM", "1": "DCM"},
+        {"0": "NOR", "+1": "DCM"},
+        {"0": "NOR", " 1": "DCM"},
+        {"0": "NOR", "1.0": "DCM"},
+        {"0": "NOR", "\u0661": "DCM"},
+    ], ids=["leading-zeros", "zero-twice", "plus", "space", "decimal-point",
+            "arabic-indic-digit"])
+    def test_class_ids_are_canonical_decimal_strings(self, tmp_path, rng,
+                                                     classes):
+        """No two spellings of a class id load as one class."""
+        doc = self._valid_doc(tmp_path, rng)
+        doc["classes"] = classes
+        with pytest.raises(BadHeaderError, match="is not a canonical"):
+            sh.load_manifest(self._write_doc(tmp_path, doc))
+
+    @pytest.mark.parametrize("where", ["class", "label_name"])
+    def test_class_names_are_strings(self, tmp_path, rng, where):
+        """A name of 0 neither names a class nor matches a class named
+        "0"."""
+        doc = self._valid_doc(tmp_path, rng)
+        doc["classes"]["0"] = 0 if where == "class" else "0"
+        doc["records"][0]["label_name"] = 0 if where == "label_name" else "0"
+        with pytest.raises(BadHeaderError, match="not a string"):
+            sh.load_manifest(self._write_doc(tmp_path, doc))
+
+    def test_classes_must_be_an_object(self, tmp_path, rng):
+        doc = self._valid_doc(tmp_path, rng)
+        doc["classes"] = ["NOR", "DCM"]
+        with pytest.raises(BadHeaderError, match="malformed"):
+            sh.load_manifest(self._write_doc(tmp_path, doc))
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(MissingFileError):
             sh.load_manifest(tmp_path / "nope.json")
@@ -270,6 +303,13 @@ class TestSynthetic:
         {"dims": (0, 4, 4)},
         {"dims": (4, -1, 4)},
         {"dims": (4, 4)},
+        {"dims": (4.7, 4, 4)},
+        {"dims": (4, 4, True)},
+        {"classes": 2.0},
+        {"classes": True},
+        {"per_class": 1.5},
+        {"seed": 1.5},
+        {"seed": "1"},
     ])
     def test_spec_validation(self, kwargs):
         base = {"classes": 2, "per_class": 1, "dims": (4, 4, 4)}

@@ -68,16 +68,16 @@ class TestRoundTrip:
         _assert_fields_equal(loaded.svm, tiny_model.svm)
 
     def test_metadata_stores_each_fact_once(self, saved, tiny_model):
-        """Format 4 keeps the config, class bookkeeping, the ledger and each
-        stage's fitted decisions; no tensor index and no restated values.
+        """Format 5 keeps the config, class bookkeeping, the ledger and each
+        LAG stage's centroid blocks; no tensor index and no restated values.
         Its payload holds the arrays that prediction and ``inspect`` read,
-        and no per-class entropy table."""
+        and no DC anchor and no per-class entropy table."""
         raw = saved.read_bytes()
         _, major, _, meta_len = _HEADER.unpack_from(raw)
         meta = json.loads(raw[_HEADER.size:_HEADER.size + meta_len])
-        assert major == 4
+        assert major == 5
         arrays = [a for per_dir in tiny_model.stages for st in per_dir
-                  for a in (st.kernel.dc, st.kernel.ac, st.kernel.mean_ac,
+                  for a in (st.kernel.ac, st.kernel.mean_ac,
                             st.kernel.energy, st.entropy.per_channel,
                             st.lag.centroids, st.lag.weights)]
         svm = tiny_model.svm
@@ -90,9 +90,36 @@ class TestRoundTrip:
         for per_dir in meta["stages"]:
             for sm in per_dir:
                 assert {part: set(v) for part, v in sm.items()} == {
-                    "saab": {"padded"},
-                    "entropy": {"kept"},
                     "lag": {"block_sizes"}}
+
+    def test_derived_stage_facts_equal_the_fitted_ones(self, saved,
+                                                        tiny_model):
+        """The DC anchor, the padding count and the kept channels are
+        derived on load, and equal the fitted ones exactly."""
+        loaded = sh.load_model(saved)
+        for d in range(3):
+            for a, b in zip(loaded.stages[d], tiny_model.stages[d]):
+                np.testing.assert_array_equal(a.kernel.dc, b.kernel.dc)
+                assert a.kernel.padded == b.kernel.padded
+                assert a.entropy.kept.dtype == b.entropy.kept.dtype
+                np.testing.assert_array_equal(a.entropy.kept, b.entropy.kept)
+
+    def test_padding_is_read_off_the_zero_ac_rows(self, tiny_model,
+                                                  tmp_path):
+        """A kernel fitted on unions of lower rank than its channel count
+        keeps zero AC rows at the end; the loaded model counts them as its
+        padding."""
+        stages = list(tiny_model.stages[0])
+        kernel = stages[1].kernel
+        ac, energy = kernel.ac.copy(), kernel.energy.copy()
+        ac[-2:], energy[-2:] = 0.0, 0.0
+        stages[1] = dataclasses.replace(stages[1], kernel=dataclasses.replace(
+            kernel, ac=ac, energy=energy))
+        model = dataclasses.replace(
+            tiny_model, stages=(tuple(stages),) + tiny_model.stages[1:])
+        loaded = sh.load_model(sh.save_model(model, tmp_path / "m.sslm"))
+        assert kernel.padded == 0
+        assert loaded.stages[0][1].kernel.padded == 2
 
     def test_config_is_the_one_source(self, saved, tmp_path, edit_model_meta):
         """Editing the config's bias_scale in a saved file shows up in the
@@ -173,16 +200,26 @@ class TestCorruption:
             sh.load_model(path)
 
     def test_format_2_is_refused(self, saved, tmp_path, edit_model_meta):
-        """Formats 2 (which also stored ``saab.degenerate``) and 3 (which
-        also stored ``per_class`` entropy tensors) are refused on their
-        version alone, with a valid CRC; there is no second read path."""
+        """Formats 2 (which also stored ``saab.degenerate``), 3 (which also
+        stored ``per_class`` entropy tensors) and 4 (which also stored
+        ``saab.padded``, ``entropy.kept`` and ``dc`` tensors) are refused on
+        their version alone, with a valid CRC; there is no second read
+        path."""
         def to_format_2(meta):
             for per_dir in meta["stages"]:
                 for sm in per_dir:
-                    sm["saab"]["degenerate"] = False
+                    sm["saab"] = {"degenerate": False, "padded": 0}
+                    sm["entropy"] = {"kept": [0, 1]}
+
+        def to_format_4(meta):
+            for per_dir in meta["stages"]:
+                for sm in per_dir:
+                    sm["saab"] = {"padded": 0}
+                    sm["entropy"] = {"kept": [0, 1]}
         for major, source in (
                 (2, edit_model_meta(saved, tmp_path / "v2.sslm", to_format_2)),
-                (3, saved)):
+                (3, saved),
+                (4, edit_model_meta(saved, tmp_path / "v4.sslm", to_format_4))):
             raw = bytearray(source.read_bytes())
             _, _, minor, meta_len = _HEADER.unpack_from(bytes(raw))
             raw[:_HEADER.size] = _HEADER.pack(MAGIC, major, minor, meta_len)
@@ -254,40 +291,21 @@ class TestCorruption:
         with pytest.raises(CorruptFileError, match="class_table"):
             sh.load_model(path)
 
-    @pytest.mark.parametrize("padded", [-4, 4], ids=str)
-    def test_padded_must_lie_below_the_channel_count(
-            self, saved, tmp_path, edit_model_meta, padded):
-        """Layer 1 of the tiny config has F = 4 channels: 0..3 padded."""
-        def change(meta):
-            meta["stages"][1][0]["saab"]["padded"] = padded
-        path = edit_model_meta(saved, tmp_path / "m.sslm", change)
-        with pytest.raises(CorruptFileError, match="pads"):
-            sh.load_model(path)
-
     def test_stage_structure_must_match_ledger(self, saved, tmp_path,
                                                edit_model_meta, stage_edit):
         path = edit_model_meta(saved, tmp_path / "m.sslm", stage_edit)
-        with pytest.raises(CorruptFileError, match="stages|keeps"):
-            sh.load_model(path)
-
-    @pytest.mark.parametrize("kept", [[7, 9], [0, 0], [2, 1], [-1, 2]],
-                             ids=str)
-    def test_kept_must_be_increasing_channel_ids(self, saved, tmp_path,
-                                                 edit_model_meta, kept):
-        """Layer 1 of the tiny config keeps 2 of F = 4 channels: strictly
-        increasing ids in 0..3."""
-        def change(meta):
-            meta["stages"][0][0]["entropy"]["kept"] = kept
-        path = edit_model_meta(saved, tmp_path / "m.sslm", change)
-        with pytest.raises(CorruptFileError, match="keeps channels"):
+        with pytest.raises(CorruptFileError, match="stages"):
             sh.load_model(path)
 
     @pytest.mark.parametrize("edit, key", [
         (lambda meta: meta.update(seed=meta["config"]["seed"]), "seed"),
         (lambda meta: meta.update(tensors=[]), "tensors"),
-        (lambda meta: meta["stages"][0][0]["saab"].update(bias=5.0), "bias"),
+        (lambda meta: meta["stages"][0][0].update(saab={"bias": 5.0}),
+         "saab"),
+        (lambda meta: meta["stages"][0][0].update(entropy={"kept": [0, 1]}),
+         "entropy"),
         (lambda meta: meta["ledger"][0].update(stride=2), "stride"),
-    ], ids=["seed", "tensors", "saab-bias", "ledger-entry"])
+    ], ids=["seed", "tensors", "saab-bias", "entropy-kept", "ledger-entry"])
     def test_unknown_metadata_keys_are_refused(self, saved, tmp_path,
                                                edit_model_meta, edit, key):
         path = edit_model_meta(saved, tmp_path / "m.sslm", edit)

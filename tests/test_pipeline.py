@@ -188,11 +188,8 @@ class TestOnDemandMaps:
         nan[1, 0, 0, 0] = np.nan                 # outside any centered ROI
         with pytest.raises(NonFiniteValuesError):
             sh.assemble_sample(good, nan, cfg, 0, "a")
-        # phases of two depths crop to one ROI shape, so with a ROI the
-        # mismatch is a field of two directions
         with pytest.raises(ShapeMismatchError):
-            sh.assemble_sample(good, good[..., :3] if roi is None
-                               else good[:2], cfg, 0, "a")
+            sh.assemble_sample(good, good[..., :3], cfg, 0, "a")
 
     def test_out_of_bounds_roi_fails_at_assembly(self, rng):
         field = rng.normal(size=(3, 6, 6, 4))
