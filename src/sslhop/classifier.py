@@ -34,31 +34,35 @@ class SvmModel:
     objective_history: tuple = field(default=(), compare=False)
 
 
-def _dual_cd(X: np.ndarray, y: np.ndarray, cost: float, tol: float,
-             max_epochs: int) -> tuple[np.ndarray, np.ndarray]:
+def _dual_cd(X: np.ndarray, gram: np.ndarray, y: np.ndarray, cost: float,
+             tol: float, max_epochs: int) -> tuple[np.ndarray, np.ndarray]:
     """Minimize the L1-hinge dual for one binary machine.
 
-    X already carries the augmented constant column. Returns the primal
-    weight vector and the per-epoch dual objective trace.
+    X already carries the augmented constant column, and ``gram`` is its
+    Gram matrix ``X X^T``. Returns the primal weight vector and the
+    per-epoch dual objective trace.
 
-    The steps run on Python floats: per row, one BLAS dot of the row with
-    ``w`` and, when alpha moves, one vector update of ``w``. The clamps are
-    written as the comparisons ``min``/``max`` make, so every step performs
-    the same floating-point operations in the same order as a plain numpy
-    formulation, and the fit is bit-reproducible.
+    The steps run on Python floats over the gradient ``G = Q alpha - 1`` of
+    the dual, ``Q = gram * y y^T``: a step reads ``g_i`` through a
+    memoryview, with no BLAS call, and when alpha moves, adds the change
+    times row ``i`` of ``Q`` to ``G``. The clamps are written as the
+    comparisons ``min``/``max`` make, and the rows run in the fixed 0..N-1
+    order, so the fit is bit-reproducible. The weights ``X^T (y alpha)``
+    are formed once, at the end.
     """
     n = X.shape[0]
-    alpha = [0.0] * n
-    w = np.zeros(X.shape[1])
-    rows = list(enumerate(zip(y.tolist(), [row.dot for row in X],
-                              (X ** 2).sum(axis=1).tolist(),
-                              y[:, None] * X)))
+    alpha = np.zeros(n)
+    a_of = memoryview(alpha)
+    q = gram * y * y[:, None]
+    grad = np.full(n, -1.0)
+    g_of = memoryview(grad)
+    rows = list(enumerate(zip(q.diagonal().tolist(), q)))
     history = []
     for _ in range(max_epochs):
         pg_max, pg_min = -np.inf, np.inf
-        for i, (y_i, dot_i, q_i, yx_i) in rows:
-            g = y_i * float(dot_i(w)) - 1.0
-            a = alpha[i]
+        for i, (q_ii, q_i) in rows:
+            g = g_of[i]
+            a = a_of[i]
             # projected gradient, min(g, 0) at the lower and max(g, 0) at
             # the upper bound
             if a <= 0.0:
@@ -72,18 +76,19 @@ def _dual_cd(X: np.ndarray, y: np.ndarray, cost: float, tol: float,
             if pg < pg_min:
                 pg_min = pg
             if pg != 0.0:
-                new_a = a - g / q_i
+                new_a = a - g / q_ii
                 if new_a < 0.0:
                     new_a = 0.0
                 if new_a > cost:
                     new_a = cost
                 if new_a != a:
-                    w += (new_a - a) * yx_i
-                    alpha[i] = new_a
-        history.append(0.5 * (w @ w) - np.sum(alpha))
+                    grad += (new_a - a) * q_i
+                    a_of[i] = new_a
+        # 0.5 alpha^T Q alpha - sum(alpha), with Q alpha = G + 1
+        history.append(0.5 * (alpha @ (grad + 1.0)) - alpha.sum())
         if pg_max - pg_min < tol:
             break
-    return w, np.asarray(history)
+    return X.T @ (y * alpha), np.asarray(history)
 
 
 def _is_number(value, kind=numbers.Real) -> bool:
@@ -121,13 +126,16 @@ def fit_svm(X: np.ndarray, labels: np.ndarray, cost: float = 1.0,
     tiny = 1e-12 * np.maximum(1.0, np.abs(mean))
     scale = np.where(scale <= tiny, 1.0, scale)
     scaled = np.hstack([(X - mean) / scale, np.ones((X.shape[0], 1))])
+    # one N x N Gram matrix serves every machine
+    gram = scaled @ scaled.T
 
     weights = np.empty((k, X.shape[1]))
     intercepts = np.empty(k)
     traces = []
     for cls in range(k):
         y = np.where(labels == cls, 1.0, -1.0)
-        w, trace = _dual_cd(scaled, y, float(cost), tol, max_epochs)
+        w, trace = _dual_cd(scaled, gram, y, float(cost), tol,
+                             max_epochs)
         weights[cls] = w[:-1]
         intercepts[cls] = w[-1]
         traces.append(trace)

@@ -119,8 +119,9 @@ def _resolve_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
         if not path.is_file():
             raise MissingFileError(f"config file {path} does not exist")
         try:
-            cfg = pipeline.PipelineConfig.from_dict(json.loads(path.read_text()))
-        except (TypeError, ValueError) as exc:    # JSONDecodeError included
+            cfg = pipeline.PipelineConfig.from_dict(
+                dataio.read_json(path, "config"))
+        except (TypeError, ValueError) as exc:
             raise BadHeaderError(f"{path}: malformed config: {exc}") from exc
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)

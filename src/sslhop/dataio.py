@@ -169,15 +169,31 @@ def _validate_manifest(classes: dict[int, str],
     return DatasetManifest(classes=dict(classes), records=tuple(records))
 
 
+def read_json(path: Path, what: str):
+    """The JSON document in the UTF-8 file ``path``, a ``what`` (manifest,
+    config). Undecodable bytes, invalid JSON and a key repeated within one
+    object raise BadHeaderError."""
+    def unique(pairs: list) -> dict:
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise BadHeaderError(f"{path}: {what} repeats the key {key!r}")
+            doc[key] = value
+        return doc
+
+    try:
+        return json.loads(path.read_bytes().decode("utf-8"),
+                          object_pairs_hook=unique)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise BadHeaderError(f"{path}: undecodable {what}: {exc}") from exc
+
+
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Read and fully validate a dataset manifest."""
     path = Path(path)
     if not path.is_file():
         raise MissingFileError(f"manifest {path} does not exist")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise BadHeaderError(f"{path}: undecodable manifest: {exc}") from exc
+    doc = read_json(path, "manifest")
     try:
         classes = list(doc["classes"].items())
         root = path.parent

@@ -14,12 +14,16 @@ one direction at a time:
 (b) each fold's layer-1 kernel, from its training subjects' moments
     merged in subject order, exactly as a fit of those subjects merges
     them; the moments are then freed;
-(c) one slab pass per subject: its direction map is built on demand, each
-    slab of its unions extracted once and projected with every fold
-    kernel straight into that fold's conv map, which is then pooled;
+(c) one slab pass over the subjects, in runs of whole maps whose unions
+    fit in one slab (a map that fills a slab runs alone, in slabs of its
+    y-rows): a run's direction maps are built on demand, each slab of
+    their unions extracted once and projected with every fold kernel
+    straight into that fold's conv maps of the run, which are then pooled;
 (d) per fold, from its pooled layer-1 maps, the entropy screen and LAG of
     layer 1 and every later layer, for the training and the held-out
-    subjects; the pooled maps are freed before the next direction;
+    subjects, with each later layer's moments and projection read in the
+    same runs of whole maps; the pooled maps are freed before the next
+    direction;
 (e) per fold, in fold order, :func:`fit_pipeline` on the handed-over
     stages fits the SVM, and the held-out subjects are classified.
 

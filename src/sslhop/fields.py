@@ -49,7 +49,23 @@ def crop_roi(field: np.ndarray, origin: tuple[int, int, int],
     ``origin`` and ``size`` are (y, x, z) / (h, w, z) tuples in voxel
     units; the window must lie entirely inside the field.
     """
-    arr = validate_field(field)
+    return _crop(validate_field(field), origin, size)
+
+
+def crop_phases(ed: np.ndarray, es: np.ndarray,
+                origin: tuple[int, int, int] | None,
+                size: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Check both phase fields once (:func:`validate_phases`) and copy the
+    same region of interest of each, as :func:`crop_roi` does; a ``None``
+    origin centers it."""
+    ed, es = validate_phases(ed, es)
+    if origin is None:
+        origin = centered_origin(ed.shape[1:], size)
+    return _crop(ed, origin, size), _crop(es, origin, size)
+
+
+def _crop(arr: np.ndarray, origin, size) -> np.ndarray:
+    """The region of interest of a validated field, as a copy."""
     y, x, z = (int(v) for v in origin)
     h, w, d = (int(v) for v in size)
     if min(h, w, d) < 1:
@@ -110,10 +126,13 @@ class DeformationSample:
             out[..., :depth], out[..., depth:] = ed, es
         return out
 
-    def direction(self, d: int) -> np.ndarray:
-        """The float64 (H, W, 2Z) map of direction ``d``, built on demand."""
+    def direction(self, d: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The float64 (H, W, 2Z) map of direction ``d``, built on demand,
+        in ``out`` when given."""
         ed, es = self.phases
-        return self._merge(ed[d], es[d], np.empty(self.dims))
+        if out is None:
+            out = np.empty(self.dims)
+        return self._merge(ed[d], es[d], out)
 
     @property
     def interlaced(self) -> np.ndarray:

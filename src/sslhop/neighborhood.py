@@ -3,9 +3,12 @@
 A neighborhood union is the flattened content of an h*w*z window over a
 (H, W, Z, C) feature map, all C channels included. Windows slide with
 stride 1 and no padding, so a map yields
-(H-h+1)*(W-w+1)*(Z-z+1) unions of length h*w*z*C. Layers read them in
-slabs of whole y-rows of window origins (:func:`union_slabs`), so they
-never hold the union matrix of a whole map, only about ``SLAB_BYTES`` of it.
+(H-h+1)*(W-w+1)*(Z-z+1) unions of length h*w*z*C. A layer carries its maps
+as one (N, H, W, Z, C) stack and reads their unions in slabs
+(:func:`union_slabs`) of about ``SLAB_BYTES``: runs of whole maps when one
+map's unions fit in a slab, or else runs of whole y-rows of window origins
+of one map. So it never holds the union matrix of the whole stack, nor of
+one large map.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import ShapeMismatchError, WindowTooLargeError
 
-# Budget of one slab's union matrix; a slab holds at least one y-row of
-# window origins even when that row alone is larger.
+# Budget of one slab's float64 union matrix; a slab holds at least one
+# y-row of window origins even when that row alone is larger.
 SLAB_BYTES = 1 << 20
 
 
@@ -29,73 +32,115 @@ def union_count(dims: tuple[int, ...], window: tuple[int, int, int]) -> int:
     return (H - h + 1) * (W - w + 1) * (Z - z + 1)
 
 
-def extract_unions(fmap: np.ndarray, window: tuple[int, int, int]) -> np.ndarray:
-    """Gather every neighborhood union of ``fmap`` into an
-    (n_unions, h*w*z*C) row matrix.
+def _stack(maps) -> np.ndarray:
+    """A (N, H, W, Z, C) stack of ``maps``; one (H, W, Z, C) map is a
+    stack of one."""
+    arr = np.asarray(maps)
+    if arr.ndim == 4:
+        arr = arr[None]
+    if arr.ndim != 5:
+        raise ShapeMismatchError(
+            f"expected a (H, W, Z, C) map or a stack of them, got shape {arr.shape}")
+    return arr
 
-    Rows run over window origins lexicographically in (y, x, z); within a
-    row, elements run (y-offset, x-offset, z-offset, channel), channel
-    fastest. The matrix is a transposed view of a column-major buffer, in
-    which each union element is one contiguous run over the origins.
-    """
-    arr = np.asarray(fmap)
-    if arr.ndim != 4:
-        raise ShapeMismatchError(f"expected a (H, W, Z, C) map, got shape {arr.shape}")
-    H, W, Z, C = arr.shape
+
+def _window(shape: tuple[int, ...], window) -> tuple[int, int, int]:
+    """``window`` as three ints that fit the maps of a stack of ``shape``."""
     h, w, z = (int(v) for v in window)
     if min(h, w, z) < 1:
         raise WindowTooLargeError(f"window must be positive, got {window}")
-    if h > H or w > W or z > Z:
-        raise WindowTooLargeError(f"window {window} exceeds map dims {(H, W, Z)}")
-    # read-only (h, w, z, C, Y, X, Z') view from the map's own strides: the
-    # window offsets and the origins step alike, so its C-order copy is
-    # column-major and every union element is one run over the origins
-    origins = (H - h + 1, W - w + 1, Z - z + 1)
-    sy, sx, sz, sc = arr.strides
-    view = as_strided(arr, (h, w, z, C) + origins,
-                      (sy, sx, sz, sc, sy, sx, sz), writeable=False)
-    return view.copy().reshape(h * w * z * C, math.prod(origins)).T
+    if h > shape[1] or w > shape[2] or z > shape[3]:
+        raise WindowTooLargeError(
+            f"window {window} exceeds map dims {tuple(shape[1:4])}")
+    return h, w, z
 
 
-def union_slabs(fmap: np.ndarray, window: tuple[int, int, int]):
-    """Yield the union row matrices of slabs of whole y-rows of window
-    origins, in origin order; a slab takes at most ``SLAB_BYTES``, unless
-    one row alone takes more.
+def extract_unions(maps, window: tuple[int, int, int]) -> np.ndarray:
+    """Gather every neighborhood union of a map, or of a (N, H, W, Z, C)
+    stack of maps, into an (N * n_unions, h*w*z*C) row matrix.
 
-    Stacking the slabs in order gives :func:`extract_unions` of the whole
-    map, whose rows are the C-order rows of the (y, x, z) origin grid.
+    Rows run over maps, then window origins lexicographically in (y, x, z);
+    within a row, elements run (y-offset, x-offset, z-offset, channel),
+    channel fastest. The matrix is a transposed view of a column-major
+    buffer, in which each union element is one contiguous run over the
+    maps and origins.
     """
-    arr = np.asarray(fmap)
-    if arr.ndim != 4:
-        raise ShapeMismatchError(f"expected a (H, W, Z, C) map, got shape {arr.shape}")
-    H, W, Z, C = arr.shape
-    h, w, z = (int(v) for v in window)
-    row_bytes = (W - w + 1) * (Z - z + 1) * h * w * z * C * arr.itemsize
-    step = max(1, SLAB_BYTES // max(1, row_bytes))
-    # an invalid window still yields one slab, whose extraction raises
-    for y0 in range(0, max(1, H - h + 1), step):
-        yield extract_unions(arr[y0:y0 + step + h - 1], (h, w, z))
+    arr = _stack(maps)
+    N, H, W, Z, C = arr.shape
+    h, w, z = _window(arr.shape, window)
+    # read-only (h, w, z, C, N, Y, X, Z') view from the stack's own strides:
+    # the window offsets and the origins step alike, and the map axis sits
+    # between them, so its C-order copy is column-major and every union
+    # element is one run over the maps and origins
+    origins = (H - h + 1, W - w + 1, Z - z + 1)
+    sn, sy, sx, sz, sc = arr.strides
+    view = as_strided(arr, (h, w, z, C, N) + origins,
+                      (sy, sx, sz, sc, sn, sy, sx, sz), writeable=False)
+    return view.copy().reshape(h * w * z * C, N * math.prod(origins)).T
+
+
+def _slab_steps(shape: tuple[int, ...], window) -> tuple[int, int]:
+    """Maps and y-rows of window origins per slab of a (N, H, W, Z, C)
+    stack: as many whole maps as fit in ``SLAB_BYTES`` of float64 unions,
+    or, when one map's unions fill a slab, one map in runs of as many
+    whole y-rows as fit (at least one)."""
+    _, H, W, Z, C = shape
+    h, w, z = window
+    rows = SLAB_BYTES // max(1, (W - w + 1) * (Z - z + 1) * h * w * z * C * 8)
+    return max(1, rows // max(1, H - h + 1)), max(1, rows)
+
+
+def map_groups(shape: tuple[int, ...], window) -> list[slice]:
+    """The runs of maps that :func:`union_slabs` reads a (N, H, W, Z, C)
+    stack in, in order: as many whole maps as fit in one slab, or one map
+    alone when its unions fill a slab (its y-rows then span several)."""
+    step = _slab_steps(shape, window)[0]
+    return [slice(k, k + step) for k in range(0, shape[0], step)]
+
+
+def union_slabs(maps, window: tuple[int, int, int]):
+    """Yield the union row matrices of the slabs of a map, or of a stack of
+    maps, in order; a slab takes at most ``SLAB_BYTES``, unless one y-row
+    of window origins alone takes more.
+
+    A slab is one run of :func:`map_groups`, or, when that run is one map
+    whose unions fill a slab, a run of whole y-rows of its window origins.
+    Stacking the slabs in order gives :func:`extract_unions` of the whole
+    stack.
+    """
+    arr = _stack(maps)
+    window = _window(arr.shape, window)
+    per_slab, rows_per_slab = _slab_steps(arr.shape, window)
+    rows = arr.shape[1] - window[0] + 1
+    for k in range(0, len(arr), per_slab):
+        # one pass when the maps fit in a slab: then rows_per_slab >= rows
+        for y0 in range(0, rows, rows_per_slab):
+            yield extract_unions(
+                arr[k:k + per_slab, y0:y0 + rows_per_slab + window[0] - 1],
+                window)
 
 
 def max_pool(fmap: np.ndarray) -> np.ndarray:
-    """Max-pool each spatial axis of a (H, W, Z, C) map over 2x2x2 blocks.
+    """Max-pool each spatial axis of a (..., H, W, Z, C) map, or stack of
+    maps, over 2x2x2 blocks.
 
     Ceil mode: the trailing partial block on an odd axis is kept (max over
     the remaining elements), so output dims are ceil(dim / 2).
     """
     arr = np.asarray(fmap)
-    if arr.ndim != 4:
-        raise ShapeMismatchError(f"expected a (H, W, Z, C) map, got shape {arr.shape}")
+    if arr.ndim < 4:
+        raise ShapeMismatchError(
+            f"expected a (..., H, W, Z, C) map, got shape {arr.shape}")
     # max of strided even/odd slices, taken in place in the even-even one;
     # on an odd axis the last even slice has no odd partner and is kept
-    yx = arr[::2, ::2].copy()
+    yx = arr[..., ::2, ::2, :, :].copy()
     for dy, dx in ((0, 1), (1, 0), (1, 1)):
-        part = arr[dy::2, dx::2]
-        head = yx[:part.shape[0], :part.shape[1]]
+        part = arr[..., dy::2, dx::2, :, :]
+        head = yx[..., :part.shape[-4], :part.shape[-3], :, :]
         np.maximum(head, part, out=head)
-    pooled = yx[:, :, ::2].copy()
-    head = pooled[:, :, :yx.shape[2] // 2]
-    np.maximum(head, yx[:, :, 1::2], out=head)
+    pooled = yx[..., ::2, :].copy()
+    head = pooled[..., :yx.shape[-2] // 2, :]
+    np.maximum(head, yx[..., 1::2, :], out=head)
     return pooled
 
 

@@ -26,9 +26,9 @@ from . import classifier, neighborhood, saab, supervise
 from .errors import (MissingClassError, ShapeLedgerMismatchError,
                      ShapeMismatchError, SingleClassError, WindowTooLargeError,
                      as_integer)
-from .fields import CONCAT_MODES, DIRECTIONS, DeformationSample, \
-    centered_origin, crop_roi, validate_phases
-from .neighborhood import max_pool, pooled_dims, union_count, union_slabs
+from .fields import CONCAT_MODES, DIRECTIONS, DeformationSample, crop_phases
+from .neighborhood import map_groups, max_pool, pooled_dims, union_count, \
+    union_slabs
 
 
 @dataclass(frozen=True)
@@ -226,12 +226,7 @@ def assemble_sample(ed: np.ndarray, es: np.ndarray, cfg: PipelineConfig,
     """Validate both phases and crop them to the configured ROI; they merge
     along depth, in the configured order, whenever a map is built."""
     if cfg.roi_size is not None:
-        ed, es = validate_phases(ed, es)
-        origin = cfg.roi_origin
-        if origin is None:
-            origin = centered_origin(ed.shape[1:], cfg.roi_size)
-        ed = crop_roi(ed, origin, cfg.roi_size)
-        es = crop_roi(es, origin, cfg.roi_size)
+        ed, es = crop_phases(ed, es, cfg.roi_origin, cfg.roi_size)
     return DeformationSample(ed, es, cfg.concat_mode, label, subject_id)
 
 
@@ -300,31 +295,37 @@ def _lag_seed(seed: int, layer: int, direction: int) -> int:
 
 
 class _DirectionMaps:
-    """The one-channel (H, W, Z, 1) float64 input maps of one direction of
-    every sample, as a sequence; each map is built when it is indexed."""
+    """The one-channel float64 input maps of one direction of every sample,
+    as a (N, H, W, Z, 1) stack whose runs of maps are built when they are
+    taken (``maps[start:stop]``)."""
 
     def __init__(self, samples: list[DeformationSample], direction: int):
         self.samples, self.direction = samples, direction
+        self.shape = (len(samples),) + samples[0].dims + (1,)
 
     def __len__(self) -> int:
         return len(self.samples)
 
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self.samples[i].direction(self.direction)[..., None]
+    def __getitem__(self, run: slice) -> np.ndarray:
+        samples = self.samples[run]
+        out = np.empty((len(samples),) + self.shape[1:])
+        for sample, fmap in zip(samples, out[..., 0]):
+            sample.direction(self.direction, out=fmap)
+        return out
 
 
-def _project(kernels, fmap: np.ndarray, window) -> list[np.ndarray]:
-    """Project the unions of one map with each kernel into a preallocated
-    (H-h+1, W-w+1, Z-z+1, F) conv map of its own. Each slab is extracted
-    once, and every kernel writes its projection of it in place, at the
-    slab's rows of its conv map. Returning frees the last slab before the
-    caller pools."""
-    (H, W, Z, _), (h, w, z) = fmap.shape, window
-    convs = [np.empty((H - h + 1, W - w + 1, Z - z + 1, k.channels))
+def _project(kernels, maps: np.ndarray, window) -> list[np.ndarray]:
+    """Project the unions of a (N, H, W, Z, C) stack of maps with each
+    kernel into a preallocated (N, H-h+1, W-w+1, Z-z+1, F) conv stack of
+    its own. Each slab is extracted once, and every kernel writes its
+    projection of it in place, at the slab's rows of its conv stack.
+    Returning frees the last slab before the caller pools."""
+    (N, H, W, Z, _), (h, w, z) = maps.shape, window
+    convs = [np.empty((N, H - h + 1, W - w + 1, Z - z + 1, k.channels))
              for k in kernels]
     rows = [conv.reshape(-1, conv.shape[-1]) for conv in convs]
     start = 0
-    for unions in union_slabs(fmap, window):
+    for unions in union_slabs(maps, window):
         stop = start + len(unions)
         for kernel, out in zip(kernels, rows):
             saab.apply_saab(kernel, unions, out=out[start:stop])
@@ -332,43 +333,39 @@ def _project(kernels, fmap: np.ndarray, window) -> list[np.ndarray]:
     return convs
 
 
-def _run_layer(kernels, fmap: np.ndarray, window,
-               shapes: LayerShapes) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Apply one layer's fitted kernels to one map; (conv, pooled) per
-    kernel."""
-    if fmap.shape != shapes.input_dims:
-        raise ShapeLedgerMismatchError(
-            f"layer {shapes.layer} input {fmap.shape}, "
-            f"ledger says {shapes.input_dims}")
-    out = []
-    for conv in _project(kernels, fmap, window):
-        conv = conv[:, :, :shapes.conv_dims[2]]       # optional depth truncation
-        if conv.shape != shapes.conv_dims:
-            raise ShapeLedgerMismatchError(
-                f"projection produced {conv.shape}, ledger says {shapes.conv_dims}")
-        pooled = max_pool(conv)
-        if pooled.shape != shapes.pool_dims:
-            raise ShapeLedgerMismatchError(
-                f"pooling produced {pooled.shape}, ledger says {shapes.pool_dims}")
-        out.append((conv, pooled))
-    return out
-
-
 def _pool_layer(kernels, maps, window, shapes: LayerShapes,
                 rows: np.ndarray | None = None, map_fn=map) -> np.ndarray:
-    """Apply one layer's kernels to a sequence of maps; one stacked
-    (N, H, W, Z, C) array per kernel, as a (K, N, ...) array. Map ``i``
-    goes to row ``rows[k, i]`` of stack ``k`` (row ``i`` by default).
-    ``map_fn`` runs the per-map work; each map writes only its own rows, so
-    a thread pool's ``map`` may run maps side by side."""
+    """Apply one layer's kernels to a (N, H, W, Z, C) stack of maps; one
+    stacked (N, H', W', Z', F) array of pooled maps per kernel, as a
+    (K, N, ...) array. Map ``i`` goes to row ``rows[k, i]`` of stack ``k``
+    (row ``i`` by default).
+
+    The maps run in the groups of :func:`map_groups`, so a group's conv
+    stacks take about a slab: the conv maps of the whole stack are never
+    held at once. ``map_fn`` runs the per-group work; each group writes
+    only its own rows, so a thread pool's ``map`` may run groups side by
+    side."""
+    if maps.shape[1:] != shapes.input_dims:
+        raise ShapeLedgerMismatchError(
+            f"layer {shapes.layer} input {maps.shape[1:]}, "
+            f"ledger says {shapes.input_dims}")
     out = np.empty((len(kernels), len(maps)) + shapes.pool_dims)
 
-    def run(i: int) -> None:
-        for k, (_, pooled) in enumerate(_run_layer(kernels, maps[i], window,
-                                                   shapes)):
-            out[k, i if rows is None else rows[k, i]] = pooled
+    def run(group: slice) -> None:
+        for k, conv in enumerate(_project(kernels, maps[group], window)):
+            conv = conv[:, :, :, :shapes.conv_dims[2]]  # optional depth truncation
+            if conv.shape[1:] != shapes.conv_dims:
+                raise ShapeLedgerMismatchError(
+                    f"projection produced {conv.shape[1:]}, "
+                    f"ledger says {shapes.conv_dims}")
+            pooled = max_pool(conv)
+            if pooled.shape[1:] != shapes.pool_dims:
+                raise ShapeLedgerMismatchError(
+                    f"pooling produced {pooled.shape[1:]}, "
+                    f"ledger says {shapes.pool_dims}")
+            out[k, group if rows is None else rows[k, group]] = pooled
 
-    for _ in map_fn(run, range(len(maps))):
+    for _ in map_fn(run, map_groups(maps.shape, window)):
         pass
     return out
 
@@ -391,28 +388,35 @@ def concat_features(blocks) -> np.ndarray:
                           axis=1)
 
 
-def _union_moments(fmap: np.ndarray, window) -> saab.Moments:
-    """Moments of one map's neighborhood unions.
+def _union_moments(maps: np.ndarray, window):
+    """Yield the moments of the unions of each group of a (N, H, W, Z, C)
+    stack of maps, in the order of :func:`map_groups`; merged in order,
+    they are the moments of the whole stack's unions.
 
-    Each channel's mean is subtracted from the map once, a copy D/C times
-    smaller than its unions; the slabs of the shifted map add up raw sums
-    and Gram matrices, corrected once per map (the shifted-data algorithm
-    of Chan, Golub & LeVeque 1983). The mean is taken about the first
-    voxel, so a constant channel shifts to exact zeros and adds exactly
-    nothing to the scatter.
+    Each channel's mean over the group is subtracted from its maps once, a
+    copy D/C times smaller than their unions; the group's slabs of the
+    shifted maps add up raw sums and Gram matrices, corrected once per
+    group (the shifted-data algorithm of Chan, Golub & LeVeque 1983). The
+    mean is taken about the group's first voxel, so a constant channel
+    shifts to exact zeros and adds exactly nothing to the scatter. A map
+    whose unions fill a slab is a group of its own.
     """
-    shifted = np.subtract(fmap, fmap[0, 0, 0], dtype=np.float64)
-    shift = shifted.mean(axis=(0, 1, 2))
-    shifted -= shift
-    total = gram = 0.0
-    for unions in union_slabs(shifted, window):
-        total += unions.sum(axis=0)
-        gram += unions.T @ unions
-    n = union_count(fmap.shape, window)
-    mean = total / n
-    shift += fmap[0, 0, 0]
-    return saab.Moments(n, mean + np.tile(shift, math.prod(window)),
-                        gram - n * np.outer(mean, mean))
+    per_map = union_count(maps.shape[1:], window)
+    for group in map_groups(maps.shape, window):
+        fmaps = maps[group]
+        first = fmaps[0, 0, 0, 0]
+        shifted = np.subtract(fmaps, first, dtype=np.float64)
+        shift = shifted.mean(axis=(0, 1, 2, 3))
+        shifted -= shift
+        total = gram = 0.0
+        for unions in union_slabs(shifted, window):
+            total += unions.sum(axis=0)
+            gram += unions.T @ unions
+        n = per_map * len(fmaps)
+        mean = total / n
+        shift += first
+        yield saab.Moments(n, mean + np.tile(shift, math.prod(window)),
+                           gram - n * np.outer(mean, mean))
 
 
 def _fit_direction(pooled: np.ndarray, kernel: saab.SaabKernel,
@@ -432,8 +436,8 @@ def _fit_direction(pooled: np.ndarray, kernel: saab.SaabKernel,
     for li, (layer, shapes) in enumerate(zip(cfg.layers, ledger)):
         if li:
             kernel = saab.fit_saab_batches(
-                (_union_moments(m, layer.window) for m in pooled[:n]),
-                layer.channels, cfg.bias_scale)
+                _union_moments(pooled[:n], layer.window), layer.channels,
+                cfg.bias_scale)
             pooled = _pool_layer([kernel], pooled, layer.window, shapes)[0]
         entropy = supervise.channel_entropy(pooled[:n], labels, cfg.keep_ratio)
         flat = _reduce(pooled, entropy.kept, shapes)
@@ -456,15 +460,17 @@ def fit_folds(samples: list[DeformationSample], cfg: PipelineConfig,
     once, and each set's layer-1 kernel merges those of its training
     samples in their order, so its stages are those of a fit of its
     training samples alone, bit for bit. The moments are freed before one
-    slab pass projects every sample's map with every set's kernel, into a
-    stack per set that holds its training samples, then its held-out ones;
-    :func:`_fit_direction` then fits each set's layers from its stack.
+    slab pass, over runs of whole maps (:func:`map_groups`), projects every
+    sample's map with every set's kernel, into a stack per set that holds
+    its training samples, then its held-out ones; :func:`_fit_direction`
+    then fits each set's layers from its stack.
 
-    With ``threads`` > 1, the per-sample and per-set work runs on a pool
-    of at most one worker per set when a layer-1 map's unions fill a slab:
-    below that, a map's work is a run of small numpy calls that hold the
-    GIL, and threads only contend for it. Each piece of work writes only
-    its own results, so the output does not depend on the thread count.
+    With ``threads`` > 1, the per-sample, per-map and per-set work runs on
+    a pool of at most one worker per set when a layer-1 map's unions fill a
+    slab: below that, a run of maps is a run of small numpy calls that hold
+    the GIL, and threads only contend for it. Each piece of work writes
+    only its own results, so the output does not depend on the thread
+    count.
     """
     ledger = compute_ledger(cfg, common_dims(samples))
     labels = np.array([s.label for s in samples], dtype=np.int64)
@@ -480,8 +486,9 @@ def fit_folds(samples: list[DeformationSample], cfg: PipelineConfig,
         map_fn = pool.map if fan else map
         for d in range(DIRECTIONS):
             maps = _DirectionMaps(samples, d)
+            # one group per sample: each set merges its samples' moments
             moments = list(map_fn(
-                lambda i: _union_moments(maps[i], layer.window),
+                lambda i: next(_union_moments(maps[i:i + 1], layer.window)),
                 range(len(maps))))
             kernels = [saab.fit_saab_batches([moments[i] for i in t],
                                              layer.channels, cfg.bias_scale)

@@ -21,8 +21,8 @@ def _blobs(rng, k=3, per=20, d=5, spread=6.0):
 def _numpy_dual_cd(X, y, cost, tol, max_epochs):
     """Frozen plain-numpy dual CD: the solver's oracle, step for step.
 
-    ``classifier._dual_cd`` must reproduce it bit for bit: same fixed
-    0..N-1 order, same floating-point operations, same stopping rule.
+    ``classifier._dual_cd`` must take its steps: same fixed 0..N-1 order,
+    same clamps, same stopping rule.
     """
     n = X.shape[0]
     alpha = np.zeros(n)
@@ -167,20 +167,30 @@ def _oracle_problems(rng):
     yield "epoch-cap", X, y, {"max_epochs": 3}
 
 
+def _close(got, want, rtol=1e-12):
+    """Equal within ``rtol`` of the largest magnitude in ``want``."""
+    return np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
 class TestSolverOracle:
-    def test_matches_numpy_dual_cd_bit_for_bit(self, rng, monkeypatch):
+    def test_matches_numpy_dual_cd_within_roundoff(self, rng, monkeypatch):
+        """The Gram-form solver takes the oracle's steps: the same epochs
+        per machine, and weights, intercepts and objectives that differ
+        only by the summation order of ``y_i w.x_i`` against ``(Q a)_i``."""
         for name, X, y, kwargs in _oracle_problems(rng):
             model = fit_svm(X, y, **kwargs)
             with monkeypatch.context() as m:
-                m.setattr(classifier, "_dual_cd", _numpy_dual_cd)
+                m.setattr(classifier, "_dual_cd",
+                          lambda X, gram, *args: _numpy_dual_cd(X, *args))
                 oracle = fit_svm(X, y, **kwargs)
-            assert np.array_equal(model.weights, oracle.weights), name
-            assert np.array_equal(model.intercepts, oracle.intercepts), name
-            assert len(model.objective_history) == len(oracle.objective_history)
+            assert _close(model.weights, oracle.weights), name
+            assert _close(model.intercepts, oracle.intercepts), name
+            assert [len(t) for t in model.objective_history] == \
+                [len(t) for t in oracle.objective_history], name
             for got, want in zip(model.objective_history,
                                  oracle.objective_history):
                 assert got.dtype == want.dtype, name
-                assert np.array_equal(got, want), name
+                assert _close(got, want), name
             if name == "overlapping-low-cost":
                 # many margin violators: their alphas end at the bound C
                 _, scores = predict(model, X)

@@ -325,6 +325,8 @@ MALFORMED_CONFIGS = {
     "roi-origin-float": {"roi_size": [10, 10, 6], "roi_origin": [1.5, 1, 0]},
     "centroids-true": {"centroids_per_class": True},
     "seed-false": {"seed": False},
+    "repeated-key": '{"seed": 1, "seed": 2, "layers": [{"window": [3, 3, 4], '
+                    '"channels": 4}]}',
 }
 
 
@@ -451,6 +453,25 @@ class TestErrorSurface:
         err = json.loads(capsys.readouterr().err)
         assert code == 3
         assert err["error"]["type"] == "TooFewSubjectsError"
+
+    @pytest.mark.parametrize("encode", [
+        lambda text: text.replace('"classes": {', '"classes": {"0": "x", ',
+                                  1).encode(),
+        lambda text: text.encode("utf-16")],
+        ids=["repeated-class-key", "utf-16"])
+    def test_malformed_manifest_is_a_data_error(self, cohort, config_file,
+                                                tmp_path, encode, capsys):
+        doc = json.loads(cohort.read_text())
+        for rec in doc["records"]:
+            for phase in ("ed", "es"):
+                rec[phase] = str(cohort.parent / rec[phase])
+        bad = tmp_path / "manifest.json"
+        bad.write_bytes(encode(json.dumps(doc)))
+        code = main(["fit", "--manifest", str(bad), "--config",
+                     str(config_file), "--out", str(tmp_path / "out")])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 3
+        assert err["error"]["type"] == "BadHeaderError"
 
     @pytest.mark.parametrize("edit", MALFORMED_CONFIGS.values(),
                              ids=MALFORMED_CONFIGS.keys())

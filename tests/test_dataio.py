@@ -250,6 +250,29 @@ class TestManifests:
         with pytest.raises(BadHeaderError):
             sh.load_manifest(path)
 
+    @pytest.mark.parametrize("where", ["classes", "record"])
+    def test_repeated_keys_are_refused(self, tmp_path, rng, where):
+        """JSON keeps the last of repeated keys; a manifest must not
+        repeat one, so no entry is dropped without a word."""
+        text = json.dumps(self._valid_doc(tmp_path, rng))
+        if where == "classes":
+            text = text.replace('"classes": {', '"classes": {"0": "HCM", ', 1)
+        else:
+            text = text.replace('{"subject_id": "a"',
+                                '{"subject_id": "c", "subject_id": "a"', 1)
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        with pytest.raises(BadHeaderError, match="repeats the key"):
+            sh.load_manifest(path)
+
+    def test_manifest_that_is_not_utf8_is_refused(self, tmp_path, rng):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(json.dumps(self._valid_doc(tmp_path, rng))
+                         .encode("utf-16"))
+        assert path.read_bytes()[:2] == b"\xff\xfe"
+        with pytest.raises(BadHeaderError, match="undecodable"):
+            sh.load_manifest(path)
+
 
 class TestSynthetic:
     def test_file_inventory(self, tmp_path):

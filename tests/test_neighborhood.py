@@ -159,10 +159,10 @@ class TestUnionSlabs:
             dim = dense.shape[1]
             kernel = fit_saab(rng.normal(size=(40, dim)), min(4, dim))
             _set_budget(monkeypatch, fmap, window, budget)
-            (conv,) = sslhop.pipeline._project([kernel], fmap, window)
+            (conv,) = sslhop.pipeline._project([kernel], fmap[None], window)
             grid = tuple(d - k + 1 for d, k in zip(fmap.shape, window))
             expect = apply_saab(kernel, dense).reshape(
-                grid + (kernel.channels,))
+                (1,) + grid + (kernel.channels,))
             np.testing.assert_allclose(conv, expect, rtol=0, atol=1e-12)
 
     def test_invalid_window_raises_on_first_slab(self):

@@ -9,6 +9,7 @@ import pytest
 
 import sslhop as sh
 import sslhop.evaluate
+import sslhop.fields
 import sslhop.neighborhood
 import sslhop.pipeline
 from sslhop.errors import (
@@ -191,6 +192,27 @@ class TestOnDemandMaps:
         with pytest.raises(ShapeMismatchError):
             sh.assemble_sample(good, good[..., :3], cfg, 0, "a")
 
+    def test_roi_validates_each_full_phase_once(self, rng, monkeypatch):
+        """A non-finite voxel outside the ROI is still refused, with exit
+        code 3, by the one check of each full phase."""
+        cfg = dataclasses.replace(sh.small_config(), roi_size=(2, 2, 2))
+        checked = []
+        validate = sslhop.fields.validate_field
+
+        def counted(field):
+            checked.append(np.shape(field))
+            return validate(field)
+
+        monkeypatch.setattr(sslhop.fields, "validate_field", counted)
+        good = rng.normal(size=(3, 6, 6, 4))
+        sh.assemble_sample(good, good, cfg, 0, "a")
+        assert checked.count(good.shape) == 2
+        nan = good.copy()
+        nan[1, 0, 0, 0] = np.nan                 # outside the centered ROI
+        with pytest.raises(NonFiniteValuesError) as err:
+            sh.assemble_sample(good, nan, cfg, 0, "a")
+        assert err.value.exit_code == 3
+
     def test_out_of_bounds_roi_fails_at_assembly(self, rng):
         field = rng.normal(size=(3, 6, 6, 4))
         for extra in ({"roi_size": (7, 2, 2)},
@@ -261,16 +283,18 @@ class TestFit:
         _, records = tiny_cohort
         s = sh.assemble_sample(records[0].ed, records[0].es, tiny_cfg,
                                records[0].label, records[0].subject_id)
-        pooled, maps = s.direction(1)[..., None], []
+        pooled, maps = s.direction(1)[None, ..., None], []
         for stage, layer, row in zip(tiny_model.stages[1], tiny_cfg.layers,
                                      tiny_model.ledger):
-            ((conv, pooled),) = sslhop.pipeline._run_layer(
-                [stage.kernel], pooled, layer.window, row)
-            maps.append((conv, pooled))
+            (conv,) = sslhop.pipeline._project([stage.kernel], pooled,
+                                               layer.window)
+            pooled = sslhop.pipeline._pool_layer([stage.kernel], pooled,
+                                                 layer.window, row)[0]
+            maps.append((conv[:, :, :, :row.conv_dims[2]], pooled))
         assert len(maps) == len(tiny_cfg.layers)
         for (conv, pooled), row in zip(maps, tiny_model.ledger):
-            assert conv.shape == row.conv_dims
-            assert pooled.shape == row.pool_dims
+            assert conv.shape == (1,) + row.conv_dims
+            assert pooled.shape == (1,) + row.pool_dims
 
     def test_single_class_rejected(self, tiny_cohort, tiny_cfg):
         _, records = tiny_cohort
@@ -363,6 +387,18 @@ def tiny_slabs(monkeypatch, tiny_cfg):
     assert len(list(sh.union_slabs(fmap, tiny_cfg.layers[0].window))) >= 3
 
 
+@pytest.fixture()
+def tiny_stacked_slabs(monkeypatch, tiny_cfg):
+    """Read tiny-cohort layer-1 maps three whole maps to a slab, so that a
+    stack of ten maps ends in a ragged slab of one."""
+    window = tiny_cfg.layers[0].window
+    map_bytes = sh.union_count((12, 12, 12), window) * math.prod(window) * 8
+    monkeypatch.setattr(sslhop.neighborhood, "SLAB_BYTES", 3 * map_bytes)
+    slabs = list(sh.union_slabs(np.zeros((10, 12, 12, 12, 1)), window))
+    assert [len(u) for u in slabs] == \
+        [n * sh.union_count((12, 12, 12), window) for n in (3, 3, 3, 1)]
+
+
 class TestLayerOneHandOff:
     def test_per_subject_moments_give_identical_bytes(self, tiny_cohort,
                                                       tiny_cfg, tiny_model,
@@ -393,6 +429,13 @@ class TestLayerOneHandOff:
         _assert_fold_models_match_standalone_fits(records, tiny_cfg,
                                                   monkeypatch, tmp_path)
 
+    def test_cv_fold_models_match_standalone_fits_in_stacked_slabs(
+            self, tiny_cohort, tiny_cfg, tiny_stacked_slabs, monkeypatch,
+            tmp_path):
+        _, records = tiny_cohort
+        _assert_fold_models_match_standalone_fits(records, tiny_cfg,
+                                                  monkeypatch, tmp_path)
+
     def test_block_with_a_held_out_subject_is_rejected(self, tiny_cohort,
                                                        tiny_cfg):
         """Stages handed to a fit must cover exactly its samples, in their
@@ -409,14 +452,14 @@ def _fold_kernels(rng, dims, window, count=5, channels=5):
     """Kernels fitted on ``count`` different random maps, as fold kernels
     are fitted on different subjects."""
     return [sh.fit_saab_batches(
-                [sslhop.pipeline._union_moments(rng.normal(size=dims),
-                                                window)], channels)
+                sslhop.pipeline._union_moments(rng.normal(size=(1,) + dims),
+                                               window), channels)
             for _ in range(count)]
 
 
 def _assert_shared_slab_pass_matches_one_kernel_calls(rng, dims, window):
     kernels = _fold_kernels(rng, dims, window)
-    fmap = rng.normal(size=dims)
+    fmap = rng.normal(size=(1,) + dims)
     convs = sslhop.pipeline._project(kernels, fmap, window)
     assert len(convs) == len(kernels)
     for kernel, conv in zip(kernels, convs):
@@ -456,6 +499,45 @@ class TestSharedSlabPass:
             np.testing.assert_array_equal(stack, alone[rows])
 
 
+class TestStackedLayerSteps:
+    @pytest.mark.parametrize("per_group", [3, None],
+                             ids=["groups-of-3", "one-group"])
+    def test_stacked_maps_equal_per_map_results(self, rng, monkeypatch,
+                                                per_group):
+        """Seven layer-2 sized maps projected and pooled as a stack, in
+        groups of three whole maps (the last one ragged) or in one group,
+        equal each map's own projection and pooling bit for bit."""
+        cfg = sh.PipelineConfig(layers=(sh.LayerSpec((3, 3, 4), 4),
+                                        sh.LayerSpec((3, 3, 3), 5)))
+        shapes = sh.compute_ledger(cfg, (12, 12, 12))[1]
+        window = cfg.layers[1].window
+        maps = rng.normal(size=(7,) + shapes.input_dims)
+        kernels = _fold_kernels(rng, shapes.input_dims, window, count=2)
+        if per_group is not None:
+            map_bytes = (sh.union_count(shapes.input_dims, window)
+                         * shapes.union_dim * 8)
+            monkeypatch.setattr(sslhop.neighborhood, "SLAB_BYTES",
+                                per_group * map_bytes)
+        assert len(sslhop.neighborhood.map_groups(maps.shape, window)) == \
+            (3 if per_group else 1)
+        convs = sslhop.pipeline._project(kernels, maps, window)
+        stacks = sslhop.pipeline._pool_layer(kernels, maps, window, shapes)
+        for i in range(len(maps)):
+            alone = sslhop.pipeline._project(kernels, maps[i:i + 1], window)
+            for conv, one in zip(convs, alone):
+                np.testing.assert_array_equal(conv[i:i + 1], one)
+            np.testing.assert_array_equal(
+                stacks[:, i:i + 1],
+                sslhop.pipeline._pool_layer(kernels, maps[i:i + 1], window,
+                                            shapes))
+
+    def test_max_pool_of_a_stack_equals_each_maps_pool(self, rng):
+        stack = rng.normal(size=(2, 3, 5, 7, 3, 2))
+        pooled = sh.max_pool(stack)
+        for idx in np.ndindex(stack.shape[:2]):
+            np.testing.assert_array_equal(pooled[idx], sh.max_pool(stack[idx]))
+
+
 def _dense_moments(fmap, window):
     """Mean and centered scatter of a map's unions in long double."""
     unions = sh.extract_unions(fmap, window).astype(np.longdouble)
@@ -479,9 +561,34 @@ class TestUnionMoments:
         monkeypatch.setattr(sslhop.neighborhood, "SLAB_BYTES",
                             rows // 3 * row_bytes)
         assert len(list(sh.union_slabs(fmap, window))) >= 3
-        moments = sslhop.pipeline._union_moments(fmap, window)
+        (moments,) = sslhop.pipeline._union_moments(fmap[None], window)
         mean, scatter = _dense_moments(fmap, window)
         assert moments.count == sh.union_count(dims, window)
+        assert np.abs(moments.scatter - scatter).max() \
+            <= 1e-13 * np.abs(scatter).max()
+        assert np.abs(moments.mean - mean).max() <= 1e-13 * np.abs(mean).max()
+
+    @pytest.mark.parametrize("per_group", [2, None],
+                             ids=["groups-of-2", "one-group"])
+    def test_stacked_group_sums_match_a_long_double_oracle(self, rng,
+                                                           monkeypatch,
+                                                           per_group):
+        """Five small maps, alternately offset by 0 and +100, in groups of
+        two whole maps (the last one ragged) or in one group; each group
+        takes one shift, and the groups merge in order."""
+        dims, window = (5, 5, 5, 4), (3, 3, 3)
+        stack = rng.normal(size=(5,) + dims) \
+            + np.array([0.0, 100.0] * 3)[:5, None, None, None, None]
+        if per_group is not None:
+            map_bytes = (sh.union_count(dims, window) * math.prod(window)
+                         * dims[3] * 8)
+            monkeypatch.setattr(sslhop.neighborhood, "SLAB_BYTES",
+                                per_group * map_bytes)
+        groups = list(sslhop.pipeline._union_moments(stack, window))
+        assert len(groups) == (3 if per_group else 1)
+        moments = sh.merge_moments(groups)
+        mean, scatter = _dense_moments(stack, window)
+        assert moments.count == 5 * sh.union_count(dims, window)
         assert np.abs(moments.scatter - scatter).max() \
             <= 1e-13 * np.abs(scatter).max()
         assert np.abs(moments.mean - mean).max() <= 1e-13 * np.abs(mean).max()
@@ -493,8 +600,10 @@ class TestUnionMoments:
         fmap = np.broadcast_to(levels, (15, 15, 14, 5)).copy()
         monkeypatch.setattr(sslhop.neighborhood, "SLAB_BYTES", 1 << 17)
         assert len(list(sh.union_slabs(fmap, (3, 3, 3)))) >= 3
-        moments = [sslhop.pipeline._union_moments(fmap, (3, 3, 3))
-                   for _ in range(2)]
+        # each map fills a slab, so each is a group of its own
+        moments = list(sslhop.pipeline._union_moments(np.stack([fmap, fmap]),
+                                                      (3, 3, 3)))
+        assert len(moments) == 2
         for m in moments:
             assert not m.scatter.any()
             np.testing.assert_array_equal(m.mean, np.tile(levels, 27))
@@ -502,6 +611,22 @@ class TestUnionMoments:
                           match="no residual variance"):
             kernel = sh.fit_saab_batches(moments, 5)
         assert kernel.padded == 4
+
+
+def _layer_peaks(kernel, maps, window, shapes):
+    """Peak bytes traced while one layer projects and pools ``maps``, and
+    while it takes their union moments."""
+    tracemalloc.start()
+    try:
+        sslhop.pipeline._pool_layer([kernel], maps, window, shapes)
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        for _ in sslhop.pipeline._union_moments(maps, window):
+            pass
+        moments_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return forward_peak, moments_peak
 
 
 class TestBoundedMemory:
@@ -518,20 +643,26 @@ class TestBoundedMemory:
         shapes, window = model.ledger[0], cfg.layers[0].window
         budget = (8 * (math.prod(shapes.conv_dims) + math.prod(shapes.pool_dims))
                   + 3 * sslhop.neighborhood.SLAB_BYTES)
-        tracemalloc.start()
-        try:
-            sslhop.pipeline._run_layer([model.stages[0][0].kernel],
-                                       samples[0].direction(0)[..., None],
-                                       window, shapes)
-            forward_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            sslhop.pipeline._union_moments(samples[0].direction(0)[..., None],
-                                           window)
-            moments_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert forward_peak < budget
-        assert moments_peak < budget
+        fmap = samples[0].direction(0)[None, ..., None]
+        peaks = _layer_peaks(model.stages[0][0].kernel, fmap, window, shapes)
+        assert max(peaks) < budget
+
+    def test_stacked_layer_peak_is_its_output_maps_plus_a_few_slabs(self,
+                                                                    rng):
+        """600 small maps through a (3, 3, 4) layer, four maps to a slab:
+        their conv maps alone would take 600 * 10 * 10 * 9 * 4 * 8 =
+        17.3 MB, and a shifted copy of the stack 8.3 MB."""
+        cfg = sh.PipelineConfig(layers=(sh.LayerSpec((3, 3, 4), 4),))
+        (shapes,) = sh.compute_ledger(cfg, (12, 12, 12))
+        window = cfg.layers[0].window
+        maps = rng.normal(size=(600, 12, 12, 12, 1))
+        kernel = sh.fit_saab_batches(
+            sslhop.pipeline._union_moments(maps[:8], window), 4)
+        assert len(sslhop.neighborhood.map_groups(maps.shape, window)) == 150
+        budget = (8 * len(maps) * math.prod(shapes.pool_dims)
+                  + 3 * sslhop.neighborhood.SLAB_BYTES)
+        peaks = _layer_peaks(kernel, maps, window, shapes)
+        assert max(peaks) < budget
 
 
 class TestParameterAccounting:
