@@ -15,8 +15,8 @@ from .evaluate import (FoldReport, RocCurve, cross_validate, stratified_folds,
 from .fields import (DeformationSample, centered_origin, crop_roi,
                      validate_field)
 from .model_io import load_model, save_model
-from .neighborhood import (extract_unions, max_pool, pooled_dims, union_count,
-                           union_slabs)
+from .neighborhood import (extract_unions, max_pool, pooled_dims, slab_plan,
+                           union_count)
 from .pipeline import (FittedStages, LayerShapes, LayerSpec, PipelineConfig,
                        PipelineModel, assemble_sample, compute_ledger,
                        concat_features, count_parameters, fit_folds,
@@ -40,7 +40,7 @@ __all__ = [
     "write_roc_csv",
     "DeformationSample", "centered_origin", "crop_roi", "validate_field",
     "load_model", "save_model",
-    "extract_unions", "max_pool", "pooled_dims", "union_count", "union_slabs",
+    "extract_unions", "max_pool", "pooled_dims", "slab_plan", "union_count",
     "FittedStages", "LayerShapes", "LayerSpec", "PipelineConfig",
     "PipelineModel", "assemble_sample", "compute_ledger",
     "concat_features", "count_parameters", "fit_folds", "fit_pipeline",

@@ -14,8 +14,8 @@ one direction at a time:
 (b) each fold's layer-1 kernel, from its training subjects' moments
     merged in subject order, exactly as a fit of those subjects merges
     them; the moments are then freed;
-(c) one slab pass over the subjects, in runs of whole maps whose unions
-    fit in one slab (a map that fills a slab runs alone, in slabs of its
+(c) one slab pass over the subjects, in the runs of whole maps of
+    :func:`slab_plan` (a map that fills a slab runs alone, in slabs of its
     y-rows): a run's direction maps are built on demand, each slab of
     their unions extracted once and projected with every fold kernel
     straight into that fold's conv maps of the run, which are then pooled;
@@ -30,9 +30,8 @@ one direction at a time:
 A fold model is therefore the model :func:`fit_pipeline` fits on the
 fold's training subjects, byte for byte, and its held-out scores are that
 model's predictions. With ``threads`` > 1, phases (a), (c) and (d) run on
-a thread pool when a layer-1 map's unions fill at least one slab; phase
-(e) runs on the calling thread once the pool has drained, so the SVMs'
-Python loop never competes for the GIL. Each piece of work writes only
+a thread pool; phase (e) runs on the calling thread once the pool has
+drained, so the SVMs' Python loop never competes for the GIL. Each piece of work writes only
 its own results, so the output does not depend on the thread count.
 """
 

@@ -150,7 +150,8 @@ def save_model(model: PipelineModel, path: str | Path) -> Path:
 
 
 def load_model(path: str | Path) -> PipelineModel:
-    """Read a model container, verifying structure, version and checksum."""
+    """Read a model container, verifying structure, version and checksum;
+    a tensor holding NaN or inf is refused like a corrupt file."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size + 4:
         raise CorruptFileError(f"{path}: file shorter than the fixed header")
@@ -207,12 +208,13 @@ def load_model(path: str | Path) -> PipelineModel:
     arrays: dict = {}
     offset = meta_end
     for owner, field, shape in _layout(meta, cfg, ledger):
-        count = math.prod(shape)
+        count, name = math.prod(shape), "/".join(map(str, owner + (field,)))
         if offset + count * 8 > len(raw) - 4:
-            raise CorruptFileError(f"{path}: truncated at tensor "
-                                   f"{'/'.join(map(str, owner + (field,)))}")
-        arrays.setdefault(owner, {})[field] = np.frombuffer(
-            raw, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
+            raise CorruptFileError(f"{path}: truncated at tensor {name}")
+        tensor = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+        if not np.isfinite(tensor).all():
+            raise CorruptFileError(f"{path}: tensor {name} holds NaN or inf")
+        arrays.setdefault(owner, {})[field] = tensor.reshape(shape).copy()
         offset += count * 8
     if offset != len(raw) - 4:
         raise CorruptFileError(f"{path}: {len(raw) - 4 - offset} trailing bytes")

@@ -4,11 +4,11 @@ A neighborhood union is the flattened content of an h*w*z window over a
 (H, W, Z, C) feature map, all C channels included. Windows slide with
 stride 1 and no padding, so a map yields
 (H-h+1)*(W-w+1)*(Z-z+1) unions of length h*w*z*C. A layer carries its maps
-as one (N, H, W, Z, C) stack and reads their unions in slabs
-(:func:`union_slabs`) of about ``SLAB_BYTES``: runs of whole maps when one
-map's unions fit in a slab, or else runs of whole y-rows of window origins
-of one map. So it never holds the union matrix of the whole stack, nor of
-one large map.
+as one (N, H, W, Z, C) stack and reads their unions in slabs of about
+``SLAB_BYTES``, as :func:`slab_plan` lays them out: runs of whole maps when
+one map's unions fit in a slab, or else runs of whole y-rows of window
+origins of one map. So it never holds the union matrix of the whole stack,
+nor of one large map.
 """
 
 from __future__ import annotations
@@ -79,45 +79,28 @@ def extract_unions(maps, window: tuple[int, int, int]) -> np.ndarray:
     return view.copy().reshape(h * w * z * C, N * math.prod(origins)).T
 
 
-def _slab_steps(shape: tuple[int, ...], window) -> tuple[int, int]:
-    """Maps and y-rows of window origins per slab of a (N, H, W, Z, C)
-    stack: as many whole maps as fit in ``SLAB_BYTES`` of float64 unions,
-    or, when one map's unions fill a slab, one map in runs of as many
-    whole y-rows as fit (at least one)."""
-    _, H, W, Z, C = shape
-    h, w, z = window
-    rows = SLAB_BYTES // max(1, (W - w + 1) * (Z - z + 1) * h * w * z * C * 8)
-    return max(1, rows // max(1, H - h + 1)), max(1, rows)
+def slab_plan(shape: tuple[int, ...], window) -> list[tuple[slice, tuple]]:
+    """The slabs a (N, H, W, Z, C) stack of maps is read in, as ``(maps,
+    ys)`` pairs in order: a run of whole maps, and the slices of input
+    y-rows its slabs take, so that :func:`extract_unions` of
+    ``stack[maps][:, y]`` for each ``y`` in ``ys``, stacked in order, is
+    that of ``stack[maps]``.
 
-
-def map_groups(shape: tuple[int, ...], window) -> list[slice]:
-    """The runs of maps that :func:`union_slabs` reads a (N, H, W, Z, C)
-    stack in, in order: as many whole maps as fit in one slab, or one map
-    alone when its unions fill a slab (its y-rows then span several)."""
-    step = _slab_steps(shape, window)[0]
-    return [slice(k, k + step) for k in range(0, shape[0], step)]
-
-
-def union_slabs(maps, window: tuple[int, int, int]):
-    """Yield the union row matrices of the slabs of a map, or of a stack of
-    maps, in order; a slab takes at most ``SLAB_BYTES``, unless one y-row
-    of window origins alone takes more.
-
-    A slab is one run of :func:`map_groups`, or, when that run is one map
-    whose unions fill a slab, a run of whole y-rows of its window origins.
-    Stacking the slabs in order gives :func:`extract_unions` of the whole
-    stack.
+    A run holds as many whole maps as fit in ``SLAB_BYTES`` of float64
+    unions, in one slab. A map whose unions fill a slab runs alone, in
+    slabs of as many whole y-rows of window origins as fit (at least one).
     """
-    arr = _stack(maps)
-    window = _window(arr.shape, window)
-    per_slab, rows_per_slab = _slab_steps(arr.shape, window)
-    rows = arr.shape[1] - window[0] + 1
-    for k in range(0, len(arr), per_slab):
-        # one pass when the maps fit in a slab: then rows_per_slab >= rows
-        for y0 in range(0, rows, rows_per_slab):
-            yield extract_unions(
-                arr[k:k + per_slab, y0:y0 + rows_per_slab + window[0] - 1],
-                window)
+    if len(shape) != 5:
+        raise ShapeMismatchError(
+            f"expected the shape of a (N, H, W, Z, C) stack, got {shape}")
+    _, H, W, Z, C = shape
+    h, w, z = _window(shape, window)
+    origins = H - h + 1
+    rows = SLAB_BYTES // max(1, (W - w + 1) * (Z - z + 1) * h * w * z * C * 8)
+    per_run, step = max(1, rows // origins), max(1, rows)
+    ys = tuple(slice(y0, min(H, y0 + step + h - 1))
+               for y0 in range(0, origins, step))
+    return [(slice(k, k + per_run), ys) for k in range(0, shape[0], per_run)]
 
 
 def max_pool(fmap: np.ndarray) -> np.ndarray:

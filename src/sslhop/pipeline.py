@@ -22,13 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import classifier, neighborhood, saab, supervise
+from . import classifier, saab, supervise
 from .errors import (MissingClassError, ShapeLedgerMismatchError,
                      ShapeMismatchError, SingleClassError, WindowTooLargeError,
                      as_integer)
 from .fields import CONCAT_MODES, DIRECTIONS, DeformationSample, crop_phases
-from .neighborhood import map_groups, max_pool, pooled_dims, union_count, \
-    union_slabs
+from .neighborhood import extract_unions, max_pool, pooled_dims, slab_plan, \
+    union_count
 
 
 @dataclass(frozen=True)
@@ -314,8 +314,9 @@ class _DirectionMaps:
         return out
 
 
-def _project(kernels, maps: np.ndarray, window) -> list[np.ndarray]:
-    """Project the unions of a (N, H, W, Z, C) stack of maps with each
+def _project(kernels, maps: np.ndarray, window, ys) -> list[np.ndarray]:
+    """Project the unions of one run of :func:`slab_plan`, a (N, H, W, Z, C)
+    stack of maps read in the slabs of input y-rows ``ys``, with each
     kernel into a preallocated (N, H-h+1, W-w+1, Z-z+1, F) conv stack of
     its own. Each slab is extracted once, and every kernel writes its
     projection of it in place, at the slab's rows of its conv stack.
@@ -325,7 +326,8 @@ def _project(kernels, maps: np.ndarray, window) -> list[np.ndarray]:
              for k in kernels]
     rows = [conv.reshape(-1, conv.shape[-1]) for conv in convs]
     start = 0
-    for unions in union_slabs(maps, window):
+    for y in ys:
+        unions = extract_unions(maps[:, y], window)
         stop = start + len(unions)
         for kernel, out in zip(kernels, rows):
             saab.apply_saab(kernel, unions, out=out[start:stop])
@@ -340,19 +342,19 @@ def _pool_layer(kernels, maps, window, shapes: LayerShapes,
     (K, N, ...) array. Map ``i`` goes to row ``rows[k, i]`` of stack ``k``
     (row ``i`` by default).
 
-    The maps run in the groups of :func:`map_groups`, so a group's conv
-    stacks take about a slab: the conv maps of the whole stack are never
-    held at once. ``map_fn`` runs the per-group work; each group writes
-    only its own rows, so a thread pool's ``map`` may run groups side by
-    side."""
+    The maps run in the runs of :func:`slab_plan`, so a run's conv stacks
+    take about a slab: the conv maps of the whole stack are never held at
+    once. ``map_fn`` runs the per-run work; each run writes only its own
+    rows, so a thread pool's ``map`` may run them side by side."""
     if maps.shape[1:] != shapes.input_dims:
         raise ShapeLedgerMismatchError(
             f"layer {shapes.layer} input {maps.shape[1:]}, "
             f"ledger says {shapes.input_dims}")
     out = np.empty((len(kernels), len(maps)) + shapes.pool_dims)
 
-    def run(group: slice) -> None:
-        for k, conv in enumerate(_project(kernels, maps[group], window)):
+    def run(plan_run) -> None:
+        group, ys = plan_run
+        for k, conv in enumerate(_project(kernels, maps[group], window, ys)):
             conv = conv[:, :, :, :shapes.conv_dims[2]]  # optional depth truncation
             if conv.shape[1:] != shapes.conv_dims:
                 raise ShapeLedgerMismatchError(
@@ -365,7 +367,7 @@ def _pool_layer(kernels, maps, window, shapes: LayerShapes,
                     f"ledger says {shapes.pool_dims}")
             out[k, group if rows is None else rows[k, group]] = pooled
 
-    for _ in map_fn(run, map_groups(maps.shape, window)):
+    for _ in map_fn(run, slab_plan(maps.shape, window)):
         pass
     return out
 
@@ -389,27 +391,28 @@ def concat_features(blocks) -> np.ndarray:
 
 
 def _union_moments(maps: np.ndarray, window):
-    """Yield the moments of the unions of each group of a (N, H, W, Z, C)
-    stack of maps, in the order of :func:`map_groups`; merged in order,
+    """Yield the moments of the unions of each run of a (N, H, W, Z, C)
+    stack of maps, in the order of :func:`slab_plan`; merged in order,
     they are the moments of the whole stack's unions.
 
-    Each channel's mean over the group is subtracted from its maps once, a
-    copy D/C times smaller than their unions; the group's slabs of the
+    Each channel's mean over the run is subtracted from its maps once, a
+    copy D/C times smaller than their unions; the run's slabs of the
     shifted maps add up raw sums and Gram matrices, corrected once per
-    group (the shifted-data algorithm of Chan, Golub & LeVeque 1983). The
-    mean is taken about the group's first voxel, so a constant channel
+    run (the shifted-data algorithm of Chan, Golub & LeVeque 1983). The
+    mean is taken about the run's first voxel, so a constant channel
     shifts to exact zeros and adds exactly nothing to the scatter. A map
-    whose unions fill a slab is a group of its own.
+    whose unions fill a slab is a run of its own.
     """
     per_map = union_count(maps.shape[1:], window)
-    for group in map_groups(maps.shape, window):
+    for group, ys in slab_plan(maps.shape, window):
         fmaps = maps[group]
         first = fmaps[0, 0, 0, 0]
         shifted = np.subtract(fmaps, first, dtype=np.float64)
         shift = shifted.mean(axis=(0, 1, 2, 3))
         shifted -= shift
         total = gram = 0.0
-        for unions in union_slabs(shifted, window):
+        for y in ys:
+            unions = extract_unions(shifted[:, y], window)
             total += unions.sum(axis=0)
             gram += unions.T @ unions
         n = per_map * len(fmaps)
@@ -460,33 +463,27 @@ def fit_folds(samples: list[DeformationSample], cfg: PipelineConfig,
     once, and each set's layer-1 kernel merges those of its training
     samples in their order, so its stages are those of a fit of its
     training samples alone, bit for bit. The moments are freed before one
-    slab pass, over runs of whole maps (:func:`map_groups`), projects every
+    slab pass, over runs of whole maps (:func:`slab_plan`), projects every
     sample's map with every set's kernel, into a stack per set that holds
     its training samples, then its held-out ones; :func:`_fit_direction`
     then fits each set's layers from its stack.
 
-    With ``threads`` > 1, the per-sample, per-map and per-set work runs on
-    a pool of at most one worker per set when a layer-1 map's unions fill a
-    slab: below that, a run of maps is a run of small numpy calls that hold
-    the GIL, and threads only contend for it. Each piece of work writes
-    only its own results, so the output does not depend on the thread
-    count.
+    With ``threads`` > 1, the per-sample, per-run and per-set work runs on
+    a pool of at most one worker per set. Each piece of work writes only
+    its own results, so the output does not depend on the thread count.
     """
     ledger = compute_ledger(cfg, common_dims(samples))
     labels = np.array([s.label for s in samples], dtype=np.int64)
     held = [np.setdiff1d(np.arange(len(samples)), t) for t in train]
     rows = np.argsort([np.concatenate(p) for p in zip(train, held)], axis=1)
     layer, shapes = cfg.layers[0], ledger[0]
-    map_bytes = 8 * union_count(shapes.input_dims, layer.window) \
-        * shapes.union_dim
-    fan = threads > 1 and map_bytes >= neighborhood.SLAB_BYTES
     fits = []                                    # [direction][set]
     with ThreadPoolExecutor(max_workers=max(1, min(threads,
                                                    len(train)))) as pool:
-        map_fn = pool.map if fan else map
+        map_fn = pool.map if threads > 1 else map
         for d in range(DIRECTIONS):
             maps = _DirectionMaps(samples, d)
-            # one group per sample: each set merges its samples' moments
+            # one run per sample: each set merges its samples' moments
             moments = list(map_fn(
                 lambda i: next(_union_moments(maps[i:i + 1], layer.window)),
                 range(len(maps))))

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import sslhop as sh
+import sslhop.pipeline
 from sslhop.model_io import _HEADER
 
 # Outcome of every test marked @pytest.mark.acceptance, keyed by nodeid.
@@ -195,6 +196,21 @@ def stage_edit(request):
     direction instead of three, or one layer fewer than the ledger's in
     one direction."""
     return request.param
+
+
+def plan_unions(maps, window) -> list[np.ndarray]:
+    """The union row matrices of a (N, H, W, Z, C) stack's slabs, gathered
+    in the order :func:`sslhop.slab_plan` lays them out."""
+    return [sh.extract_unions(maps[run][:, y], window)
+            for run, ys in sh.slab_plan(maps.shape, window) for y in ys]
+
+
+def plan_project(kernels, maps, window) -> list[np.ndarray]:
+    """Each kernel's conv stack of a (N, H, W, Z, C) stack of maps, taken
+    run by run of its slab plan, as the layer steps take it."""
+    runs = [sslhop.pipeline._project(kernels, maps[run], window, ys)
+            for run, ys in sh.slab_plan(maps.shape, window)]
+    return [np.concatenate(convs) for convs in zip(*runs)]
 
 
 @pytest.fixture()

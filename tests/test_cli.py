@@ -2,12 +2,16 @@
 
 import csv
 import json
+import math
 import shutil
+import struct
+import zlib
 
 import pytest
 
 import sslhop as sh
 from sslhop.cli import main
+from sslhop.model_io import _HEADER, _layout
 
 
 def run(capsys, *argv):
@@ -330,6 +334,25 @@ MALFORMED_CONFIGS = {
 }
 
 
+def _poison_tensor(src, dst, owner, field, value):
+    """Copy a model file with the first value of one tensor set to
+    ``value`` and the CRC fixed up, so that only the value is wrong."""
+    raw = bytearray(src.read_bytes())
+    meta_len = _HEADER.unpack_from(raw)[3]
+    meta = json.loads(raw[_HEADER.size:_HEADER.size + meta_len])
+    cfg = sh.PipelineConfig.from_dict(meta["config"])
+    ledger = tuple(sh.LayerShapes.from_dict(d) for d in meta["ledger"])
+    offset = _HEADER.size + meta_len
+    for at, name, shape in _layout(meta, cfg, ledger):
+        if (at, name) == (owner, field):
+            break
+        offset += 8 * math.prod(shape)
+    struct.pack_into("<d", raw, offset, value)
+    struct.pack_into("<I", raw, len(raw) - 4, zlib.crc32(raw[:-4]))
+    dst.write_bytes(raw)
+    return dst
+
+
 class TestErrorSurface:
     def test_corrupt_model_is_a_data_error(self, work, cohort, capsys):
         bad = work / "bad.sslm"
@@ -339,6 +362,26 @@ class TestErrorSurface:
         err = json.loads(capsys.readouterr().err)
         assert code == 3
         assert err["error"]["type"] == "CorruptFileError"
+
+    @pytest.mark.parametrize("owner,field,value",
+                             [((0, 0, "kernel"), "ac", float("nan")),
+                              (("svm",), "scale", float("inf"))],
+                             ids=["nan-layer-1-ac", "inf-svm-scale"])
+    def test_non_finite_model_tensor_is_a_data_error(self, cohort, fit_dir,
+                                                     tmp_path, owner, field,
+                                                     value, capsys):
+        """A CRC-consistent model with one NaN or inf value is refused by
+        ``predict`` and by ``inspect``, not run to NaN scores."""
+        bad = _poison_tensor(fit_dir / "model.sslm", tmp_path / "bad.sslm",
+                             owner, field, value)
+        for argv in (["predict", "--model", bad, "--manifest", cohort,
+                      "--out", tmp_path / "pred"],
+                     ["inspect", "--model", bad, "--out", tmp_path / "insp"]):
+            code = main([str(a) for a in argv])
+            err = capsys.readouterr().err
+            assert code == 3, argv[0]
+            assert json.loads(err)["error"]["type"] == "CorruptFileError"
+            assert not (tmp_path / "pred" / "predictions.csv").exists()
 
     @pytest.mark.parametrize("dims", [5, [3, "a", 12, 12], [3, True, 12, 12]])
     def test_bad_field_dims_are_a_data_error(self, work, cohort, fit_dir,

@@ -14,7 +14,6 @@ import pytest
 
 import sslhop as sh
 import sslhop.classifier
-import sslhop.neighborhood
 import sslhop.pipeline
 import sslhop.supervise
 from sslhop.errors import TooFewSubjectsError
@@ -119,12 +118,11 @@ class TestCrossValidate:
 
     def test_svms_run_on_the_calling_thread_after_the_fold_work(
             self, tiny_cohort, tiny_cfg, monkeypatch):
-        """At 2 threads, with tiny maps counted as big enough to fan out:
-        fold work runs on the pool, and every SVM fit on the calling
-        thread once the last of it has ended. Predictions equal those at
-        1 thread, and at 3 threads with frequent thread switches."""
+        """At 2 threads, fold work runs on the pool, and every SVM fit on
+        the calling thread once the last of it has ended. Predictions equal
+        those at 1 thread, and at 3 threads with frequent thread
+        switches."""
         _, records = tiny_cohort
-        monkeypatch.setattr(sslhop.neighborhood, "SLAB_BYTES", 1 << 16)
         spans = []
 
         def traced(name, fn):

@@ -1,4 +1,4 @@
-"""Window extraction, slab streaming and ceil-mode pooling against
+"""Window extraction, slab plans and ceil-mode pooling against
 brute-force oracles."""
 
 import numpy as np
@@ -6,9 +6,10 @@ import pytest
 
 import sslhop.neighborhood
 import sslhop.pipeline
+from conftest import plan_project, plan_unions
 from sslhop import (apply_saab, extract_unions, fit_saab, max_pool,
-                    pooled_dims, union_count, union_slabs)
-from sslhop.errors import WindowTooLargeError
+                    pooled_dims, slab_plan, union_count)
+from sslhop.errors import ShapeMismatchError, WindowTooLargeError
 
 
 def _coded(H, W, Z, C):
@@ -140,7 +141,7 @@ class TestUnionSlabs:
         for _ in range(6):
             fmap, window = _odd_case(rng, channels)
             per = _set_budget(monkeypatch, fmap, window, budget)
-            slabs = list(union_slabs(fmap, window))
+            slabs = plan_unions(fmap[None], window)
             rows = fmap.shape[0] - window[0] + 1
             per_row = ((fmap.shape[1] - window[1] + 1)
                        * (fmap.shape[2] - window[2] + 1))
@@ -159,7 +160,7 @@ class TestUnionSlabs:
             dim = dense.shape[1]
             kernel = fit_saab(rng.normal(size=(40, dim)), min(4, dim))
             _set_budget(monkeypatch, fmap, window, budget)
-            (conv,) = sslhop.pipeline._project([kernel], fmap[None], window)
+            (conv,) = plan_project([kernel], fmap[None], window)
             grid = tuple(d - k + 1 for d, k in zip(fmap.shape, window))
             expect = apply_saab(kernel, dense).reshape(
                 (1,) + grid + (kernel.channels,))
@@ -167,7 +168,27 @@ class TestUnionSlabs:
 
     def test_invalid_window_raises_on_first_slab(self):
         with pytest.raises(WindowTooLargeError):
-            list(union_slabs(np.zeros((4, 4, 4, 1)), (5, 3, 3)))
+            slab_plan((1, 4, 4, 4, 1), (5, 3, 3))
+
+    @pytest.mark.parametrize("window", [(5, 3, 3), (3, 0, 3)])
+    def test_plan_refuses_a_bad_window_before_any_gather(self, monkeypatch,
+                                                         window):
+        """The layer steps' plan checks the window, so neither the moments
+        nor the projection of a map gathers a slab with it."""
+        gathered = []
+        monkeypatch.setattr(sslhop.pipeline, "extract_unions",
+                            lambda *args: gathered.append(args))
+        maps = np.zeros((2, 4, 4, 4, 1))
+        with pytest.raises(WindowTooLargeError):
+            next(sslhop.pipeline._union_moments(maps, window))
+        # a ledger entry the maps pass; the plan fails before its output
+        shapes = sslhop.pipeline.LayerShapes(1, (4, 4, 4, 1), 27, (2, 2, 2, 3),
+                                             (1, 1, 1, 3), 3, 3)
+        with pytest.raises(WindowTooLargeError):
+            sslhop.pipeline._pool_layer([None], maps, window, shapes)
+        with pytest.raises(ShapeMismatchError):
+            slab_plan((4, 4, 4, 1), (3, 3, 3))
+        assert gathered == []
 
 
 class TestMaxPool:

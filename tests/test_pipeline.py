@@ -12,6 +12,7 @@ import sslhop.evaluate
 import sslhop.fields
 import sslhop.neighborhood
 import sslhop.pipeline
+from conftest import plan_project, plan_unions
 from sslhop.errors import (
     DegenerateInputWarning,
     MissingClassError,
@@ -286,8 +287,7 @@ class TestFit:
         pooled, maps = s.direction(1)[None, ..., None], []
         for stage, layer, row in zip(tiny_model.stages[1], tiny_cfg.layers,
                                      tiny_model.ledger):
-            (conv,) = sslhop.pipeline._project([stage.kernel], pooled,
-                                               layer.window)
+            (conv,) = plan_project([stage.kernel], pooled, layer.window)
             pooled = sslhop.pipeline._pool_layer([stage.kernel], pooled,
                                                  layer.window, row)[0]
             maps.append((conv[:, :, :, :row.conv_dims[2]], pooled))
@@ -383,8 +383,8 @@ def _assert_fold_models_match_standalone_fits(records, cfg, monkeypatch,
 def tiny_slabs(monkeypatch, tiny_cfg):
     """Stream tiny-cohort layer-1 maps in at least 3 slabs."""
     monkeypatch.setattr(sslhop.neighborhood, "SLAB_BYTES", TINY_SLAB_BYTES)
-    fmap = np.zeros((12, 12, 12, 1))
-    assert len(list(sh.union_slabs(fmap, tiny_cfg.layers[0].window))) >= 3
+    ((_, ys),) = sh.slab_plan((1, 12, 12, 12, 1), tiny_cfg.layers[0].window)
+    assert len(ys) >= 3
 
 
 @pytest.fixture()
@@ -394,7 +394,7 @@ def tiny_stacked_slabs(monkeypatch, tiny_cfg):
     window = tiny_cfg.layers[0].window
     map_bytes = sh.union_count((12, 12, 12), window) * math.prod(window) * 8
     monkeypatch.setattr(sslhop.neighborhood, "SLAB_BYTES", 3 * map_bytes)
-    slabs = list(sh.union_slabs(np.zeros((10, 12, 12, 12, 1)), window))
+    slabs = plan_unions(np.zeros((10, 12, 12, 12, 1)), window)
     assert [len(u) for u in slabs] == \
         [n * sh.union_count((12, 12, 12), window) for n in (3, 3, 3, 1)]
 
@@ -460,10 +460,10 @@ def _fold_kernels(rng, dims, window, count=5, channels=5):
 def _assert_shared_slab_pass_matches_one_kernel_calls(rng, dims, window):
     kernels = _fold_kernels(rng, dims, window)
     fmap = rng.normal(size=(1,) + dims)
-    convs = sslhop.pipeline._project(kernels, fmap, window)
+    convs = plan_project(kernels, fmap, window)
     assert len(convs) == len(kernels)
     for kernel, conv in zip(kernels, convs):
-        (alone,) = sslhop.pipeline._project([kernel], fmap, window)
+        (alone,) = plan_project([kernel], fmap, window)
         np.testing.assert_array_equal(conv, alone)
         np.testing.assert_array_equal(sh.max_pool(conv), sh.max_pool(alone))
 
@@ -518,12 +518,12 @@ class TestStackedLayerSteps:
                          * shapes.union_dim * 8)
             monkeypatch.setattr(sslhop.neighborhood, "SLAB_BYTES",
                                 per_group * map_bytes)
-        assert len(sslhop.neighborhood.map_groups(maps.shape, window)) == \
+        assert len(sh.slab_plan(maps.shape, window)) == \
             (3 if per_group else 1)
-        convs = sslhop.pipeline._project(kernels, maps, window)
+        convs = plan_project(kernels, maps, window)
         stacks = sslhop.pipeline._pool_layer(kernels, maps, window, shapes)
         for i in range(len(maps)):
-            alone = sslhop.pipeline._project(kernels, maps[i:i + 1], window)
+            alone = plan_project(kernels, maps[i:i + 1], window)
             for conv, one in zip(convs, alone):
                 np.testing.assert_array_equal(conv[i:i + 1], one)
             np.testing.assert_array_equal(
@@ -560,7 +560,8 @@ class TestUnionMoments:
                      * math.prod(window) * dims[3] * 8)
         monkeypatch.setattr(sslhop.neighborhood, "SLAB_BYTES",
                             rows // 3 * row_bytes)
-        assert len(list(sh.union_slabs(fmap, window))) >= 3
+        ((_, ys),) = sh.slab_plan(fmap[None].shape, window)
+        assert len(ys) >= 3
         (moments,) = sslhop.pipeline._union_moments(fmap[None], window)
         mean, scatter = _dense_moments(fmap, window)
         assert moments.count == sh.union_count(dims, window)
@@ -599,8 +600,9 @@ class TestUnionMoments:
         levels = np.array([0.1, 0.7, -3.3, 1e3, 1 / 3])
         fmap = np.broadcast_to(levels, (15, 15, 14, 5)).copy()
         monkeypatch.setattr(sslhop.neighborhood, "SLAB_BYTES", 1 << 17)
-        assert len(list(sh.union_slabs(fmap, (3, 3, 3)))) >= 3
-        # each map fills a slab, so each is a group of its own
+        plan = sh.slab_plan((2,) + fmap.shape, (3, 3, 3))
+        assert all(len(ys) >= 3 for _, ys in plan)
+        # each map fills a slab, so each is a run of its own
         moments = list(sslhop.pipeline._union_moments(np.stack([fmap, fmap]),
                                                       (3, 3, 3)))
         assert len(moments) == 2
@@ -658,7 +660,7 @@ class TestBoundedMemory:
         maps = rng.normal(size=(600, 12, 12, 12, 1))
         kernel = sh.fit_saab_batches(
             sslhop.pipeline._union_moments(maps[:8], window), 4)
-        assert len(sslhop.neighborhood.map_groups(maps.shape, window)) == 150
+        assert len(sh.slab_plan(maps.shape, window)) == 150
         budget = (8 * len(maps) * math.prod(shapes.pool_dims)
                   + 3 * sslhop.neighborhood.SLAB_BYTES)
         peaks = _layer_peaks(kernel, maps, window, shapes)
