@@ -126,12 +126,14 @@ class DeformationSample:
             out[..., :depth], out[..., depth:] = ed, es
         return out
 
-    def direction(self, d: int, out: np.ndarray | None = None) -> np.ndarray:
+    def direction(self, d: int | slice,
+                  out: np.ndarray | None = None) -> np.ndarray:
         """The float64 (H, W, 2Z) map of direction ``d``, built on demand,
-        in ``out`` when given."""
+        in ``out`` when given; a slice ``d`` of directions gives their
+        (G, H, W, 2Z) maps, and ``out`` must then have that shape."""
         ed, es = self.phases
         if out is None:
-            out = np.empty(self.dims)
+            out = np.empty(ed[d].shape[:-1] + (self.dims[2],))
         return self._merge(ed[d], es[d], out)
 
     @property

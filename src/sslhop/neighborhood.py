@@ -4,11 +4,12 @@ A neighborhood union is the flattened content of an h*w*z window over a
 (H, W, Z, C) feature map, all C channels included. Windows slide with
 stride 1 and no padding, so a map yields
 (H-h+1)*(W-w+1)*(Z-z+1) unions of length h*w*z*C. A layer carries its maps
-as one (N, H, W, Z, C) stack and reads their unions in slabs of about
+as one (..., N, H, W, Z, C) stack, with leading axes (such as one per
+direction) before the map axis, and reads their unions in slabs of about
 ``SLAB_BYTES``, as :func:`slab_plan` lays them out: runs of whole maps when
-one map's unions fit in a slab, or else runs of whole y-rows of window
-origins of one map. So it never holds the union matrix of the whole stack,
-nor of one large map.
+one map's unions, across the leading axes, fit in a slab, or else runs of
+whole y-rows of window origins of one map. So it never holds the union
+matrix of the whole stack, nor of one large map.
 """
 
 from __future__ import annotations
@@ -33,12 +34,12 @@ def union_count(dims: tuple[int, ...], window: tuple[int, int, int]) -> int:
 
 
 def _stack(maps) -> np.ndarray:
-    """A (N, H, W, Z, C) stack of ``maps``; one (H, W, Z, C) map is a
+    """A (..., N, H, W, Z, C) stack of ``maps``; one (H, W, Z, C) map is a
     stack of one."""
     arr = np.asarray(maps)
     if arr.ndim == 4:
         arr = arr[None]
-    if arr.ndim != 5:
+    if arr.ndim < 5:
         raise ShapeMismatchError(
             f"expected a (H, W, Z, C) map or a stack of them, got shape {arr.shape}")
     return arr
@@ -49,58 +50,64 @@ def _window(shape: tuple[int, ...], window) -> tuple[int, int, int]:
     h, w, z = (int(v) for v in window)
     if min(h, w, z) < 1:
         raise WindowTooLargeError(f"window must be positive, got {window}")
-    if h > shape[1] or w > shape[2] or z > shape[3]:
+    if h > shape[-4] or w > shape[-3] or z > shape[-2]:
         raise WindowTooLargeError(
-            f"window {window} exceeds map dims {tuple(shape[1:4])}")
+            f"window {window} exceeds map dims {tuple(shape[-4:-1])}")
     return h, w, z
 
 
 def extract_unions(maps, window: tuple[int, int, int]) -> np.ndarray:
-    """Gather every neighborhood union of a map, or of a (N, H, W, Z, C)
-    stack of maps, into an (N * n_unions, h*w*z*C) row matrix.
+    """Gather every neighborhood union of a map, or of a (..., N, H, W, Z, C)
+    stack of maps, into an (L * N * n_unions, h*w*z*C) row matrix, where L
+    is the product of the leading axes.
 
-    Rows run over maps, then window origins lexicographically in (y, x, z);
-    within a row, elements run (y-offset, x-offset, z-offset, channel),
-    channel fastest. The matrix is a transposed view of a column-major
-    buffer, in which each union element is one contiguous run over the
-    maps and origins.
+    Rows run over the leading axes, then maps, then window origins
+    lexicographically in (y, x, z); within a row, elements run (y-offset,
+    x-offset, z-offset, channel), channel fastest. The matrix is a
+    transposed view of a column-major buffer, in which each union element
+    is one contiguous run over the leading axes, maps and origins, so the
+    rows of each leading index are a view of the same layout.
     """
     arr = _stack(maps)
-    N, H, W, Z, C = arr.shape
+    *lead, H, W, Z, C = arr.shape
     h, w, z = _window(arr.shape, window)
-    # read-only (h, w, z, C, N, Y, X, Z') view from the stack's own strides:
-    # the window offsets and the origins step alike, and the map axis sits
-    # between them, so its C-order copy is column-major and every union
-    # element is one run over the maps and origins
+    # read-only (h, w, z, C, ..., N, Y, X, Z') view from the stack's own
+    # strides: the window offsets and the origins step alike, and the
+    # leading and map axes sit between them, so its C-order copy is
+    # column-major and every union element is one run over the rows
     origins = (H - h + 1, W - w + 1, Z - z + 1)
-    sn, sy, sx, sz, sc = arr.strides
-    view = as_strided(arr, (h, w, z, C, N) + origins,
-                      (sy, sx, sz, sc, sn, sy, sx, sz), writeable=False)
-    return view.copy().reshape(h * w * z * C, N * math.prod(origins)).T
+    *sl, sy, sx, sz, sc = arr.strides
+    view = as_strided(arr, (h, w, z, C, *lead) + origins,
+                      (sy, sx, sz, sc, *sl, sy, sx, sz), writeable=False)
+    return view.copy().reshape(h * w * z * C,
+                               math.prod(lead) * math.prod(origins)).T
 
 
 def slab_plan(shape: tuple[int, ...], window) -> list[tuple[slice, tuple]]:
-    """The slabs a (N, H, W, Z, C) stack of maps is read in, as ``(maps,
-    ys)`` pairs in order: a run of whole maps, and the slices of input
-    y-rows its slabs take, so that :func:`extract_unions` of
-    ``stack[maps][:, y]`` for each ``y`` in ``ys``, stacked in order, is
-    that of ``stack[maps]``.
+    """The slabs a (..., N, H, W, Z, C) stack of maps is read in, as
+    ``(maps, ys)`` pairs in order: a run of whole maps (a slice of the N
+    axis), and the slices of input y-rows its slabs take, so that
+    :func:`extract_unions` of ``stack[..., maps, :, :, :, :][..., y, :, :,
+    :]`` for each ``y`` in ``ys``, stacked in order, is that of the run.
 
-    A run holds as many whole maps as fit in ``SLAB_BYTES`` of float64
-    unions, in one slab. A map whose unions fill a slab runs alone, in
-    slabs of as many whole y-rows of window origins as fit (at least one).
+    A slab takes its maps or rows across every leading axis, so the plan
+    counts their bytes across them: a run holds as many whole maps as fit
+    in ``SLAB_BYTES`` of float64 unions, in one slab. A map whose unions
+    fill a slab runs alone, in slabs of as many whole y-rows of window
+    origins as fit (at least one).
     """
-    if len(shape) != 5:
+    if len(shape) < 5:
         raise ShapeMismatchError(
-            f"expected the shape of a (N, H, W, Z, C) stack, got {shape}")
-    _, H, W, Z, C = shape
+            f"expected the shape of a (..., N, H, W, Z, C) stack, got {shape}")
+    *lead, N, H, W, Z, C = shape
     h, w, z = _window(shape, window)
     origins = H - h + 1
-    rows = SLAB_BYTES // max(1, (W - w + 1) * (Z - z + 1) * h * w * z * C * 8)
+    row_bytes = math.prod(lead) * (W - w + 1) * (Z - z + 1) * h * w * z * C * 8
+    rows = SLAB_BYTES // max(1, row_bytes)
     per_run, step = max(1, rows // origins), max(1, rows)
     ys = tuple(slice(y0, min(H, y0 + step + h - 1))
                for y0 in range(0, origins, step))
-    return [(slice(k, k + per_run), ys) for k in range(0, shape[0], per_run)]
+    return [(slice(k, k + per_run), ys) for k in range(0, N, per_run)]
 
 
 def max_pool(fmap: np.ndarray) -> np.ndarray:

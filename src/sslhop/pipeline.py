@@ -2,9 +2,12 @@
 direction, a supervised reduction branch per layer, and a final linear SVM.
 
 The three direction components of an assembled sample are processed
-independently through the same layer plan; each layer contributes one
-reduced feature block per direction, and the final per-sample feature is
-the concatenation over layers (outer) then directions (inner).
+independently through the same layer plan, each with its own fitted
+stages; a transform runs them side by side, as one stack with a leading
+direction axis, so each layer is one step for all three. Each layer
+contributes one reduced feature block per direction, and the final
+per-sample feature is the concatenation over layers (outer) then
+directions (inner).
 
 Every fit is preceded by a dry-run shape pass producing a ledger of the
 expected map dimensions; any disagreement during the real pass raises
@@ -23,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import classifier, saab, supervise
-from .errors import (MissingClassError, ShapeLedgerMismatchError,
-                     ShapeMismatchError, SingleClassError, WindowTooLargeError,
-                     as_integer)
+from .errors import (MissingClassError, NonFiniteValuesError,
+                     ShapeLedgerMismatchError, ShapeMismatchError,
+                     SingleClassError, WindowTooLargeError, as_integer)
 from .fields import CONCAT_MODES, DIRECTIONS, DeformationSample, crop_phases
 from .neighborhood import extract_unions, max_pool, pooled_dims, slab_plan, \
     union_count
@@ -295,87 +298,111 @@ def _lag_seed(seed: int, layer: int, direction: int) -> int:
 
 
 class _DirectionMaps:
-    """The one-channel float64 input maps of one direction of every sample,
-    as a (N, H, W, Z, 1) stack whose runs of maps are built when they are
-    taken (``maps[start:stop]``)."""
+    """The one-channel float64 input maps of some directions of every
+    sample, as a (G, N, H, W, Z, 1) stack, one row of maps per direction
+    in ``directions`` (a slice of the three), whose runs of maps are built
+    when they are taken (``maps[:, start:stop]``)."""
 
-    def __init__(self, samples: list[DeformationSample], direction: int):
-        self.samples, self.direction = samples, direction
-        self.shape = (len(samples),) + samples[0].dims + (1,)
+    def __init__(self, samples: list[DeformationSample], directions: slice):
+        self.samples, self.directions = samples, directions
+        self.shape = ((len(range(DIRECTIONS)[directions]), len(samples))
+                      + samples[0].dims + (1,))
 
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def __getitem__(self, run: slice) -> np.ndarray:
+    def __getitem__(self, index: tuple[slice, slice]) -> np.ndarray:
+        _, run = index           # maps[:, run]: every direction of a run
         samples = self.samples[run]
-        out = np.empty((len(samples),) + self.shape[1:])
-        for sample, fmap in zip(samples, out[..., 0]):
-            sample.direction(self.direction, out=fmap)
+        out = np.empty(self.shape[:1] + (len(samples),) + self.shape[2:])
+        for i, sample in enumerate(samples):
+            sample.direction(self.directions, out=out[:, i, ..., 0])
         return out
 
 
-def _project(kernels, maps: np.ndarray, window, ys) -> list[np.ndarray]:
-    """Project the unions of one run of :func:`slab_plan`, a (N, H, W, Z, C)
-    stack of maps read in the slabs of input y-rows ``ys``, with each
-    kernel into a preallocated (N, H-h+1, W-w+1, Z-z+1, F) conv stack of
-    its own. Each slab is extracted once, and every kernel writes its
-    projection of it in place, at the slab's rows of its conv stack.
-    Returning frees the last slab before the caller pools."""
-    (N, H, W, Z, _), (h, w, z) = maps.shape, window
-    convs = [np.empty((N, H - h + 1, W - w + 1, Z - z + 1, k.channels))
-             for k in kernels]
-    rows = [conv.reshape(-1, conv.shape[-1]) for conv in convs]
+def _projections(kernels) -> tuple[list[np.ndarray], np.ndarray]:
+    """The projections of ``kernels``, G lists of K kernels: for each
+    position k, the (G, D, F) stack of its kernels' matrices, each in the
+    layout of its kernel's own, and the (G, K, F) offsets."""
+    matrices = [np.stack([k.projection[0].T for k in group]).transpose(0, 2, 1)
+                for group in zip(*kernels)]
+    return matrices, np.array([[k.projection[1] for k in group]
+                               for group in kernels])
+
+
+def _project(matrices, maps: np.ndarray, window, ys) -> list[np.ndarray]:
+    """Project the unions of one run of :func:`slab_plan`, a (G, N, H, W, Z,
+    C) stack of maps read in the slabs of input y-rows ``ys``, onto each
+    (G, D, F) stack of ``matrices``, group by group, into a preallocated
+    (G, N, H-h+1, W-w+1, Z-z+1, F) conv stack of its own; no offset is
+    added. Each slab is extracted once, and one batched product per
+    matrix stack writes its projection in place, at the slab's rows of
+    each group's conv maps. Returning frees the last slab before the
+    caller pools."""
+    (G, N, H, W, Z, _), (h, w, z) = maps.shape, window
+    convs = [np.empty((G, N, H - h + 1, W - w + 1, Z - z + 1, m.shape[-1]))
+             for m in matrices]
+    rows = [conv.reshape(G, -1, conv.shape[-1]) for conv in convs]
     start = 0
     for y in ys:
-        unions = extract_unions(maps[:, y], window)
-        stop = start + len(unions)
-        for kernel, out in zip(kernels, rows):
-            saab.apply_saab(kernel, unions, out=out[start:stop])
+        unions = extract_unions(maps[:, :, y], window)
+        unions = unions.reshape(G, -1, unions.shape[1])   # a view per group
+        stop = start + unions.shape[1]
+        for matrix, out in zip(matrices, rows):
+            np.matmul(unions, matrix, out=out[:, start:stop])
         start = stop
     return convs
 
 
 def _pool_layer(kernels, maps, window, shapes: LayerShapes,
                 rows: np.ndarray | None = None, map_fn=map) -> np.ndarray:
-    """Apply one layer's kernels to a (N, H, W, Z, C) stack of maps; one
-    stacked (N, H', W', Z', F) array of pooled maps per kernel, as a
-    (K, N, ...) array. Map ``i`` goes to row ``rows[k, i]`` of stack ``k``
-    (row ``i`` by default).
+    """Apply one layer to a (G, N, H, W, Z, C) stack of maps, G groups of N
+    maps, with ``kernels``, G lists of K kernels: group ``g``'s maps are
+    projected with each kernel of ``kernels[g]``. Returns the pooled maps
+    as a (G, K, N, H', W', Z', F) array. Map ``i`` goes to row
+    ``rows[k, i]`` of the stacks of kernel position ``k`` (row ``i`` by
+    default).
 
     The maps run in the runs of :func:`slab_plan`, so a run's conv stacks
     take about a slab: the conv maps of the whole stack are never held at
-    once. ``map_fn`` runs the per-run work; each run writes only its own
-    rows, so a thread pool's ``map`` may run them side by side."""
-    if maps.shape[1:] != shapes.input_dims:
+    once. Each kernel's offset is added to its pooled maps, not to its
+    conv maps: rounding is monotone, so ``max(fl(x_i + c))`` is
+    ``fl(max(x_i) + c)`` and the pooled maps are those of
+    :func:`saab.apply_saab`'s conv maps, bit for bit. ``map_fn`` runs the
+    per-run work; each run writes only its own rows, so a thread pool's
+    ``map`` may run them side by side."""
+    if maps.shape[2:] != shapes.input_dims:
         raise ShapeLedgerMismatchError(
-            f"layer {shapes.layer} input {maps.shape[1:]}, "
+            f"layer {shapes.layer} input {maps.shape[2:]}, "
             f"ledger says {shapes.input_dims}")
-    out = np.empty((len(kernels), len(maps)) + shapes.pool_dims)
+    plan = slab_plan(maps.shape, window)
+    matrices, offsets = _projections(kernels)
+    out = np.empty(offsets.shape[:2] + maps.shape[1:2] + shapes.pool_dims)
 
     def run(plan_run) -> None:
         group, ys = plan_run
-        for k, conv in enumerate(_project(kernels, maps[group], window, ys)):
-            conv = conv[:, :, :, :shapes.conv_dims[2]]  # optional depth truncation
-            if conv.shape[1:] != shapes.conv_dims:
+        for k, conv in enumerate(_project(matrices, maps[:, group], window,
+                                          ys)):
+            conv = conv[..., :shapes.conv_dims[2], :]  # optional depth truncation
+            if conv.shape[2:] != shapes.conv_dims:
                 raise ShapeLedgerMismatchError(
-                    f"projection produced {conv.shape[1:]}, "
+                    f"projection produced {conv.shape[2:]}, "
                     f"ledger says {shapes.conv_dims}")
             pooled = max_pool(conv)
-            if pooled.shape[1:] != shapes.pool_dims:
+            if pooled.shape[2:] != shapes.pool_dims:
                 raise ShapeLedgerMismatchError(
-                    f"pooling produced {pooled.shape[1:]}, "
+                    f"pooling produced {pooled.shape[2:]}, "
                     f"ledger says {shapes.pool_dims}")
-            out[k, group if rows is None else rows[k, group]] = pooled
+            out[:, k, group if rows is None else rows[k, group]] = pooled
 
-    for _ in map_fn(run, slab_plan(maps.shape, window)):
+    for _ in map_fn(run, plan):
         pass
+    out += offsets[:, :, None, None, None, None]
     return out
 
 
 def _reduce(pooled: np.ndarray, kept: np.ndarray,
             shapes: LayerShapes) -> np.ndarray:
-    """Flattened (N, D) kept channels of stacked pooled maps."""
-    flat = supervise.select_channels(pooled, kept).reshape(len(pooled), -1)
+    """Flattened (N, D) kept channels of stacked pooled maps; ``kept``
+    comes from a :class:`supervise.ChannelEntropy`, which checked it."""
+    flat = pooled[..., kept].reshape(len(pooled), -1)
     if flat.shape[1] != shapes.lag_input_dim:
         raise ShapeLedgerMismatchError(
             f"layer {shapes.layer} reduced width {flat.shape[1]}, "
@@ -441,7 +468,8 @@ def _fit_direction(pooled: np.ndarray, kernel: saab.SaabKernel,
             kernel = saab.fit_saab_batches(
                 _union_moments(pooled[:n], layer.window), layer.channels,
                 cfg.bias_scale)
-            pooled = _pool_layer([kernel], pooled, layer.window, shapes)[0]
+            pooled = _pool_layer([[kernel]], pooled[None], layer.window,
+                                 shapes)[0, 0]
         entropy = supervise.channel_entropy(pooled[:n], labels, cfg.keep_ratio)
         flat = _reduce(pooled, entropy.kept, shapes)
         lag = supervise.fit_lag(flat[:n], labels, cfg.centroids_per_class,
@@ -482,17 +510,19 @@ def fit_folds(samples: list[DeformationSample], cfg: PipelineConfig,
                                                    len(train)))) as pool:
         map_fn = pool.map if threads > 1 else map
         for d in range(DIRECTIONS):
-            maps = _DirectionMaps(samples, d)
+            # one direction at a time: each holds every set's pooled maps
+            maps = _DirectionMaps(samples, slice(d, d + 1))
             # one run per sample: each set merges its samples' moments
             moments = list(map_fn(
-                lambda i: next(_union_moments(maps[i:i + 1], layer.window)),
-                range(len(maps))))
+                lambda i: next(_union_moments(maps[:, i:i + 1][0],
+                                              layer.window)),
+                range(len(samples))))
             kernels = [saab.fit_saab_batches([moments[i] for i in t],
                                              layer.channels, cfg.bias_scale)
                        for t in train]
             del moments
-            pooled = _pool_layer(kernels, maps, layer.window, shapes, rows,
-                                 map_fn)
+            pooled = _pool_layer([kernels], maps, layer.window, shapes, rows,
+                                 map_fn)[0]
             fits.append(list(map_fn(lambda f: _fit_direction(
                 pooled[f], kernels[f], labels[train[f]], cfg, ledger, d),
                 range(len(train)))))
@@ -546,7 +576,8 @@ def fit_pipeline(samples: list[DeformationSample], cfg: PipelineConfig,
 def transform_many(model: PipelineModel,
                    samples: list[DeformationSample]) -> np.ndarray:
     """Final (N, feature_dim) feature vectors of assembled samples, computed
-    by the same layer steps as :func:`fit_pipeline`."""
+    by the same layer steps as :func:`fit_pipeline`, each layer one step
+    for the three directions' maps, stacked."""
     if not samples:
         raise ShapeMismatchError("no samples to transform")
     for s in samples:
@@ -554,17 +585,16 @@ def transform_many(model: PipelineModel,
             raise ShapeMismatchError(
                 f"sample {s.subject_id} dims {s.dims} != model input "
                 f"{model.input_dims}")
-    layers = model.config.layers
-    blocks = []
-    for d in range(DIRECTIONS):
-        maps, per_dir = _DirectionMaps(samples, d), []
-        for li, (stage, shapes) in enumerate(zip(model.stages[d], model.ledger)):
-            maps = _pool_layer([stage.kernel], maps, layers[li].window,
-                               shapes)[0]
-            per_dir.append(supervise.apply_lag(
-                stage.lag, _reduce(maps, stage.entropy.kept, shapes)))
-        blocks.append(per_dir)
-    features = concat_features(blocks)
+    maps, blocks = _DirectionMaps(samples, slice(None)), []
+    for layer, shapes, stages in zip(model.config.layers, model.ledger,
+                                     zip(*model.stages)):
+        maps = _pool_layer([[stage.kernel] for stage in stages], maps,
+                           layer.window, shapes)[:, 0]
+        blocks.append([supervise.apply_lag(
+                           stage.lag, _reduce(pooled, stage.entropy.kept,
+                                              shapes))
+                       for stage, pooled in zip(stages, maps)])
+    features = concat_features(zip(*blocks))
     if features.shape[1] != model.feature_dim:
         raise ShapeLedgerMismatchError(
             f"feature length {features.shape[1]} != ledger {model.feature_dim}")
@@ -573,8 +603,15 @@ def transform_many(model: PipelineModel,
 
 def predict_samples(model: PipelineModel,
                     samples: list[DeformationSample]) -> tuple[np.ndarray, np.ndarray]:
-    """Transform then classify; returns (labels, decision scores)."""
-    return classifier.predict(model.svm, transform_many(model, samples))
+    """Transform then classify; returns (labels, decision scores). A
+    score that is not finite, from a model whose values overflow, raises
+    :class:`NonFiniteValuesError`."""
+    labels, scores = classifier.predict(model.svm,
+                                        transform_many(model, samples))
+    if not np.isfinite(scores).all():
+        raise NonFiniteValuesError(
+            "the model gives non-finite decision scores")
+    return labels, scores
 
 
 # -- parameter accounting --------------------------------------------------------

@@ -33,6 +33,17 @@ class ChannelEntropy:
     per_channel: np.ndarray   # (C,) summed over classes
     kept: np.ndarray          # strictly increasing channel ids
 
+    def __post_init__(self) -> None:
+        # checked once here, so the layer steps index maps with it as is
+        kept = np.asarray(self.kept)
+        if (kept.ndim != 1 or kept.size == 0 or kept.dtype.kind not in "iu"
+                or np.any(kept[1:] <= kept[:-1]) or kept[0] < 0
+                or kept[-1] >= len(self.per_channel)):
+            raise IndexOutOfRangeError(
+                f"kept channel ids {kept.tolist()} are not strictly "
+                f"increasing ints in [0, {len(self.per_channel)})")
+        object.__setattr__(self, "kept", kept)
+
 
 def _class_entropies(feats: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """(K, C) entropy of each channel within each class, one row per

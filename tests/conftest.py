@@ -206,11 +206,13 @@ def plan_unions(maps, window) -> list[np.ndarray]:
 
 
 def plan_project(kernels, maps, window) -> list[np.ndarray]:
-    """Each kernel's conv stack of a (N, H, W, Z, C) stack of maps, taken
-    run by run of its slab plan, as the layer steps take it."""
-    runs = [sslhop.pipeline._project(kernels, maps[run], window, ys)
-            for run, ys in sh.slab_plan(maps.shape, window)]
-    return [np.concatenate(convs) for convs in zip(*runs)]
+    """Each kernel's conv stack of a (N, H, W, Z, C) stack of maps, before
+    its offset, taken run by run of its slab plan, as the layer steps take
+    a group of one."""
+    matrices, _ = sslhop.pipeline._projections([kernels])
+    runs = [sslhop.pipeline._project(matrices, maps[None, run], window, ys)
+            for run, ys in sh.slab_plan(maps[None].shape, window)]
+    return [np.concatenate(convs, axis=1)[0] for convs in zip(*runs)]
 
 
 @pytest.fixture()

@@ -383,6 +383,21 @@ class TestErrorSurface:
             assert json.loads(err)["error"]["type"] == "CorruptFileError"
             assert not (tmp_path / "pred" / "predictions.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_model_with_non_finite_scores_is_a_data_error(self, cohort,
+                                                          fit_dir, tmp_path,
+                                                          capsys):
+        """A finite but denormal feature scale divides features to inf:
+        ``predict`` refuses the scores instead of writing them."""
+        bad = _poison_tensor(fit_dir / "model.sslm", tmp_path / "bad.sslm",
+                             ("svm",), "scale", 5e-324)
+        code = main(["predict", "--model", str(bad), "--manifest", str(cohort),
+                     "--out", str(tmp_path / "pred")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert json.loads(err)["error"]["type"] == "NonFiniteValuesError"
+        assert not (tmp_path / "pred" / "predictions.csv").exists()
+
     @pytest.mark.parametrize("dims", [5, [3, "a", 12, 12], [3, True, 12, 12]])
     def test_bad_field_dims_are_a_data_error(self, work, cohort, fit_dir,
                                              tmp_path, dims, capsys):

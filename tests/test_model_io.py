@@ -12,6 +12,7 @@ import sslhop as sh
 from sslhop.errors import (
     CorruptFileError,
     ShapeLedgerMismatchError,
+    SslhopError,
     VersionMismatchError,
 )
 from sslhop.model_io import _HEADER, MAGIC
@@ -311,3 +312,55 @@ class TestCorruption:
         path = edit_model_meta(saved, tmp_path / "m.sslm", edit)
         with pytest.raises(CorruptFileError, match=f"{key} is not a known key"):
             sh.load_model(path)
+
+
+# Values a tensor slot of a mutant takes: finite, so the loader's NaN/inf
+# check passes them, but large enough, or denormal enough, to overflow
+# the transform or the SVM's scaling.
+_EXTREMES = (1e300, -1e300, 1e308, -1e308, 5e-324)
+
+
+class TestTensorMutants:
+    def test_every_mutant_gives_finite_scores_or_a_typed_error(
+            self, saved, tiny_cohort, tiny_cfg, tmp_path):
+        """300 seeded mutants of the tiny model, each with 1-4 random
+        tensor slots set to an extreme finite value and the CRC fixed up.
+        Each one loads and classifies the tiny cohort to finite scores, or
+        raises an :class:`SslhopError`; none runs to non-finite scores or
+        fails any other way."""
+        _, records = tiny_cohort
+        samples = [sh.assemble_sample(r.ed, r.es, tiny_cfg, r.label,
+                                      r.subject_id) for r in records]
+        raw = saved.read_bytes()
+        start = _HEADER.size + _HEADER.unpack_from(raw)[3]
+        slots = (len(raw) - 4 - start) // 8
+        rng = np.random.default_rng(20261018)
+        outcomes = {"finite": 0, "refused": 0}
+        bad = []
+        path = tmp_path / "mutant.sslm"
+        for m in range(300):
+            mutant = bytearray(raw)
+            for slot in rng.choice(slots, size=rng.integers(1, 5),
+                                   replace=False):
+                struct.pack_into("<d", mutant, start + 8 * int(slot),
+                                 _EXTREMES[rng.integers(len(_EXTREMES))])
+            struct.pack_into("<I", mutant, len(mutant) - 4,
+                             zlib.crc32(mutant[:-4]))
+            path.write_bytes(mutant)
+            try:
+                with np.errstate(all="ignore"):
+                    _, scores = sh.predict_samples(sh.load_model(path),
+                                                   samples)
+            except SslhopError:
+                outcomes["refused"] += 1
+                continue
+            except Exception as exc:  # noqa: BLE001 - any other failure
+                bad.append((m, repr(exc)))
+                continue
+            if np.isfinite(scores).all():
+                outcomes["finite"] += 1
+            else:
+                bad.append((m, "non-finite scores"))
+        assert bad == [], f"{len(bad)} of 300 mutants: {bad[:5]}"
+        # both outcomes occur, so the mutants exercise the guard
+        assert min(outcomes.values()) > 0, outcomes

@@ -164,7 +164,9 @@ class TestUnionSlabs:
             grid = tuple(d - k + 1 for d, k in zip(fmap.shape, window))
             expect = apply_saab(kernel, dense).reshape(
                 (1,) + grid + (kernel.channels,))
-            np.testing.assert_allclose(conv, expect, rtol=0, atol=1e-12)
+            # the layer steps add the offset after the pool
+            np.testing.assert_allclose(conv + kernel.projection[1], expect,
+                                       rtol=0, atol=1e-12)
 
     def test_invalid_window_raises_on_first_slab(self):
         with pytest.raises(WindowTooLargeError):
@@ -185,7 +187,7 @@ class TestUnionSlabs:
         shapes = sslhop.pipeline.LayerShapes(1, (4, 4, 4, 1), 27, (2, 2, 2, 3),
                                              (1, 1, 1, 3), 3, 3)
         with pytest.raises(WindowTooLargeError):
-            sslhop.pipeline._pool_layer([None], maps, window, shapes)
+            sslhop.pipeline._pool_layer([[None]], maps[None], window, shapes)
         with pytest.raises(ShapeMismatchError):
             slab_plan((4, 4, 4, 1), (3, 3, 3))
         assert gathered == []
@@ -227,6 +229,23 @@ class TestMaxPool:
             np.testing.assert_array_equal(max_pool(fmap),
                                           _brute_pool(fmap, (2, 2, 2)))
             np.testing.assert_array_equal(fmap, before)
+
+    @pytest.mark.parametrize("offset", [1e6, -1e6, 1e-300, -1e-300])
+    @pytest.mark.parametrize("dims", [(1, 1, 1, 1), (1, 5, 3, 2), (7, 1, 5, 1),
+                                      (5, 7, 9, 3)])
+    def test_offset_after_the_pool_is_exact(self, rng, dims, offset):
+        """Rounding is monotone, so a per-channel offset added after the
+        pool gives the pool of the offset maps bit for bit, as the layer
+        steps rely on. The maps mix signs and magnitudes from 1e-12 to
+        1e12 times the offset's, so that many of the sums round."""
+        shape = (8,) + dims
+        conv = (rng.normal(size=shape) * abs(offset)
+                * 10.0 ** rng.integers(-12, 13, shape))
+        channel = offset * np.arange(1, dims[-1] + 1)
+        assert np.any(conv + channel - channel != conv)
+        np.testing.assert_array_equal(
+            max_pool(conv + channel).view(np.int64),
+            (max_pool(conv) + channel).view(np.int64))
 
     @pytest.mark.parametrize("dims,expect", [
         ((98, 98, 123), (49, 49, 62)),

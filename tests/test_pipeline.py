@@ -288,8 +288,9 @@ class TestFit:
         for stage, layer, row in zip(tiny_model.stages[1], tiny_cfg.layers,
                                      tiny_model.ledger):
             (conv,) = plan_project([stage.kernel], pooled, layer.window)
-            pooled = sslhop.pipeline._pool_layer([stage.kernel], pooled,
-                                                 layer.window, row)[0]
+            pooled = sslhop.pipeline._pool_layer([[stage.kernel]],
+                                                 pooled[None], layer.window,
+                                                 row)[0, 0]
             maps.append((conv[:, :, :, :row.conv_dims[2]], pooled))
         assert len(maps) == len(tiny_cfg.layers)
         for (conv, pooled), row in zip(maps, tiny_model.ledger):
@@ -486,16 +487,16 @@ class TestSharedSlabPass:
         _, records = tiny_cohort
         samples = _samples(records, tiny_cfg)
         ledger = sh.compute_ledger(tiny_cfg, samples[0].dims)
-        maps = sslhop.pipeline._DirectionMaps(samples, 2)
+        maps = sslhop.pipeline._DirectionMaps(samples, slice(2, 3))
         window = tiny_cfg.layers[0].window
         kernels = _fold_kernels(rng, (12, 12, 12, 1), window, count=3,
                                 channels=4)
         order = np.array([rng.permutation(len(samples)) for _ in kernels])
-        stacks = sslhop.pipeline._pool_layer(kernels, maps, window, ledger[0],
-                                             rows=np.argsort(order, axis=1))
+        (stacks,) = sslhop.pipeline._pool_layer(
+            [kernels], maps, window, ledger[0], rows=np.argsort(order, axis=1))
         for kernel, stack, rows in zip(kernels, stacks, order):
-            (alone,) = sslhop.pipeline._pool_layer([kernel], maps, window,
-                                                   ledger[0])
+            ((alone,),) = sslhop.pipeline._pool_layer([[kernel]], maps, window,
+                                                      ledger[0])
             np.testing.assert_array_equal(stack, alone[rows])
 
 
@@ -521,21 +522,72 @@ class TestStackedLayerSteps:
         assert len(sh.slab_plan(maps.shape, window)) == \
             (3 if per_group else 1)
         convs = plan_project(kernels, maps, window)
-        stacks = sslhop.pipeline._pool_layer(kernels, maps, window, shapes)
+        (stacks,) = sslhop.pipeline._pool_layer([kernels], maps[None], window,
+                                                shapes)
         for i in range(len(maps)):
             alone = plan_project(kernels, maps[i:i + 1], window)
             for conv, one in zip(convs, alone):
                 np.testing.assert_array_equal(conv[i:i + 1], one)
             np.testing.assert_array_equal(
                 stacks[:, i:i + 1],
-                sslhop.pipeline._pool_layer(kernels, maps[i:i + 1], window,
-                                            shapes))
+                sslhop.pipeline._pool_layer([kernels], maps[None, i:i + 1],
+                                            window, shapes)[0])
 
     def test_max_pool_of_a_stack_equals_each_maps_pool(self, rng):
         stack = rng.normal(size=(2, 3, 5, 7, 3, 2))
         pooled = sh.max_pool(stack)
         for idx in np.ndindex(stack.shape[:2]):
             np.testing.assert_array_equal(pooled[idx], sh.max_pool(stack[idx]))
+
+
+def _oracle_features(model, samples):
+    """Features of ``samples`` from a per-direction oracle: each
+    direction's maps of all the samples run through ``extract_unions ->
+    apply_saab -> max_pool -> select_channels -> apply_lag``, layer by
+    layer, one dense call each, offsets added before the pool."""
+    blocks = []
+    for d, stages in enumerate(model.stages):
+        maps = np.stack([s.direction(d) for s in samples])[..., None]
+        per_dir = []
+        for stage, layer, shapes in zip(stages, model.config.layers,
+                                        model.ledger):
+            grid = tuple(n - k + 1 for n, k in zip(maps.shape[1:4],
+                                                   layer.window))
+            conv = sh.apply_saab(stage.kernel,
+                                 sh.extract_unions(maps, layer.window))
+            conv = conv.reshape((len(samples),) + grid + (-1,))
+            maps = sh.max_pool(conv[:, :, :, :shapes.conv_dims[2]])
+            flat = sh.select_channels(maps, stage.entropy.kept)
+            per_dir.append(sh.apply_lag(stage.lag,
+                                        flat.reshape(len(samples), -1)))
+        blocks.append(per_dir)
+    return sh.concat_features(blocks)
+
+
+class TestDirectionStack:
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_transform_equals_a_per_direction_oracle(self, tiny_model,
+                                                     tiny_cohort, tiny_cfg,
+                                                     count):
+        """One layer step for the three directions, with offsets added
+        after the pool, gives the per-direction dense pipeline's features
+        bit for bit."""
+        _, records = tiny_cohort
+        samples = _samples(records, tiny_cfg)[-count:]
+        np.testing.assert_array_equal(sh.transform_many(tiny_model, samples),
+                                      _oracle_features(tiny_model, samples))
+
+    def test_direction_maps_stack_every_direction(self, tiny_cohort,
+                                                  tiny_cfg):
+        _, records = tiny_cohort
+        samples = _samples(records, tiny_cfg)[:4]
+        maps = sslhop.pipeline._DirectionMaps(samples, slice(None))
+        assert maps.shape == (3, 4, 12, 12, 12, 1)
+        run = maps[:, 1:3]
+        for d in range(3):
+            for i, sample in enumerate(samples[1:3]):
+                np.testing.assert_array_equal(run[d, i, ..., 0],
+                                              sample.direction(d))
 
 
 def _dense_moments(fmap, window):
@@ -620,7 +672,7 @@ def _layer_peaks(kernel, maps, window, shapes):
     while it takes their union moments."""
     tracemalloc.start()
     try:
-        sslhop.pipeline._pool_layer([kernel], maps, window, shapes)
+        sslhop.pipeline._pool_layer([[kernel]], maps[None], window, shapes)
         forward_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         for _ in sslhop.pipeline._union_moments(maps, window):
@@ -665,6 +717,28 @@ class TestBoundedMemory:
                   + 3 * sslhop.neighborhood.SLAB_BYTES)
         peaks = _layer_peaks(kernel, maps, window, shapes)
         assert max(peaks) < budget
+
+    def test_batched_transform_peak_is_three_directions_pooled_maps(
+            self, rng):
+        """200 small subjects transformed at once: the three directions'
+        pooled layer-1 maps take 200 * 3 * 5 * 5 * 5 * 4 * 8 = 2.4 MB,
+        while their conv maps alone would take 17.3 MB."""
+        cfg = sh.PipelineConfig(layers=(sh.LayerSpec((3, 3, 4), 4),
+                                        sh.LayerSpec((3, 3, 3), 5)),
+                                centroids_per_class=1)
+        samples = [sh.DeformationSample(*rng.normal(size=(2, 3, 12, 12, 6)),
+                                        "interlaced", i % 2, f"s{i}")
+                   for i in range(200)]
+        model = sh.fit_pipeline(samples[:6], cfg)
+        budget = (8 * 3 * len(samples) * math.prod(model.ledger[0].pool_dims)
+                  + 3 * sslhop.neighborhood.SLAB_BYTES)
+        tracemalloc.start()
+        try:
+            sh.transform_many(model, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget
 
 
 class TestParameterAccounting:

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from sslhop import apply_lag, channel_entropy, fit_lag, select_channels
+from sslhop import (ChannelEntropy, apply_lag, channel_entropy, fit_lag,
+                    select_channels)
 from sslhop.errors import (
     ClusterCollapseWarning,
     IndexOutOfRangeError,
@@ -141,6 +142,18 @@ class TestSelectChannels:
     def test_rejects_bad_id_lists(self, kept, rng):
         with pytest.raises(IndexOutOfRangeError):
             select_channels(rng.normal(size=(2, 2, 2, 5)), np.array(kept))
+
+
+class TestKeptIds:
+    @pytest.mark.parametrize("kept", [[3, 1], [1, 1], [-1, 2], [0, 5], [],
+                                      [0.0, 2.0]],
+                             ids=["unsorted", "repeated", "negative",
+                                  "past-the-end", "empty", "float"])
+    def test_channel_entropy_refuses_bad_kept_ids(self, kept):
+        """Fitted kept ids are checked once, when their entropy record is
+        made, since the layer steps index maps with them unchecked."""
+        with pytest.raises(IndexOutOfRangeError):
+            ChannelEntropy(per_channel=np.zeros(5), kept=np.array(kept))
 
 
 class TestLag:
