@@ -310,7 +310,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # numpy's floating-point warnings would precede the JSON error on
+        # stderr; every non-finite result is refused by a typed check
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except SslhopError as exc:
         _emit_error(exc, exc.exit_code)
         return exc.exit_code

@@ -16,6 +16,7 @@ paths are resolved relative to the manifest's directory.
 from __future__ import annotations
 
 import json
+import math
 import re
 import struct
 import zlib
@@ -105,7 +106,7 @@ def _read_field(path: str | Path) -> tuple[dict, np.ndarray]:
     header, start = _parse_header(raw, path)
     body = memoryview(raw)[start:]
     dims = tuple(header["dims"])
-    expected = int(np.prod(dims)) * 4
+    expected = math.prod(dims) * 4      # exact: numpy's int64 product wraps
     if len(body) != expected + 4:
         raise ShapeMismatchError(
             f"{path}: payload holds {len(body) - 4} bytes, dims {dims} "

@@ -417,18 +417,61 @@ def concat_features(blocks) -> np.ndarray:
                           axis=1)
 
 
+def _lagged_sums(shifted: np.ndarray, window, ys):
+    """Raw sums and Gram matrix of the unions of one (1, H, W, Z, C) map
+    read in the row slabs ``ys`` of :func:`slab_plan`, from its row-partial
+    unions: ``R_i``, the (1, w, z) unions of input row ``i``, K = D/h
+    columns.
+
+    A union at origin row ``y`` is ``R_y, ..., R_{y+h-1}`` side by side,
+    so Gram block (a, a+d) is the sum of ``R_i^T R_{i+d}`` over ``i`` from
+    ``a`` to ``a+Y-1`` (Y origin rows), and block (a+d, a) its transpose:
+    the products of ``unions.T @ unions``, grouped by row. Each lagged
+    product (d < h) is formed once, by one batched product per lag and
+    slab; a slab takes the products of its origin rows, and the last also
+    those of its halo rows, which no later slab reads.
+    """
+    h, w, z = window
+    H = shifted.shape[1]
+    Y = H - h + 1
+    K = w * z * shifted.shape[-1]
+    sums = np.empty((H, K))
+    lagged = [np.empty((H - d, K, K)) for d in range(h)]
+    for y in ys:
+        count = y.stop - y.start
+        own = count if y.stop == H else count - (h - 1)
+        # (rows, K, origins): each row's R_i^T, a view of the gathered slab
+        rows = extract_unions(shifted[:, y], (1, w, z)).T.reshape(
+            K, count, -1).transpose(1, 0, 2)
+        sums[y.start:y.start + own] = rows[:own].sum(axis=2)
+        for d, products in enumerate(lagged):
+            n = min(own, count - d)
+            np.matmul(rows[:n], rows[d:d + n].transpose(0, 2, 1),
+                      out=products[y.start:y.start + n])
+    gram = np.empty((h, K, h, K))
+    for d, products in enumerate(lagged):
+        for a in range(h - d):
+            gram[a, :, a + d] = block = products[a:a + Y].sum(axis=0)
+            gram[a + d, :, a] = block.T
+    total = np.concatenate([sums[a:a + Y].sum(axis=0) for a in range(h)])
+    return total, gram.reshape(h * K, h * K)
+
+
 def _union_moments(maps: np.ndarray, window):
     """Yield the moments of the unions of each run of a (N, H, W, Z, C)
     stack of maps, in the order of :func:`slab_plan`; merged in order,
     they are the moments of the whole stack's unions.
 
     Each channel's mean over the run is subtracted from its maps once, a
-    copy D/C times smaller than their unions; the run's slabs of the
-    shifted maps add up raw sums and Gram matrices, corrected once per
-    run (the shifted-data algorithm of Chan, Golub & LeVeque 1983). The
-    mean is taken about the run's first voxel, so a constant channel
-    shifts to exact zeros and adds exactly nothing to the scatter. A map
-    whose unions fill a slab is a run of its own.
+    copy D/C times smaller than their unions; the run's raw sums and Gram
+    matrix of the shifted maps' unions are corrected once per run (the
+    shifted-data algorithm of Chan, Golub & LeVeque 1983). The mean is
+    taken about the run's first voxel, so a constant channel shifts to
+    exact zeros and adds exactly nothing to the scatter. A run of whole
+    maps forms its Gram matrix from its unions directly. A map whose
+    unions fill a slab is a run of its own, read in row slabs, and its
+    Gram matrix comes from the lagged products of its row-partial unions
+    (:func:`_lagged_sums`), h times narrower than its unions.
     """
     per_map = union_count(maps.shape[1:], window)
     for group, ys in slab_plan(maps.shape, window):
@@ -437,11 +480,11 @@ def _union_moments(maps: np.ndarray, window):
         shifted = np.subtract(fmaps, first, dtype=np.float64)
         shift = shifted.mean(axis=(0, 1, 2, 3))
         shifted -= shift
-        total = gram = 0.0
-        for y in ys:
-            unions = extract_unions(shifted[:, y], window)
-            total += unions.sum(axis=0)
-            gram += unions.T @ unions
+        if len(ys) > 1:
+            total, gram = _lagged_sums(shifted, window, ys)
+        else:
+            unions = extract_unions(shifted, window)
+            total, gram = unions.sum(axis=0), unions.T @ unions
         n = per_map * len(fmaps)
         mean = total / n
         shift += first

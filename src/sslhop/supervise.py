@@ -50,12 +50,20 @@ def _class_entropies(feats: np.ndarray, labels: np.ndarray) -> np.ndarray:
     sorted distinct label, of float64 (N, H, W, Z, C) maps."""
     classes = np.unique(labels)
     n_channels = feats.shape[-1]
+    voxels = feats.reshape(len(feats), -1, n_channels)
     per_class = np.empty((classes.size, n_channels))
     for row, cls in enumerate(classes):
-        pooled = feats[labels == cls].reshape(-1, n_channels)
-        shifted = pooled - pooled.min(axis=0) + ENTROPY_EPS
-        p = shifted / shifted.sum(axis=0)
-        per_class[row] = -(p * np.log(p)).sum(axis=0)
+        members = np.flatnonzero(labels == cls)
+        # the class's values channel-first, in one copy, so each channel's
+        # pool is one contiguous row that is shifted and normalised in place
+        pool = np.empty((n_channels, members.size, voxels.shape[1]))
+        for j, i in enumerate(members):
+            pool[:, j] = voxels[i].T
+        p = pool.reshape(n_channels, -1)
+        p -= p.min(axis=1, keepdims=True)
+        p += ENTROPY_EPS
+        p /= p.sum(axis=1, keepdims=True)
+        per_class[row] = [-(q * np.log(q)).sum() for q in p]
     return per_class
 
 
@@ -145,7 +153,9 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int,
     k = centers.shape[0]
     sizes = np.zeros(k, dtype=np.int64)
     for _ in range(max_iter):
-        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        # squared distances ||x||^2 - 2 x.c + ||c||^2 less ||x||^2, which
+        # is the same for every centre of a row and so moves no argmin
+        d2 = np.einsum("kd,kd->k", centers, centers) - 2.0 * (X @ centers.T)
         assign = np.argmin(d2, axis=1)
         new_centers = centers.copy()
         for j in range(k):
@@ -206,26 +216,33 @@ def fit_lag(X: np.ndarray, labels: np.ndarray, centroids_per_class: int = 5,
     centroids = np.vstack(blocks)
     block_sizes = np.array([b.shape[0] for b in blocks], dtype=np.int64)
 
-    # Soft targets: nonzero only inside the sample's own class block.
+    # Soft targets: nonzero only inside the sample's own class block. The
+    # squared distances are ||x||^2 - 2 x.c + ||c||^2, clamped at 0 against
+    # roundoff, from one product of X with every centroid.
+    sq_dist = (np.einsum("nd,nd->n", X, X)[:, None] - 2.0 * (X @ centroids.T)
+               + np.einsum("kd,kd->k", centroids, centroids))
     targets = np.zeros((X.shape[0], centroids.shape[0]))
     offsets = np.concatenate([[0], np.cumsum(block_sizes)])
     for row, cls in enumerate(classes):
         idx = np.flatnonzero(labels == cls)
-        block = centroids[offsets[row]:offsets[row + 1]]
-        dist = np.sqrt(((X[idx, None, :] - block[None, :, :]) ** 2).sum(axis=2))
+        dist = np.sqrt(np.maximum(
+            sq_dist[idx, offsets[row]:offsets[row + 1]], 0.0))
         # subtract the row-min before exp so large alpha*dist cannot
         # underflow an entire block; the normalization cancels the shift
         t = np.exp(-alpha * (dist - dist.min(axis=1, keepdims=True)))
         targets[idx, offsets[row]:offsets[row + 1]] = t / t.sum(axis=1, keepdims=True)
 
-    aug = np.hstack([X, np.ones((X.shape[0], 1))])
-    n, d = aug.shape
+    n, d = X.shape[0], X.shape[1] + 1
     if d <= n:
+        aug = np.hstack([X, np.ones((n, 1))])
         weights = np.linalg.solve(aug.T @ aug + ridge_lambda * np.eye(d),
                                   aug.T @ targets)
     else:
-        weights = aug.T @ np.linalg.solve(aug @ aug.T + ridge_lambda * np.eye(n),
-                                          targets)
+        # X~ X~^T is X X^T + 1, and X~^T a is X^T a over 1^T a, so the
+        # bias-augmented copy of X is never built
+        dual = np.linalg.solve(X @ X.T + (1.0 + ridge_lambda * np.eye(n)),
+                               targets)
+        weights = np.vstack([X.T @ dual, dual.sum(axis=0)])
     return LagModel(centroids=centroids, weights=weights,
                     block_sizes=block_sizes)
 

@@ -3,9 +3,13 @@
 import csv
 import json
 import math
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -383,7 +387,6 @@ class TestErrorSurface:
             assert json.loads(err)["error"]["type"] == "CorruptFileError"
             assert not (tmp_path / "pred" / "predictions.csv").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_model_with_non_finite_scores_is_a_data_error(self, cohort,
                                                           fit_dir, tmp_path,
                                                           capsys):
@@ -397,6 +400,27 @@ class TestErrorSurface:
         assert code == 3
         assert json.loads(err)["error"]["type"] == "NonFiniteValuesError"
         assert not (tmp_path / "pred" / "predictions.csv").exists()
+
+    def test_stderr_of_a_failed_command_is_one_json_document(self, cohort,
+                                                             fit_dir,
+                                                             tmp_path):
+        """In a process of its own, where no test harness captures numpy's
+        floating-point warnings, the overflow that the denormal scale
+        causes reaches stderr only as the typed error."""
+        bad = _poison_tensor(fit_dir / "model.sslm", tmp_path / "bad.sslm",
+                             ("svm",), "scale", 5e-324)
+        path = [str(Path(sh.__file__).parent.parent)]
+        if os.environ.get("PYTHONPATH"):
+            path.append(os.environ["PYTHONPATH"])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        done = subprocess.run(
+            [sys.executable, "-m", "sslhop.cli", "predict", "--model",
+             str(bad), "--manifest", str(cohort), "--out",
+             str(tmp_path / "pred")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 3, done.stderr
+        assert json.loads(done.stderr)["error"]["type"] \
+            == "NonFiniteValuesError"
 
     @pytest.mark.parametrize("dims", [5, [3, "a", 12, 12], [3, True, 12, 12]])
     def test_bad_field_dims_are_a_data_error(self, work, cohort, fit_dir,

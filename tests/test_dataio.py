@@ -16,6 +16,7 @@ from sslhop.errors import (
     MissingFileError,
     NonFiniteValuesError,
     ShapeMismatchError,
+    SslhopError,
     UnknownLabelError,
 )
 
@@ -125,6 +126,68 @@ class TestFieldFiles:
         path.write_bytes(b"{}")
         with pytest.raises(BadHeaderError):
             sh.read_field_header(path)
+
+
+def _field_mutant(rng, raw: bytes) -> bytes:
+    """One seeded mutant of the field file ``raw``: a byte flip with the
+    CRC of the payload recomputed, a truncation or extension, or an edit
+    of the JSON header."""
+    nl = raw.index(b"\n") + 1
+    kind = rng.integers(4)
+    if kind == 0:                          # flips; the trailer fits the payload
+        mutant = bytearray(raw)
+        for at in rng.choice(len(raw) - 4, size=rng.integers(1, 4),
+                             replace=False):
+            mutant[at] ^= int(rng.integers(1, 256))
+        struct.pack_into("<I", mutant, len(mutant) - 4,
+                         zlib.crc32(mutant[nl:-4]))
+        return bytes(mutant)
+    if kind == 1:
+        return raw[:rng.integers(len(raw))]
+    if kind == 2:
+        return raw + rng.bytes(int(rng.integers(1, 64)))
+    header = json.loads(raw[:nl])
+    key = sorted(header)[rng.integers(len(header))]
+    edit = rng.integers(4)
+    if edit == 0:
+        del header[key]
+    elif edit == 1:                        # a value of another JSON type
+        header[key] = [None, True, 1.5, "4", [3], {"a": 1}, 7][
+            rng.integers(7)]
+    else:                      # one dim a bool, NaN, negative or huge int
+        dims = header["dims"]
+        dims[rng.integers(len(dims))] = [
+            True, False, float("nan"), 2 ** 31, 2 ** 62 + dims[-1],
+            2 ** 63 + 1, 10 ** 30, -1][rng.integers(8)]
+    return json.dumps(header).encode() + b"\n" + raw[nl:]
+
+
+class TestFieldMutants:
+    def test_every_mutant_loads_a_valid_field_or_raises_a_typed_error(
+            self, tmp_path):
+        """400 seeded mutants of one field file. Each one either reads back
+        to a field that passes ``validate_field`` or raises an
+        :class:`SslhopError` (exit 3); none fails any other way."""
+        rng = np.random.default_rng(20261019)
+        raw = sh.write_field(_sample_field(rng), tmp_path / "a.fld", "ED",
+                             "s").read_bytes()
+        path = tmp_path / "mutant.fld"
+        outcomes = {"valid": 0, "refused": 0}
+        bad = []
+        for m in range(400):
+            path.write_bytes(_field_mutant(rng, raw))
+            try:
+                sh.validate_field(sh.read_field(path))
+            except SslhopError:
+                outcomes["refused"] += 1
+                continue
+            except Exception as exc:  # noqa: BLE001 - any other failure
+                bad.append((m, repr(exc)))
+                continue
+            outcomes["valid"] += 1
+        assert bad == [], f"{len(bad)} of 400 mutants: {bad[:5]}"
+        # both outcomes occur, so the mutants reach past the first check
+        assert min(outcomes.values()) > 0, outcomes
 
 
 class TestManifests:

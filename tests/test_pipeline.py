@@ -599,8 +599,12 @@ def _dense_moments(fmap, window):
 
 
 class TestUnionMoments:
+    # one map read in row slabs, with h = 3, 3, 1 and 2; the last slab is
+    # short (fewer origin rows than the others) for all but the first
     @pytest.mark.parametrize("dims,window", [((32, 32, 32, 1), (3, 3, 6)),
-                                             ((15, 15, 14, 5), (3, 3, 3))])
+                                             ((15, 15, 14, 5), (3, 3, 3)),
+                                             ((16, 15, 14, 3), (1, 3, 3)),
+                                             ((14, 15, 14, 5), (2, 3, 3))])
     @pytest.mark.parametrize("offset", [0.0, 100.0])
     def test_slab_sums_match_a_long_double_oracle(self, rng, monkeypatch,
                                                   dims, window, offset):
@@ -646,21 +650,25 @@ class TestUnionMoments:
             <= 1e-13 * np.abs(scatter).max()
         assert np.abs(moments.mean - mean).max() <= 1e-13 * np.abs(mean).max()
 
-    def test_constant_channels_have_exactly_zero_scatter(self, monkeypatch):
+    @pytest.mark.parametrize("window", [(3, 3, 3), (2, 3, 3), (1, 3, 3)],
+                             ids=["h3", "h2", "h1"])
+    def test_constant_channels_have_exactly_zero_scatter(self, monkeypatch,
+                                                         window):
         """Per-slab centering left a roundoff scatter of about 1e-27 here,
         and the fit kept a noise direction as an AC anchor."""
         levels = np.array([0.1, 0.7, -3.3, 1e3, 1 / 3])
         fmap = np.broadcast_to(levels, (15, 15, 14, 5)).copy()
         monkeypatch.setattr(sslhop.neighborhood, "SLAB_BYTES", 1 << 17)
-        plan = sh.slab_plan((2,) + fmap.shape, (3, 3, 3))
+        plan = sh.slab_plan((2,) + fmap.shape, window)
         assert all(len(ys) >= 3 for _, ys in plan)
         # each map fills a slab, so each is a run of its own
         moments = list(sslhop.pipeline._union_moments(np.stack([fmap, fmap]),
-                                                      (3, 3, 3)))
+                                                      window))
         assert len(moments) == 2
         for m in moments:
             assert not m.scatter.any()
-            np.testing.assert_array_equal(m.mean, np.tile(levels, 27))
+            np.testing.assert_array_equal(m.mean,
+                                          np.tile(levels, math.prod(window)))
         with pytest.warns(DegenerateInputWarning,
                           match="no residual variance"):
             kernel = sh.fit_saab_batches(moments, 5)
