@@ -418,18 +418,18 @@ def concat_features(blocks) -> np.ndarray:
 
 
 def _lagged_sums(shifted: np.ndarray, window, ys):
-    """Raw sums and Gram matrix of the unions of one (1, H, W, Z, C) map
-    read in the row slabs ``ys`` of :func:`slab_plan`, from its row-partial
-    unions: ``R_i``, the (1, w, z) unions of input row ``i``, K = D/h
-    columns.
+    """Raw sums and Gram matrix of the unions of one run of :func:`slab_plan`,
+    a (n, H, W, Z, C) stack of whole maps read in the row slabs ``ys``,
+    from its row-partial unions: ``R_i``, the (1, w, z) unions of input
+    row ``i`` of every map of the run, K = D/h columns.
 
     A union at origin row ``y`` is ``R_y, ..., R_{y+h-1}`` side by side,
     so Gram block (a, a+d) is the sum of ``R_i^T R_{i+d}`` over ``i`` from
     ``a`` to ``a+Y-1`` (Y origin rows), and block (a+d, a) its transpose:
-    the products of ``unions.T @ unions``, grouped by row. Each lagged
+    the terms of the unions' Gram matrix, grouped by row. Each lagged
     product (d < h) is formed once, by one batched product per lag and
-    slab; a slab takes the products of its origin rows, and the last also
-    those of its halo rows, which no later slab reads.
+    slab; a slab takes the products of its origin rows, and the last (or
+    only) one also those of its halo rows, which no later slab reads.
     """
     h, w, z = window
     H = shifted.shape[1]
@@ -440,9 +440,10 @@ def _lagged_sums(shifted: np.ndarray, window, ys):
     for y in ys:
         count = y.stop - y.start
         own = count if y.stop == H else count - (h - 1)
-        # (rows, K, origins): each row's R_i^T, a view of the gathered slab
-        rows = extract_unions(shifted[:, y], (1, w, z)).T.reshape(
-            K, count, -1).transpose(1, 0, 2)
+        # (rows, K, origins): each row's R_i^T over the run's maps, a view
+        # of the slab gathered with the input row as the leading axis
+        rows = extract_unions(shifted[:, y, None].swapaxes(0, 1),
+                              (1, w, z)).T.reshape(K, count, -1).swapaxes(0, 1)
         sums[y.start:y.start + own] = rows[:own].sum(axis=2)
         for d, products in enumerate(lagged):
             n = min(own, count - d)
@@ -467,11 +468,10 @@ def _union_moments(maps: np.ndarray, window):
     matrix of the shifted maps' unions are corrected once per run (the
     shifted-data algorithm of Chan, Golub & LeVeque 1983). The mean is
     taken about the run's first voxel, so a constant channel shifts to
-    exact zeros and adds exactly nothing to the scatter. A run of whole
-    maps forms its Gram matrix from its unions directly. A map whose
-    unions fill a slab is a run of its own, read in row slabs, and its
-    Gram matrix comes from the lagged products of its row-partial unions
-    (:func:`_lagged_sums`), h times narrower than its unions.
+    exact zeros and adds exactly nothing to the scatter. Every run, of
+    whole maps or of one map read in row slabs, sums its Gram matrix from
+    the lagged products of its row-partial unions (:func:`_lagged_sums`),
+    h times narrower than its unions.
     """
     per_map = union_count(maps.shape[1:], window)
     for group, ys in slab_plan(maps.shape, window):
@@ -480,11 +480,7 @@ def _union_moments(maps: np.ndarray, window):
         shifted = np.subtract(fmaps, first, dtype=np.float64)
         shift = shifted.mean(axis=(0, 1, 2, 3))
         shifted -= shift
-        if len(ys) > 1:
-            total, gram = _lagged_sums(shifted, window, ys)
-        else:
-            unions = extract_unions(shifted, window)
-            total, gram = unions.sum(axis=0), unions.T @ unions
+        total, gram = _lagged_sums(shifted, window, ys)
         n = per_map * len(fmaps)
         mean = total / n
         shift += first
@@ -540,8 +536,9 @@ def fit_folds(samples: list[DeformationSample], cfg: PipelineConfig,
     then fits each set's layers from its stack.
 
     With ``threads`` > 1, the per-sample, per-run and per-set work runs on
-    a pool of at most one worker per set. Each piece of work writes only
-    its own results, so the output does not depend on the thread count.
+    a pool of at most one worker per set, under the caller's numpy error
+    state. Each piece of work writes only its own results, so the output
+    does not depend on the thread count.
     """
     ledger = compute_ledger(cfg, common_dims(samples))
     labels = np.array([s.label for s in samples], dtype=np.int64)
@@ -549,8 +546,9 @@ def fit_folds(samples: list[DeformationSample], cfg: PipelineConfig,
     rows = np.argsort([np.concatenate(p) for p in zip(train, held)], axis=1)
     layer, shapes = cfg.layers[0], ledger[0]
     fits = []                                    # [direction][set]
-    with ThreadPoolExecutor(max_workers=max(1, min(threads,
-                                                   len(train)))) as pool:
+    state = np.geterr()              # per thread: the pool's workers take it
+    with ThreadPoolExecutor(max(1, min(threads, len(train))),
+                            initializer=lambda: np.seterr(**state)) as pool:
         map_fn = pool.map if threads > 1 else map
         for d in range(DIRECTIONS):
             # one direction at a time: each holds every set's pooled maps

@@ -11,13 +11,13 @@ Fitting reads the :class:`Moments` (count, mean, centered scatter) of
 batches of unions, merges them with the pairwise update of Chan, Golub &
 LeVeque (1979) and projects the DC direction out of the merged D x D
 statistics at the end, so training unions never need to be materialized
-in one matrix. The pipeline forms one batch per run of whole feature maps
-from raw sums over a mean-shifted copy of the maps (their shifted-data
-algorithm, 1983), without a centered copy of the unions; a map too large
-for one slab sums its Gram matrix from lagged products of its row-partial
-unions, the same products grouped by row. Moments are plain values: they
-can be computed once, kept and merged into several fits; a dense matrix is
-simply the single-batch case, centered directly.
+in one matrix. The pipeline forms one batch per run of feature maps from
+raw sums over a mean-shifted copy of the maps (their shifted-data
+algorithm, 1983), without a centered copy of the unions; each run sums
+its Gram matrix from lagged products of its row-partial unions, the same
+products grouped by row. Moments are plain values: they can be computed
+once, kept and merged into several fits; a dense matrix is simply the
+single-batch case, centered directly.
 Projection is one matrix product plus a per-channel offset that folds in
 the training mean.
 """

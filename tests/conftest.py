@@ -8,6 +8,7 @@ numbers.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import struct
@@ -19,6 +20,7 @@ import pytest
 
 import sslhop as sh
 import sslhop.pipeline
+from sslhop.errors import SslhopError
 from sslhop.model_io import _HEADER
 
 # Outcome of every test marked @pytest.mark.acceptance, keyed by nodeid.
@@ -196,6 +198,61 @@ def stage_edit(request):
     direction instead of three, or one layer fewer than the ledger's in
     one direction."""
     return request.param
+
+
+# What a mutated JSON node becomes: a value of each other JSON type, or a
+# bool, NaN, zero, negative or huge int where a reader may want a count.
+_JSON_SWAPS = (None, True, False, 1.5, "4", [3], {"a": 1}, 7, 0, -1,
+               float("nan"), 2 ** 63 + 1, 10 ** 30)
+
+
+def json_mutant(rng: np.random.Generator, doc):
+    """A copy of the JSON document ``doc`` with one seeded edit at a node
+    drawn from its whole tree: the key or item dropped (a third of the
+    time), or its value swapped for one of ``_JSON_SWAPS``."""
+    doc = copy.deepcopy(doc)
+    nodes = []                               # (container, key) pairs
+
+    def walk(node):
+        items = (node.items() if isinstance(node, dict)
+                 else enumerate(node) if isinstance(node, list) else ())
+        for key, child in items:
+            nodes.append((node, key))
+            walk(child)
+
+    walk(doc)
+    parent, key = nodes[rng.integers(len(nodes))]
+    if rng.integers(3) == 0:
+        del parent[key]
+    else:
+        parent[key] = _JSON_SWAPS[rng.integers(len(_JSON_SWAPS))]
+    return doc
+
+
+def assert_mutants_read_or_refused(count: int, write, read) -> None:
+    """Write ``count`` seeded mutants of a file with ``write()`` and read
+    each with ``read()``, which returns whether what it read is finite.
+    Each one must read to a finite result or raise an
+    :class:`SslhopError` (exit 3), and none may fail any other way; both
+    outcomes must occur, so the mutants reach past the first check."""
+    outcomes = {"read": 0, "refused": 0}
+    bad = []
+    for m in range(count):
+        write()
+        try:
+            finite = read()
+        except SslhopError:
+            outcomes["refused"] += 1
+            continue
+        except Exception as exc:  # noqa: BLE001 - any other failure
+            bad.append((m, repr(exc)))
+            continue
+        if finite:
+            outcomes["read"] += 1
+        else:
+            bad.append((m, "a non-finite result"))
+    assert bad == [], f"{len(bad)} of {count} mutants: {bad[:5]}"
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def plan_unions(maps, window) -> list[np.ndarray]:

@@ -11,10 +11,12 @@ import sys
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sslhop as sh
-from sslhop.cli import main
+from conftest import assert_mutants_read_or_refused, json_mutant
+from sslhop.cli import _resolve_config, build_parser, main
 from sslhop.model_io import _HEADER, _layout
 
 
@@ -355,6 +357,32 @@ def _poison_tensor(src, dst, owner, field, value):
     struct.pack_into("<I", raw, len(raw) - 4, zlib.crc32(raw[:-4]))
     dst.write_bytes(raw)
     return dst
+
+
+class TestConfigMutants:
+    def test_every_mutant_resolves_to_a_finite_config_or_a_typed_error(
+            self, config_file, tmp_path):
+        """300 seeded mutants of the tiny config file given as
+        ``--config``, each with one key or item dropped or one value
+        swapped (:func:`json_mutant`). Each one resolves to a config whose
+        numbers are finite, or raises an :class:`SslhopError`; none fails
+        any other way."""
+        doc = json.loads(config_file.read_text())
+        path = tmp_path / "config.json"
+        args = build_parser().parse_args(["fit", "--manifest", "m.json",
+                                          "--config", str(path),
+                                          "--out", str(tmp_path / "out")])
+        rng = np.random.default_rng(20261021)
+
+        def read():
+            cfg = _resolve_config(args)
+            return all(math.isfinite(getattr(cfg, name)) for name in (
+                "keep_ratio", "alpha", "ridge_lambda", "svm_cost",
+                "bias_scale"))
+
+        assert_mutants_read_or_refused(
+            300, lambda: path.write_text(json.dumps(json_mutant(rng, doc))),
+            read)
 
 
 class TestErrorSurface:

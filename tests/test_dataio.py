@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import sslhop as sh
+from conftest import assert_mutants_read_or_refused, json_mutant
 from sslhop.errors import (
     BadHeaderError,
     ChecksumMismatchError,
@@ -16,7 +17,6 @@ from sslhop.errors import (
     MissingFileError,
     NonFiniteValuesError,
     ShapeMismatchError,
-    SslhopError,
     UnknownLabelError,
 )
 
@@ -130,10 +130,21 @@ class TestFieldFiles:
 
 def _field_mutant(rng, raw: bytes) -> bytes:
     """One seeded mutant of the field file ``raw``: a byte flip with the
-    CRC of the payload recomputed, a truncation or extension, or an edit
-    of the JSON header."""
+    CRC of the payload recomputed, a truncation or extension, an edit of
+    the JSON header, or payload values set to NaN, an infinity, a float32
+    extreme or a denormal, with the CRC recomputed."""
     nl = raw.index(b"\n") + 1
-    kind = rng.integers(4)
+    kind = rng.integers(5)
+    if kind == 4:
+        mutant = bytearray(raw)
+        for at in rng.choice((len(raw) - 4 - nl) // 4, size=rng.integers(1, 4),
+                             replace=False):
+            struct.pack_into("<f", mutant, nl + 4 * int(at), [
+                float("nan"), float("inf"), -float("inf"), 3.4e38, -3.4e38,
+                1e-45][rng.integers(6)])
+        struct.pack_into("<I", mutant, len(mutant) - 4,
+                         zlib.crc32(mutant[nl:-4]))
+        return bytes(mutant)
     if kind == 0:                          # flips; the trailer fits the payload
         mutant = bytearray(raw)
         for at in rng.choice(len(raw) - 4, size=rng.integers(1, 4),
@@ -172,22 +183,31 @@ class TestFieldMutants:
         raw = sh.write_field(_sample_field(rng), tmp_path / "a.fld", "ED",
                              "s").read_bytes()
         path = tmp_path / "mutant.fld"
-        outcomes = {"valid": 0, "refused": 0}
-        bad = []
-        for m in range(400):
-            path.write_bytes(_field_mutant(rng, raw))
-            try:
-                sh.validate_field(sh.read_field(path))
-            except SslhopError:
-                outcomes["refused"] += 1
-                continue
-            except Exception as exc:  # noqa: BLE001 - any other failure
-                bad.append((m, repr(exc)))
-                continue
-            outcomes["valid"] += 1
-        assert bad == [], f"{len(bad)} of 400 mutants: {bad[:5]}"
-        # both outcomes occur, so the mutants reach past the first check
-        assert min(outcomes.values()) > 0, outcomes
+        assert_mutants_read_or_refused(
+            400, lambda: path.write_bytes(_field_mutant(rng, raw)),
+            lambda: np.isfinite(sh.validate_field(sh.read_field(path))).all())
+
+
+class TestManifestMutants:
+    def test_every_mutant_loads_its_subjects_or_raises_a_typed_error(
+            self, tiny_cohort, tmp_path):
+        """300 seeded mutants of the tiny cohort's manifest, its field paths
+        made absolute, each with one key or item dropped or one value
+        swapped (:func:`json_mutant`). Each one loads, with its subjects'
+        fields, to finite arrays, or raises an :class:`SslhopError`; none
+        fails any other way."""
+        manifest, _ = tiny_cohort
+        doc = {"classes": {str(k): v for k, v in manifest.classes.items()},
+               "records": [{"subject_id": r.subject_id, "ed": str(r.ed_path),
+                            "es": str(r.es_path), "label": r.label,
+                            "label_name": r.label_name}
+                           for r in manifest.records]}
+        rng = np.random.default_rng(20261020)
+        path = tmp_path / "manifest.json"
+        assert_mutants_read_or_refused(
+            300, lambda: path.write_text(json.dumps(json_mutant(rng, doc))),
+            lambda: all(np.isfinite(r.ed).all() and np.isfinite(r.es).all()
+                        for r in sh.load_subjects(sh.load_manifest(path))))
 
 
 class TestManifests:

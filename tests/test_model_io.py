@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import sslhop as sh
+from conftest import assert_mutants_read_or_refused, json_mutant
 from sslhop.errors import (
     CorruptFileError,
     ShapeLedgerMismatchError,
-    SslhopError,
     VersionMismatchError,
 )
 from sslhop.model_io import _HEADER, MAGIC
@@ -320,25 +320,36 @@ class TestCorruption:
 _EXTREMES = (1e300, -1e300, 1e308, -1e308, 5e-324)
 
 
+@pytest.fixture()
+def classify(tiny_cohort, tiny_cfg):
+    """Whether the model file at a path classifies the tiny cohort to
+    finite scores."""
+    _, records = tiny_cohort
+    samples = [sh.assemble_sample(r.ed, r.es, tiny_cfg, r.label,
+                                  r.subject_id) for r in records]
+
+    def finite(path) -> bool:
+        with np.errstate(all="ignore"):
+            _, scores = sh.predict_samples(sh.load_model(path), samples)
+        return np.isfinite(scores).all()
+    return finite
+
+
 class TestTensorMutants:
     def test_every_mutant_gives_finite_scores_or_a_typed_error(
-            self, saved, tiny_cohort, tiny_cfg, tmp_path):
+            self, saved, classify, tmp_path):
         """300 seeded mutants of the tiny model, each with 1-4 random
         tensor slots set to an extreme finite value and the CRC fixed up.
         Each one loads and classifies the tiny cohort to finite scores, or
         raises an :class:`SslhopError`; none runs to non-finite scores or
         fails any other way."""
-        _, records = tiny_cohort
-        samples = [sh.assemble_sample(r.ed, r.es, tiny_cfg, r.label,
-                                      r.subject_id) for r in records]
         raw = saved.read_bytes()
         start = _HEADER.size + _HEADER.unpack_from(raw)[3]
         slots = (len(raw) - 4 - start) // 8
         rng = np.random.default_rng(20261018)
-        outcomes = {"finite": 0, "refused": 0}
-        bad = []
         path = tmp_path / "mutant.sslm"
-        for m in range(300):
+
+        def write():
             mutant = bytearray(raw)
             for slot in rng.choice(slots, size=rng.integers(1, 5),
                                    replace=False):
@@ -347,20 +358,53 @@ class TestTensorMutants:
             struct.pack_into("<I", mutant, len(mutant) - 4,
                              zlib.crc32(mutant[:-4]))
             path.write_bytes(mutant)
-            try:
-                with np.errstate(all="ignore"):
-                    _, scores = sh.predict_samples(sh.load_model(path),
-                                                   samples)
-            except SslhopError:
-                outcomes["refused"] += 1
-                continue
-            except Exception as exc:  # noqa: BLE001 - any other failure
-                bad.append((m, repr(exc)))
-                continue
-            if np.isfinite(scores).all():
-                outcomes["finite"] += 1
+
+        assert_mutants_read_or_refused(300, write, lambda: classify(path))
+
+
+def _byte_mutant(rng, raw: bytes) -> bytes | None:
+    """One seeded byte-level mutant of the model file ``raw``, with its CRC
+    fixed up so that the mutation itself reaches the loader: 1-3 bytes
+    flipped, the file cut short or extended by random bytes; or None, for
+    an edit of its metadata JSON instead."""
+    body = raw[:-4]
+    kind = rng.integers(4)
+    if kind == 3:
+        return None
+    if kind == 0:
+        body = bytearray(body)
+        for at in rng.choice(len(body), size=rng.integers(1, 4),
+                             replace=False):
+            body[at] ^= int(rng.integers(1, 256))
+    elif kind == 1:
+        body = body[:rng.integers(len(body))]
+    else:
+        body += rng.bytes(int(rng.integers(1, 64)))
+    return bytes(body) + struct.pack("<I", zlib.crc32(body))
+
+
+class TestByteMutants:
+    def test_every_mutant_gives_finite_scores_or_a_typed_error(
+            self, saved, classify, tmp_path, edit_model_meta):
+        """300 seeded mutants of the tiny model, their CRC fixed up: byte
+        flips, truncations and extensions anywhere in the file, and
+        single edits of its metadata JSON (:func:`json_mutant`). Each one
+        loads and classifies the tiny cohort to finite scores, or raises
+        an :class:`SslhopError`; none fails any other way."""
+        raw = saved.read_bytes()
+        rng = np.random.default_rng(20261022)
+        path = tmp_path / "mutant.sslm"
+
+        def edit(meta):
+            mutant = json_mutant(rng, meta)
+            meta.clear()
+            meta.update(mutant)
+
+        def write():
+            mutant = _byte_mutant(rng, raw)
+            if mutant is None:
+                edit_model_meta(saved, path, edit)
             else:
-                bad.append((m, "non-finite scores"))
-        assert bad == [], f"{len(bad)} of 300 mutants: {bad[:5]}"
-        # both outcomes occur, so the mutants exercise the guard
-        assert min(outcomes.values()) > 0, outcomes
+                path.write_bytes(mutant)
+
+        assert_mutants_read_or_refused(300, write, lambda: classify(path))

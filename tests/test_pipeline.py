@@ -448,6 +448,24 @@ class TestLayerOneHandOff:
             with pytest.raises(ShapeLedgerMismatchError, match="fitted on"):
                 sh.fit_pipeline(other, tiny_cfg, class_count=3, fitted=every)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_fold_work_runs_under_the_callers_error_state(
+            self, tiny_cohort, tiny_cfg, monkeypatch, threads):
+        """numpy's error state is per thread: a pool worker that did not
+        take the caller's only warned where the caller's own thread
+        raised."""
+        _, records = tiny_cohort
+
+        def divide(*args):
+            return np.ones(1) / 0.0
+
+        monkeypatch.setattr(sslhop.pipeline, "_fit_direction", divide)
+        halves = [np.arange(0, len(records), 2), np.arange(1, len(records), 2)]
+        with np.errstate(all="raise"), \
+                pytest.raises(FloatingPointError, match="divide by zero"):
+            sh.fit_folds(_samples(records, tiny_cfg), tiny_cfg, halves,
+                         threads=threads)
+
 
 def _fold_kernels(rng, dims, window, count=5, channels=5):
     """Kernels fitted on ``count`` different random maps, as fold kernels
@@ -625,15 +643,19 @@ class TestUnionMoments:
             <= 1e-13 * np.abs(scatter).max()
         assert np.abs(moments.mean - mean).max() <= 1e-13 * np.abs(mean).max()
 
-    @pytest.mark.parametrize("per_group", [2, None],
-                             ids=["groups-of-2", "one-group"])
+    @pytest.mark.parametrize("per_group,window", [
+        (2, (3, 3, 3)), (None, (3, 3, 3)), (2, (2, 3, 3)), (None, (2, 3, 3)),
+        (2, (1, 3, 3)), (None, (1, 3, 3))],
+        ids=["groups-of-2", "one-group", "groups-of-2-h2", "one-group-h2",
+             "groups-of-2-h1", "one-group-h1"])
     def test_stacked_group_sums_match_a_long_double_oracle(self, rng,
                                                            monkeypatch,
-                                                           per_group):
+                                                           per_group, window):
         """Five small maps, alternately offset by 0 and +100, in groups of
         two whole maps (the last one ragged) or in one group; each group
-        takes one shift, and the groups merge in order."""
-        dims, window = (5, 5, 5, 4), (3, 3, 3)
+        takes one shift, and the groups merge in order. With h = 1 and 2
+        each group's lagged products reach the edge lags."""
+        dims = (5, 5, 5, 4)
         stack = rng.normal(size=(5,) + dims) \
             + np.array([0.0, 100.0] * 3)[:5, None, None, None, None]
         if per_group is not None:
@@ -655,8 +677,13 @@ class TestUnionMoments:
     def test_constant_channels_have_exactly_zero_scatter(self, monkeypatch,
                                                          window):
         """Per-slab centering left a roundoff scatter of about 1e-27 here,
-        and the fit kept a noise direction as an AC anchor."""
+        and the fit kept a noise direction as an AC anchor. Four small maps
+        make one run of whole maps at the default slab budget; two large
+        ones, each read in row slabs, a run each."""
         levels = np.array([0.1, 0.7, -3.3, 1e3, 1 / 3])
+        whole = list(sslhop.pipeline._union_moments(
+            np.broadcast_to(levels, (4, 6, 6, 5, 5)).copy(), window))
+        assert len(whole) == 1
         fmap = np.broadcast_to(levels, (15, 15, 14, 5)).copy()
         monkeypatch.setattr(sslhop.neighborhood, "SLAB_BYTES", 1 << 17)
         plan = sh.slab_plan((2,) + fmap.shape, window)
@@ -665,13 +692,13 @@ class TestUnionMoments:
         moments = list(sslhop.pipeline._union_moments(np.stack([fmap, fmap]),
                                                       window))
         assert len(moments) == 2
-        for m in moments:
+        for m in whole + moments:
             assert not m.scatter.any()
             np.testing.assert_array_equal(m.mean,
                                           np.tile(levels, math.prod(window)))
         with pytest.warns(DegenerateInputWarning,
                           match="no residual variance"):
-            kernel = sh.fit_saab_batches(moments, 5)
+            kernel = sh.fit_saab_batches(whole + moments, 5)
         assert kernel.padded == 4
 
 
