@@ -7,32 +7,13 @@ Every fit sees only its training fold; a runtime guard asserts that no
 test subject id ever reaches a fit call.
 
 A run fits every fold's layer stages in one :func:`fit_folds` call,
-one direction at a time:
-
-(a) each subject's layer-1 union moments, once, since layer-1 input is
-    the raw field and does not depend on the fold;
-(b) each fold's layer-1 kernel, from its training subjects' moments
-    merged in subject order, exactly as a fit of those subjects merges
-    them; the moments are then freed;
-(c) one slab pass over the subjects, in the runs of whole maps of
-    :func:`slab_plan` (a map that fills a slab runs alone, in slabs of its
-    y-rows): a run's direction maps are built on demand, each slab of
-    their unions extracted once and projected with every fold kernel
-    straight into that fold's conv maps of the run, which are then pooled;
-(d) per fold, from its pooled layer-1 maps, the entropy screen and LAG of
-    layer 1 and every later layer, for the training and the held-out
-    subjects, with each later layer's moments and projection read in the
-    same runs of whole maps; the pooled maps are freed before the next
-    direction;
-(e) per fold, in fold order, :func:`fit_pipeline` on the handed-over
-    stages fits the SVM, and the held-out subjects are classified.
-
-A fold model is therefore the model :func:`fit_pipeline` fits on the
-fold's training subjects, byte for byte, and its held-out scores are that
-model's predictions. With ``threads`` > 1, phases (a), (c) and (d) run on
-a thread pool; phase (e) runs on the calling thread once the pool has
-drained, so the SVMs' Python loop never competes for the GIL. Each piece of work writes only
-its own results, so the output does not depend on the thread count.
+whose docstring sets out its steps, then, per fold in fold order, the
+SVM with :func:`fit_pipeline` on the handed-over stages, and classifies
+the held-out subjects from their LAG blocks. A fold model is therefore
+the model :func:`fit_pipeline` fits on the fold's training subjects,
+byte for byte, and its held-out scores are that model's predictions.
+The SVMs run on the calling thread, after any pool of ``threads``
+workers has drained, so their Python loop never competes for the GIL.
 """
 
 from __future__ import annotations
@@ -48,8 +29,8 @@ import numpy as np
 from . import classifier
 from .dataio import SubjectRecord
 from .errors import TooFewSubjectsError
-from .pipeline import PipelineConfig, assemble_sample, concat_features, \
-    fit_folds, fit_pipeline
+from .pipeline import PipelineConfig, assemble_sample, \
+    checked_class_count, concat_features, fit_folds, fit_pipeline
 
 
 @dataclass(frozen=True)
@@ -131,12 +112,15 @@ def stratified_folds(labels: np.ndarray, k: int, seed: int) -> np.ndarray:
 def cross_validate(records: list[SubjectRecord], cfg: PipelineConfig,
                    folds: int = 5, seed: int = 0, threads: int = 1,
                    class_table: dict[int, str] | None = None) -> FoldReport:
-    """Run stratified k-fold CV of the full pipeline over loaded subjects."""
+    """Run stratified k-fold CV of the full pipeline over loaded subjects.
+    A ``class_table`` sets the class count, and each of its classes must
+    have subjects, as in a fit."""
     t0 = time.perf_counter()
     samples = [assemble_sample(r.ed, r.es, cfg, r.label, r.subject_id)
                for r in records]
     labels = np.array([r.label for r in records], dtype=np.int64)
-    k_classes = int(labels.max()) + 1
+    k_classes = checked_class_count(labels, len(class_table) if class_table
+                                    else None)
     fold = stratified_folds(labels, folds, seed)
     train = [np.flatnonzero(fold != f) for f in range(folds)]
 

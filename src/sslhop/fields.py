@@ -116,7 +116,14 @@ class DeformationSample:
         _, H, W, Z = self.phases[0].shape
         return (H, W, 2 * Z)
 
-    def _merge(self, ed: np.ndarray, es: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def direction(self, d: int | slice,
+                  out: np.ndarray | None = None) -> np.ndarray:
+        """The float64 (H, W, 2Z) map of direction ``d``, built on demand,
+        in ``out`` when given; a slice ``d`` of directions gives their
+        (G, H, W, 2Z) maps, and ``out`` must then have that shape."""
+        ed, es = (phase[d] for phase in self.phases)
+        if out is None:
+            out = np.empty(ed.shape[:-1] + (self.dims[2],))
         # interlaced (ED_k, ES_k, ...): a depth-6 window spans three slice
         # pairs, so the earliest local features already see phase contrast
         if self.concat_mode == "interlaced":
@@ -126,18 +133,7 @@ class DeformationSample:
             out[..., :depth], out[..., depth:] = ed, es
         return out
 
-    def direction(self, d: int | slice,
-                  out: np.ndarray | None = None) -> np.ndarray:
-        """The float64 (H, W, 2Z) map of direction ``d``, built on demand,
-        in ``out`` when given; a slice ``d`` of directions gives their
-        (G, H, W, 2Z) maps, and ``out`` must then have that shape."""
-        ed, es = self.phases
-        if out is None:
-            out = np.empty(ed[d].shape[:-1] + (self.dims[2],))
-        return self._merge(ed[d], es[d], out)
-
     @property
     def interlaced(self) -> np.ndarray:
         """The float64 (3, H, W, 2Z) assembled stack, built on demand."""
-        ed, es = self.phases
-        return self._merge(ed, es, np.empty((DIRECTIONS,) + self.dims))
+        return self.direction(slice(None))

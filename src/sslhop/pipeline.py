@@ -261,7 +261,7 @@ class FittedStages:
     """All of a fit but its SVM: every direction's fitted layer stages, the
     LAG feature blocks they give the subjects they were fitted on, in
     subject order, and those they give the samples held out of the fit, in
-    sample order (none for a plain fit)."""
+    sample order (zero rows for a plain fit)."""
 
     subject_ids: tuple[str, ...]
     stages: tuple[tuple[LayerStage, ...], ...]   # [direction][layer]
@@ -488,89 +488,97 @@ def _union_moments(maps: np.ndarray, window):
                            gram - n * np.outer(mean, mean))
 
 
-def _fit_direction(pooled: np.ndarray, kernel: saab.SaabKernel,
-                   labels: np.ndarray, cfg: PipelineConfig,
-                   ledger: tuple[LayerShapes, ...], direction: int):
-    """Fit one direction's layer stages from its layer-1 pooled maps.
-
-    ``pooled`` stacks the maps that layer-1 ``kernel`` gave the subjects:
-    first the ``len(labels)`` training subjects the stages are fitted on,
-    with their ``labels``, then any held-out subjects, which only run
-    through each fitted layer beside them. Returns the stages, then the
-    LAG blocks of the training rows and of the held-out rows (empty when
-    there are none), one per layer.
-    """
-    n = len(labels)
-    stages, train_blocks, held_blocks = [], [], []
-    for li, (layer, shapes) in enumerate(zip(cfg.layers, ledger)):
-        if li:
-            kernel = saab.fit_saab_batches(
-                _union_moments(pooled[:n], layer.window), layer.channels,
-                cfg.bias_scale)
-            pooled = _pool_layer([[kernel]], pooled[None], layer.window,
-                                 shapes)[0, 0]
-        entropy = supervise.channel_entropy(pooled[:n], labels, cfg.keep_ratio)
-        flat = _reduce(pooled, entropy.kept, shapes)
-        lag = supervise.fit_lag(flat[:n], labels, cfg.centroids_per_class,
-                                cfg.alpha, cfg.ridge_lambda,
-                                seed=_lag_seed(cfg.seed, li, direction))
-        train_blocks.append(supervise.apply_lag(lag, flat[:n]))
-        if len(pooled) > n:
-            held_blocks.append(supervise.apply_lag(lag, flat[n:]))
-        stages.append(LayerStage(kernel=kernel, entropy=entropy, lag=lag))
-    return tuple(stages), tuple(train_blocks), tuple(held_blocks)
-
-
 def fit_folds(samples: list[DeformationSample], cfg: PipelineConfig,
               train: list[np.ndarray], threads: int = 1) -> list[FittedStages]:
     """Fit one set of layer stages per index array in ``train``, each on
     those samples, in that order; the other samples are held out of it.
 
-    Direction by direction: each sample's layer-1 union moments are taken
-    once, and each set's layer-1 kernel merges those of its training
-    samples in their order, so its stages are those of a fit of its
-    training samples alone, bit for bit. The moments are freed before one
-    slab pass, over runs of whole maps (:func:`slab_plan`), projects every
-    sample's map with every set's kernel, into a stack per set that holds
-    its training samples, then its held-out ones; :func:`_fit_direction`
-    then fits each set's layers from its stack.
+    Direction by direction, each layer is one step for every set's stack
+    of maps, its training samples followed by its held-out ones. Layer 1
+    reads the samples' shared maps: each sample's union moments are taken
+    once, on the calling thread, and each set's kernel merges those of its
+    training samples in their order, so its stages are those of a fit of
+    its training samples alone, bit for bit. One :func:`_pool_layer` call
+    projects every map with every set's kernel into that set's stack.
+    Each later layer fits a kernel per set on its training maps and pools
+    all the stacks in one call, as :func:`transform_many` pools the three
+    directions. Each set's entropy screen and LAG are then fitted on its
+    training rows and give the blocks of both its training and held-out
+    rows.
 
-    With ``threads`` > 1, the per-sample, per-run and per-set work runs on
-    a pool of at most one worker per set, under the caller's numpy error
-    state. Each piece of work writes only its own results, so the output
-    does not depend on the thread count.
+    With ``threads`` > 1, the per-run and per-set work runs on a pool of
+    at most one worker per set, under the caller's numpy error state.
+    Each piece of work writes only its own results, so the output does
+    not depend on the thread count.
     """
     ledger = compute_ledger(cfg, common_dims(samples))
-    labels = np.array([s.label for s in samples], dtype=np.int64)
+    labels = [np.array([samples[i].label for i in t], dtype=np.int64)
+              for t in train]
     held = [np.setdiff1d(np.arange(len(samples)), t) for t in train]
     rows = np.argsort([np.concatenate(p) for p in zip(train, held)], axis=1)
-    layer, shapes = cfg.layers[0], ledger[0]
-    fits = []                                    # [direction][set]
+    sets = range(len(train))
+    fits = []                  # [direction][layer][set]: one stage's fit
     state = np.geterr()              # per thread: the pool's workers take it
     with ThreadPoolExecutor(max(1, min(threads, len(train))),
                             initializer=lambda: np.seterr(**state)) as pool:
         map_fn = pool.map if threads > 1 else map
         for d in range(DIRECTIONS):
             # one direction at a time: each holds every set's pooled maps
-            maps = _DirectionMaps(samples, slice(d, d + 1))
-            # one run per sample: each set merges its samples' moments
-            moments = list(map_fn(
-                lambda i: next(_union_moments(maps[:, i:i + 1][0],
-                                              layer.window)),
-                range(len(samples))))
-            kernels = [saab.fit_saab_batches([moments[i] for i in t],
-                                             layer.channels, cfg.bias_scale)
-                       for t in train]
-            del moments
-            pooled = _pool_layer([kernels], maps, layer.window, shapes, rows,
-                                 map_fn)[0]
-            fits.append(list(map_fn(lambda f: _fit_direction(
-                pooled[f], kernels[f], labels[train[f]], cfg, ledger, d),
-                range(len(train)))))
-            del pooled
+            maps, per_layer = _DirectionMaps(samples, slice(d, d + 1)), []
+            for li, (layer, shapes) in enumerate(zip(cfg.layers, ledger)):
+                if li == 0:
+                    moments = [next(_union_moments(maps[:, i:i + 1][0],
+                                                   layer.window))
+                               for i in range(len(samples))]
+                    kernels = [saab.fit_saab_batches(
+                                   [moments[i] for i in t], layer.channels,
+                                   cfg.bias_scale) for t in train]
+                    del moments
+                    groups, order = [kernels], rows
+                else:
+                    kernels = list(map_fn(lambda f: saab.fit_saab_batches(
+                        _union_moments(maps[f, :len(train[f])], layer.window),
+                        layer.channels, cfg.bias_scale), sets))
+                    groups, order = [[k] for k in kernels], None
+                maps = _pool_layer(groups, maps, layer.window, shapes, order,
+                                   map_fn).reshape((len(train), len(samples))
+                                                   + shapes.pool_dims)
+
+                def stage(f: int):
+                    n = len(train[f])
+                    entropy = supervise.channel_entropy(maps[f, :n], labels[f],
+                                                        cfg.keep_ratio)
+                    flat = _reduce(maps[f], entropy.kept, shapes)
+                    lag = supervise.fit_lag(
+                        flat[:n], labels[f], cfg.centroids_per_class,
+                        cfg.alpha, cfg.ridge_lambda,
+                        seed=_lag_seed(cfg.seed, li, d))
+                    return (LayerStage(kernel=kernels[f], entropy=entropy,
+                                       lag=lag),
+                            supervise.apply_lag(lag, flat[:n]),
+                            supervise.apply_lag(lag, flat[n:]))
+
+                per_layer.append(list(map_fn(stage, sets)))
+            fits.append(per_layer)
+    # per set: its stages, blocks and held blocks, each [direction][layer]
     return [FittedStages(tuple(samples[i].subject_id for i in t),
-                         *zip(*(per_set[f] for per_set in fits)))
+                         *zip(*(zip(*(fit[f] for fit in per_dir))
+                                for per_dir in fits)))
             for f, t in enumerate(train)]
+
+
+def checked_class_count(labels: np.ndarray,
+                        class_count: int | None = None) -> int:
+    """The class count of a fit on ``labels``, by default one more than
+    the largest; every class must have a subject, and there must be two."""
+    present = np.unique(labels)
+    k = int(class_count) if class_count is not None else int(present.max()) + 1
+    if k < 2:
+        raise SingleClassError("training data must contain at least two classes")
+    missing = sorted(set(range(k)) - set(present.tolist()))
+    if missing or present.max() >= k:
+        raise MissingClassError(f"labels must cover 0..{k - 1}; missing {missing}")
+    return k
 
 
 def fit_pipeline(samples: list[DeformationSample], cfg: PipelineConfig,
@@ -586,14 +594,7 @@ def fit_pipeline(samples: list[DeformationSample], cfg: PipelineConfig,
     """
     dims = common_dims(samples)
     labels = np.array([s.label for s in samples], dtype=np.int64)
-    present = np.unique(labels)
-    k = int(class_count) if class_count is not None else int(present.max()) + 1
-    if k < 2:
-        raise SingleClassError("training data must contain at least two classes")
-    missing = sorted(set(range(k)) - set(present.tolist()))
-    if missing or present.max() >= k:
-        raise MissingClassError(f"labels must cover 0..{k - 1}; missing {missing}")
-
+    k = checked_class_count(labels, class_count)
     ledger = compute_ledger(cfg, dims)
     ids = tuple(s.subject_id for s in samples)
     if fitted is None:

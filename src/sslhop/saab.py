@@ -211,19 +211,18 @@ def fit_saab(X, channels: int, bias_scale: float = 0.0) -> SaabKernel:
     return fit_saab_batches((union_moments(X),), channels, bias_scale)
 
 
-def apply_saab(kernel: SaabKernel, X, out: np.ndarray | None = None) -> np.ndarray:
+def apply_saab(kernel: SaabKernel, X) -> np.ndarray:
     """Project unions onto the kernel's channels.
 
     Column 0 is ``dc . x + bias``; column i >= 1 is
-    ``ac_i . (x - mean_ac) + bias``. With ``out``, an (n, F) float64
-    array, the projection is written there in place and returned.
+    ``ac_i . (x - mean_ac) + bias``.
     """
     rows = _as_rows(X)
     if rows.shape[1] != kernel.dim:
         raise ShapeMismatchError(
             f"union length {rows.shape[1]} != kernel dim {kernel.dim}")
     matrix, offset = kernel.projection
-    out = np.matmul(rows, matrix, out=out)
+    out = rows @ matrix
     out += offset
     return out
 

@@ -132,18 +132,22 @@ class LagModel:
 def _kmeans_plusplus(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Standard D^2-weighted seeding."""
     n = X.shape[0]
+    norms = np.einsum("nd,nd->n", X, X)
+
+    def sq_dist(center):
+        # ||x||^2 - 2 x.c + ||c||^2, clamped at 0 against roundoff
+        return np.maximum(norms - 2.0 * (X @ center) + center @ center, 0.0)
+
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[rng.integers(n)]
-    closest = ((X - centers[0]) ** 2).sum(axis=1)
+    closest = sq_dist(centers[0])
     for i in range(1, k):
         total = closest.sum()
         if total <= 0.0:
             centers[i:] = X[rng.integers(n, size=k - i)]
             break
-        probs = closest / total
-        centers[i] = X[rng.choice(n, p=probs)]
-        dist = ((X - centers[i]) ** 2).sum(axis=1)
-        np.minimum(closest, dist, out=closest)
+        centers[i] = X[rng.choice(n, p=closest / total)]
+        np.minimum(closest, sq_dist(centers[i]), out=closest)
     return centers
 
 

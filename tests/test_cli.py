@@ -564,6 +564,25 @@ class TestErrorSurface:
         assert code == 3
         assert err["error"]["type"] == "TooFewSubjectsError"
 
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    def test_a_class_without_subjects_is_a_data_error(
+            self, cohort, config_file, tmp_path, command, capsys):
+        """The manifest names class 2 but lists none of its subjects: a
+        fit refuses it, and so does a cross-validation, before any fold
+        is fitted."""
+        def empty_class_2(doc):
+            doc["records"] = [r for r in doc["records"] if r["label"] != 2]
+        manifest = _edited_manifest(cohort, tmp_path, empty_class_2)
+        argv = {"fit": ["fit"],
+                "evaluate": ["evaluate", "--folds", "2", "--threads", "1"]}
+        code = main([str(a) for a in argv[command]]
+                    + ["--manifest", str(manifest), "--config",
+                       str(config_file), "--out", str(tmp_path / "out")])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 3
+        assert err["error"]["type"] == "MissingClassError"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("encode", [
         lambda text: text.replace('"classes": {', '"classes": {"0": "x", ',
                                   1).encode(),

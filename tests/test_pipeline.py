@@ -340,7 +340,8 @@ def _assert_handed_stages_give_identical_bytes(plain, samples, cfg,
     that leaves the first one out, handed over through ``fitted=``."""
     stages, _ = sh.fit_folds(samples, cfg, [np.arange(len(samples)),
                                             np.arange(1, len(samples))])
-    assert stages.held_blocks == ((), (), ())
+    assert [b.shape[0] for per_dir in stages.held_blocks
+            for b in per_dir] == [0] * 3 * len(cfg.layers)
     handed = sh.fit_pipeline(samples, cfg, fitted=stages)
     a = sh.save_model(plain, tmp_path / "plain.sslm").read_bytes()
     b = sh.save_model(handed, tmp_path / "handed.sslm").read_bytes()
@@ -350,9 +351,10 @@ def _assert_handed_stages_give_identical_bytes(plain, samples, cfg,
 
 
 def _assert_fold_models_match_standalone_fits(records, cfg, monkeypatch,
-                                              tmp_path):
+                                              tmp_path, threads):
     """Every fold model is saved as the bytes of a fit of its training
-    subjects alone, and its held-out scores are that fit's predictions."""
+    subjects alone, and its held-out scores are that fit's predictions,
+    with the fold work on ``threads`` threads."""
     fit = sslhop.evaluate.fit_pipeline
     models = []
 
@@ -361,7 +363,8 @@ def _assert_fold_models_match_standalone_fits(records, cfg, monkeypatch,
         return models[-1]
 
     monkeypatch.setattr(sslhop.evaluate, "fit_pipeline", keep)
-    report = sh.cross_validate(records, cfg, folds=5, seed=3)
+    report = sh.cross_validate(records, cfg, folds=5, seed=3,
+                               threads=threads)
     samples = _samples(records, cfg)
     fold = np.array([report.fold_of[s.subject_id] for s in samples])
     assert len(models) == 5
@@ -418,24 +421,32 @@ class TestLayerOneHandOff:
         np.testing.assert_array_equal(sh.transform_many(plain, samples),
                                       plain.training_features)
 
+    @pytest.mark.parametrize("threads", [1, 2])
     def test_cv_fold_models_match_standalone_fits(self, tiny_cohort, tiny_cfg,
-                                                  monkeypatch, tmp_path):
+                                                  monkeypatch, tmp_path,
+                                                  threads):
         _, records = tiny_cohort
         _assert_fold_models_match_standalone_fits(records, tiny_cfg,
-                                                  monkeypatch, tmp_path)
+                                                  monkeypatch, tmp_path,
+                                                  threads)
 
+    @pytest.mark.parametrize("threads", [1, 2])
     def test_cv_fold_models_match_standalone_fits_in_slabs(
-            self, tiny_cohort, tiny_cfg, tiny_slabs, monkeypatch, tmp_path):
+            self, tiny_cohort, tiny_cfg, tiny_slabs, monkeypatch, tmp_path,
+            threads):
         _, records = tiny_cohort
         _assert_fold_models_match_standalone_fits(records, tiny_cfg,
-                                                  monkeypatch, tmp_path)
+                                                  monkeypatch, tmp_path,
+                                                  threads)
 
+    @pytest.mark.parametrize("threads", [1, 2])
     def test_cv_fold_models_match_standalone_fits_in_stacked_slabs(
             self, tiny_cohort, tiny_cfg, tiny_stacked_slabs, monkeypatch,
-            tmp_path):
+            tmp_path, threads):
         _, records = tiny_cohort
         _assert_fold_models_match_standalone_fits(records, tiny_cfg,
-                                                  monkeypatch, tmp_path)
+                                                  monkeypatch, tmp_path,
+                                                  threads)
 
     def test_block_with_a_held_out_subject_is_rejected(self, tiny_cohort,
                                                        tiny_cfg):
@@ -456,10 +467,10 @@ class TestLayerOneHandOff:
         raised."""
         _, records = tiny_cohort
 
-        def divide(*args):
+        def divide(*args, **kwargs):
             return np.ones(1) / 0.0
 
-        monkeypatch.setattr(sslhop.pipeline, "_fit_direction", divide)
+        monkeypatch.setattr(sslhop.supervise, "fit_lag", divide)
         halves = [np.arange(0, len(records), 2), np.arange(1, len(records), 2)]
         with np.errstate(all="raise"), \
                 pytest.raises(FloatingPointError, match="divide by zero"):
