@@ -25,7 +25,7 @@ from .pipeline import (FittedStages, LayerShapes, LayerSpec, PipelineConfig,
 from .saab import (Moments, SaabKernel, apply_saab, energy_curve, fit_saab,
                    fit_saab_batches, merge_moments, union_moments)
 from .supervise import (ChannelEntropy, LagModel, apply_lag, channel_entropy,
-                        fit_lag, select_channels)
+                        class_centroids, fit_lag)
 
 __version__ = "0.1.0"
 
@@ -48,7 +48,7 @@ __all__ = [
     "transform_many",
     "Moments", "SaabKernel", "apply_saab", "energy_curve", "fit_saab",
     "fit_saab_batches", "merge_moments", "union_moments",
-    "ChannelEntropy", "LagModel", "apply_lag", "channel_entropy", "fit_lag",
-    "select_channels",
+    "ChannelEntropy", "LagModel", "apply_lag", "channel_entropy",
+    "class_centroids", "fit_lag",
     "__version__",
 ]

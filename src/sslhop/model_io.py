@@ -39,7 +39,7 @@ from .pipeline import (DIRECTIONS, LayerShapes, LayerStage, PipelineConfig,
                        PipelineModel, compute_ledger)
 
 MAGIC = b"SSLHOP01"
-FORMAT_MAJOR = 5
+FORMAT_MAJOR = 6
 FORMAT_MINOR = 0
 _HEADER = struct.Struct("<8sHHQ")
 
@@ -109,7 +109,6 @@ def _layout(meta: dict, cfg: PipelineConfig, ledger: tuple[LayerShapes, ...]):
                     ("kernel", "mean_ac", (union,)),
                     ("kernel", "energy", (channels - 1,)),
                     ("entropy", "per_channel", (channels,)),
-                    ("lag", "centroids", (centroids, lag_in)),
                     ("lag", "weights", (lag_in + 1, centroids))):
                 yield (d, li, part), field, shape
             feature_dim += centroids

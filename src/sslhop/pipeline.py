@@ -683,7 +683,9 @@ def parameter_breakdown(cfg: PipelineConfig, input_dims: tuple[int, int, int],
 
 
 def count_parameters(model: PipelineModel) -> dict:
-    """Exact integer parameter counts of a fitted model's arrays."""
+    """Exact integer parameter counts of a fitted model's arrays; the LAG
+    count includes the training-time centroids, which are not stored: one
+    of ``weights.shape[0] - 1`` features per weight column."""
     saab_total = 0
     lag_total = 0
     for per_dir in model.stages:
@@ -691,7 +693,8 @@ def count_parameters(model: PipelineModel) -> dict:
             saab_total += stage.kernel.dc.size + stage.kernel.ac.size
             if model.config.bias_scale != 0.0:
                 saab_total += stage.kernel.channels
-            lag_total += stage.lag.centroids.size + stage.lag.weights.size
+            rows, cols = stage.lag.weights.shape
+            lag_total += (rows - 1) * cols + rows * cols
     svm_total = model.svm.weights.size + model.svm.intercepts.size
     return {"saab": saab_total, "lag": lag_total, "svm": svm_total,
             "total": saab_total + lag_total + svm_total}

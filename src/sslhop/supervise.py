@@ -98,35 +98,19 @@ def channel_entropy(features: np.ndarray, labels: np.ndarray,
     return screen_channels(per_channel, keep_count(feats.shape[-1], keep_ratio))
 
 
-def select_channels(fmap: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """Restrict the channel axis of a (H, W, Z, C) map, or of stacked
-    (N, H, W, Z, C) maps, to ``kept`` ids."""
-    arr = np.asarray(fmap)
-    if arr.ndim not in (4, 5):
-        raise ShapeMismatchError(
-            f"expected (H, W, Z, C) or (N, H, W, Z, C) maps, got {arr.shape}")
-    kept = np.asarray(kept, dtype=np.int64)
-    if kept.size == 0 or np.any(np.diff(kept) <= 0):
-        raise IndexOutOfRangeError("kept channel ids must be strictly increasing")
-    if kept[0] < 0 or kept[-1] >= arr.shape[-1]:
-        raise IndexOutOfRangeError(
-            f"kept ids {kept.tolist()} outside [0, {arr.shape[-1]})")
-    return arr[..., kept]
-
-
 # -- label-assisted regression -------------------------------------------------
 
 @dataclass(frozen=True)
 class LagModel:
-    """Per-class centroids and the ridge regressor onto their soft targets."""
+    """The ridge regressor onto per-class centroid soft targets. The
+    centroids shape the targets only, so the fitted stage keeps none."""
 
-    centroids: np.ndarray     # (total_centroids, D) stacked class blocks
     weights: np.ndarray       # (D+1, total_centroids), last row = bias
     block_sizes: np.ndarray   # centroids per class block, sorted label order
 
     @property
     def output_dim(self) -> int:
-        return self.centroids.shape[0]
+        return self.weights.shape[1]
 
 
 def _kmeans_plusplus(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -174,8 +158,8 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int,
     return centers, sizes
 
 
-def _class_centroids(X: np.ndarray, k: int, seed_keys: list[int],
-                     max_iter: int = 300, tol: float = 1e-6) -> np.ndarray:
+def _kmeans(X: np.ndarray, k: int, seed_keys: list[int],
+            max_iter: int = 300, tol: float = 1e-6) -> np.ndarray:
     """k-means with one re-seed on empty clusters, then cluster dropping."""
     for attempt in range(2):
         rng = np.random.default_rng(np.random.SeedSequence(seed_keys + [attempt]))
@@ -187,15 +171,11 @@ def _class_centroids(X: np.ndarray, k: int, seed_keys: list[int],
     return centers[sizes > 0]
 
 
-def fit_lag(X: np.ndarray, labels: np.ndarray, centroids_per_class: int = 5,
-            alpha: float = 10.0, ridge_lambda: float = 1e-3,
-            seed: int = 0) -> LagModel:
-    """Fit centroid soft-targets and the ridge regressor onto them.
-
-    The regression solves min_W ||X~ W - Y||^2 + lambda ||W||^2 with X~
-    bias-augmented; when features outnumber samples the equivalent dual
-    form W = X~^T (X~ X~^T + lambda I)^-1 Y is used.
-    """
+def class_centroids(X: np.ndarray, labels: np.ndarray,
+                    centroids_per_class: int = 5,
+                    seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """k-means centroids of each class of (N, D) features, stacked in
+    sorted label order, and the number each class kept."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeMismatchError(f"expected (N, D) features, got {X.shape}")
@@ -215,10 +195,26 @@ def fit_lag(X: np.ndarray, labels: np.ndarray, centroids_per_class: int = 5,
             raise TooFewSamplesError(
                 f"class {cls} has {members.shape[0]} samples < "
                 f"{centroids_per_class} centroids")
-        blocks.append(_class_centroids(members, centroids_per_class,
-                                       [int(seed), row]))
-    centroids = np.vstack(blocks)
-    block_sizes = np.array([b.shape[0] for b in blocks], dtype=np.int64)
+        blocks.append(_kmeans(members, centroids_per_class, [int(seed), row]))
+    return (np.vstack(blocks),
+            np.array([b.shape[0] for b in blocks], dtype=np.int64))
+
+
+def fit_lag(X: np.ndarray, labels: np.ndarray, centroids_per_class: int = 5,
+            alpha: float = 10.0, ridge_lambda: float = 1e-3,
+            seed: int = 0) -> LagModel:
+    """Fit the ridge regressor onto the soft targets of
+    :func:`class_centroids`.
+
+    The regression solves min_W ||X~ W - Y||^2 + lambda ||W||^2 with X~
+    bias-augmented; when features outnumber samples the equivalent dual
+    form W = X~^T (X~ X~^T + lambda I)^-1 Y is used.
+    """
+    centroids, block_sizes = class_centroids(X, labels, centroids_per_class,
+                                             seed)
+    X = np.asarray(X, dtype=np.float64)
+    labels = np.asarray(labels)
+    classes = np.unique(labels)
 
     # Soft targets: nonzero only inside the sample's own class block. The
     # squared distances are ||x||^2 - 2 x.c + ||c||^2, clamped at 0 against
@@ -247,8 +243,7 @@ def fit_lag(X: np.ndarray, labels: np.ndarray, centroids_per_class: int = 5,
         dual = np.linalg.solve(X @ X.T + (1.0 + ridge_lambda * np.eye(n)),
                                targets)
         weights = np.vstack([X.T @ dual, dual.sum(axis=0)])
-    return LagModel(centroids=centroids, weights=weights,
-                    block_sizes=block_sizes)
+    return LagModel(weights=weights, block_sizes=block_sizes)
 
 
 def apply_lag(model: LagModel, X: np.ndarray) -> np.ndarray:

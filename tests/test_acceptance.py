@@ -142,13 +142,16 @@ def test_criterion_4_lag_solves_its_ridge_problem():
     model = sh.fit_lag(X, labels, centroids_per_class=2, alpha=alpha,
                        ridge_lambda=lam, seed=3)
 
-    # reconstruct the soft targets the fit regressed onto
+    # reconstruct the soft targets the fit regressed onto, from the
+    # centroids it clustered at the same seed
+    centroids, block_sizes = sh.class_centroids(X, labels,
+                                                centroids_per_class=2, seed=3)
+    np.testing.assert_array_equal(block_sizes, model.block_sizes)
     targets = np.zeros((24, model.output_dim))
-    ends = np.cumsum(model.block_sizes)
-    for cls, start, end in zip(np.unique(labels), ends - model.block_sizes,
-                               ends):
+    ends = np.cumsum(block_sizes)
+    for cls, start, end in zip(np.unique(labels), ends - block_sizes, ends):
         idx = np.flatnonzero(labels == cls)
-        block = model.centroids[start:end]
+        block = centroids[start:end]
         dist = np.sqrt(((X[idx, None, :] - block[None, :, :]) ** 2).sum(axis=2))
         t = np.exp(-alpha * (dist - dist.min(axis=1, keepdims=True)))
         targets[idx, start:end] = t / t.sum(axis=1, keepdims=True)
@@ -244,7 +247,8 @@ def test_criterion_9_parameter_count_equals_closed_form(tiny_model, tiny_cfg):
     assert breakdown["svm"] == svm == 1880
     assert breakdown["total"] == saab + lag + svm
 
-    # and a fitted model's stored arrays reconcile with the same accounting
+    # and a fitted model's arrays, with its unstored training-time centroids
+    # counted from the weight shapes, reconcile with the same accounting
     counted = sh.count_parameters(tiny_model)
     planned = sh.parameter_breakdown(tiny_cfg, tiny_model.input_dims,
                                      tiny_model.class_count)

@@ -69,18 +69,18 @@ class TestRoundTrip:
         _assert_fields_equal(loaded.svm, tiny_model.svm)
 
     def test_metadata_stores_each_fact_once(self, saved, tiny_model):
-        """Format 5 keeps the config, class bookkeeping, the ledger and each
+        """Format 6 keeps the config, class bookkeeping, the ledger and each
         LAG stage's centroid blocks; no tensor index and no restated values.
         Its payload holds the arrays that prediction and ``inspect`` read,
-        and no DC anchor and no per-class entropy table."""
+        and no DC anchor, no per-class entropy table and no LAG centroids."""
         raw = saved.read_bytes()
         _, major, _, meta_len = _HEADER.unpack_from(raw)
         meta = json.loads(raw[_HEADER.size:_HEADER.size + meta_len])
-        assert major == 5
+        assert major == 6
         arrays = [a for per_dir in tiny_model.stages for st in per_dir
                   for a in (st.kernel.ac, st.kernel.mean_ac,
                             st.kernel.energy, st.entropy.per_channel,
-                            st.lag.centroids, st.lag.weights)]
+                            st.lag.weights)]
         svm = tiny_model.svm
         arrays += [svm.weights, svm.intercepts, svm.mean, svm.scale]
         assert len(raw) == (_HEADER.size + meta_len
@@ -157,6 +157,12 @@ class TestRoundTrip:
         resaved = sh.save_model(sh.load_model(saved), tmp_path / "resaved.sslm")
         assert resaved.read_bytes() == saved.read_bytes()
 
+    def test_parameter_count_survives_the_round_trip(self, saved, tiny_model):
+        """A loaded model has no centroid arrays; its count still includes
+        the training-time centroids, from the weight shapes."""
+        assert (sh.count_parameters(sh.load_model(saved))
+                == sh.count_parameters(tiny_model))
+
     def test_reloaded_kernels_project_from_their_arrays(self, saved, rng,
                                                         tmp_path):
         """The cached projection is the kernel's arrays, bit for bit, and
@@ -203,9 +209,9 @@ class TestCorruption:
     def test_format_2_is_refused(self, saved, tmp_path, edit_model_meta):
         """Formats 2 (which also stored ``saab.degenerate``), 3 (which also
         stored ``per_class`` entropy tensors) and 4 (which also stored
-        ``saab.padded``, ``entropy.kept`` and ``dc`` tensors) are refused on
-        their version alone, with a valid CRC; there is no second read
-        path."""
+        ``saab.padded``, ``entropy.kept`` and ``dc`` tensors) and 5 (which
+        also stored LAG ``centroids`` tensors) are refused on their version
+        alone, with a valid CRC; there is no second read path."""
         def to_format_2(meta):
             for per_dir in meta["stages"]:
                 for sm in per_dir:
@@ -220,7 +226,8 @@ class TestCorruption:
         for major, source in (
                 (2, edit_model_meta(saved, tmp_path / "v2.sslm", to_format_2)),
                 (3, saved),
-                (4, edit_model_meta(saved, tmp_path / "v4.sslm", to_format_4))):
+                (4, edit_model_meta(saved, tmp_path / "v4.sslm", to_format_4)),
+                (5, saved)):
             raw = bytearray(source.read_bytes())
             _, _, minor, meta_len = _HEADER.unpack_from(bytes(raw))
             raw[:_HEADER.size] = _HEADER.pack(MAGIC, major, minor, meta_len)

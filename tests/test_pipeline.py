@@ -271,8 +271,8 @@ class TestFit:
                                       r.subject_id) for r in records]
         other = sh.fit_pipeline(samples, dataclasses.replace(tiny_cfg, seed=99))
         base = sh.fit_pipeline(samples, tiny_cfg)
-        # clustering is seeded per layer/direction: some centroid set differs
-        diffs = [not np.array_equal(a.lag.centroids, b.lag.centroids)
+        # clustering is seeded per layer/direction: some regressor differs
+        diffs = [not np.array_equal(a.lag.weights, b.lag.weights)
                  for pa, pb in zip(base.stages, other.stages)
                  for a, b in zip(pa, pb)]
         assert any(diffs)
@@ -572,8 +572,9 @@ class TestStackedLayerSteps:
 def _oracle_features(model, samples):
     """Features of ``samples`` from a per-direction oracle: each
     direction's maps of all the samples run through ``extract_unions ->
-    apply_saab -> max_pool -> select_channels -> apply_lag``, layer by
-    layer, one dense call each, offsets added before the pool."""
+    apply_saab -> max_pool -> apply_lag``, layer by layer, one dense call
+    each, offsets added before the pool and the pooled maps indexed by the
+    kept channel ids before the regression."""
     blocks = []
     for d, stages in enumerate(model.stages):
         maps = np.stack([s.direction(d) for s in samples])[..., None]
@@ -586,7 +587,7 @@ def _oracle_features(model, samples):
                                  sh.extract_unions(maps, layer.window))
             conv = conv.reshape((len(samples),) + grid + (-1,))
             maps = sh.max_pool(conv[:, :, :, :shapes.conv_dims[2]])
-            flat = sh.select_channels(maps, stage.entropy.kept)
+            flat = maps[..., stage.entropy.kept]
             per_dir.append(sh.apply_lag(stage.lag,
                                         flat.reshape(len(samples), -1)))
         blocks.append(per_dir)

@@ -5,16 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from sslhop import (ChannelEntropy, apply_lag, channel_entropy, fit_lag,
-                    select_channels)
+from sslhop import (ChannelEntropy, LayerShapes, apply_lag, channel_entropy,
+                    class_centroids, fit_lag)
 from sslhop.errors import (
     ClusterCollapseWarning,
     IndexOutOfRangeError,
     NonFiniteValuesError,
+    ShapeLedgerMismatchError,
     ShapeMismatchError,
     SingleClassError,
     TooFewSamplesError,
 )
+from sslhop.pipeline import _reduce
 from sslhop.supervise import _class_entropies
 
 # Hand-computed with an independent pure-python loop (shift each class pool
@@ -126,22 +128,35 @@ class TestChannelEntropy:
 
 
 class TestSelectChannels:
+    """The layer steps pick the kept channels in :func:`pipeline._reduce`,
+    with ids that only a :class:`ChannelEntropy` hands them."""
+
+    @staticmethod
+    def _shapes():
+        return LayerShapes(layer=1, input_dims=(4, 4, 3, 1), union_dim=4,
+                           conv_dims=(3, 3, 2, 5), pool_dims=(3, 3, 2, 5),
+                           kept_channels=2, lag_input_dim=3 * 3 * 2 * 2)
+
     def test_picks_requested_channels(self, rng):
         fmap = rng.normal(size=(3, 3, 2, 5))
-        out = select_channels(fmap, np.array([0, 3]))
-        np.testing.assert_array_equal(out, fmap[..., [0, 3]])
+        out = _reduce(fmap[None], np.array([0, 3]), self._shapes())
+        np.testing.assert_array_equal(out, fmap[..., [0, 3]].reshape(1, -1))
 
     def test_stacked_maps(self, rng):
+        """Stacked pooled maps are indexed with the checked ids as is, and
+        a width the ledger does not give is refused."""
         maps = rng.normal(size=(4, 3, 3, 2, 5))
-        out = select_channels(maps, np.array([1, 4]))
-        np.testing.assert_array_equal(out, maps[..., [1, 4]])
-        with pytest.raises(ShapeMismatchError):
-            select_channels(maps[0, 0], np.array([1, 4]))
+        out = _reduce(maps, np.array([1, 4]), self._shapes())
+        np.testing.assert_array_equal(out, maps[..., [1, 4]].reshape(4, -1))
+        with pytest.raises(ShapeLedgerMismatchError):
+            _reduce(maps, np.array([0, 1, 4]), self._shapes())
 
     @pytest.mark.parametrize("kept", [[3, 1], [1, 1], [-1, 2], [0, 5], []])
     def test_rejects_bad_id_lists(self, kept, rng):
+        """A bad id list for 5-channel maps never reaches the picking: its
+        entropy record refuses it."""
         with pytest.raises(IndexOutOfRangeError):
-            select_channels(rng.normal(size=(2, 2, 2, 5)), np.array(kept))
+            ChannelEntropy(per_channel=rng.random(5), kept=np.array(kept))
 
 
 class TestKeptIds:
@@ -160,11 +175,14 @@ class TestLag:
     def test_single_centroid_is_class_mean(self, rng):
         X = rng.normal(size=(12, 3)) + np.repeat([[0.0], [8.0]], 6, axis=0)
         labels = np.repeat([0, 1], 6)
+        centroids, block_sizes = class_centroids(X, labels,
+                                                 centroids_per_class=1, seed=3)
+        np.testing.assert_allclose(centroids[0], X[:6].mean(axis=0),
+                                   atol=1e-12)
+        np.testing.assert_allclose(centroids[1], X[6:].mean(axis=0),
+                                   atol=1e-12)
+        np.testing.assert_array_equal(block_sizes, [1, 1])
         model = fit_lag(X, labels, centroids_per_class=1, seed=3)
-        np.testing.assert_allclose(model.centroids[0], X[:6].mean(axis=0),
-                                   atol=1e-12)
-        np.testing.assert_allclose(model.centroids[1], X[6:].mean(axis=0),
-                                   atol=1e-12)
         np.testing.assert_array_equal(model.block_sizes, [1, 1])
 
     def test_normal_equations_primal(self, rng):
@@ -178,7 +196,7 @@ class TestLag:
         # (A^T A + lam I) W = A^T Y the residual of the normal equations
         # against a reconstructed Y must vanish; reconstruct Y through the
         # same centroid/soft-target rule
-        Y = _soft_targets(X, labels, model, alpha=10.0)
+        Y = _soft_targets(X, labels, model, alpha=10.0, seed=5)
         lhs = (aug.T @ aug + lam * np.eye(7)) @ model.weights
         np.testing.assert_allclose(lhs, aug.T @ Y, atol=1e-8)
 
@@ -189,7 +207,7 @@ class TestLag:
         model = fit_lag(X, labels, centroids_per_class=2, alpha=10.0,
                         ridge_lambda=lam, seed=5)
         aug = np.hstack([X, np.ones((10, 1))])
-        Y = _soft_targets(X, labels, model, alpha=10.0)
+        Y = _soft_targets(X, labels, model, alpha=10.0, seed=5)
         lhs = (aug.T @ aug + lam * np.eye(51)) @ model.weights
         np.testing.assert_allclose(lhs, aug.T @ Y, atol=1e-8)
 
@@ -209,7 +227,8 @@ class TestLag:
         labels = np.tile([0, 1, 2], 10)
         a = fit_lag(X, labels, centroids_per_class=3, seed=9)
         b = fit_lag(X, labels, centroids_per_class=3, seed=9)
-        assert np.array_equal(a.centroids, b.centroids)
+        assert np.array_equal(class_centroids(X, labels, 3, seed=9)[0],
+                              class_centroids(X, labels, 3, seed=9)[0])
         assert np.array_equal(a.weights, b.weights)
 
     def test_collapsed_cluster_is_dropped(self, rng):
@@ -248,15 +267,18 @@ class TestLag:
             apply_lag(model, rng.normal(size=(3, 5)))
 
 
-def _soft_targets(X, labels, model, alpha):
-    """Re-derive the soft targets from the fitted centroids, with the
-    ``alpha`` the fit was given and one centroid block per sorted label."""
+def _soft_targets(X, labels, model, alpha, seed):
+    """Re-derive the soft targets from the centroids of
+    :func:`class_centroids` at the two centroids per class, ``seed`` and
+    ``alpha`` the fit was given, one centroid block per sorted label."""
+    centroids, block_sizes = class_centroids(
+        X, labels, centroids_per_class=2, seed=seed)
+    np.testing.assert_array_equal(block_sizes, model.block_sizes)
     targets = np.zeros((X.shape[0], model.output_dim))
-    ends = np.cumsum(model.block_sizes)
-    for cls, start, end in zip(np.unique(labels), ends - model.block_sizes,
-                               ends):
+    ends = np.cumsum(block_sizes)
+    for cls, start, end in zip(np.unique(labels), ends - block_sizes, ends):
         idx = np.flatnonzero(labels == cls)
-        block = model.centroids[start:end]
+        block = centroids[start:end]
         dist = np.sqrt(((X[idx, None, :] - block[None, :, :]) ** 2).sum(axis=2))
         t = np.exp(-alpha * (dist - dist.min(axis=1, keepdims=True)))
         targets[idx, start:end] = t / t.sum(axis=1, keepdims=True)
