@@ -21,8 +21,9 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import ShapeMismatchError, WindowTooLargeError
 
-# Budget of one slab's float64 union matrix; a slab holds at least one
-# y-row of window origins even when that row alone is larger.
+# Budget of one slab's float64 union matrix, and of the float64 input maps
+# of a run of union statistics; a slab holds at least one y-row of window
+# origins even when that row alone is larger.
 SLAB_BYTES = 1 << 20
 
 
@@ -67,6 +68,13 @@ def extract_unions(maps, window: tuple[int, int, int]) -> np.ndarray:
     transposed view of a column-major buffer, in which each union element
     is one contiguous run over the leading axes, maps and origins, so the
     rows of each leading index are a view of the same layout.
+
+    That a fold model is a fit of its training subjects, byte for byte,
+    rests on this layout: the layer steps project slabs whose rows sit at
+    other offsets of the GEMM call in a fold than in a fit, and with a
+    row-major (C-order) union matrix the BLAS may round a row differently
+    at another offset. Do not gather row-major; the README's "A fold
+    model is a fit" gives the measurement.
     """
     arr = _stack(maps)
     *lead, H, W, Z, C = arr.shape

@@ -18,20 +18,45 @@ and transforming the training samples reproduces the training features.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
-from . import classifier, saab, supervise
+from . import classifier, neighborhood, saab, supervise
 from .errors import (MissingClassError, NonFiniteValuesError,
                      ShapeLedgerMismatchError, ShapeMismatchError,
                      SingleClassError, WindowTooLargeError, as_integer)
 from .fields import CONCAT_MODES, DIRECTIONS, DeformationSample, crop_phases
 from .neighborhood import extract_unions, max_pool, pooled_dims, slab_plan, \
     union_count
+
+
+def _int_triple(name: str, value) -> tuple[int, int, int]:
+    """``value``, a list or tuple of three integers, as a tuple of ints."""
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ValueError(f"{name} must be a list of 3 integers, got {value!r}")
+    return tuple(as_integer(name, v) for v in value)
+
+
+def _keywords(cls, data, what: str) -> dict:
+    """``data``, a JSON object, as the keyword arguments of the dataclass
+    ``cls``: it must give every field without a default, and no other."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a {what} must be a JSON object, got {data!r}")
+    fields = cls.__dataclass_fields__
+    unknown = sorted(set(data) - set(fields))
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {unknown}")
+    missing = [name for name, f in fields.items()
+               if name not in data and f.default is MISSING]
+    if missing:
+        raise ValueError(f"{what} keys missing: {missing}")
+    return data
 
 
 @dataclass(frozen=True)
@@ -42,10 +67,9 @@ class LayerSpec:
     channels: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "window",
-                           tuple(as_integer("window", v) for v in self.window))
+        object.__setattr__(self, "window", _int_triple("window", self.window))
         object.__setattr__(self, "channels", as_integer("channels", self.channels))
-        if len(self.window) != 3 or min(self.window) < 1:
+        if min(self.window) < 1:
             raise ValueError(f"window must be three positive ints, got {self.window}")
         if self.channels < 1:
             raise ValueError(f"channels must be positive, got {self.channels}")
@@ -69,7 +93,10 @@ class PipelineConfig:
     truncate_layer5: bool = False
 
     def __post_init__(self) -> None:
-        layers = tuple(l if isinstance(l, LayerSpec) else LayerSpec(**l)
+        if not isinstance(self.layers, (list, tuple)):
+            raise ValueError(f"layers must be a list, got {self.layers!r}")
+        layers = tuple(l if isinstance(l, LayerSpec)
+                       else LayerSpec(**_keywords(LayerSpec, l, "layer"))
                        for l in self.layers)
         if not layers:
             raise ValueError("at least one layer is required")
@@ -100,10 +127,10 @@ class PipelineConfig:
         for name in ("roi_size", "roi_origin"):
             val = getattr(self, name)
             if val is not None:
-                val = tuple(as_integer(name, v) for v in val)
-                if len(val) != 3:
-                    raise ValueError(f"{name} must have 3 values, got {val}")
-                object.__setattr__(self, name, val)
+                object.__setattr__(self, name, _int_triple(name, val))
+        if self.roi_origin is not None and self.roi_size is None:
+            raise ValueError("roi_origin needs a roi_size: without one no crop "
+                             "is taken")
 
     def to_dict(self) -> dict:
         return {
@@ -124,11 +151,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+        return cls(**_keywords(cls, data, "config"))
 
 
 def full_config(seed: int = 0) -> PipelineConfig:
@@ -417,70 +440,144 @@ def concat_features(blocks) -> np.ndarray:
                           axis=1)
 
 
-def _lagged_sums(shifted: np.ndarray, window, ys):
-    """Raw sums and Gram matrix of the unions of one run of :func:`slab_plan`,
-    a (n, H, W, Z, C) stack of whole maps read in the row slabs ``ys``,
-    from its row-partial unions: ``R_i``, the (1, w, z) unions of input
-    row ``i`` of every map of the run, K = D/h columns.
+# cached: built on each call, it took about a third of the per-subject
+# statistics of a 12x12x12 map
+@functools.lru_cache(maxsize=None)
+def _lag_layout(dims: tuple[int, ...], span: tuple[int, ...]):
+    """Index layout of :func:`_lagged_sums` for maps of ``dims`` input rows
+    (and columns) under a window of ``span`` rows (and columns).
 
-    A union at origin row ``y`` is ``R_y, ..., R_{y+h-1}`` side by side,
-    so Gram block (a, a+d) is the sum of ``R_i^T R_{i+d}`` over ``i`` from
-    ``a`` to ``a+Y-1`` (Y origin rows), and block (a+d, a) its transpose:
-    the terms of the unions' Gram matrix, grouped by row. Each lagged
-    product (d < h) is formed once, by one batched product per lag and
-    slab; a slab takes the products of its origin rows, and the last (or
-    only) one also those of its halo rows, which no later slab reads.
+    Returns three tuples. The lags, as ``(d, shape, left, right,
+    columns)``: each lag ``d`` that is lexicographically >= 0; the shape
+    of its kept products, one per input row ``p`` whose row ``p + d`` lies
+    in the maps (and one per window column offset ``a`` that has ``a + d``
+    in the window: the sum over its box of origin columns); the column
+    slices of the positions ``p``, from ``max(0, -d)``, and ``p + d`` of
+    the left and right factors; and those boxes of columns, as slices of
+    the left ones. The Gram blocks, as ``(lag, ab, ba, kept)``: the index
+    of lag ``d = b - a``, the indices of blocks (a, b) and (b, a), and the
+    kept products summed into (a, b). The boxes of positions whose sums
+    each window offset takes, in C order of the offsets.
     """
-    h, w, z = window
-    H = shifted.shape[1]
-    Y = H - h + 1
-    K = w * z * shifted.shape[-1]
-    sums = np.empty((H, K))
-    lagged = [np.empty((H - d, K, K)) for d in range(h)]
+    origins = tuple(n - s + 1 for n, s in zip(dims, span))
+    lags, blocks = [], []
+    for d in itertools.product(*(range(1 - s, s) for s in span)):
+        if d < (0,) * len(d):
+            continue
+        low = tuple(max(0, -v) for v in d)
+        offsets = [range(l, s - l - v) for l, s, v in zip(low, span, d)]
+        cols = list(zip(dims[1:], low[1:], d[1:]))
+        lags.append((d, (dims[0] - d[0],) + tuple(map(len, offsets[1:])),
+                     tuple(slice(l, n - l - v) for n, l, v in cols),
+                     tuple(slice(l + v, n - l) for n, l, v in cols),
+                     tuple(slice(a - l, a - l + o) for r, l, o in
+                           zip(offsets[1:], low[1:], origins[1:])
+                           for a in r)))
+        for a in itertools.product(*offsets):
+            b = tuple(p + v for p, v in zip(a, d))
+            blocks.append((len(lags) - 1, a + (slice(None),) + b,
+                           b + (slice(None),) + a,
+                           (slice(a[0], a[0] + origins[0]),)
+                           + tuple(p - l for p, l in zip(a[1:], low[1:]))))
+    boxes = tuple(tuple(slice(p, p + o) for p, o in zip(a, origins))
+                  for a in itertools.product(*map(range, span)))
+    return tuple(lags), tuple(blocks), boxes
+
+
+def _lagged_sums(shifted: np.ndarray, window, ys, axes: int):
+    """Raw sums and Gram matrix of the unions of a (n, H, W, Z, C) stack of
+    whole maps read in the row slabs ``ys``, from their partial unions
+    over the rest of the window once its first ``axes`` axes are lagged:
+    ``R_p``, the (1, w, z) unions of input row ``p`` (``axes`` 1, K = D/h
+    columns) or the (1, 1, z) unions of input row and column ``p``
+    (``axes`` 2, K = D/(h*w)), over every map of the run.
+
+    A union at origin ``o`` is the ``R_{o+a}`` side by side, for the
+    lagged window offsets ``a`` in C order, so Gram block (a, a+d) is the
+    sum of ``R_p^T R_{p+d}`` over ``p`` in the box of origins shifted by
+    ``a``, and block (a+d, a) its transpose: the terms of the unions' Gram
+    matrix, grouped by position. Each lagged product is formed once, for
+    each lag ``d`` that is lexicographically >= 0 (3 row lags, or 13
+    row-and-column lags, of a 3x3 window), by one batched product per lag
+    and slab; a slab takes the products of its origin rows, and the last
+    (or only) one also those of its halo rows, which no later slab reads.
+    Row-and-column products are summed over each box of origin columns as
+    they come, so a run keeps at most h*(2w-1) (row, column-offset) sums of
+    K x K per input row, as row lags keep h products of (wK) x (wK).
+    """
+    span, part = tuple(window[:axes]), (1,) * axes + tuple(window[axes:])
+    dims = shifted.shape[1:1 + axes]
+    lags, blocks, boxes = _lag_layout(dims, span)
+    K = math.prod(part) * shifted.shape[-1]
+    lead = tuple(range(axes))
+    lagged = [np.empty(shape + (K, K)) for _, shape, _, _, _ in lags]
+    sums = np.empty(dims + (K,))
+    # the slab's input positions lead, before the maps
+    front = tuple(range(1, axes + 1)) + (0,)
     for y in ys:
         count = y.stop - y.start
-        own = count if y.stop == H else count - (h - 1)
-        # (rows, K, origins): each row's R_i^T over the run's maps, a view
-        # of the slab gathered with the input row as the leading axis
-        rows = extract_unions(shifted[:, y, None].swapaxes(0, 1),
-                              (1, w, z)).T.reshape(K, count, -1).swapaxes(0, 1)
-        sums[y.start:y.start + own] = rows[:own].sum(axis=2)
-        for d, products in enumerate(lagged):
-            n = min(own, count - d)
-            np.matmul(rows[:n], rows[d:d + n].transpose(0, 2, 1),
-                      out=products[y.start:y.start + n])
-    gram = np.empty((h, K, h, K))
-    for d, products in enumerate(lagged):
-        for a in range(h - d):
-            gram[a, :, a + d] = block = products[a:a + Y].sum(axis=0)
-            gram[a + d, :, a] = block.T
-    total = np.concatenate([sums[a:a + Y].sum(axis=0) for a in range(h)])
-    return total, gram.reshape(h * K, h * K)
+        own = count if y.stop == dims[0] else count - (span[0] - 1)
+        stack = shifted[(slice(None), y) + (slice(None),) * (axes - 1)
+                        + (None,) * axes]
+        stack = stack.transpose(front + tuple(range(axes + 1, stack.ndim)))
+        # (rows, [columns,] K, origins): each position's R_p^T over the
+        # run's maps, a view of the gathered slab
+        rows = extract_unions(stack, part).T.reshape(
+            (K, count) + dims[1:] + (-1,)).transpose(front + (axes + 1,))
+        sums[y.start:y.start + own] = rows[:own].sum(axis=-1)
+        for (d, _, left, right, columns), kept in zip(lags, lagged):
+            n = min(own, count - d[0])
+            out = kept[y.start:y.start + n]
+            products = np.matmul(
+                rows[(slice(0, n),) + left],
+                rows[(slice(d[0], d[0] + n),) + right].swapaxes(-1, -2),
+                out=None if columns else out)
+            for c, box in enumerate(columns):
+                products[:, box].sum(axis=1, out=out[:, c])
+    gram = np.empty(span + (K,) + span + (K,))
+    for lag, ab, ba, kept in blocks:
+        gram[ab] = block = lagged[lag][kept].sum(axis=0)
+        gram[ba] = block.T
+    total = np.concatenate([sums[box].sum(axis=lead) for box in boxes])
+    D = math.prod(span) * K
+    return total, gram.reshape(D, D)
 
 
 def _union_moments(maps: np.ndarray, window):
     """Yield the moments of the unions of each run of a (N, H, W, Z, C)
-    stack of maps, in the order of :func:`slab_plan`; merged in order,
-    they are the moments of the whole stack's unions.
+    stack of maps, in order; merged in order, they are the moments of the
+    whole stack's unions.
 
-    Each channel's mean over the run is subtracted from its maps once, a
-    copy D/C times smaller than their unions; the run's raw sums and Gram
-    matrix of the shifted maps' unions are corrected once per run (the
-    shifted-data algorithm of Chan, Golub & LeVeque 1983). The mean is
-    taken about the run's first voxel, so a constant channel shifts to
-    exact zeros and adds exactly nothing to the scatter. Every run, of
-    whole maps or of one map read in row slabs, sums its Gram matrix from
-    the lagged products of its row-partial unions (:func:`_lagged_sums`),
-    h times narrower than its unions.
+    A run holds as many whole maps as fit in ``SLAB_BYTES`` of float64
+    input maps, or one map that fills it; a run of one map is read in the
+    row slabs :func:`slab_plan` gives it. Each channel's mean over the run
+    is subtracted from its maps once, a copy D/C times smaller than their
+    unions; the run's raw sums and Gram matrix of the shifted maps' unions
+    are corrected once per run (the shifted-data algorithm of Chan, Golub
+    & LeVeque 1983). The mean is taken about the run's first voxel, so a
+    constant channel shifts to exact zeros and adds exactly nothing to the
+    scatter. No run gathers its unions: a run of several maps sums its
+    Gram matrix from the row-and-column lagged products of its (1, 1, z)
+    partial unions, whose GEMMs widen with the run, and a run of one map
+    from the row-lagged products of its (1, w, z) ones, which take fewer
+    GEMM calls for the same map (:func:`_lagged_sums`).
     """
+    N, H = maps.shape[:2]
+    # a lone map's row slabs; this also checks the window before any gather
+    ((_, slabs),) = slab_plan((1,) + maps.shape[1:], window)
+    per_run = max(1, neighborhood.SLAB_BYTES
+                  // (8 * math.prod(maps.shape[1:])))
     per_map = union_count(maps.shape[1:], window)
-    for group, ys in slab_plan(maps.shape, window):
-        fmaps = maps[group]
+    for start in range(0, N, per_run):
+        fmaps = maps[start:start + per_run]
         first = fmaps[0, 0, 0, 0]
         shifted = np.subtract(fmaps, first, dtype=np.float64)
         shift = shifted.mean(axis=(0, 1, 2, 3))
         shifted -= shift
-        total, gram = _lagged_sums(shifted, window, ys)
+        several = len(fmaps) > 1
+        total, gram = _lagged_sums(shifted, window,
+                                   (slice(0, H),) if several else slabs,
+                                   1 + several)
         n = per_map * len(fmaps)
         mean = total / n
         shift += first

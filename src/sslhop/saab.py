@@ -13,9 +13,11 @@ LeVeque (1979) and projects the DC direction out of the merged D x D
 statistics at the end, so training unions never need to be materialized
 in one matrix. The pipeline forms one batch per run of feature maps from
 raw sums over a mean-shifted copy of the maps (their shifted-data
-algorithm, 1983), without a centered copy of the unions; each run sums
-its Gram matrix from lagged products of its row-partial unions, the same
-products grouped by row. Moments are plain values: they can be computed
+algorithm, 1983), without a centered copy of the unions; a run of several
+whole maps sums its Gram matrix from the row-and-column lagged products
+of its (1, 1, z) partial unions, and a run of one map from the row-lagged
+products of its (1, w, z) ones: the same products, grouped by position.
+Moments are plain values: they can be computed
 once, kept and merged into several fits; a dense matrix is simply the
 single-batch case, centered directly.
 Projection is one matrix product plus a per-channel offset that folds in

@@ -337,6 +337,15 @@ MALFORMED_CONFIGS = {
     "seed-false": {"seed": False},
     "repeated-key": '{"seed": 1, "seed": 2, "layers": [{"window": [3, 3, 4], '
                     '"channels": 4}]}',
+    # an origin with no size to crop would be ignored
+    "roi-origin-alone": {"roi_origin": [0, 0, 0]},
+    "null": "null",
+    "string": '"abc"',
+    "window-int": {"layers": [{"window": 3, "channels": 4},
+                              {"window": [3, 3, 3], "channels": 5}]},
+    "layer-extra-key": {"layers": [{"window": [3, 3, 4], "channels": 4,
+                                    "extra": 1},
+                                   {"window": [3, 3, 3], "channels": 5}]},
 }
 
 
@@ -514,10 +523,11 @@ class TestErrorSurface:
         lambda meta: meta.update(seed=meta["config"]["seed"]),
         lambda meta: meta.update(tensors=[]),
         lambda meta: meta["stages"][0][0].update(saab={"bias": 5.0}),
+        lambda meta: meta["config"].update(roi_origin=[0, 0, 0]),
     ], ids=["no-config", "stages-int", "bad-config",
             "lag-blocks-off-config", "ledger-off-config", "config-off-ledger",
             "class-table-short", "class-table-ints", "stray-seed",
-            "stray-tensors", "stray-saab-bias"])
+            "stray-tensors", "stray-saab-bias", "roi-origin-alone"])
     def test_metadata_off_the_schema_is_a_data_error(
             self, cohort, fit_dir, tmp_path, edit_model_meta, edit, capsys):
         bad = edit_model_meta(fit_dir / "model.sslm", tmp_path / "bad.sslm",

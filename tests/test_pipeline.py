@@ -61,6 +61,28 @@ class TestConfig:
         with pytest.raises(ValueError):
             sh.PipelineConfig(**bad)
 
+    @pytest.mark.parametrize("data,field", [
+        (None, "config must be a JSON object"),
+        ("abc", "config must be a JSON object"),
+        ({"seed": 1}, r"config keys missing: \['layers'\]"),
+        ({"layers": 5}, "layers must be a list"),
+        ({"layers": [5]}, "layer must be a JSON object"),
+        ({"layers": [{"window": 3, "channels": 4}]}, "window"),
+        ({"layers": [{"window": [3, 3, 3], "channels": 4, "extra": 1}]},
+         r"unknown layer keys: \['extra'\]"),
+        ({"layers": [{"window": [3, 3, 3]}]},
+         r"layer keys missing: \['channels'\]"),
+        ({"layers": [{"window": [3, 3, 3], "channels": 4}], "roi_size": 5},
+         "roi_size"),
+        ({"layers": [{"window": [3, 3, 3], "channels": 4}],
+          "roi_origin": [0, 0, 0]}, "roi_origin needs a roi_size"),
+    ], ids=["null", "string", "no-layers", "layers-int", "layer-int",
+            "window-int", "layer-extra-key", "layer-no-channels", "roi-int",
+            "roi-origin-alone"])
+    def test_malformed_dicts_name_the_offending_field(self, data, field):
+        with pytest.raises(ValueError, match=field):
+            sh.PipelineConfig.from_dict(data)
+
     def test_presets(self):
         full = sh.full_config()
         small = sh.small_config()
@@ -403,6 +425,17 @@ def tiny_stacked_slabs(monkeypatch, tiny_cfg):
         [n * sh.union_count((12, 12, 12), window) for n in (3, 3, 3, 1)]
 
 
+@pytest.fixture()
+def tiny_moment_runs(monkeypatch, tiny_cfg):
+    """Take tiny-cohort layer-2 statistics in runs of three whole 5x5x5x4
+    maps, so that a training set's come from several runs of
+    row-and-column lags, and a ragged last run."""
+    dims = sh.compute_ledger(tiny_cfg, (12, 12, 12))[1].input_dims
+    monkeypatch.setattr(sslhop.neighborhood, "SLAB_BYTES",
+                        3 * 8 * math.prod(dims))
+    return _lag_forms(monkeypatch)
+
+
 class TestLayerOneHandOff:
     def test_per_subject_moments_give_identical_bytes(self, tiny_cohort,
                                                       tiny_cfg, tiny_model,
@@ -447,6 +480,18 @@ class TestLayerOneHandOff:
         _assert_fold_models_match_standalone_fits(records, tiny_cfg,
                                                   monkeypatch, tmp_path,
                                                   threads)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_cv_fold_models_match_standalone_fits_in_moment_runs(
+            self, tiny_cohort, tiny_cfg, tiny_moment_runs, monkeypatch,
+            tmp_path, threads):
+        _, records = tiny_cohort
+        _assert_fold_models_match_standalone_fits(records, tiny_cfg,
+                                                  monkeypatch, tmp_path,
+                                                  threads)
+        # 9 or 10 training maps per fold: three runs of three whole maps
+        # per direction, in each of the 5 fold fits and 5 standalone fits
+        assert tiny_moment_runs.count(2) == 2 * 5 * 3 * 3
 
     def test_block_with_a_held_out_subject_is_rejected(self, tiny_cohort,
                                                        tiny_cfg):
@@ -671,10 +716,8 @@ class TestUnionMoments:
         stack = rng.normal(size=(5,) + dims) \
             + np.array([0.0, 100.0] * 3)[:5, None, None, None, None]
         if per_group is not None:
-            map_bytes = (sh.union_count(dims, window) * math.prod(window)
-                         * dims[3] * 8)
             monkeypatch.setattr(sslhop.neighborhood, "SLAB_BYTES",
-                                per_group * map_bytes)
+                                per_group * 8 * math.prod(dims))
         groups = list(sslhop.pipeline._union_moments(stack, window))
         assert len(groups) == (3 if per_group else 1)
         moments = sh.merge_moments(groups)
@@ -712,6 +755,92 @@ class TestUnionMoments:
                           match="no residual variance"):
             kernel = sh.fit_saab_batches(whole + moments, 5)
         assert kernel.padded == 4
+
+
+def _lag_forms(monkeypatch) -> list[int]:
+    """The lagged axes of each :func:`_lagged_sums` call, as they come: 1
+    for row lags, 2 for row-and-column lags."""
+    forms, lagged_sums = [], sslhop.pipeline._lagged_sums
+
+    def spy(shifted, window, ys, axes):
+        forms.append(axes)
+        return lagged_sums(shifted, window, ys, axes)
+
+    monkeypatch.setattr(sslhop.pipeline, "_lagged_sums", spy)
+    return forms
+
+
+LAG_WINDOWS = [(3, 3, 3), (2, 3, 3), (1, 3, 3), (3, 1, 3), (3, 2, 2)]
+
+
+class TestLagForms:
+    @pytest.mark.parametrize("window", LAG_WINDOWS)
+    @pytest.mark.parametrize("channels", [4, 5])
+    @pytest.mark.parametrize("offset", [0.0, 100.0])
+    @pytest.mark.parametrize("runs", ["runs-of-2", "row-slabs"])
+    def test_lagged_sums_match_a_long_double_oracle(self, rng, monkeypatch,
+                                                    window, channels, offset,
+                                                    runs):
+        """Four maps in two runs of two whole maps, whose Gram matrices
+        come from row-and-column lags, or one map in at least three row
+        slabs, from row lags. Measured over rng seeds 0-5: scatter within
+        2.4e-15 and mean within 6.1e-16 of their largest entries; the
+        scatter's largest errors come from merging two runs about +100,
+        and within one run it stays within 2.8e-16."""
+        if runs == "runs-of-2":
+            dims = (7, 6, 5, channels)
+            stack = rng.normal(size=(4,) + dims) + offset
+            monkeypatch.setattr(sslhop.neighborhood, "SLAB_BYTES",
+                                2 * 8 * math.prod(dims))
+        else:
+            dims = (11, 9, 6, channels)
+            stack = rng.normal(size=(1,) + dims) + offset
+            rows = dims[0] - window[0] + 1
+            row_bytes = (sh.union_count(dims, window) // rows
+                         * math.prod(window) * channels * 8)
+            monkeypatch.setattr(sslhop.neighborhood, "SLAB_BYTES",
+                                rows // 3 * row_bytes)
+            ((_, ys),) = sh.slab_plan(stack.shape, window)
+            assert len(ys) >= 3
+        forms = _lag_forms(monkeypatch)
+        moments = sh.merge_moments(sslhop.pipeline._union_moments(stack,
+                                                                  window))
+        assert forms == ([2, 2] if runs == "runs-of-2" else [1])
+        mean, scatter = _dense_moments(stack, window)
+        assert moments.count == len(stack) * sh.union_count(dims, window)
+        assert np.abs(moments.scatter - scatter).max() \
+            <= 1e-13 * np.abs(scatter).max()
+        assert np.abs(moments.mean - mean).max() <= 1e-13 * np.abs(mean).max()
+
+    @pytest.mark.parametrize("window", LAG_WINDOWS)
+    def test_constant_channels_have_exactly_zero_scatter_on_column_lags(
+            self, monkeypatch, window):
+        """Three runs of two whole maps of constant channels each shift to
+        exact zeros, so their row-and-column lagged products add exactly
+        nothing."""
+        levels = np.array([0.1, 0.7, -3.3, 1e3, 1 / 3])
+        stack = np.broadcast_to(levels, (6, 7, 6, 5, 5)).copy()
+        monkeypatch.setattr(sslhop.neighborhood, "SLAB_BYTES",
+                            2 * 8 * math.prod(stack.shape[1:]))
+        forms = _lag_forms(monkeypatch)
+        moments = list(sslhop.pipeline._union_moments(stack, window))
+        assert forms == [2, 2, 2]
+        for m in moments:
+            assert not m.scatter.any()
+            np.testing.assert_array_equal(m.mean,
+                                          np.tile(levels, math.prod(window)))
+
+    def test_several_map_runs_take_column_lags(self, rng, monkeypatch):
+        """At the default budget, eight 15x15x14x5 layer-2 maps of the
+        standard cohort fill a run, which takes row-and-column lags; a
+        lone map, as every per-subject layer-1 statistic, takes row
+        lags."""
+        maps = rng.normal(size=(17, 15, 15, 14, 5))
+        forms = _lag_forms(monkeypatch)
+        counts = [m.count for m in
+                  sslhop.pipeline._union_moments(maps, (3, 3, 3))]
+        assert forms == [2, 2, 1]
+        assert counts == [n * 13 * 13 * 12 for n in (8, 8, 1)]
 
 
 def _layer_peaks(kernel, maps, window, shapes):
