@@ -4,9 +4,9 @@ hierarchy and a linear one-vs-rest SVM on top.
 """
 
 from .classifier import SvmModel, decision_values, fit_svm, predict, roc_auc
-from .dataio import (ClassTemplate, DatasetManifest, ManifestRecord,
-                     SubjectRecord, SyntheticSpec, gen_synthetic,
-                     load_manifest, load_subjects, read_field, save_manifest,
+from .dataio import (DatasetManifest, ManifestRecord, SubjectRecord,
+                     SyntheticSpec, gen_synthetic, load_manifest,
+                     load_subjects, read_field, save_manifest,
                      subset_manifest, write_field)
 from .dataio import read_field_header, template_field
 from .evaluate import (FoldReport, RocCurve, cross_validate, stratified_folds,
@@ -22,7 +22,7 @@ from .pipeline import (FittedStages, LayerShapes, LayerSpec, PipelineConfig,
                        concat_features, count_parameters, fit_folds,
                        fit_pipeline, full_config, parameter_breakdown,
                        predict_samples, small_config, transform_many)
-from .saab import (Moments, SaabKernel, apply_saab, energy_curve, fit_saab,
+from .saab import (Moments, SaabKernel, apply_saab, fit_saab,
                    fit_saab_batches, merge_moments, union_moments)
 from .supervise import (ChannelEntropy, LagModel, apply_lag, channel_entropy,
                         class_centroids, fit_lag)
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SvmModel", "decision_values", "fit_svm", "predict", "roc_auc",
-    "ClassTemplate", "DatasetManifest", "ManifestRecord", "SubjectRecord",
+    "DatasetManifest", "ManifestRecord", "SubjectRecord",
     "SyntheticSpec", "gen_synthetic", "load_manifest", "load_subjects",
     "read_field", "read_field_header", "save_manifest", "subset_manifest",
     "template_field", "write_field",
@@ -46,7 +46,7 @@ __all__ = [
     "concat_features", "count_parameters", "fit_folds", "fit_pipeline",
     "full_config", "parameter_breakdown", "predict_samples", "small_config",
     "transform_many",
-    "Moments", "SaabKernel", "apply_saab", "energy_curve", "fit_saab",
+    "Moments", "SaabKernel", "apply_saab", "fit_saab",
     "fit_saab_batches", "merge_moments", "union_moments",
     "ChannelEntropy", "LagModel", "apply_lag", "channel_entropy",
     "class_centroids", "fit_lag",

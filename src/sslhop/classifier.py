@@ -8,14 +8,13 @@ augmented feature and split back out of the weight vector.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (MissingClassError, NonFiniteValuesError,
-                     OneClassOnlyError, ShapeMismatchError)
+                     OneClassOnlyError, ShapeMismatchError, SingleClassError,
+                     as_finite, as_integer)
 
 MAX_EPOCHS = 10_000
 STOP_TOL = 1e-4
@@ -91,20 +90,31 @@ def _dual_cd(X: np.ndarray, gram: np.ndarray, y: np.ndarray, cost: float,
     return X.T @ (y * alpha), np.asarray(history)
 
 
-def _is_number(value, kind=numbers.Real) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
+def checked_class_count(labels: np.ndarray,
+                        class_count: int | None = None) -> int:
+    """The class count of a fit on ``labels``, by default one more than
+    the largest; every class must have a sample, no label may lie outside
+    them, and there must be two."""
+    present = np.unique(labels)
+    k = (int(present.max()) + 1 if class_count is None
+         else as_integer("class_count", class_count))
+    missing = sorted(set(range(k)) - set(present.tolist()))
+    if present.min() < 0 or present.max() >= k or missing:
+        raise MissingClassError(f"labels must cover 0..{k - 1}; missing {missing}")
+    if k < 2:
+        raise SingleClassError("training data must contain at least two classes")
+    return k
 
 
 def fit_svm(X: np.ndarray, labels: np.ndarray, cost: float = 1.0,
             class_count: int | None = None, tol: float = STOP_TOL,
             max_epochs: int = MAX_EPOCHS) -> SvmModel:
     """Fit K one-vs-rest linear machines on z-scored features."""
-    if not _is_number(cost) or not math.isfinite(cost) or cost <= 0:
-        raise ValueError(f"cost must be a finite number > 0, got {cost!r}")
-    if not _is_number(tol) or not tol > 0:
-        raise ValueError(f"tol must be a number > 0, got {tol!r}")
-    if not _is_number(max_epochs, numbers.Integral) or max_epochs < 1:
-        raise ValueError(f"max_epochs must be an integer >= 1, got {max_epochs!r}")
+    for name, value in (("cost", cost), ("tol", tol)):
+        if not as_finite(name, value) > 0:
+            raise ValueError(f"{name} must be > 0, got {value!r}")
+    if as_integer("max_epochs", max_epochs) < 1:
+        raise ValueError(f"max_epochs must be at least 1, got {max_epochs!r}")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeMismatchError(f"expected (N, D) features, got {X.shape}")
@@ -113,11 +123,7 @@ def fit_svm(X: np.ndarray, labels: np.ndarray, cost: float = 1.0,
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (X.shape[0],):
         raise ShapeMismatchError(f"labels shape {labels.shape} != ({X.shape[0]},)")
-    present = np.unique(labels)
-    k = int(class_count) if class_count is not None else int(present.max()) + 1
-    missing = sorted(set(range(k)) - set(present.tolist()))
-    if present.min() < 0 or present.max() >= k or missing:
-        raise MissingClassError(f"labels must cover 0..{k - 1}; missing {missing}")
+    k = checked_class_count(labels, class_count)
 
     mean = X.mean(axis=0)
     scale = X.std(axis=0)

@@ -15,14 +15,13 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import dataio, evaluate, model_io, pipeline, saab
-from .errors import (BadHeaderError, MissingFileError, SslhopError,
-                     UnknownLabelError)
+from . import dataio, evaluate, model_io, pipeline
+from .errors import BadHeaderError, SslhopError, UnknownLabelError
 
 log = logging.getLogger("sslhop")
 
@@ -116,8 +115,6 @@ def _resolve_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
         cfg = pipeline.PRESETS[name]()
     else:
         path = Path(name)
-        if not path.is_file():
-            raise MissingFileError(f"config file {path} does not exist")
         try:
             cfg = pipeline.PipelineConfig.from_dict(
                 dataio.read_json(path, "config"))
@@ -164,10 +161,7 @@ def cmd_gen_synthetic(args: argparse.Namespace) -> int:
         kwargs["margin"] = args.margin
     spec = dataio.SyntheticSpec(**kwargs)
     manifest = dataio.gen_synthetic(spec, args.out)
-    _write_resolved(args, None, args.out, extra={
-        "synthetic": {"classes": spec.classes, "per_class": spec.per_class,
-                      "dims": list(spec.dims), "noise_sigma": spec.noise_sigma,
-                      "margin": spec.margin, "seed": spec.seed}})
+    _write_resolved(args, None, args.out, extra={"synthetic": asdict(spec)})
     log.info("wrote %d subjects to %s", len(manifest.records), args.out)
     print(json.dumps({"manifest": str(args.out / "manifest.json"),
                       "subjects": len(manifest.records)}))
@@ -261,8 +255,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         writer.writerow(["layer", "direction", "component", "ratio", "cumulative"])
         for d, per_dir in enumerate(model.stages):
             for li, stage in enumerate(per_dir):
-                curve = saab.energy_curve(stage.kernel)
-                for ci, (ratio, cum) in enumerate(zip(stage.kernel.energy, curve)):
+                energy = stage.kernel.energy
+                for ci, (ratio, cum) in enumerate(zip(energy, np.cumsum(energy))):
                     writer.writerow([li + 1, d, ci + 1, repr(float(ratio)),
                                      repr(float(cum))])
     with open(args.out / "entropy.csv", "w", newline="") as fh:
@@ -276,13 +270,11 @@ def cmd_inspect(args: argparse.Namespace) -> int:
                                      int(ch in kept)])
     with open(args.out / "ledger.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["layer", "input_dims", "union_dim", "conv_dims",
-                         "pool_dims", "kept_channels", "lag_input_dim"])
-        for e in model.ledger:
-            writer.writerow([e.layer, "x".join(map(str, e.input_dims)),
-                             e.union_dim, "x".join(map(str, e.conv_dims)),
-                             "x".join(map(str, e.pool_dims)),
-                             e.kept_channels, e.lag_input_dim])
+        rows = [asdict(e) for e in model.ledger]
+        writer.writerow(rows[0])
+        for row in rows:
+            writer.writerow("x".join(map(str, v)) if isinstance(v, tuple) else v
+                            for v in row.values())
     breakdown = pipeline.parameter_breakdown(model.config, model.input_dims,
                                              model.class_count)
     _write_params({"from_config": breakdown,

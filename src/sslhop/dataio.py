@@ -28,7 +28,8 @@ import numpy as np
 from .errors import (BadHeaderError, ChecksumMismatchError,
                      DuplicateSubjectError, MissingFileError,
                      NonFiniteValuesError, ShapeMismatchError,
-                     TooFewSubjectsError, UnknownLabelError, as_integer)
+                     TooFewSubjectsError, UnknownLabelError, as_finite,
+                     as_int_triple, as_integer)
 
 PHASES = ("ED", "ES")
 _MAX_HEADER = 4096
@@ -38,6 +39,15 @@ CARDIAC_CLASS_NAMES = ("NOR", "MINF", "DCM", "HCM", "RV")
 
 
 # -- field files -----------------------------------------------------------------
+
+def read_bytes(path: str | Path, what: str) -> bytes:
+    """The bytes of the file ``path``, a ``what`` (field file, manifest,
+    config, model); a path that names no file raises MissingFileError."""
+    try:
+        return Path(path).read_bytes()
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        raise MissingFileError(f"{what} {path} does not exist") from exc
+
 
 def write_field(field: np.ndarray, path: str | Path, phase: str,
                 subject_id: str) -> Path:
@@ -102,7 +112,7 @@ def read_field(path: str | Path) -> np.ndarray:
 def _read_field(path: str | Path) -> tuple[dict, np.ndarray]:
     """The validated header and float32 (3, H, W, Z) array of a field file,
     read once."""
-    raw = Path(path).read_bytes()
+    raw = read_bytes(path, "field file")
     header, start = _parse_header(raw, path)
     body = memoryview(raw)[start:]
     dims = tuple(header["dims"])
@@ -183,7 +193,7 @@ def read_json(path: Path, what: str):
         return doc
 
     try:
-        return json.loads(path.read_bytes().decode("utf-8"),
+        return json.loads(read_bytes(path, what).decode("utf-8"),
                           object_pairs_hook=unique)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise BadHeaderError(f"{path}: undecodable {what}: {exc}") from exc
@@ -192,8 +202,6 @@ def read_json(path: Path, what: str):
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Read and fully validate a dataset manifest."""
     path = Path(path)
-    if not path.is_file():
-        raise MissingFileError(f"manifest {path} does not exist")
     doc = read_json(path, "manifest")
     try:
         classes = list(doc["classes"].items())
@@ -274,15 +282,6 @@ def load_subjects(manifest: DatasetManifest) -> list[SubjectRecord]:
 # -- synthetic cohorts --------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ClassTemplate:
-    """Deformation template parameters of one synthetic class."""
-
-    amplitude: float   # peak displacement magnitude
-    axis: int          # direction component (0..2) emphasized by this class
-    contrast: float    # ES field = contrast * ED template
-
-
-@dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a deterministic synthetic cohort."""
 
@@ -296,21 +295,14 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         for name in ("classes", "per_class", "seed"):
             object.__setattr__(self, name, as_integer(name, getattr(self, name)))
-        object.__setattr__(self, "dims",
-                           tuple(as_integer("dims", v) for v in self.dims))
-        if len(self.dims) != 3 or min(self.dims) < 1:
+        object.__setattr__(self, "dims", as_int_triple("dims", self.dims))
+        if min(self.dims) < 1:
             raise ValueError(f"dims must be three positive ints, got {self.dims}")
         if self.classes < 2 or self.per_class < 1:
             raise ValueError("need at least 2 classes and 1 subject per class")
-        if self.noise_sigma < 0 or self.margin <= 0:
+        if (as_finite("noise_sigma", self.noise_sigma) < 0
+                or as_finite("margin", self.margin) <= 0):
             raise ValueError("noise_sigma must be >= 0 and margin > 0")
-
-    def resolved_templates(self) -> tuple[ClassTemplate, ...]:
-        """One template per class, amplitudes ``margin`` apart."""
-        return tuple(
-            ClassTemplate(amplitude=1.0 + self.margin * k, axis=k % 3,
-                          contrast=0.35 + 0.55 * k / max(1, self.classes - 1))
-            for k in range(self.classes))
 
     def class_names(self) -> dict[int, str]:
         if self.classes == len(CARDIAC_CLASS_NAMES):
@@ -318,13 +310,14 @@ class SyntheticSpec:
         return {k: f"CLS{k}" for k in range(self.classes)}
 
 
-def template_field(spec: SyntheticSpec, template: ClassTemplate) -> np.ndarray:
-    """Deterministic smooth radial displacement field of one class.
+def template_field(spec: SyntheticSpec, label: int) -> np.ndarray:
+    """Deterministic smooth radial displacement field of class ``label``.
 
     Displacement points radially in-plane with a sinusoidal ring profile
-    (zero at center and rim), modulated smoothly along depth; the class's
-    emphasized axis is amplified so classes differ in orientation as well
-    as amplitude.
+    (zero at center and rim), modulated smoothly along depth. The peak
+    amplitude is ``1 + margin * label``, so class amplitudes are ``margin``
+    apart, and the class's emphasized axis, ``label % 3``, is doubled so
+    classes differ in orientation as well as amplitude.
     """
     H, W, Z = spec.dims
     y = np.arange(H)[:, None, None] - (H - 1) / 2.0
@@ -341,8 +334,8 @@ def template_field(spec: SyntheticSpec, template: ClassTemplate) -> np.ndarray:
     field = np.stack([profile * uy, profile * ux,
                       profile * np.cos(np.pi * z / max(1, Z - 1))])
     weights = np.ones(3)
-    weights[template.axis] = 2.0
-    return template.amplitude * weights[:, None, None, None] * field
+    weights[label % 3] = 2.0
+    return (1.0 + spec.margin * label) * weights[:, None, None, None] * field
 
 
 def gen_synthetic(spec: SyntheticSpec, out_dir: str | Path) -> DatasetManifest:
@@ -354,17 +347,18 @@ def gen_synthetic(spec: SyntheticSpec, out_dir: str | Path) -> DatasetManifest:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     names = spec.class_names()
-    templates = spec.resolved_templates()
     records = []
     for label in range(spec.classes):
-        template = template_field(spec, templates[label])
+        template = template_field(spec, label)
+        # ES = contrast * ED template, from 0.35 (class 0) to 0.9 (the last)
+        contrast = 0.35 + 0.55 * label / max(1, spec.classes - 1)
         for i in range(spec.per_class):
             subject_id = f"{names[label].lower()}{i:03d}"
             rng = np.random.default_rng(
                 np.random.SeedSequence([spec.seed, label, i]))
             ed = template + rng.normal(0.0, spec.noise_sigma, template.shape) \
                 if spec.noise_sigma > 0 else template.copy()
-            es = templates[label].contrast * template
+            es = contrast * template
             if spec.noise_sigma > 0:
                 es = es + rng.normal(0.0, spec.noise_sigma, template.shape)
             ed_path = out_dir / f"{subject_id}_ed.fld"

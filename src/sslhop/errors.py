@@ -2,10 +2,11 @@
 
 Every error type carries an ``exit_code`` consumed by the CLI: 3 for
 problems attributable to inputs (bad files, bad shapes, degenerate data),
-4 for violated internal invariants. The integer rule that settings share
-lives here too, so every module can import it.
+4 for violated internal invariants. The number rules that settings share
+live here too, so every module can import them.
 """
 
+import math
 import numbers
 
 
@@ -14,6 +15,22 @@ def as_integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_int_triple(name: str, value) -> tuple[int, int, int]:
+    """``value``, a list or tuple of three integers, as a tuple of ints."""
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ValueError(f"{name} must be a list of 3 integers, got {value!r}")
+    return tuple(as_integer(name, v) for v in value)
+
+
+def as_finite(name: str, value):
+    """``value``, unchanged, if it is a finite real number; bool, non-real
+    and non-finite values are refused."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return value
 
 
 class SslhopError(Exception):

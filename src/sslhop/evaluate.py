@@ -28,9 +28,9 @@ import numpy as np
 
 from . import classifier
 from .dataio import SubjectRecord
-from .errors import TooFewSubjectsError
-from .pipeline import PipelineConfig, assemble_sample, \
-    checked_class_count, concat_features, fit_folds, fit_pipeline
+from .errors import TooFewSubjectsError, as_integer
+from .pipeline import PipelineConfig, assemble_sample, concat_features, \
+    fit_folds, fit_pipeline
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,7 @@ def stratified_folds(labels: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Deal each class round-robin into k folds after a seeded shuffle."""
     labels = np.asarray(labels)
     n = labels.shape[0]
+    k = as_integer("folds", k)
     if not 2 <= k <= n:
         raise TooFewSubjectsError(f"folds must lie in [2, {n}], got {k}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xF01D]))
@@ -119,8 +120,8 @@ def cross_validate(records: list[SubjectRecord], cfg: PipelineConfig,
     samples = [assemble_sample(r.ed, r.es, cfg, r.label, r.subject_id)
                for r in records]
     labels = np.array([r.label for r in records], dtype=np.int64)
-    k_classes = checked_class_count(labels, len(class_table) if class_table
-                                    else None)
+    k_classes = classifier.checked_class_count(
+        labels, len(class_table) if class_table else None)
     fold = stratified_folds(labels, folds, seed)
     train = [np.flatnonzero(fold != f) for f in range(folds)]
 

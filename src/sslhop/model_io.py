@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classifier, saab, supervise
+from .dataio import read_bytes
 from .errors import (CorruptFileError, ShapeLedgerMismatchError,
                      VersionMismatchError)
 from .pipeline import (DIRECTIONS, LayerShapes, LayerStage, PipelineConfig,
@@ -151,7 +152,7 @@ def save_model(model: PipelineModel, path: str | Path) -> Path:
 def load_model(path: str | Path) -> PipelineModel:
     """Read a model container, verifying structure, version and checksum;
     a tensor holding NaN or inf is refused like a corrupt file."""
-    raw = Path(path).read_bytes()
+    raw = read_bytes(path, "model")
     if len(raw) < _HEADER.size + 4:
         raise CorruptFileError(f"{path}: file shorter than the fixed header")
     magic, major, minor, meta_len = _HEADER.unpack_from(raw)

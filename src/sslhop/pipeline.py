@@ -21,26 +21,18 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field
 
 import numpy as np
 
 from . import classifier, neighborhood, saab, supervise
-from .errors import (MissingClassError, NonFiniteValuesError,
-                     ShapeLedgerMismatchError, ShapeMismatchError,
-                     SingleClassError, WindowTooLargeError, as_integer)
+from .errors import (NonFiniteValuesError, ShapeLedgerMismatchError,
+                     ShapeMismatchError, WindowTooLargeError, as_finite,
+                     as_int_triple, as_integer)
 from .fields import CONCAT_MODES, DIRECTIONS, DeformationSample, crop_phases
 from .neighborhood import extract_unions, max_pool, pooled_dims, slab_plan, \
     union_count
-
-
-def _int_triple(name: str, value) -> tuple[int, int, int]:
-    """``value``, a list or tuple of three integers, as a tuple of ints."""
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ValueError(f"{name} must be a list of 3 integers, got {value!r}")
-    return tuple(as_integer(name, v) for v in value)
 
 
 def _keywords(cls, data, what: str) -> dict:
@@ -67,7 +59,7 @@ class LayerSpec:
     channels: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "window", _int_triple("window", self.window))
+        object.__setattr__(self, "window", as_int_triple("window", self.window))
         object.__setattr__(self, "channels", as_integer("channels", self.channels))
         if min(self.window) < 1:
             raise ValueError(f"window must be three positive ints, got {self.window}")
@@ -103,10 +95,7 @@ class PipelineConfig:
         object.__setattr__(self, "layers", layers)
         for name in ("keep_ratio", "alpha", "ridge_lambda", "svm_cost",
                      "bias_scale"):
-            val = getattr(self, name)
-            if (isinstance(val, bool) or not isinstance(val, numbers.Real)
-                    or not math.isfinite(val)):
-                raise ValueError(f"{name} must be a finite number, got {val!r}")
+            as_finite(name, getattr(self, name))
         if not 0.0 < self.keep_ratio <= 1.0:
             raise ValueError(f"keep_ratio must lie in (0, 1], got {self.keep_ratio}")
         if self.alpha <= 0 or self.svm_cost <= 0:
@@ -127,27 +116,13 @@ class PipelineConfig:
         for name in ("roi_size", "roi_origin"):
             val = getattr(self, name)
             if val is not None:
-                object.__setattr__(self, name, _int_triple(name, val))
+                object.__setattr__(self, name, as_int_triple(name, val))
         if self.roi_origin is not None and self.roi_size is None:
             raise ValueError("roi_origin needs a roi_size: without one no crop "
                              "is taken")
 
     def to_dict(self) -> dict:
-        return {
-            "layers": [{"window": list(l.window), "channels": l.channels}
-                       for l in self.layers],
-            "keep_ratio": self.keep_ratio,
-            "centroids_per_class": self.centroids_per_class,
-            "alpha": self.alpha,
-            "ridge_lambda": self.ridge_lambda,
-            "svm_cost": self.svm_cost,
-            "bias_scale": self.bias_scale,
-            "concat_mode": self.concat_mode,
-            "roi_size": list(self.roi_size) if self.roi_size else None,
-            "roi_origin": list(self.roi_origin) if self.roi_origin else None,
-            "seed": self.seed,
-            "truncate_layer5": self.truncate_layer5,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
@@ -193,19 +168,12 @@ class LayerShapes:
     lag_input_dim: int
 
     def to_dict(self) -> dict:
-        return {"layer": self.layer, "input_dims": list(self.input_dims),
-                "union_dim": self.union_dim, "conv_dims": list(self.conv_dims),
-                "pool_dims": list(self.pool_dims),
-                "kept_channels": self.kept_channels,
-                "lag_input_dim": self.lag_input_dim}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "LayerShapes":
-        return cls(layer=d["layer"], input_dims=tuple(d["input_dims"]),
-                   union_dim=d["union_dim"], conv_dims=tuple(d["conv_dims"]),
-                   pool_dims=tuple(d["pool_dims"]),
-                   kept_channels=d["kept_channels"],
-                   lag_input_dim=d["lag_input_dim"])
+        return cls(**{key: tuple(v) if isinstance(v, list) else v
+                      for key, v in d.items()})
 
 
 def _truncated_depth(cfg: PipelineConfig, layer_1based: int, depth: int) -> int:
@@ -608,6 +576,9 @@ def fit_folds(samples: list[DeformationSample], cfg: PipelineConfig,
     Each piece of work writes only its own results, so the output does
     not depend on the thread count.
     """
+    threads = as_integer("threads", threads)
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     ledger = compute_ledger(cfg, common_dims(samples))
     labels = [np.array([samples[i].label for i in t], dtype=np.int64)
               for t in train]
@@ -664,20 +635,6 @@ def fit_folds(samples: list[DeformationSample], cfg: PipelineConfig,
             for f, t in enumerate(train)]
 
 
-def checked_class_count(labels: np.ndarray,
-                        class_count: int | None = None) -> int:
-    """The class count of a fit on ``labels``, by default one more than
-    the largest; every class must have a subject, and there must be two."""
-    present = np.unique(labels)
-    k = int(class_count) if class_count is not None else int(present.max()) + 1
-    if k < 2:
-        raise SingleClassError("training data must contain at least two classes")
-    missing = sorted(set(range(k)) - set(present.tolist()))
-    if missing or present.max() >= k:
-        raise MissingClassError(f"labels must cover 0..{k - 1}; missing {missing}")
-    return k
-
-
 def fit_pipeline(samples: list[DeformationSample], cfg: PipelineConfig,
                  class_count: int | None = None,
                  class_table: dict[int, str] | None = None, *,
@@ -691,7 +648,7 @@ def fit_pipeline(samples: list[DeformationSample], cfg: PipelineConfig,
     """
     dims = common_dims(samples)
     labels = np.array([s.label for s in samples], dtype=np.int64)
-    k = checked_class_count(labels, class_count)
+    k = classifier.checked_class_count(labels, class_count)
     ledger = compute_ledger(cfg, dims)
     ids = tuple(s.subject_id for s in samples)
     if fitted is None:

@@ -227,8 +227,3 @@ def apply_saab(kernel: SaabKernel, X) -> np.ndarray:
     out = rows @ matrix
     out += offset
     return out
-
-
-def energy_curve(kernel: SaabKernel) -> np.ndarray:
-    """Cumulative explained-variance ratios of the AC components."""
-    return np.cumsum(kernel.energy)

@@ -9,6 +9,7 @@ from sslhop.errors import (
     NonFiniteValuesError,
     OneClassOnlyError,
     ShapeMismatchError,
+    SingleClassError,
 )
 
 
@@ -133,13 +134,34 @@ class TestSvmFit:
         with pytest.raises(MissingClassError):
             fit_svm(X, np.repeat([0, 3], 3), class_count=3)
 
+    def test_class_count_rule(self):
+        """One rule for every fit: the range and missing classes are
+        checked before the class count, which must be an integer >= 2."""
+        with pytest.raises(MissingClassError):
+            classifier.checked_class_count(np.array([-1, 0, 1]))
+        with pytest.raises(MissingClassError):
+            classifier.checked_class_count(np.array([0, 1]), class_count=1)
+        with pytest.raises(SingleClassError):
+            classifier.checked_class_count(np.array([0, 0]))
+        with pytest.raises(ValueError, match="class_count"):
+            classifier.checked_class_count(np.array([0, 1]), class_count=2.5)
+        assert classifier.checked_class_count(np.array([1, 0, 1])) == 2
+        assert classifier.checked_class_count(np.array([1, 0, 2]),
+                                              class_count=3) == 3
+
+    def test_one_class_is_not_fitted(self, rng):
+        with pytest.raises(SingleClassError):
+            fit_svm(rng.normal(size=(6, 3)), np.zeros(6, dtype=np.int64),
+                    class_count=1)
+
     @pytest.mark.parametrize("kwargs", [
         {"cost": 0}, {"cost": -1.0}, {"cost": np.nan}, {"cost": np.inf},
         {"cost": True}, {"cost": "1"}, {"tol": 0.0}, {"tol": -1e-4},
-        {"tol": np.nan}, {"max_epochs": 0}, {"max_epochs": 2.5},
+        {"tol": np.nan}, {"tol": np.inf}, {"max_epochs": 0},
+        {"max_epochs": 2.5}, {"class_count": 2.5},
     ], ids=["cost-0", "cost-negative", "cost-nan", "cost-inf", "cost-bool",
-            "cost-string", "tol-0", "tol-negative", "tol-nan",
-            "max-epochs-0", "max-epochs-float"])
+            "cost-string", "tol-0", "tol-negative", "tol-nan", "tol-inf",
+            "max-epochs-0", "max-epochs-float", "class-count-float"])
     def test_invalid_solver_arguments_rejected(self, rng, kwargs):
         X, y = _blobs(rng, k=2)
         with pytest.raises(ValueError):

@@ -113,12 +113,13 @@ class TestFit:
         assert params["total"] == sh.count_parameters(model)["total"]
 
     def test_missing_config_file(self, work, cohort, capsys):
-        code = main(["fit", "--manifest", str(cohort), "--config",
-                     str(work / "nope.json"), "--out", str(work / "f")])
-        err = json.loads(capsys.readouterr().err)
-        assert code == 3
-        assert err["error"]["type"] == "MissingFileError"
-        assert err["error"]["exit_code"] == 3
+        for config in (work / "nope.json", work):    # absent, a directory
+            code = main(["fit", "--manifest", str(cohort), "--config",
+                         str(config), "--out", str(work / "f")])
+            err = json.loads(capsys.readouterr().err)
+            assert code == 3
+            assert err["error"]["type"] == "MissingFileError"
+            assert err["error"]["exit_code"] == 3
 
     def test_threads_is_not_a_fit_flag(self, work, cohort, config_file,
                                        capsys):
@@ -403,6 +404,20 @@ class TestErrorSurface:
         err = json.loads(capsys.readouterr().err)
         assert code == 3
         assert err["error"]["type"] == "CorruptFileError"
+
+    @pytest.mark.parametrize("command", ["predict", "inspect"])
+    @pytest.mark.parametrize("model", ["absent.sslm", ".", "model.sslm/x"],
+                             ids=["absent", "directory", "under-a-file"])
+    def test_model_path_that_names_no_file_is_a_data_error(
+            self, cohort, fit_dir, tmp_path, command, model, capsys):
+        argv = [command, "--model", fit_dir / model, "--out", tmp_path / "o"]
+        if command == "predict":
+            argv += ["--manifest", cohort]
+        code = main([str(a) for a in argv])
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert code == 3
+        assert err["type"] == "MissingFileError"
+        assert "does not exist" in err["message"]
 
     @pytest.mark.parametrize("owner,field,value",
                              [((0, 0, "kernel"), "ac", float("nan")),

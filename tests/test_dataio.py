@@ -57,6 +57,13 @@ class TestFieldFiles:
         with pytest.raises(NonFiniteValuesError):
             sh.write_field(bad, tmp_path / "x.fld", "ED", "s")
 
+    @pytest.mark.parametrize("name", ["absent.fld", ".", "a.fld/x.fld"],
+                             ids=["absent", "directory", "under-a-file"])
+    def test_path_that_names_no_file(self, rng, tmp_path, name):
+        sh.write_field(_sample_field(rng), tmp_path / "a.fld", "ED", "s")
+        with pytest.raises(MissingFileError, match="does not exist"):
+            sh.read_field(tmp_path / name)
+
     def test_truncated_payload(self, rng, tmp_path):
         path = sh.write_field(_sample_field(rng), tmp_path / "a.fld", "ED", "s")
         raw = path.read_bytes()
@@ -326,6 +333,8 @@ class TestManifests:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(MissingFileError):
             sh.load_manifest(tmp_path / "nope.json")
+        with pytest.raises(MissingFileError, match="does not exist"):
+            sh.load_manifest(tmp_path)
 
     def test_malformed_manifest_json(self, tmp_path):
         path = tmp_path / "manifest.json"
@@ -378,22 +387,29 @@ class TestSynthetic:
                                 noise_sigma=0.0, seed=2)
         man = sh.gen_synthetic(spec, tmp_path)
         recs = sh.load_subjects(man)
-        templates = spec.resolved_templates()
         for r in recs:
-            t = sh.template_field(spec, templates[r.label])
+            t = sh.template_field(spec, r.label)
+            # the ES contrast runs from 0.35 (class 0) to 0.9 (the last)
+            contrast = 0.35 + 0.55 * r.label / (spec.classes - 1)
             np.testing.assert_array_equal(r.ed, t.astype(np.float32))
             np.testing.assert_array_equal(
-                r.es, (templates[r.label].contrast * t).astype(np.float32))
+                r.es, (contrast * t).astype(np.float32))
 
     def test_template_geometry(self):
-        spec = sh.SyntheticSpec(classes=3, per_class=1, dims=(9, 9, 5))
-        t = sh.template_field(spec, sh.ClassTemplate(1.0, axis=1, contrast=0.5))
-        assert t.shape == (3, 9, 9, 5)
+        spec = sh.SyntheticSpec(classes=4, per_class=1, dims=(9, 9, 5),
+                                margin=0.5)
+        base = sh.template_field(spec, 0)   # amplitude 1, axis 0 doubled
+        assert base.shape == (3, 9, 9, 5)
         # in-plane displacement vanishes at the exact center voxel
-        assert t[0, 4, 4, 2] == 0.0 and t[1, 4, 4, 2] == 0.0
-        # the emphasized axis carries double weight
-        heavy = sh.template_field(spec, sh.ClassTemplate(1.0, 0, 0.5))
-        np.testing.assert_allclose(heavy[0], 2.0 * t[0] * 1.0, atol=1e-12)
+        assert base[0, 4, 4, 2] == 0.0 and base[1, 4, 4, 2] == 0.0
+        # class 1: amplitude 1 + margin, axis 1 doubled instead of axis 0
+        np.testing.assert_allclose(
+            sh.template_field(spec, 1),
+            [1.5 / 2.0 * base[0], 1.5 * 2.0 * base[1], 1.5 * base[2]],
+            atol=1e-12)
+        # class 3: amplitude 1 + 3 margin, and axis 0 doubled again
+        np.testing.assert_allclose(sh.template_field(spec, 3), 2.5 * base,
+                                   atol=1e-12)
 
     def test_class_names_follow_count(self):
         assert sh.SyntheticSpec().class_names() == {
@@ -416,6 +432,13 @@ class TestSynthetic:
         {"per_class": 1.5},
         {"seed": 1.5},
         {"seed": "1"},
+        {"noise_sigma": float("nan")},
+        {"noise_sigma": float("inf")},
+        {"noise_sigma": True},
+        {"noise_sigma": "0.2"},
+        {"margin": float("nan")},
+        {"margin": "0.5"},
+        {"dims": 5},
     ])
     def test_spec_validation(self, kwargs):
         base = {"classes": 2, "per_class": 1, "dims": (4, 4, 4)}

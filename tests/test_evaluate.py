@@ -65,6 +65,11 @@ class TestStratifiedFolds:
         with pytest.raises(TooFewSubjectsError):
             sh.stratified_folds(np.array([0, 0, 0, 1]), k=2, seed=0)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True])
+    def test_fold_count_is_an_integer(self, k):
+        with pytest.raises(ValueError, match="folds must be an integer"):
+            sh.stratified_folds(np.repeat([0, 1], 5), k=k, seed=0)
+
 
 @pytest.fixture(scope="module")
 def tiny_report(tiny_cohort, tiny_cfg):
@@ -195,6 +200,17 @@ class TestCrossValidate:
         np.testing.assert_allclose(np.array([r[4:] for r in one], dtype=float),
                                    np.array([r[4:] for r in two], dtype=float),
                                    rtol=0, atol=BLAS_SCORE_TOL)
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"folds": 2.5}, "folds must be an integer"),
+        ({"threads": 0}, "threads must be at least 1"),
+        ({"threads": 1.5}, "threads must be an integer"),
+    ], ids=["folds-float", "threads-0", "threads-float"])
+    def test_bad_fold_or_thread_count_rejected(self, tiny_cohort, tiny_cfg,
+                                               kwargs, match):
+        _, records = tiny_cohort
+        with pytest.raises(ValueError, match=match):
+            sh.cross_validate(records, tiny_cfg, **kwargs)
 
     def test_rerun_is_identical(self, tiny_cohort, tiny_cfg, tiny_report):
         manifest, records = tiny_cohort
