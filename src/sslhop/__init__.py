@@ -7,8 +7,7 @@ from .classifier import SvmModel, decision_values, fit_svm, predict, roc_auc
 from .dataio import (DatasetManifest, ManifestRecord, SubjectRecord,
                      SyntheticSpec, gen_synthetic, load_manifest,
                      load_subjects, read_field, save_manifest,
-                     subset_manifest, write_field)
-from .dataio import read_field_header, template_field
+                     subset_manifest, template_field, write_field)
 from .evaluate import (FoldReport, RocCurve, cross_validate, stratified_folds,
                        write_confusion_csv, write_predictions_csv,
                        write_report_json, write_roc_csv)
@@ -33,8 +32,8 @@ __all__ = [
     "SvmModel", "decision_values", "fit_svm", "predict", "roc_auc",
     "DatasetManifest", "ManifestRecord", "SubjectRecord",
     "SyntheticSpec", "gen_synthetic", "load_manifest", "load_subjects",
-    "read_field", "read_field_header", "save_manifest", "subset_manifest",
-    "template_field", "write_field",
+    "read_field", "save_manifest", "subset_manifest", "template_field",
+    "write_field",
     "FoldReport", "RocCurve", "cross_validate", "stratified_folds",
     "write_confusion_csv", "write_predictions_csv", "write_report_json",
     "write_roc_csv",

@@ -15,7 +15,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,14 +26,6 @@ from .errors import BadHeaderError, SslhopError, UnknownLabelError
 log = logging.getLogger("sslhop")
 
 ABLATIONS = ("none", "no-cefs", "no-ic")
-
-
-def _parse_dims(text: str) -> tuple[int, int, int]:
-    parts = [int(v) for v in text.split(",")]
-    if len(parts) != 3 or min(parts) < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected three positive ints H,W,Z — got {text!r}")
-    return tuple(parts)
 
 
 def _checked(kind, ok, expected: str):
@@ -52,19 +44,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Subspace feature learning for 3D deformation-field "
                     "classification.")
     sub = parser.add_subparsers(dest="command", required=True)
+    seed = _checked(int, lambda v: v >= 0, "a non-negative integer")
 
-    gen = sub.add_parser("gen-synthetic", help="write a synthetic cohort")
+    gen = sub.add_parser("gen-synthetic", help="write a synthetic cohort",
+                         argument_default=argparse.SUPPRESS)
     gen.add_argument("--out", required=True, type=Path)
-    gen.add_argument("--seed", type=int, default=42)
-    gen.add_argument("--classes", default=5,
+    gen.add_argument("--seed", type=seed)
+    gen.add_argument("--classes",
                      type=_checked(int, lambda v: v >= 2, "at least 2"))
-    gen.add_argument("--per-class", default=20,
+    gen.add_argument("--per-class",
                      type=_checked(int, lambda v: v >= 1, "at least 1"))
-    gen.add_argument("--dims", type=_parse_dims, default=(32, 32, 16),
-                     metavar="H,W,Z")
-    gen.add_argument("--noise-sigma", default=None,
+    gen.add_argument("--dims", metavar="H,W,Z", type=_checked(
+        lambda text: tuple(int(v) for v in text.split(",")),
+        lambda v: len(v) == 3 and min(v) >= 1, "three positive ints H,W,Z"))
+    gen.add_argument("--noise-sigma",
                      type=_checked(float, lambda v: v >= 0, "a value >= 0"))
-    gen.add_argument("--margin", default=None,
+    gen.add_argument("--margin",
                      type=_checked(float, lambda v: v > 0, "a value > 0"))
     gen.set_defaults(func=cmd_gen_synthetic)
 
@@ -73,8 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default="small",
                        help="preset name (small, full) or JSON config path")
         p.add_argument("--out", required=True, type=Path)
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+        p.add_argument("--seed", type=seed, help="override the config seed")
         p.add_argument("--ablation", choices=ABLATIONS, default="none")
         p.add_argument("--truncate-layer5", action="store_true")
         if folds:
@@ -153,13 +147,9 @@ def _write_params(breakdown: dict, out_dir: Path) -> None:
 
 
 def cmd_gen_synthetic(args: argparse.Namespace) -> int:
-    kwargs = {"classes": args.classes, "per_class": args.per_class,
-              "dims": args.dims, "seed": args.seed}
-    if args.noise_sigma is not None:
-        kwargs["noise_sigma"] = args.noise_sigma
-    if args.margin is not None:
-        kwargs["margin"] = args.margin
-    spec = dataio.SyntheticSpec(**kwargs)
+    spec = dataio.SyntheticSpec(**{f.name: getattr(args, f.name)
+                                   for f in fields(dataio.SyntheticSpec)
+                                   if hasattr(args, f.name)})
     manifest = dataio.gen_synthetic(spec, args.out)
     _write_resolved(args, None, args.out, extra={"synthetic": asdict(spec)})
     log.info("wrote %d subjects to %s", len(manifest.records), args.out)

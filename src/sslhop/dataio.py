@@ -29,7 +29,7 @@ from .errors import (BadHeaderError, ChecksumMismatchError,
                      DuplicateSubjectError, MissingFileError,
                      NonFiniteValuesError, ShapeMismatchError,
                      TooFewSubjectsError, UnknownLabelError, as_finite,
-                     as_int_triple, as_integer)
+                     as_int_triple, as_integer, as_seed)
 
 PHASES = ("ED", "ES")
 _MAX_HEADER = 4096
@@ -69,12 +69,6 @@ def write_field(field: np.ndarray, path: str | Path, phase: str,
         fh.write(payload)
         fh.write(struct.pack("<I", zlib.crc32(payload)))
     return path
-
-
-def read_field_header(path: str | Path) -> dict:
-    """Parse and validate just the JSON header line of a field file."""
-    with open(path, "rb") as fh:
-        return _parse_header(fh.readline(_MAX_HEADER), path)[0]
 
 
 def _parse_header(data: bytes, path: str | Path) -> tuple[dict, int]:
@@ -293,8 +287,9 @@ class SyntheticSpec:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        for name in ("classes", "per_class", "seed"):
+        for name in ("classes", "per_class"):
             object.__setattr__(self, name, as_integer(name, getattr(self, name)))
+        object.__setattr__(self, "seed", as_seed("seed", self.seed))
         object.__setattr__(self, "dims", as_int_triple("dims", self.dims))
         if min(self.dims) < 1:
             raise ValueError(f"dims must be three positive ints, got {self.dims}")
@@ -380,6 +375,7 @@ def subset_manifest(manifest: DatasetManifest, fraction: float,
     Selection shuffles each class's records with the seed and keeps the
     first floor(fraction * n); record order is preserved.
     """
+    seed = as_seed("seed", seed)
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
     if fraction == 1.0:

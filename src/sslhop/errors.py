@@ -17,6 +17,14 @@ def as_integer(name: str, value) -> int:
     return int(value)
 
 
+def as_seed(name: str, value) -> int:
+    """``value`` as an int >= 0, used whole so that no two seeds alias."""
+    seed = as_integer(name, value)
+    if seed < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return seed
+
+
 def as_int_triple(name: str, value) -> tuple[int, int, int]:
     """``value``, a list or tuple of three integers, as a tuple of ints."""
     if not isinstance(value, (list, tuple)) or len(value) != 3:

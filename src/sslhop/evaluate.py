@@ -28,7 +28,7 @@ import numpy as np
 
 from . import classifier
 from .dataio import SubjectRecord
-from .errors import TooFewSubjectsError, as_integer
+from .errors import TooFewSubjectsError, as_integer, as_seed
 from .pipeline import PipelineConfig, assemble_sample, concat_features, \
     fit_folds, fit_pipeline
 
@@ -95,7 +95,8 @@ def stratified_folds(labels: np.ndarray, k: int, seed: int) -> np.ndarray:
     k = as_integer("folds", k)
     if not 2 <= k <= n:
         raise TooFewSubjectsError(f"folds must lie in [2, {n}], got {k}")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xF01D]))
+    rng = np.random.default_rng(
+        np.random.SeedSequence([as_seed("seed", seed), 0xF01D]))
     fold = np.empty(n, dtype=np.int64)
     next_fold = 0
     for cls in np.unique(labels):

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import typing
 import zlib
 from pathlib import Path
 
@@ -48,16 +49,15 @@ _HEADER = struct.Struct("<8sHHQ")
 # Metadata schema: a dict maps keys to the schemas of their values, a
 # one-item list is a list whose items all follow that item, and a type or
 # tuple of types is a leaf; bool never passes for a number. A dict refuses
-# keys it does not name.
+# keys it does not name. Ledger entries follow LayerShapes, tuples as lists.
 _SCHEMA = {
     "config": dict,
     "input_dims": [int],
     "class_count": int,
     "class_table": (list, type(None)),
     "train_subject_ids": [str],
-    "ledger": [{"layer": int, "input_dims": [int], "union_dim": int,
-                "conv_dims": [int], "pool_dims": [int], "kept_channels": int,
-                "lag_input_dim": int}],
+    "ledger": [{name: [int] if typing.get_origin(hint) is tuple else hint
+                for name, hint in typing.get_type_hints(LayerShapes).items()}],
     "stages": [[{"lag": {"block_sizes": [int]}}]],
 }
 

@@ -29,7 +29,7 @@ import numpy as np
 from . import classifier, neighborhood, saab, supervise
 from .errors import (NonFiniteValuesError, ShapeLedgerMismatchError,
                      ShapeMismatchError, WindowTooLargeError, as_finite,
-                     as_int_triple, as_integer)
+                     as_int_triple, as_integer, as_seed)
 from .fields import CONCAT_MODES, DIRECTIONS, DeformationSample, crop_phases
 from .neighborhood import extract_unions, max_pool, pooled_dims, slab_plan, \
     union_count
@@ -106,8 +106,9 @@ class PipelineConfig:
         if not isinstance(self.truncate_layer5, bool):
             raise ValueError("truncate_layer5 must be true or false, "
                              f"got {self.truncate_layer5!r}")
-        for name in ("centroids_per_class", "seed"):
-            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
+        object.__setattr__(self, "centroids_per_class", as_integer(
+            "centroids_per_class", self.centroids_per_class))
+        object.__setattr__(self, "seed", as_seed("seed", self.seed))
         if self.centroids_per_class < 1:
             raise ValueError("centroids_per_class must be positive, "
                              f"got {self.centroids_per_class}")
@@ -284,7 +285,7 @@ class PipelineModel:
 def _lag_seed(seed: int, layer: int, direction: int) -> int:
     # stable derivation so per-layer/direction clustering is independent of
     # execution order and thread scheduling
-    ss = np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 7, layer, direction])
+    ss = np.random.SeedSequence([seed, 7, layer, direction])
     return int(ss.generate_state(1)[0])
 
 

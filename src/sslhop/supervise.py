@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (ClusterCollapseWarning, IndexOutOfRangeError,
                      NonFiniteValuesError, ShapeMismatchError,
-                     SingleClassError, TooFewSamplesError)
+                     SingleClassError, TooFewSamplesError, as_seed)
 
 ENTROPY_EPS = 1e-12
 
@@ -176,6 +176,7 @@ def class_centroids(X: np.ndarray, labels: np.ndarray,
                     seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """k-means centroids of each class of (N, D) features, stacked in
     sorted label order, and the number each class kept."""
+    seed = as_seed("seed", seed)
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeMismatchError(f"expected (N, D) features, got {X.shape}")
@@ -195,7 +196,7 @@ def class_centroids(X: np.ndarray, labels: np.ndarray,
             raise TooFewSamplesError(
                 f"class {cls} has {members.shape[0]} samples < "
                 f"{centroids_per_class} centroids")
-        blocks.append(_kmeans(members, centroids_per_class, [int(seed), row]))
+        blocks.append(_kmeans(members, centroids_per_class, [seed, row]))
     return (np.vstack(blocks),
             np.array([b.shape[0] for b in blocks], dtype=np.int64))
 

@@ -164,6 +164,10 @@ def subset_runs(cohort_manifest, small_cfg):
 
 # -- assorted helpers ----------------------------------------------------------------
 
+# A negative, a bool and a non-integral seed: each entry point that takes a
+# seed refuses all three.
+BAD_SEEDS = (-1, True, 3.7)
+
 
 @pytest.fixture()
 def edit_model_meta():

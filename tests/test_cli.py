@@ -539,10 +539,12 @@ class TestErrorSurface:
         lambda meta: meta.update(tensors=[]),
         lambda meta: meta["stages"][0][0].update(saab={"bias": 5.0}),
         lambda meta: meta["config"].update(roi_origin=[0, 0, 0]),
+        lambda meta: meta["config"].update(seed=-1),
     ], ids=["no-config", "stages-int", "bad-config",
             "lag-blocks-off-config", "ledger-off-config", "config-off-ledger",
             "class-table-short", "class-table-ints", "stray-seed",
-            "stray-tensors", "stray-saab-bias", "roi-origin-alone"])
+            "stray-tensors", "stray-saab-bias", "roi-origin-alone",
+            "seed-negative"])
     def test_metadata_off_the_schema_is_a_data_error(
             self, cohort, fit_dir, tmp_path, edit_model_meta, edit, capsys):
         bad = edit_model_meta(fit_dir / "model.sslm", tmp_path / "bad.sslm",
@@ -654,19 +656,40 @@ class TestErrorSurface:
         ["gen-synthetic", "--dims", "0,4,4"],
         ["gen-synthetic", "--noise-sigma", "-1"],
         ["gen-synthetic", "--margin", "0"],
+        ["gen-synthetic", "--seed", "-1"],
+        ["fit", "--seed", "-1"],
+        ["evaluate", "--seed", "-3"],
+        ["evaluate", "--fraction", "0.5", "--seed", "-3"],
     ], ids=["fraction-0", "fraction-1.5", "threads-0", "folds-1",
             "classes-1", "per-class-0", "dims-0", "noise-negative",
-            "margin-0"])
+            "margin-0", "seed-negative", "fit-seed-negative",
+            "evaluate-seed-negative", "fraction-seed-negative"])
     def test_out_of_range_flag_is_a_usage_error(self, cohort, config_file,
                                                 tmp_path, argv, capsys):
-        if argv[0] == "evaluate":
+        if argv[0] != "gen-synthetic":
             # the flag under test comes last, so no default value follows it
             argv = [argv[0], "--manifest", str(cohort), "--config",
-                    str(config_file), "--folds", "2"] + argv[1:]
+                    str(config_file)] + argv[1:]
         code = main(argv + ["--out", str(tmp_path / "out")])
         capsys.readouterr()
         assert code == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    def test_negative_config_seed_is_a_data_error(self, cohort, config_file,
+                                                  tmp_path, command, capsys):
+        doc = json.loads(config_file.read_text())
+        doc["seed"] = -1
+        bad = tmp_path / "config.json"
+        bad.write_text(json.dumps(doc))
+        argv = {"fit": ["fit"],
+                "evaluate": ["evaluate", "--folds", "2", "--threads", "1"]}
+        code = main(argv[command] + ["--manifest", str(cohort), "--config",
+                                     str(bad), "--out", str(tmp_path / "out")])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 3
+        assert err["error"]["type"] == "BadHeaderError"
+        assert "seed" in err["error"]["message"]
 
     def test_more_folds_than_subjects_is_a_data_error(self, cohort,
                                                       config_file, tmp_path,

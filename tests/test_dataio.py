@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import sslhop as sh
-from conftest import assert_mutants_read_or_refused, json_mutant
+from conftest import BAD_SEEDS, assert_mutants_read_or_refused, json_mutant
+from sslhop import dataio
 from sslhop.errors import (
     BadHeaderError,
     ChecksumMismatchError,
@@ -41,7 +42,7 @@ class TestFieldFiles:
 
     def test_header_contents(self, rng, tmp_path):
         path = sh.write_field(_sample_field(rng), tmp_path / "a.fld", "ED", "p3")
-        header = sh.read_field_header(path)
+        header = dataio._read_field(path)[0]
         assert header["dims"] == [3, 4, 5, 6]
         assert header["phase"] == "ED"
         assert header["subject_id"] == "p3"
@@ -126,13 +127,13 @@ class TestFieldFiles:
             new_header = json.dumps(header).encode()
         path.write_bytes(new_header + raw[nl:])
         with pytest.raises(BadHeaderError):
-            sh.read_field_header(path)
+            sh.read_field(path)
 
     def test_header_without_newline(self, tmp_path):
         path = tmp_path / "a.fld"
         path.write_bytes(b"{}")
         with pytest.raises(BadHeaderError):
-            sh.read_field_header(path)
+            sh.read_field(path)
 
 
 def _field_mutant(rng, raw: bytes) -> bytes:
@@ -462,6 +463,18 @@ class TestSynthetic:
         sub = sh.subset_manifest(man, 0.1, seed=0)
         labels = sub.labels()
         assert [int((labels == c).sum()) for c in range(2)] == [1, 1]
+
+    def test_spec_seed_is_a_non_negative_integer(self):
+        for seed in BAD_SEEDS:
+            with pytest.raises(ValueError, match="seed"):
+                sh.SyntheticSpec(seed=seed)
+
+    def test_subset_seed_is_a_non_negative_integer(self, tmp_path):
+        manifest = sh.gen_synthetic(
+            sh.SyntheticSpec(classes=2, per_class=4, dims=(4, 4, 2)), tmp_path)
+        for seed in BAD_SEEDS:
+            with pytest.raises(ValueError, match="seed"):
+                sh.subset_manifest(manifest, 0.5, seed)
 
     def test_subset_is_seeded(self, tmp_path):
         spec = sh.SyntheticSpec(classes=2, per_class=6, dims=(4, 4, 4), seed=3)

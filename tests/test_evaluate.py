@@ -16,6 +16,7 @@ import sslhop as sh
 import sslhop.classifier
 import sslhop.pipeline
 import sslhop.supervise
+from conftest import BAD_SEEDS
 from sslhop.errors import TooFewSubjectsError
 
 # Measured between 1 and 2 OpenBLAS threads (OpenBLAS 0.3.31, 2 cores) with
@@ -111,6 +112,12 @@ class TestCrossValidate:
         aucs = [report.rocs[c].auc for c in sorted(report.rocs)]
         assert report.macro_auc == pytest.approx(np.mean(aucs))
         assert sorted(report.rocs) == [0, 1, 2]
+
+    def test_seed_is_a_non_negative_integer(self, tiny_cohort, tiny_cfg):
+        _, records = tiny_cohort
+        for seed in BAD_SEEDS:
+            with pytest.raises(ValueError, match="seed"):
+                sh.cross_validate(records, tiny_cfg, folds=2, seed=seed)
 
     def test_thread_count_does_not_change_results(self, tiny_cohort, tiny_cfg):
         # 3 folds: each fold merges its 8 training subjects' layer-1 moments

@@ -12,7 +12,7 @@ import sslhop.evaluate
 import sslhop.fields
 import sslhop.neighborhood
 import sslhop.pipeline
-from conftest import plan_project, plan_unions
+from conftest import BAD_SEEDS, plan_project, plan_unions
 from sslhop.errors import (
     DegenerateInputWarning,
     MissingClassError,
@@ -23,6 +23,7 @@ from sslhop.errors import (
     SingleClassError,
     WindowTooLargeError,
 )
+from sslhop.model_io import _HEADER
 
 
 class TestConfig:
@@ -82,6 +83,11 @@ class TestConfig:
     def test_malformed_dicts_name_the_offending_field(self, data, field):
         with pytest.raises(ValueError, match=field):
             sh.PipelineConfig.from_dict(data)
+
+    def test_seed_is_a_non_negative_integer(self):
+        for seed in BAD_SEEDS:
+            with pytest.raises(ValueError, match="seed"):
+                sh.small_config(seed=seed)
 
     def test_presets(self):
         full = sh.full_config()
@@ -298,6 +304,23 @@ class TestFit:
                  for pa, pb in zip(base.stages, other.stages)
                  for a, b in zip(pa, pb)]
         assert any(diffs)
+
+    def test_seed_is_used_whole(self, tiny_cohort, tiny_cfg, tmp_path):
+        """Seeds 0 and 2**32 agree in their low 32 bits, and give different
+        LAG seeds and different fitted tensors."""
+        lag_seed = sslhop.pipeline._lag_seed
+        assert all(lag_seed(0, li, d) != lag_seed(2 ** 32, li, d)
+                   for li in range(len(tiny_cfg.layers)) for d in range(3))
+        _, records = tiny_cohort
+        samples = [sh.assemble_sample(r.ed, r.es, tiny_cfg, r.label,
+                                      r.subject_id) for r in records]
+        tensors = []
+        for seed in (0, 2 ** 32):
+            model = sh.fit_pipeline(samples,
+                                    dataclasses.replace(tiny_cfg, seed=seed))
+            raw = sh.save_model(model, tmp_path / f"{seed}.sslm").read_bytes()
+            tensors.append(raw[_HEADER.size + _HEADER.unpack_from(raw)[3]:])
+        assert tensors[0] != tensors[1]
 
     def test_forward_maps_follow_ledger(self, tiny_model, tiny_cohort,
                                         tiny_cfg):

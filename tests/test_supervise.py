@@ -7,6 +7,7 @@ import pytest
 
 from sslhop import (ChannelEntropy, LayerShapes, apply_lag, channel_entropy,
                     class_centroids, fit_lag)
+from conftest import BAD_SEEDS
 from sslhop.errors import (
     ClusterCollapseWarning,
     IndexOutOfRangeError,
@@ -230,6 +231,13 @@ class TestLag:
         assert np.array_equal(class_centroids(X, labels, 3, seed=9)[0],
                               class_centroids(X, labels, 3, seed=9)[0])
         assert np.array_equal(a.weights, b.weights)
+
+    def test_seed_is_a_non_negative_integer(self, rng):
+        X = rng.normal(size=(12, 3))
+        labels = np.repeat([0, 1], 6)
+        for seed in BAD_SEEDS:
+            with pytest.raises(ValueError, match="seed"):
+                fit_lag(X, labels, centroids_per_class=2, seed=seed)
 
     def test_collapsed_cluster_is_dropped(self, rng):
         # class 0 is a single repeated point: a second centroid can never
