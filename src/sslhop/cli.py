@@ -29,11 +29,17 @@ ABLATIONS = ("none", "no-cefs", "no-ic")
 
 
 def _checked(kind, ok, expected: str):
-    """An argparse type: ``kind(text)``, rejected unless ``ok(value)``."""
+    """An argparse type: ``kind(text)``, rejected unless it parses and
+    ``ok(value)``; either refusal names the ``expected`` value."""
     def parse(text: str):
-        value = kind(text)
+        refused = argparse.ArgumentTypeError(
+            f"expected {expected}, got {text!r}")
+        try:
+            value = kind(text)
+        except ValueError:
+            raise refused from None
         if not ok(value):
-            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+            raise refused
         return value
     return parse
 

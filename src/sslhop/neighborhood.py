@@ -57,7 +57,8 @@ def _window(shape: tuple[int, ...], window) -> tuple[int, int, int]:
     return h, w, z
 
 
-def extract_unions(maps, window: tuple[int, int, int]) -> np.ndarray:
+def extract_unions(maps, window: tuple[int, int, int],
+                   block: int = 1) -> np.ndarray:
     """Gather every neighborhood union of a map, or of a (..., N, H, W, Z, C)
     stack of maps, into an (L * N * n_unions, h*w*z*C) row matrix, where L
     is the product of the leading axes.
@@ -69,6 +70,11 @@ def extract_unions(maps, window: tuple[int, int, int]) -> np.ndarray:
     is one contiguous run over the leading axes, maps and origins, so the
     rows of each leading index are a view of the same layout.
 
+    With ``block`` > 1, a divisor of the Z-z+1 z-origins, each row is the
+    union of a block of ``block`` consecutive z-origins: the h*w*(z+block-1)
+    window at z-origins 0, block, 2*block, ..., in the same order and
+    layout, so a map gives (Z-z+1) / block rows per (y, x) origin.
+
     That a fold model is a fit of its training subjects, byte for byte,
     rests on this layout: the layer steps project slabs whose rows sit at
     other offsets of the GEMM call in a fold than in a fit, and with a
@@ -79,14 +85,19 @@ def extract_unions(maps, window: tuple[int, int, int]) -> np.ndarray:
     arr = _stack(maps)
     *lead, H, W, Z, C = arr.shape
     h, w, z = _window(arr.shape, window)
+    if block < 1 or (Z - z + 1) % block:
+        raise ShapeMismatchError(
+            f"a z-block of {block} does not divide the {Z - z + 1} z-origins")
+    z += block - 1
     # read-only (h, w, z, C, ..., N, Y, X, Z') view from the stack's own
     # strides: the window offsets and the origins step alike, and the
     # leading and map axes sit between them, so its C-order copy is
     # column-major and every union element is one run over the rows
-    origins = (H - h + 1, W - w + 1, Z - z + 1)
+    origins = (H - h + 1, W - w + 1, (Z - z) // block + 1)
     *sl, sy, sx, sz, sc = arr.strides
     view = as_strided(arr, (h, w, z, C, *lead) + origins,
-                      (sy, sx, sz, sc, *sl, sy, sx, sz), writeable=False)
+                      (sy, sx, sz, sc, *sl, sy, sx, block * sz),
+                      writeable=False)
     return view.copy().reshape(h * w * z * C,
                                math.prod(lead) * math.prod(origins)).T
 

@@ -309,32 +309,64 @@ class _DirectionMaps:
         return out
 
 
-def _projections(kernels) -> tuple[list[np.ndarray], np.ndarray]:
-    """The projections of ``kernels``, G lists of K kernels: for each
-    position k, the (G, D, F) stack of its kernels' matrices, each in the
-    layout of its kernel's own, and the (G, K, F) offsets."""
-    matrices = [np.stack([k.projection[0].T for k in group]).transpose(0, 2, 1)
-                for group in zip(*kernels)]
+def _z_block(window, depth: int) -> int:
+    """The z-block the layer steps project maps ``depth`` deep under
+    ``window`` in: the largest divisor ``b`` of the Z' = depth - z + 1 conv
+    depth whose banded Toeplitz matrix is at least 3/4 non-zero,
+    4z >= 3(b + z - 1), that is b <= 1 + z/3. It rests on the layer's
+    shapes alone, so a fit, a fold fit and a transform of the layer
+    project in the same block."""
+    z = window[2]
+    conv = depth - z + 1
+    return max(b for b in range(1, z // 3 + 2) if conv % b == 0)
+
+
+def _projections(kernels, window, block: int
+                 ) -> tuple[list[np.ndarray], np.ndarray]:
+    """The projections of ``kernels``, G lists of K kernels, in z-blocks of
+    ``block`` origins: for each position k, the (G, D', block*F) stack of
+    its kernels' banded block-Toeplitz matrices, D' = h*w*(z+block-1)*C,
+    and the (G, K, F) offsets. Column block j of a matrix holds its
+    kernel's (D, F) matrix at the rows of window depths j .. j+z-1, so a
+    union of :func:`extract_unions` with ``block`` gives the block's
+    ``block`` conv voxels, z-origin fastest; block 1 is the kernel's own
+    matrix. Each stack is the transpose of a C-order (G, block*F, D') one,
+    the layout of a kernel's own matrix (see :func:`extract_unions`)."""
+    h, w, z = window
+    matrices = []
+    for group in zip(*kernels):
+        F, D = group[0].projection[0].shape[::-1]
+        bands = np.zeros((len(group), block, F, h, w, z + block - 1,
+                          D // (h * w * z)))
+        for band, kernel in zip(bands, group):
+            rows = kernel.projection[0].T.reshape(band.shape[1:4] + (z, -1))
+            for j in range(block):
+                band[j, :, :, :, j:j + z] = rows
+        matrices.append(bands.reshape(len(group), block * F, -1)
+                        .transpose(0, 2, 1))
     return matrices, np.array([[k.projection[1] for k in group]
                                for group in kernels])
 
 
-def _project(matrices, maps: np.ndarray, window, ys) -> list[np.ndarray]:
+def _project(matrices, maps: np.ndarray, window, block: int,
+             ys) -> list[np.ndarray]:
     """Project the unions of one run of :func:`slab_plan`, a (G, N, H, W, Z,
     C) stack of maps read in the slabs of input y-rows ``ys``, onto each
-    (G, D, F) stack of ``matrices``, group by group, into a preallocated
-    (G, N, H-h+1, W-w+1, Z-z+1, F) conv stack of its own; no offset is
-    added. Each slab is extracted once, and one batched product per
-    matrix stack writes its projection in place, at the slab's rows of
-    each group's conv maps. Returning frees the last slab before the
+    (G, D', block*F) stack of :func:`_projections` ``matrices``, group by
+    group, into a preallocated (G, N, H-h+1, W-w+1, Z-z+1, F) conv stack
+    of its own; no offset is added. Each slab's z-blocks of ``block``
+    origins are gathered once, and one batched product per matrix stack
+    writes each block's ``block`` conv voxels in place, at the slab's rows
+    of each group's conv maps. Returning frees the last slab before the
     caller pools."""
     (G, N, H, W, Z, _), (h, w, z) = maps.shape, window
-    convs = [np.empty((G, N, H - h + 1, W - w + 1, Z - z + 1, m.shape[-1]))
-             for m in matrices]
-    rows = [conv.reshape(G, -1, conv.shape[-1]) for conv in convs]
+    convs = [np.empty((G, N, H - h + 1, W - w + 1, Z - z + 1,
+                       m.shape[-1] // block)) for m in matrices]
+    rows = [conv.reshape(G, -1, m.shape[-1])
+            for conv, m in zip(convs, matrices)]
     start = 0
     for y in ys:
-        unions = extract_unions(maps[:, :, y], window)
+        unions = extract_unions(maps[:, :, y], window, block)
         unions = unions.reshape(G, -1, unions.shape[1])   # a view per group
         stop = start + unions.shape[1]
         for matrix, out in zip(matrices, rows):
@@ -365,13 +397,14 @@ def _pool_layer(kernels, maps, window, shapes: LayerShapes,
             f"layer {shapes.layer} input {maps.shape[2:]}, "
             f"ledger says {shapes.input_dims}")
     plan = slab_plan(maps.shape, window)
-    matrices, offsets = _projections(kernels)
+    block = _z_block(window, shapes.input_dims[2])
+    matrices, offsets = _projections(kernels, window, block)
     out = np.empty(offsets.shape[:2] + maps.shape[1:2] + shapes.pool_dims)
 
     def run(plan_run) -> None:
         group, ys = plan_run
         for k, conv in enumerate(_project(matrices, maps[:, group], window,
-                                          ys)):
+                                          block, ys)):
             conv = conv[..., :shapes.conv_dims[2], :]  # optional depth truncation
             if conv.shape[2:] != shapes.conv_dims:
                 raise ShapeLedgerMismatchError(

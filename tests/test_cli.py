@@ -675,6 +675,18 @@ class TestErrorSurface:
         assert code == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["--dims", "12x12x6"], "three positive ints H,W,Z"),
+        (["--classes", "x"], "at least 2"),
+    ], ids=["dims-12x12x6", "classes-x"])
+    def test_unparseable_flag_names_the_expected_value(self, tmp_path, argv,
+                                                       expected, capsys):
+        code = main(["gen-synthetic", *argv, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"expected {expected}, got {argv[1]!r}" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["fit", "evaluate"])
     def test_negative_config_seed_is_a_data_error(self, cohort, config_file,
                                                   tmp_path, command, capsys):

@@ -101,6 +101,25 @@ class TestUnions:
         with pytest.raises(WindowTooLargeError):
             extract_unions(np.zeros((4, 4, 4, 1)), (5, 3, 3))
 
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_blocks_are_the_deeper_unions_at_every_block_th_origin(
+            self, rng, channels):
+        """A block of b z-origins is the union of the (h, w, z+b-1)
+        window, at z-origins 0, b, 2b, ...; block 1 is the plain gather."""
+        fmap = rng.normal(size=(4, 5, 13, channels))
+        window = (2, 3, 4)
+        for block in (1, 2, 5, 10):
+            deeper = window[:2] + (window[2] + block - 1,)
+            brute = _brute_unions(fmap, deeper)
+            brute = brute.reshape(3, 3, -1, brute.shape[-1])[:, :, ::block]
+            np.testing.assert_array_equal(extract_unions(fmap, window, block),
+                                          brute.reshape(-1, brute.shape[-1]))
+
+    @pytest.mark.parametrize("block", [0, 3, 11])
+    def test_block_that_does_not_divide_the_origins_is_refused(self, block):
+        with pytest.raises(ShapeMismatchError):
+            extract_unions(np.zeros((4, 4, 13, 1)), (3, 3, 4), block)
+
 
 def _row_bytes(dims, window):
     """Bytes of the unions of one y-row of window origins."""

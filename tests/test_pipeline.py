@@ -12,7 +12,8 @@ import sslhop.evaluate
 import sslhop.fields
 import sslhop.neighborhood
 import sslhop.pipeline
-from conftest import BAD_SEEDS, plan_project, plan_unions
+from conftest import (BAD_SEEDS, plan_project, plan_project_groups,
+                      plan_unions)
 from sslhop.errors import (
     DegenerateInputWarning,
     MissingClassError,
@@ -595,6 +596,140 @@ class TestSharedSlabPass:
             ((alone,),) = sslhop.pipeline._pool_layer([[kernel]], maps, window,
                                                       ledger[0])
             np.testing.assert_array_equal(stack, alone[rows])
+
+
+def _assert_close_to(out, base):
+    """Equal within 1e-12 of the largest magnitude: a block's GEMM may sum
+    its zero-padded band in another order than block 1's."""
+    np.testing.assert_allclose(out, base, rtol=1e-12,
+                               atol=1e-12 * np.abs(base).max())
+
+
+class TestZBlocks:
+    """The z-blocked projection against block 1, plain im2col."""
+
+    # (H, W, Z, C) maps and windows: conv depths 9 (odd), 7 and 5 (prime)
+    # and 12 (many divisors), with one and five channels
+    CASES = {"odd-C1": ((7, 6, 11, 1), (3, 2, 3)),
+             "prime-C1": ((5, 5, 12, 1), (2, 3, 6)),
+             "prime-C5": ((6, 5, 7, 5), (3, 3, 3)),
+             "even-C5": ((5, 6, 14, 5), (3, 3, 3))}
+
+    @pytest.mark.parametrize("slabs", ["one-row", "several-maps"])
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_every_block_equals_block_1(self, rng, monkeypatch, case, slabs):
+        """Three groups of four maps, two kernel positions: each block that
+        divides the conv depth gives block 1's conv maps."""
+        dims, window = case
+        maps = rng.normal(size=(3, 4) + dims)
+        kernels = [_fold_kernels(rng, dims, window, count=2, channels=4)
+                   for _ in range(3)]
+        per_map = 3 * sh.union_count(dims, window) * math.prod(window) \
+            * dims[-1] * 8
+        budget = 1 if slabs == "one-row" else 2 * per_map
+        monkeypatch.setattr(sslhop.neighborhood, "SLAB_BYTES", budget)
+        plan = sh.slab_plan(maps.shape, window)
+        if slabs == "one-row":
+            assert all(y.stop - y.start == window[0] for _, ys in plan
+                       for y in ys)
+        else:
+            assert len(plan) == 2 and len(plan[0][1]) == 1
+        conv = dims[2] - window[2] + 1
+        blocks = [b for b in range(2, conv + 1) if conv % b == 0]
+        assert blocks
+        base = plan_project_groups(kernels, maps, window, 1)
+        for block in blocks:
+            for out, one in zip(
+                    plan_project_groups(kernels, maps, window, block), base):
+                _assert_close_to(out, one)
+
+    def test_truncated_layer5_pools_as_block_1(self, rng, monkeypatch):
+        """Layer 5 of a truncating plan projects its four z-origins in
+        blocks of 2, 4 or 1 and keeps three."""
+        cfg = sh.PipelineConfig(layers=(sh.LayerSpec((3, 3, 3), 3),) * 5,
+                                truncate_layer5=True)
+        shapes = sh.compute_ledger(cfg, (70, 70, 126))[4]
+        window = cfg.layers[4].window
+        assert shapes.input_dims == (3, 3, 6, 3)
+        assert shapes.conv_dims == (1, 1, 3, 3)
+        assert sslhop.pipeline._z_block(window, 6) == 2
+        maps = rng.normal(size=(3, 5) + shapes.input_dims)
+        kernels = [_fold_kernels(rng, shapes.input_dims, window, count=1,
+                                 channels=3) for _ in range(3)]
+        pooled = {}
+        for block in (1, 2, 4):
+            monkeypatch.setattr(sslhop.pipeline, "_z_block",
+                                lambda *_, b=block: b)
+            pooled[block] = sslhop.pipeline._pool_layer(kernels, maps, window,
+                                                        shapes)
+        for block in (2, 4):
+            _assert_close_to(pooled[block], pooled[1])
+
+    LEDGERS = {
+        "small": (sh.small_config(), (32, 32, 32), [3, 2, 2]),
+        "cv-many-small": (sh.PipelineConfig(layers=(
+            sh.LayerSpec((3, 3, 4), 4), sh.LayerSpec((3, 3, 3), 5))),
+            (12, 12, 12), [1, 1]),
+        "full": (sh.full_config(), (100, 100, 128), [3, 2, 2, 2, 2]),
+    }
+
+    @pytest.mark.parametrize("ledger", LEDGERS.values(), ids=LEDGERS.keys())
+    def test_block_of_each_ledger_layer(self, ledger):
+        cfg, dims, blocks = ledger
+        assert [sslhop.pipeline._z_block(layer.window, shapes.input_dims[2])
+                for layer, shapes in zip(cfg.layers,
+                                         sh.compute_ledger(cfg, dims))] \
+            == blocks
+
+    # the tiny cohort's 12x12x12 maps project in z-blocks of 2 at both
+    # layers under this plan (tiny_cfg's take blocks of 1)
+    BLOCKED = sh.PipelineConfig(layers=(sh.LayerSpec((3, 3, 5), 4),
+                                        sh.LayerSpec((3, 3, 3), 5)),
+                                centroids_per_class=2, seed=11)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_cv_fold_models_match_standalone_fits(self, tiny_cohort,
+                                                  monkeypatch, tmp_path,
+                                                  threads):
+        _, records = tiny_cohort
+        _assert_fold_models_match_standalone_fits(records, self.BLOCKED,
+                                                  monkeypatch, tmp_path,
+                                                  threads)
+
+    def test_transform_reproduces_training_features(self, tiny_cohort):
+        _, records = tiny_cohort
+        samples = _samples(records, self.BLOCKED)
+        model = sh.fit_pipeline(samples, self.BLOCKED)
+        np.testing.assert_array_equal(sh.transform_many(model, samples),
+                                      model.training_features)
+
+    def test_transform_and_fold_fit_take_the_same_blocks(self, monkeypatch,
+                                                         tiny_cohort):
+        """The block rests on the layer's shapes alone: a transform of
+        three directions and a fold fit of five kernels project each layer
+        in the same block."""
+        cfg = self.BLOCKED
+        _, records = tiny_cohort
+        samples = _samples(records, cfg)
+        calls = []
+        projections = sslhop.pipeline._projections
+
+        def spy(kernels, window, block):
+            calls.append((len(kernels), len(kernels[0]), window, block))
+            return projections(kernels, window, block)
+
+        monkeypatch.setattr(sslhop.pipeline, "_projections", spy)
+        train = [np.delete(np.arange(len(samples)), f) for f in range(5)]
+        sh.fit_folds(samples, cfg, train)
+        fit_calls, calls[:] = calls[:], []
+        model = sh.fit_pipeline(samples, cfg)
+        calls.clear()
+        sh.transform_many(model, samples)
+        windows = [layer.window for layer in cfg.layers]
+        # layer 1 of each direction: one group of five fold kernels; the
+        # later layer: five groups of one
+        assert fit_calls == [(1, 5, windows[0], 2), (5, 1, windows[1], 2)] * 3
+        assert calls == [(3, 1, windows[0], 2), (3, 1, windows[1], 2)]
 
 
 class TestStackedLayerSteps:
