@@ -29,7 +29,7 @@ from .errors import (BadHeaderError, ChecksumMismatchError,
                      DuplicateSubjectError, MissingFileError,
                      NonFiniteValuesError, ShapeMismatchError,
                      TooFewSubjectsError, UnknownLabelError, as_finite,
-                     as_int_triple, as_integer, as_seed)
+                     as_int_triple, as_integer, as_seed, seed_entropy)
 
 PHASES = ("ED", "ES")
 _MAX_HEADER = 4096
@@ -350,7 +350,7 @@ def gen_synthetic(spec: SyntheticSpec, out_dir: str | Path) -> DatasetManifest:
         for i in range(spec.per_class):
             subject_id = f"{names[label].lower()}{i:03d}"
             rng = np.random.default_rng(
-                np.random.SeedSequence([spec.seed, label, i]))
+                np.random.SeedSequence(seed_entropy(spec.seed, label, i)))
             ed = template + rng.normal(0.0, spec.noise_sigma, template.shape) \
                 if spec.noise_sigma > 0 else template.copy()
             es = contrast * template

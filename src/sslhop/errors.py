@@ -18,11 +18,18 @@ def as_integer(name: str, value) -> int:
 
 
 def as_seed(name: str, value) -> int:
-    """``value`` as an int >= 0, used whole so that no two seeds alias."""
+    """``value`` as an int >= 0, used whole (see :func:`seed_entropy`)."""
     seed = as_integer(name, value)
     if seed < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
     return seed
+
+
+def seed_entropy(seed: int, *keys: int) -> list[int]:
+    """``[seed, *keys]`` as ``SeedSequence`` entropy, plus a word 0 for a
+    seed of 2**32 or more, whose list would else pad to a smaller seed's:
+    ``[2**32, 3, 0]`` and ``[0, 1, 3]`` are both ``[0, 1, 3, 0]``."""
+    return [seed, *keys] + [0] * (seed >= 2**32)
 
 
 def as_int_triple(name: str, value) -> tuple[int, int, int]:

@@ -328,10 +328,10 @@ def _projections(kernels, window, block: int
     its kernels' banded block-Toeplitz matrices, D' = h*w*(z+block-1)*C,
     and the (G, K, F) offsets. Column block j of a matrix holds its
     kernel's (D, F) matrix at the rows of window depths j .. j+z-1, so a
-    union of :func:`extract_unions` with ``block`` gives the block's
-    ``block`` conv voxels, z-origin fastest; block 1 is the kernel's own
-    matrix. Each stack is the transpose of a C-order (G, block*F, D') one,
-    the layout of a kernel's own matrix (see :func:`extract_unions`)."""
+    row of :func:`_plane_unions` gives the block's ``block`` conv voxels,
+    z-origin fastest; block 1 is the kernel's own matrix. Each stack is
+    the transpose of a C-order (G, block*F, D') one, the layout of a
+    kernel's own matrix (see :func:`extract_unions`)."""
     h, w, z = window
     matrices = []
     for group in zip(*kernels):
@@ -348,31 +348,58 @@ def _projections(kernels, window, block: int
                                for group in kernels])
 
 
+def _plane_unions(maps, y: slice, window, block: int) -> np.ndarray:
+    """The z-block rows of the input y-rows ``y`` of a (G, N, H, W, Z, C)
+    stack of maps, per group, map and y-origin: the h*w*(z+block-1)*C
+    window at each ``block``-th position p = x*Z + z' of the flattened
+    (x, z) plane below L = (W-w)*Z + Z-z+1 (z' >= Z-z+1 wraps into the
+    next x-row), rounded up to whole blocks, as (G, rows, D') views of one
+    column-major buffer (see :func:`extract_unions`). The last block reads
+    up to (block-1)*C elements past a map's plane, so such slabs, and maps
+    not C-contiguous float64, are copied first beside that many zeros:
+    numpy refuses a view that reaches past its buffer."""
+    (G, N, H, W, Z, C), (h, w, z) = maps.shape, window
+    L, sz, sy = (W - w) * Z + Z - z + 1, C * 8, W * Z * C * 8
+    blocks, slack, offset = -(-L // block), -L % block * C, y.start * sy
+    if slack or not (maps.flags.c_contiguous and maps.dtype == np.float64):
+        slab = maps[:, :, y]
+        maps, H, offset = np.zeros(slab.size + slack), slab.shape[2], 0
+        maps[:slab.size].reshape(slab.shape)[...] = slab
+    view = np.ndarray(
+        (h, w, z + block - 1, C, G, N, y.stop - y.start - h + 1, blocks),
+        np.float64, memoryview(maps).toreadonly(), offset,
+        (sy, Z * sz, sz, 8, N * H * sy, H * sy, sy, block * sz))
+    return view.copy().reshape(math.prod(view.shape[:4]), G, -1) \
+        .transpose(1, 2, 0)
+
+
 def _project(matrices, maps: np.ndarray, window, block: int,
              ys) -> list[np.ndarray]:
     """Project the unions of one run of :func:`slab_plan`, a (G, N, H, W, Z,
     C) stack of maps read in the slabs of input y-rows ``ys``, onto each
     (G, D', block*F) stack of :func:`_projections` ``matrices``, group by
-    group, into a preallocated (G, N, H-h+1, W-w+1, Z-z+1, F) conv stack
-    of its own; no offset is added. Each slab's z-blocks of ``block``
-    origins are gathered once, and one batched product per matrix stack
-    writes each block's ``block`` conv voxels in place, at the slab's rows
-    of each group's conv maps. Returning frees the last slab before the
-    caller pools."""
+    group; no offset is added. One batched product per matrix stack writes
+    each slab's :func:`_plane_unions` rows in place into its (G, N, H-h+1,
+    ceil(L/block)*block, F) conv buffer of flat positions, returned as its
+    (G, N, H-h+1, W-w+1, Z-z+1, F) view. A run's buffers are one array,
+    which the heap reuses from run to run (K arrays were trimmed and
+    faulted in again); returning frees the last slab before pooling."""
     (G, N, H, W, Z, _), (h, w, z) = maps.shape, window
-    convs = [np.empty((G, N, H - h + 1, W - w + 1, Z - z + 1,
-                       m.shape[-1] // block)) for m in matrices]
-    rows = [conv.reshape(G, -1, m.shape[-1])
-            for conv, m in zip(convs, matrices)]
+    positions = -(-((W - w) * Z + Z - z + 1) // block) * block
+    F = matrices[0].shape[-1] // block
+    convs = np.empty((len(matrices), G, N, H - h + 1, positions, F))
+    rows = convs.reshape(len(matrices), G, -1, block * F)
     start = 0
     for y in ys:
-        unions = extract_unions(maps[:, :, y], window, block)
-        unions = unions.reshape(G, -1, unions.shape[1])   # a view per group
+        unions = _plane_unions(maps, y, window, block)
         stop = start + unions.shape[1]
         for matrix, out in zip(matrices, rows):
             np.matmul(unions, matrix, out=out[:, start:stop])
         start = stop
-    return convs
+    return [np.ndarray(conv.shape[:3] + (W - w + 1, Z - z + 1, conv.shape[4]),
+                       np.float64, conv, 0, conv.strides[:3]
+                       + (Z * conv.strides[3],) + conv.strides[3:])
+            for conv in convs]
 
 
 def _pool_layer(kernels, maps, window, shapes: LayerShapes,

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import (ClusterCollapseWarning, IndexOutOfRangeError,
                      NonFiniteValuesError, ShapeMismatchError,
-                     SingleClassError, TooFewSamplesError, as_seed)
+                     SingleClassError, TooFewSamplesError, as_seed,
+                     seed_entropy)
 
 ENTROPY_EPS = 1e-12
 
@@ -162,7 +163,8 @@ def _kmeans(X: np.ndarray, k: int, seed_keys: list[int],
             max_iter: int = 300, tol: float = 1e-6) -> np.ndarray:
     """k-means with one re-seed on empty clusters, then cluster dropping."""
     for attempt in range(2):
-        rng = np.random.default_rng(np.random.SeedSequence(seed_keys + [attempt]))
+        rng = np.random.default_rng(
+            np.random.SeedSequence(seed_entropy(*seed_keys, attempt)))
         centers, sizes = _lloyd(X, _kmeans_plusplus(X, k, rng), max_iter, tol)
         if sizes.min() > 0:
             return centers

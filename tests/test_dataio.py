@@ -469,6 +469,22 @@ class TestSynthetic:
             with pytest.raises(ValueError, match="seed"):
                 sh.SyntheticSpec(seed=seed)
 
+    def test_seeds_past_32_bits_draw_their_own_noise(self, tmp_path):
+        """SeedSequence pads a list of fewer than four 32-bit words with
+        zeros, and seed 2**32 spans two words, so subject (label 3, i 0) at
+        seed 2**32 and (label 1, i 3) at seed 0 would both draw from
+        [0, 1, 3, 0]; each must draw its own noise."""
+        noise = {}
+        for seed in (0, 2**32):
+            spec = sh.SyntheticSpec(classes=4, per_class=4, dims=(4, 4, 2),
+                                    seed=seed)
+            for r in sh.load_subjects(sh.gen_synthetic(spec,
+                                                       tmp_path / str(seed))):
+                noise[seed, r.subject_id] = \
+                    r.ed - sh.template_field(spec, r.label)
+        assert np.abs(noise[2**32, "cls3000"] - noise[0, "cls1003"]).max() \
+            > 0.01
+
     def test_subset_seed_is_a_non_negative_integer(self, tmp_path):
         manifest = sh.gen_synthetic(
             sh.SyntheticSpec(classes=2, per_class=4, dims=(4, 4, 2)), tmp_path)

@@ -1,12 +1,14 @@
 """Window extraction, slab plans and ceil-mode pooling against
 brute-force oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
 import sslhop.neighborhood
 import sslhop.pipeline
-from conftest import plan_project, plan_unions
+from conftest import plan_project, plan_project_groups, plan_unions
 from sslhop import (apply_saab, extract_unions, fit_saab, max_pool,
                     pooled_dims, slab_plan, union_count)
 from sslhop.errors import ShapeMismatchError, WindowTooLargeError
@@ -101,24 +103,101 @@ class TestUnions:
         with pytest.raises(WindowTooLargeError):
             extract_unions(np.zeros((4, 4, 4, 1)), (5, 3, 3))
 
-    @pytest.mark.parametrize("channels", [1, 3])
-    def test_blocks_are_the_deeper_unions_at_every_block_th_origin(
-            self, rng, channels):
-        """A block of b z-origins is the union of the (h, w, z+b-1)
-        window, at z-origins 0, b, 2b, ...; block 1 is the plain gather."""
-        fmap = rng.normal(size=(4, 5, 13, channels))
-        window = (2, 3, 4)
-        for block in (1, 2, 5, 10):
-            deeper = window[:2] + (window[2] + block - 1,)
-            brute = _brute_unions(fmap, deeper)
-            brute = brute.reshape(3, 3, -1, brute.shape[-1])[:, :, ::block]
-            np.testing.assert_array_equal(extract_unions(fmap, window, block),
-                                          brute.reshape(-1, brute.shape[-1]))
 
-    @pytest.mark.parametrize("block", [0, 3, 11])
-    def test_block_that_does_not_divide_the_origins_is_refused(self, block):
-        with pytest.raises(ShapeMismatchError):
-            extract_unions(np.zeros((4, 4, 13, 1)), (3, 3, 4), block)
+def _assert_plane_rows_match_oracle(maps, y, window, block):
+    """Each conv voxel a row of the layer steps' gather gives at a valid
+    origin reads, in its column block, that origin's brute-force union:
+    block ``j`` of the row at flat position p = x*Z + z' of a slab's
+    y-origin holds the (h, w, z) window at p + j."""
+    G, N, _, W, Z, C = maps.shape
+    h, w, z = window
+    rows = sslhop.pipeline._plane_unions(maps, y, window, block)
+    origins = y.stop - y.start - h + 1
+    L = (W - w) * Z + Z - z + 1
+    blocks = -(-L // block)
+    assert rows.shape == (G, N * origins * blocks,
+                          h * w * (z + block - 1) * C)
+    # one column-major buffer: each union element is one run of the rows
+    assert rows.transpose(2, 0, 1).flags.c_contiguous
+    rows = rows.reshape((G, N, origins, blocks, h, w, z + block - 1, C))
+    grid = (origins, W - w + 1, Z - z + 1, h, w, z, C)
+    checked = 0
+    for g in range(G):
+        for n in range(N):
+            brute = _brute_unions(maps[g, n, y], window).reshape(grid)
+            for p in range(blocks * block):
+                x, zz = divmod(p, Z)
+                if zz >= grid[2]:
+                    continue            # a wrapped position: never read
+                j, k = divmod(p, block)
+                np.testing.assert_array_equal(
+                    rows[g, n, :, j, :, :, k:k + z], brute[:, x, zz])
+                checked += origins
+    assert checked == G * N * math.prod(grid[:3])
+
+
+class TestPlaneUnions:
+    """The layer steps' gather of z-blocks over each map's flattened (x, z)
+    plane, against the brute-force union oracle."""
+
+    # (H, W, Z) and windows whose L = (W-w)*Z + Z-z+1 flat positions are
+    # 22 (a whole number of blocks of 1 and 2; blocks of 3 read 2 past a
+    # map's plane) and 19 (blocks of 2 and 3 read past it)
+    PLANES = {"L22": ((4, 5, 8), (2, 3, 3)), "L19": ((4, 5, 7), (2, 3, 3))}
+
+    @pytest.mark.parametrize("slabs", ["whole-maps", "one-row"])
+    @pytest.mark.parametrize("groups", [1, 3])
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("channels", [1, 5])
+    @pytest.mark.parametrize("plane", PLANES.values(), ids=PLANES.keys())
+    def test_valid_voxels_read_their_unions(self, rng, plane, channels,
+                                            block, groups, slabs):
+        """Runs of three whole maps, and slabs of one origin row at each
+        offset, with one group or three."""
+        dims, window = plane
+        maps = rng.normal(size=(groups, 3) + dims + (channels,))
+        H = dims[0]
+        ys = [slice(0, H)] if slabs == "whole-maps" else \
+            [slice(y0, y0 + window[0]) for y0 in range(H - window[0] + 1)]
+        for y in ys:
+            _assert_plane_rows_match_oracle(maps, y, window, block)
+
+    def test_non_contiguous_maps_match_oracle(self, rng):
+        """Maps that are a strided view (here, reversed in x) are gathered
+        from a copy."""
+        maps = rng.normal(size=(2, 2, 4, 5, 8, 3))[:, :, :, ::-1]
+        assert not maps.flags.c_contiguous
+        for block in (1, 2, 3):
+            _assert_plane_rows_match_oracle(maps, slice(0, 4), (2, 3, 3),
+                                            block)
+
+    @pytest.mark.parametrize("slabs", ["whole-maps", "one-row"])
+    @pytest.mark.parametrize("groups", [1, 3])
+    @pytest.mark.parametrize("plane", PLANES.values(), ids=PLANES.keys())
+    def test_poisoned_neighbours_reach_no_valid_voxel(
+            self, rng, monkeypatch, plane, groups, slabs):
+        """The maps are a view of a buffer that is NaN after them: each
+        map's next one in memory (with several groups) or, after the last,
+        the rest of the buffer. A GEMM multiplies a row's every element,
+        so a NaN gathered beside a valid voxel's union would reach it;
+        every valid conv voxel must equal its union times the kernel."""
+        dims, window = plane
+        buffer = np.full((groups, 4) + dims + (2,), np.nan)
+        maps = buffer[:, :3]
+        maps[...] = rng.normal(size=maps.shape)
+        kernels = [[fit_saab(rng.normal(size=(40, 2 * math.prod(window))), 4)]
+                   for _ in range(groups)]
+        if slabs == "one-row":
+            monkeypatch.setattr(sslhop.neighborhood, "SLAB_BYTES", 1)
+        grid = tuple(d - k + 1 for d, k in zip(dims, window))
+        for block in (1, 2, 3):
+            (conv,) = plan_project_groups(kernels, maps, window, block)
+            for g, (kernel,) in enumerate(kernels):
+                for n in range(3):
+                    expect = (extract_unions(maps[g, n], window)
+                              @ kernel.projection[0]).reshape(grid + (4,))
+                    np.testing.assert_allclose(conv[g, n], expect, rtol=0,
+                                               atol=1e-12)
 
 
 def _row_bytes(dims, window):

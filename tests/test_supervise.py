@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import sslhop.supervise
 from sslhop import (ChannelEntropy, LayerShapes, apply_lag, channel_entropy,
                     class_centroids, fit_lag)
 from conftest import BAD_SEEDS
@@ -231,6 +232,24 @@ class TestLag:
         assert np.array_equal(class_centroids(X, labels, 3, seed=9)[0],
                               class_centroids(X, labels, 3, seed=9)[0])
         assert np.array_equal(a.weights, b.weights)
+
+    def test_seeds_past_32_bits_draw_their_own_centroids(self, rng,
+                                                         monkeypatch):
+        """Class row 0's k-means stream at seed 2**32 and row 1's at seed 0
+        would both be [0, 1, 0] padded with a zero; each must be its own."""
+        states = []
+        plusplus = sslhop.supervise._kmeans_plusplus
+
+        def spy(X, k, generator):
+            states.append(generator.bit_generator.state["state"]["state"])
+            return plusplus(X, k, generator)
+
+        monkeypatch.setattr(sslhop.supervise, "_kmeans_plusplus", spy)
+        X = rng.normal(size=(12, 3))
+        labels = np.repeat([0, 1], 6)
+        for seed in (2**32, 0):
+            class_centroids(X, labels, 2, seed=seed)
+        assert len(states) == len(set(states)) == 4
 
     def test_seed_is_a_non_negative_integer(self, rng):
         X = rng.normal(size=(12, 3))
