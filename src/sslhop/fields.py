@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonFiniteValuesError, OutOfBoundsError, ShapeMismatchError
+from .errors import (NonFiniteValuesError, OutOfBoundsError, ShapeMismatchError,
+                     as_int_triple, as_integer)
 
 DIRECTIONS = 3
 CONCAT_MODES = ("interlaced", "plain")
@@ -66,8 +67,8 @@ def crop_phases(ed: np.ndarray, es: np.ndarray,
 
 def _crop(arr: np.ndarray, origin, size) -> np.ndarray:
     """The region of interest of a validated field, as a copy."""
-    y, x, z = (int(v) for v in origin)
-    h, w, d = (int(v) for v in size)
+    h, w, d = as_int_triple("crop size", size)
+    y, x, z = as_int_triple("crop origin", origin)
     if min(h, w, d) < 1:
         raise OutOfBoundsError(f"crop size must be positive, got {size}")
     _, H, W, Z = arr.shape
@@ -104,6 +105,7 @@ class DeformationSample:
         ed, es = validate_phases(ed, es)
         if concat_mode not in CONCAT_MODES:
             raise ValueError(f"concat_mode must be one of {CONCAT_MODES}")
+        label = as_integer("label", label)
         if label < 0:
             raise ShapeMismatchError(f"label must be a non-negative id, got {label}")
         self.phases = (ed, es)

@@ -13,13 +13,14 @@ Layout (all integers little-endian):
     end-4   4     CRC32 (uint32) of every preceding byte
 
 The metadata stores each fact once: the config, input dims, class
-bookkeeping, the training subject ids, the shape ledger (checked against
-a dry run of the config) and each LAG stage's centroid block sizes. The
-fit's own functions derive the rest on load: the Saab bias and DC anchor,
-the padding (all-zero AC rows) and the kept channels (the entropy screen
-of the stored entropies). There is no tensor index. Nothing volatile is
-stored (no timestamps), so identical fits serialize to identical bytes. A
-loader refuses files whose major version differs from its own.
+bookkeeping, the training subject ids and each LAG stage's centroid block
+sizes. The fit's own functions derive the rest on load: the shape ledger
+(a dry run of the config over the input dims), the Saab bias and DC
+anchor, the padding (all-zero AC rows) and the kept channels (the entropy
+screen of the stored entropies). There is no tensor index. Nothing
+volatile is stored (no timestamps), so identical fits serialize to
+identical bytes. A loader refuses files whose major version differs from
+its own.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-import typing
 import zlib
 from pathlib import Path
 
@@ -41,7 +41,7 @@ from .pipeline import (DIRECTIONS, LayerShapes, LayerStage, PipelineConfig,
                        PipelineModel, compute_ledger)
 
 MAGIC = b"SSLHOP01"
-FORMAT_MAJOR = 6
+FORMAT_MAJOR = 7
 FORMAT_MINOR = 0
 _HEADER = struct.Struct("<8sHHQ")
 
@@ -49,15 +49,13 @@ _HEADER = struct.Struct("<8sHHQ")
 # Metadata schema: a dict maps keys to the schemas of their values, a
 # one-item list is a list whose items all follow that item, and a type or
 # tuple of types is a leaf; bool never passes for a number. A dict refuses
-# keys it does not name. Ledger entries follow LayerShapes, tuples as lists.
+# keys it does not name.
 _SCHEMA = {
     "config": dict,
     "input_dims": [int],
     "class_count": int,
     "class_table": (list, type(None)),
     "train_subject_ids": [str],
-    "ledger": [{name: [int] if typing.get_origin(hint) is tuple else hint
-                for name, hint in typing.get_type_hints(LayerShapes).items()}],
     "stages": [[{"lag": {"block_sizes": [int]}}]],
 }
 
@@ -127,7 +125,6 @@ def save_model(model: PipelineModel, path: str | Path) -> Path:
         "class_count": model.class_count,
         "class_table": list(model.class_table) if model.class_table else None,
         "train_subject_ids": list(model.train_subject_ids),
-        "ledger": [e.to_dict() for e in model.ledger],
         "stages": [[{"lag": {"block_sizes": stage.lag.block_sizes.tolist()}}
                     for stage in per_dir]
                    for per_dir in model.stages],
@@ -179,12 +176,9 @@ def load_model(path: str | Path) -> PipelineModel:
     try:
         cfg = PipelineConfig.from_dict(meta["config"])
         input_dims = tuple(meta["input_dims"])
-        expected = compute_ledger(cfg, input_dims)
+        ledger = compute_ledger(cfg, input_dims)
     except (TypeError, ValueError) as exc:
         raise CorruptFileError(f"{path}: invalid config: {exc}") from exc
-    ledger = tuple(LayerShapes.from_dict(d) for d in meta["ledger"])
-    if expected != ledger:
-        raise CorruptFileError(f"{path}: stored ledger disagrees with its config")
     k, table = meta["class_count"], meta["class_table"]
     if table is not None and (len(table) != k or not all(
             isinstance(name, str) for name in table)):

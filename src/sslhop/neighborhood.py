@@ -19,7 +19,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import ShapeMismatchError, WindowTooLargeError
+from .errors import ShapeMismatchError, WindowTooLargeError, as_int_triple
 
 # Budget of one slab's float64 union matrix, and of the float64 input maps
 # of a run of union statistics; a slab holds at least one y-row of window
@@ -48,7 +48,7 @@ def _stack(maps) -> np.ndarray:
 
 def _window(shape: tuple[int, ...], window) -> tuple[int, int, int]:
     """``window`` as three ints that fit the maps of a stack of ``shape``."""
-    h, w, z = (int(v) for v in window)
+    h, w, z = as_int_triple("window", window)
     if min(h, w, z) < 1:
         raise WindowTooLargeError(f"window must be positive, got {window}")
     if h > shape[-4] or w > shape[-3] or z > shape[-2]:

@@ -27,9 +27,10 @@ from dataclasses import MISSING, asdict, dataclass, field
 import numpy as np
 
 from . import classifier, neighborhood, saab, supervise
-from .errors import (NonFiniteValuesError, ShapeLedgerMismatchError,
-                     ShapeMismatchError, WindowTooLargeError, as_finite,
-                     as_int_triple, as_integer, as_seed)
+from .errors import (IndexOutOfRangeError, NonFiniteValuesError,
+                     ShapeLedgerMismatchError, ShapeMismatchError,
+                     WindowTooLargeError, as_finite, as_int_triple,
+                     as_integer, as_seed)
 from .fields import CONCAT_MODES, DIRECTIONS, DeformationSample, crop_phases
 from .neighborhood import extract_unions, max_pool, pooled_dims, slab_plan, \
     union_count
@@ -168,14 +169,6 @@ class LayerShapes:
     kept_channels: int
     lag_input_dim: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LayerShapes":
-        return cls(**{key: tuple(v) if isinstance(v, list) else v
-                      for key, v in d.items()})
-
 
 def _truncated_depth(cfg: PipelineConfig, layer_1based: int, depth: int) -> int:
     # optional compatibility mode: some deployments of the five-layer plan
@@ -188,7 +181,7 @@ def _truncated_depth(cfg: PipelineConfig, layer_1based: int, depth: int) -> int:
 def compute_ledger(cfg: PipelineConfig,
                    input_dims: tuple[int, int, int]) -> tuple[LayerShapes, ...]:
     """Dry-run shape pass over the layer plan for a (H, W, Z) input."""
-    dims = tuple(int(v) for v in input_dims)
+    dims = as_int_triple("input_dims", input_dims)
     channels_in = 1
     entries = []
     for i, layer in enumerate(cfg.layers, start=1):
@@ -309,16 +302,14 @@ class _DirectionMaps:
         return out
 
 
-def _z_block(window, depth: int) -> int:
-    """The z-block the layer steps project maps ``depth`` deep under
-    ``window`` in: the largest divisor ``b`` of the Z' = depth - z + 1 conv
-    depth whose banded Toeplitz matrix is at least 3/4 non-zero,
-    4z >= 3(b + z - 1), that is b <= 1 + z/3. It rests on the layer's
-    shapes alone, so a fit, a fold fit and a transform of the layer
+def _z_block(window) -> int:
+    """The z-block the layer steps project under ``window`` in: the
+    largest ``b`` whose banded Toeplitz matrix is at least 3/4 non-zero,
+    4z >= 3(b + z - 1), that is b <= 1 + z/3. :func:`_plane_unions` takes
+    any block, a divisor of the conv depth or not, and the block rests on
+    the window alone, so a fit, a fold fit and a transform of the layer
     project in the same block."""
-    z = window[2]
-    conv = depth - z + 1
-    return max(b for b in range(1, z // 3 + 2) if conv % b == 0)
+    return 1 + window[2] // 3
 
 
 def _projections(kernels, window, block: int
@@ -424,7 +415,7 @@ def _pool_layer(kernels, maps, window, shapes: LayerShapes,
             f"layer {shapes.layer} input {maps.shape[2:]}, "
             f"ledger says {shapes.input_dims}")
     plan = slab_plan(maps.shape, window)
-    block = _z_block(window, shapes.input_dims[2])
+    block = _z_block(window)
     matrices, offsets = _projections(kernels, window, block)
     out = np.empty(offsets.shape[:2] + maps.shape[1:2] + shapes.pool_dims)
 
@@ -618,6 +609,8 @@ def fit_folds(samples: list[DeformationSample], cfg: PipelineConfig,
               train: list[np.ndarray], threads: int = 1) -> list[FittedStages]:
     """Fit one set of layer stages per index array in ``train``, each on
     those samples, in that order; the other samples are held out of it.
+    An array that is not 1-D integer indices of distinct samples is an
+    :class:`IndexOutOfRangeError`.
 
     Direction by direction, each layer is one step for every set's stack
     of maps, its training samples followed by its held-out ones. Layer 1
@@ -641,6 +634,13 @@ def fit_folds(samples: list[DeformationSample], cfg: PipelineConfig,
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     ledger = compute_ledger(cfg, common_dims(samples))
+    for t in map(np.asarray, train):
+        if (t.ndim != 1 or t.dtype.kind not in "iu"
+                or not np.all((t >= 0) & (t < len(samples)))
+                or len(np.unique(t)) != len(t)):
+            raise IndexOutOfRangeError(
+                f"a training set must list distinct sample indices in "
+                f"[0, {len(samples)}), got {t!r}")
     labels = [np.array([samples[i].label for i in t], dtype=np.int64)
               for t in train]
     held = [np.setdiff1d(np.arange(len(samples)), t) for t in train]

@@ -33,7 +33,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateInputError, DegenerateInputWarning, ShapeMismatchError
+from .errors import (DegenerateInputError, DegenerateInputWarning,
+                     ShapeMismatchError, as_integer)
 
 # Relative eigenvalue threshold below which residual directions are treated
 # as numerically rank-deficient and zero-padded instead of kept. Residual
@@ -168,7 +169,7 @@ def fit_saab_batches(batches: Iterable[Moments], channels: int,
     Batch boundaries change the result by nothing beyond summation
     roundoff versus a single dense fit; empty batches are skipped.
     """
-    channels = int(channels)
+    channels = as_integer("channels", channels)
     n, mean, m2 = merge_moments(batches)
     dim = mean.shape[0]
     if n < 2:

@@ -283,7 +283,7 @@ def plan_project(kernels, maps, window, block=None) -> list[np.ndarray]:
     :func:`plan_project_groups` takes a group of one; by default in the
     layer steps' own block for these maps."""
     if block is None:
-        block = sslhop.pipeline._z_block(window, maps.shape[-2])
+        block = sslhop.pipeline._z_block(window)
     return [conv[0] for conv in
             plan_project_groups([kernels], maps[None], window, block)]
 

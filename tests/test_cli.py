@@ -357,7 +357,7 @@ def _poison_tensor(src, dst, owner, field, value):
     meta_len = _HEADER.unpack_from(raw)[3]
     meta = json.loads(raw[_HEADER.size:_HEADER.size + meta_len])
     cfg = sh.PipelineConfig.from_dict(meta["config"])
-    ledger = tuple(sh.LayerShapes.from_dict(d) for d in meta["ledger"])
+    ledger = sh.compute_ledger(cfg, meta["input_dims"])
     offset = _HEADER.size + meta_len
     for at, name, shape in _layout(meta, cfg, ledger):
         if (at, name) == (owner, field):
@@ -530,8 +530,6 @@ class TestErrorSurface:
         lambda meta: meta.update(stages=5),
         lambda meta: meta["config"].update(layers=5),
         lambda meta: meta["stages"][0][0]["lag"].update(block_sizes=[3, 2, 1]),
-        lambda meta: meta["ledger"][0].update(
-            union_dim=meta["ledger"][0]["union_dim"] + 1),
         lambda meta: meta["config"]["layers"][0].update(channels=5),
         lambda meta: meta.update(class_table=["a"]),
         lambda meta: meta.update(class_table=[1, 2, 3]),
@@ -541,7 +539,7 @@ class TestErrorSurface:
         lambda meta: meta["config"].update(roi_origin=[0, 0, 0]),
         lambda meta: meta["config"].update(seed=-1),
     ], ids=["no-config", "stages-int", "bad-config",
-            "lag-blocks-off-config", "ledger-off-config", "config-off-ledger",
+            "lag-blocks-off-config", "config-off-ledger",
             "class-table-short", "class-table-ints", "stray-seed",
             "stray-tensors", "stray-saab-bias", "roi-origin-alone",
             "seed-negative"])

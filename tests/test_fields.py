@@ -65,6 +65,14 @@ class TestCrop:
         with pytest.raises(OutOfBoundsError):
             crop_roi(_ramp((4, 4, 4)), origin, size)
 
+    @pytest.mark.parametrize("origin", [(1.9, 0, 0), (1.0, 0, 0),
+                                        (True, 0, 0), (1, 0)],
+                             ids=["fraction", "float", "bool", "two"])
+    def test_origin_must_be_three_integers(self, origin):
+        """Origin 1.9 was taken as 1."""
+        with pytest.raises(ValueError, match="crop origin"):
+            crop_roi(_ramp((4, 4, 4)), origin, (2, 2, 2))
+
     def test_centered_origin(self):
         assert centered_origin((100, 100, 128), (100, 100, 64)) == (0, 0, 32)
         assert centered_origin((10, 10, 10), (4, 4, 4)) == (3, 3, 3)
@@ -113,3 +121,16 @@ class TestDeformationSample:
         with pytest.raises(error):
             DeformationSample(np.zeros((3, 4, 4, 2)), np.zeros((3, 4, 4, 2)),
                               mode, label, "s0")
+
+    @pytest.mark.parametrize("label", [0.7, 1.9, 1.0, True, "1", None])
+    def test_label_is_an_integer(self, label):
+        """Labels 0.7 and 1.9 were taken, and truncated to classes 0 and
+        1 by a fit; True was taken too."""
+        with pytest.raises(ValueError, match="label"):
+            DeformationSample(np.zeros((3, 4, 4, 2)), np.zeros((3, 4, 4, 2)),
+                              "plain", label, "s0")
+
+    def test_numpy_integer_label_is_a_python_int(self):
+        s = DeformationSample(np.zeros((3, 4, 4, 2)), np.zeros((3, 4, 4, 2)),
+                              "plain", np.int64(2), "s0")
+        assert type(s.label) is int and s.label == 2

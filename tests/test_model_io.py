@@ -69,14 +69,19 @@ class TestRoundTrip:
         _assert_fields_equal(loaded.svm, tiny_model.svm)
 
     def test_metadata_stores_each_fact_once(self, saved, tiny_model):
-        """Format 6 keeps the config, class bookkeeping, the ledger and each
-        LAG stage's centroid blocks; no tensor index and no restated values.
-        Its payload holds the arrays that prediction and ``inspect`` read,
-        and no DC anchor, no per-class entropy table and no LAG centroids."""
+        """Format 7 keeps the config, class bookkeeping and each LAG
+        stage's centroid blocks; no tensor index, no shape ledger and no
+        restated values. The loaded model's ledger is the dry run of its
+        config. Its payload holds the arrays that prediction and
+        ``inspect`` read, and no DC anchor, no per-class entropy table and
+        no LAG centroids."""
         raw = saved.read_bytes()
         _, major, _, meta_len = _HEADER.unpack_from(raw)
         meta = json.loads(raw[_HEADER.size:_HEADER.size + meta_len])
-        assert major == 6
+        assert major == 7
+        loaded = sh.load_model(saved)
+        assert loaded.ledger == sh.compute_ledger(loaded.config,
+                                                  loaded.input_dims)
         arrays = [a for per_dir in tiny_model.stages for st in per_dir
                   for a in (st.kernel.ac, st.kernel.mean_ac,
                             st.kernel.energy, st.entropy.per_channel,
@@ -86,8 +91,7 @@ class TestRoundTrip:
         assert len(raw) == (_HEADER.size + meta_len
                             + 8 * sum(a.size for a in arrays) + 4)
         assert set(meta) == {"config", "input_dims", "class_count",
-                             "class_table", "train_subject_ids", "ledger",
-                             "stages"}
+                             "class_table", "train_subject_ids", "stages"}
         for per_dir in meta["stages"]:
             for sm in per_dir:
                 assert {part: set(v) for part, v in sm.items()} == {
@@ -209,9 +213,10 @@ class TestCorruption:
     def test_format_2_is_refused(self, saved, tmp_path, edit_model_meta):
         """Formats 2 (which also stored ``saab.degenerate``), 3 (which also
         stored ``per_class`` entropy tensors) and 4 (which also stored
-        ``saab.padded``, ``entropy.kept`` and ``dc`` tensors) and 5 (which
-        also stored LAG ``centroids`` tensors) are refused on their version
-        alone, with a valid CRC; there is no second read path."""
+        ``saab.padded``, ``entropy.kept`` and ``dc`` tensors), 5 (which
+        also stored LAG ``centroids`` tensors) and 6 (which also stored
+        the shape ``ledger``) are refused on their version alone, with a
+        valid CRC; there is no second read path."""
         def to_format_2(meta):
             for per_dir in meta["stages"]:
                 for sm in per_dir:
@@ -223,11 +228,17 @@ class TestCorruption:
                 for sm in per_dir:
                     sm["saab"] = {"padded": 0}
                     sm["entropy"] = {"kept": [0, 1]}
+
+        def to_format_6(meta):
+            cfg = sh.PipelineConfig.from_dict(meta["config"])
+            meta["ledger"] = [dataclasses.asdict(e) for e in
+                              sh.compute_ledger(cfg, meta["input_dims"])]
         for major, source in (
                 (2, edit_model_meta(saved, tmp_path / "v2.sslm", to_format_2)),
                 (3, saved),
                 (4, edit_model_meta(saved, tmp_path / "v4.sslm", to_format_4)),
-                (5, saved)):
+                (5, saved),
+                (6, edit_model_meta(saved, tmp_path / "v6.sslm", to_format_6))):
             raw = bytearray(source.read_bytes())
             _, _, minor, meta_len = _HEADER.unpack_from(bytes(raw))
             raw[:_HEADER.size] = _HEADER.pack(MAGIC, major, minor, meta_len)
@@ -271,22 +282,14 @@ class TestCorruption:
         with pytest.raises(CorruptFileError, match="past end"):
             sh.load_model(path)
 
-    def test_tampered_ledger_is_rejected(self, saved, tmp_path,
-                                         edit_model_meta):
-        """A consistent container whose stored ledger contradicts its config
-        must fail the recomputation cross-check, as a data error."""
-        def change(meta):
-            meta["ledger"][0]["union_dim"] += 1
-        path = edit_model_meta(saved, tmp_path / "m.sslm", change)
-        with pytest.raises(CorruptFileError, match="ledger"):
-            sh.load_model(path)
-
     def test_config_edited_under_the_ledger_is_rejected(self, saved, tmp_path,
                                                         edit_model_meta):
+        """One more layer-1 channel widens the tensors of the layout the
+        config derives, so the payload no longer holds them."""
         def change(meta):
             meta["config"]["layers"][0]["channels"] += 1
         path = edit_model_meta(saved, tmp_path / "m.sslm", change)
-        with pytest.raises(CorruptFileError, match="ledger"):
+        with pytest.raises(CorruptFileError, match="truncated at tensor"):
             sh.load_model(path)
 
     @pytest.mark.parametrize("table", [["a"], ["a", "b", "c", "d"], [1, 2, 3],
@@ -312,8 +315,8 @@ class TestCorruption:
          "saab"),
         (lambda meta: meta["stages"][0][0].update(entropy={"kept": [0, 1]}),
          "entropy"),
-        (lambda meta: meta["ledger"][0].update(stride=2), "stride"),
-    ], ids=["seed", "tensors", "saab-bias", "entropy-kept", "ledger-entry"])
+        (lambda meta: meta.update(ledger=[]), "ledger"),
+    ], ids=["seed", "tensors", "saab-bias", "entropy-kept", "ledger"])
     def test_unknown_metadata_keys_are_refused(self, saved, tmp_path,
                                                edit_model_meta, edit, key):
         path = edit_model_meta(saved, tmp_path / "m.sslm", edit)

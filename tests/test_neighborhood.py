@@ -103,6 +103,14 @@ class TestUnions:
         with pytest.raises(WindowTooLargeError):
             extract_unions(np.zeros((4, 4, 4, 1)), (5, 3, 3))
 
+    @pytest.mark.parametrize("window", [(3.7, 3, 3), (3, 3.0, 3),
+                                        (3, 3, False), (3, 3)],
+                             ids=["fraction", "float", "bool", "two"])
+    def test_window_must_be_three_integers(self, window):
+        """Window 3.7 was taken as 3."""
+        with pytest.raises(ValueError, match="window"):
+            extract_unions(np.zeros((4, 4, 4, 1)), window)
+
 
 def _assert_plane_rows_match_oracle(maps, y, window, block):
     """Each conv voxel a row of the layer steps' gather gives at a valid

@@ -16,6 +16,7 @@ from conftest import (BAD_SEEDS, plan_project, plan_project_groups,
                       plan_unions)
 from sslhop.errors import (
     DegenerateInputWarning,
+    IndexOutOfRangeError,
     MissingClassError,
     NonFiniteValuesError,
     OutOfBoundsError,
@@ -128,9 +129,13 @@ class TestLedger:
         with pytest.raises(WindowTooLargeError):
             sh.compute_ledger(sh.small_config(), (32, 32, 4))
 
-    def test_layer_shapes_round_trip(self):
-        row = sh.compute_ledger(sh.small_config(), (32, 32, 32))[1]
-        assert sh.LayerShapes.from_dict(row.to_dict()) == row
+    @pytest.mark.parametrize("dims", [(32, 32, 32.5), (32.0, 32, 32),
+                                      (True, 32, 32), (32, 32)],
+                             ids=["half", "float", "bool", "two"])
+    def test_input_dims_must_be_three_integers(self, dims):
+        """Dims 32.5 were taken as 32."""
+        with pytest.raises(ValueError, match="input_dims"):
+            sh.compute_ledger(sh.small_config(), dims)
 
     def test_depth_truncation_applies_to_layer_five_only(self):
         cfg = dataclasses.replace(sh.full_config(), truncate_layer5=True)
@@ -528,6 +533,27 @@ class TestLayerOneHandOff:
             with pytest.raises(ShapeLedgerMismatchError, match="fitted on"):
                 sh.fit_pipeline(other, tiny_cfg, class_count=3, fitted=every)
 
+    @pytest.mark.parametrize("train", [
+        [0, 0] + list(range(1, 11)), [-1] + list(range(11)),
+        list(range(11)) + [12], np.arange(12.0), np.arange(12).reshape(3, 4)],
+        ids=["repeated", "negative", "past-the-end", "float", "2-D"])
+    def test_malformed_training_set_is_refused(self, tiny_cohort, tiny_cfg,
+                                               train):
+        """Of 12 samples: a repeated index trained on held-out subject 11
+        and -1 on the last subject, while index 12 and float indices
+        failed untyped."""
+        _, records = tiny_cohort
+        with pytest.raises(IndexOutOfRangeError, match="distinct"):
+            sh.fit_folds(_samples(records, tiny_cfg), tiny_cfg,
+                         [np.arange(6), np.asarray(train)])
+
+    def test_training_set_in_any_order(self, tiny_cohort, tiny_cfg):
+        _, records = tiny_cohort
+        samples = _samples(records, tiny_cfg)
+        (fitted,) = sh.fit_folds(samples, tiny_cfg, [np.arange(12)[::-1]])
+        assert fitted.subject_ids == tuple(s.subject_id
+                                           for s in samples[::-1])
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_fold_work_runs_under_the_callers_error_state(
             self, tiny_cohort, tiny_cfg, monkeypatch, threads):
@@ -618,8 +644,9 @@ class TestZBlocks:
     @pytest.mark.parametrize("slabs", ["one-row", "several-maps"])
     @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
     def test_every_block_equals_block_1(self, rng, monkeypatch, case, slabs):
-        """Three groups of four maps, two kernel positions: each block that
-        divides the conv depth gives block 1's conv maps."""
+        """Three groups of four maps, two kernel positions: each block from
+        2 to 4 gives block 1's conv maps, whether or not it divides the
+        conv depth."""
         dims, window = case
         maps = rng.normal(size=(3, 4) + dims)
         kernels = [_fold_kernels(rng, dims, window, count=2, channels=4)
@@ -634,57 +661,52 @@ class TestZBlocks:
                        for y in ys)
         else:
             assert len(plan) == 2 and len(plan[0][1]) == 1
-        conv = dims[2] - window[2] + 1
-        blocks = [b for b in range(2, conv + 1) if conv % b == 0]
-        assert blocks
         base = plan_project_groups(kernels, maps, window, 1)
-        for block in blocks:
+        for block in (2, 3, 4):
             for out, one in zip(
                     plan_project_groups(kernels, maps, window, block), base):
                 _assert_close_to(out, one)
 
     def test_truncated_layer5_pools_as_block_1(self, rng, monkeypatch):
         """Layer 5 of a truncating plan projects its four z-origins in
-        blocks of 2, 4 or 1 and keeps three."""
+        blocks of 2, 3, 4 or 1 and keeps three."""
         cfg = sh.PipelineConfig(layers=(sh.LayerSpec((3, 3, 3), 3),) * 5,
                                 truncate_layer5=True)
         shapes = sh.compute_ledger(cfg, (70, 70, 126))[4]
         window = cfg.layers[4].window
         assert shapes.input_dims == (3, 3, 6, 3)
         assert shapes.conv_dims == (1, 1, 3, 3)
-        assert sslhop.pipeline._z_block(window, 6) == 2
+        assert sslhop.pipeline._z_block(window) == 2
         maps = rng.normal(size=(3, 5) + shapes.input_dims)
         kernels = [_fold_kernels(rng, shapes.input_dims, window, count=1,
                                  channels=3) for _ in range(3)]
         pooled = {}
-        for block in (1, 2, 4):
+        for block in (1, 2, 3, 4):
             monkeypatch.setattr(sslhop.pipeline, "_z_block",
-                                lambda *_, b=block: b)
+                                lambda _, b=block: b)
             pooled[block] = sslhop.pipeline._pool_layer(kernels, maps, window,
                                                         shapes)
-        for block in (2, 4):
+        for block in (2, 3, 4):
             _assert_close_to(pooled[block], pooled[1])
 
     LEDGERS = {
-        "small": (sh.small_config(), (32, 32, 32), [3, 2, 2]),
+        "small": (sh.small_config(), [3, 2, 2]),
         "cv-many-small": (sh.PipelineConfig(layers=(
             sh.LayerSpec((3, 3, 4), 4), sh.LayerSpec((3, 3, 3), 5))),
-            (12, 12, 12), [1, 1]),
-        "full": (sh.full_config(), (100, 100, 128), [3, 2, 2, 2, 2]),
+            [2, 2]),
+        "full": (sh.full_config(), [3, 2, 2, 2, 2]),
     }
 
     @pytest.mark.parametrize("ledger", LEDGERS.values(), ids=LEDGERS.keys())
     def test_block_of_each_ledger_layer(self, ledger):
-        cfg, dims, blocks = ledger
-        assert [sslhop.pipeline._z_block(layer.window, shapes.input_dims[2])
-                for layer, shapes in zip(cfg.layers,
-                                         sh.compute_ledger(cfg, dims))] \
-            == blocks
+        cfg, blocks = ledger
+        assert [sslhop.pipeline._z_block(layer.window)
+                for layer in cfg.layers] == blocks
 
-    # the tiny cohort's 12x12x12 maps project in z-blocks of 2 at both
-    # layers under this plan (tiny_cfg's take blocks of 1)
-    BLOCKED = sh.PipelineConfig(layers=(sh.LayerSpec((3, 3, 5), 4),
-                                        sh.LayerSpec((3, 3, 3), 5)),
+    # windows 2 deep project in z-blocks of 1, plain im2col (tiny_cfg's
+    # take blocks of 2)
+    BLOCK_1 = sh.PipelineConfig(layers=(sh.LayerSpec((3, 3, 2), 4),
+                                        sh.LayerSpec((3, 3, 2), 5)),
                                 centroids_per_class=2, seed=11)
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -692,23 +714,26 @@ class TestZBlocks:
                                                   monkeypatch, tmp_path,
                                                   threads):
         _, records = tiny_cohort
-        _assert_fold_models_match_standalone_fits(records, self.BLOCKED,
+        assert {sslhop.pipeline._z_block(layer.window)
+                for layer in self.BLOCK_1.layers} == {1}
+        _assert_fold_models_match_standalone_fits(records, self.BLOCK_1,
                                                   monkeypatch, tmp_path,
                                                   threads)
 
     def test_transform_reproduces_training_features(self, tiny_cohort):
         _, records = tiny_cohort
-        samples = _samples(records, self.BLOCKED)
-        model = sh.fit_pipeline(samples, self.BLOCKED)
+        samples = _samples(records, self.BLOCK_1)
+        model = sh.fit_pipeline(samples, self.BLOCK_1)
         np.testing.assert_array_equal(sh.transform_many(model, samples),
                                       model.training_features)
 
     def test_transform_and_fold_fit_take_the_same_blocks(self, monkeypatch,
-                                                         tiny_cohort):
+                                                         tiny_cohort,
+                                                         tiny_cfg):
         """The block rests on the layer's shapes alone: a transform of
         three directions and a fold fit of five kernels project each layer
         in the same block."""
-        cfg = self.BLOCKED
+        cfg = tiny_cfg
         _, records = tiny_cohort
         samples = _samples(records, cfg)
         calls = []

@@ -214,6 +214,12 @@ class TestEdgeCases:
         with pytest.raises(DegenerateInputError):
             fit_saab(X, channels=6)
 
+    @pytest.mark.parametrize("channels", [3.9, 3.0, True, "3"])
+    def test_channels_must_be_an_integer(self, rng, channels):
+        """3.9 channels were taken as 3."""
+        with pytest.raises(ValueError, match="channels"):
+            fit_saab(rng.normal(size=(10, 5)), channels)
+
     def test_single_union_rejected(self):
         with pytest.raises(DegenerateInputError):
             fit_saab(np.ones((1, 4)), channels=2)
