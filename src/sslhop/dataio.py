@@ -30,6 +30,7 @@ from .errors import (BadHeaderError, ChecksumMismatchError,
                      NonFiniteValuesError, ShapeMismatchError,
                      TooFewSubjectsError, UnknownLabelError, as_finite,
                      as_int_triple, as_integer, as_seed, seed_entropy)
+from .fields import validate_field
 
 PHASES = ("ED", "ES")
 _MAX_HEADER = 4096
@@ -51,18 +52,17 @@ def read_bytes(path: str | Path, what: str) -> bytes:
 
 def write_field(field: np.ndarray, path: str | Path, phase: str,
                 subject_id: str) -> Path:
-    """Write one (3, H, W, Z) field; values are stored as float32."""
-    arr = np.asarray(field)
-    if arr.ndim != 4 or arr.shape[0] != 3:
-        raise ShapeMismatchError(f"expected a (3, H, W, Z) field, got {arr.shape}")
+    """Write one (3, H, W, Z) field as float32; a field that
+    :func:`read_field` would refuse is refused before anything is written."""
+    with np.errstate(over="ignore"):     # a value past float32 casts to inf
+        arr = np.ascontiguousarray(field, dtype="<f4")
+    validate_field(arr)
     if phase not in PHASES:
         raise BadHeaderError(f"phase must be one of {PHASES}, got {phase!r}")
-    if not np.isfinite(arr).all():
-        raise NonFiniteValuesError("refusing to write non-finite field values")
     header = json.dumps({"dims": list(arr.shape), "dtype": "f32",
                          "endian": "little", "phase": phase,
                          "subject_id": subject_id}, sort_keys=True)
-    payload = np.ascontiguousarray(arr, dtype="<f4").tobytes()
+    payload = arr.tobytes()
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")

@@ -36,7 +36,7 @@ import numpy as np
 from . import classifier, saab, supervise
 from .dataio import read_bytes
 from .errors import (CorruptFileError, ShapeLedgerMismatchError,
-                     VersionMismatchError)
+                     VersionMismatchError, WindowTooLargeError)
 from .pipeline import (DIRECTIONS, LayerShapes, LayerStage, PipelineConfig,
                        PipelineModel, compute_ledger)
 
@@ -175,10 +175,14 @@ def load_model(path: str | Path) -> PipelineModel:
 
     try:
         cfg = PipelineConfig.from_dict(meta["config"])
-        input_dims = tuple(meta["input_dims"])
-        ledger = compute_ledger(cfg, input_dims)
     except (TypeError, ValueError) as exc:
         raise CorruptFileError(f"{path}: invalid config: {exc}") from exc
+    try:
+        input_dims = tuple(meta["input_dims"])
+        ledger = compute_ledger(cfg, input_dims)
+    except (ValueError, WindowTooLargeError) as exc:
+        raise CorruptFileError(
+            f"{path}: invalid input_dims {meta['input_dims']}: {exc}") from exc
     k, table = meta["class_count"], meta["class_table"]
     if table is not None and (len(table) != k or not all(
             isinstance(name, str) for name in table)):

@@ -22,7 +22,7 @@ import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass
 
 import numpy as np
 
@@ -266,8 +266,6 @@ class PipelineModel:
     svm: classifier.SvmModel
     ledger: tuple[LayerShapes, ...]
     train_subject_ids: tuple[str, ...]
-    # in-memory diagnostics; never serialized
-    training_features: np.ndarray | None = field(default=None, compare=False)
 
     @property
     def feature_dim(self) -> int:
@@ -312,31 +310,26 @@ def _z_block(window) -> int:
     return 1 + window[2] // 3
 
 
-def _projections(kernels, window, block: int
-                 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """The projections of ``kernels``, G lists of K kernels, in z-blocks of
-    ``block`` origins: for each position k, the (G, D', block*F) stack of
-    its kernels' banded block-Toeplitz matrices, D' = h*w*(z+block-1)*C,
-    and the (G, K, F) offsets. Column block j of a matrix holds its
-    kernel's (D, F) matrix at the rows of window depths j .. j+z-1, so a
-    row of :func:`_plane_unions` gives the block's ``block`` conv voxels,
-    z-origin fastest; block 1 is the kernel's own matrix. Each stack is
-    the transpose of a C-order (G, block*F, D') one, the layout of a
-    kernel's own matrix (see :func:`extract_unions`)."""
+def _projections(kernels, window, block: int) -> tuple[np.ndarray, np.ndarray]:
+    """The projections of ``kernels``, one per group, in z-blocks of
+    ``block`` origins: the (G, D', block*F) stack of their banded
+    block-Toeplitz matrices, D' = h*w*(z+block-1)*C, and the (G, F)
+    offsets. Column block j of a matrix holds its kernel's (D, F) matrix at
+    the rows of window depths j .. j+z-1, so a row of
+    :func:`_plane_unions` gives the block's ``block`` conv voxels,
+    z-origin fastest; block 1 is the kernel's own matrix. The stack is the
+    transpose of a C-order (G, block*F, D') one, the layout of a kernel's
+    own matrix (see :func:`extract_unions`)."""
     h, w, z = window
-    matrices = []
-    for group in zip(*kernels):
-        F, D = group[0].projection[0].shape[::-1]
-        bands = np.zeros((len(group), block, F, h, w, z + block - 1,
-                          D // (h * w * z)))
-        for band, kernel in zip(bands, group):
-            rows = kernel.projection[0].T.reshape(band.shape[1:4] + (z, -1))
-            for j in range(block):
-                band[j, :, :, :, j:j + z] = rows
-        matrices.append(bands.reshape(len(group), block * F, -1)
-                        .transpose(0, 2, 1))
-    return matrices, np.array([[k.projection[1] for k in group]
-                               for group in kernels])
+    F, D = kernels[0].projection[0].shape[::-1]
+    bands = np.zeros((len(kernels), block, F, h, w, z + block - 1,
+                      D // (h * w * z)))
+    for band, kernel in zip(bands, kernels):
+        rows = kernel.projection[0].T.reshape(band.shape[1:4] + (z, -1))
+        for j in range(block):
+            band[j, :, :, :, j:j + z] = rows
+    return (bands.reshape(len(kernels), block * F, -1).transpose(0, 2, 1),
+            np.array([k.projection[1] for k in kernels]))
 
 
 def _plane_unions(maps, y: slice, window, block: int) -> np.ndarray:
@@ -364,43 +357,43 @@ def _plane_unions(maps, y: slice, window, block: int) -> np.ndarray:
         .transpose(1, 2, 0)
 
 
-def _project(matrices, maps: np.ndarray, window, block: int,
-             ys) -> list[np.ndarray]:
-    """Project the unions of one run of :func:`slab_plan`, a (G, N, H, W, Z,
-    C) stack of maps read in the slabs of input y-rows ``ys``, onto each
-    (G, D', block*F) stack of :func:`_projections` ``matrices``, group by
-    group; no offset is added. One batched product per matrix stack writes
-    each slab's :func:`_plane_unions` rows in place into its (G, N, H-h+1,
+def _project(matrix, maps: np.ndarray, window, block: int,
+             ys) -> np.ndarray:
+    """Project the unions of one run of :func:`slab_plan`, a (G, N, H, W,
+    Z, C) stack of maps read in the slabs of input y-rows ``ys``, onto the
+    (G, D', block*F) stack of :func:`_projections` ``matrix``, group by
+    group; a stack of one group (G = 1) is projected onto every matrix. No
+    offset is added. One batched product per slab writes its
+    :func:`_plane_unions` rows in place into the run's (G, N, H-h+1,
     ceil(L/block)*block, F) conv buffer of flat positions, returned as its
-    (G, N, H-h+1, W-w+1, Z-z+1, F) view. A run's buffers are one array,
-    which the heap reuses from run to run (K arrays were trimmed and
-    faulted in again); returning frees the last slab before pooling."""
-    (G, N, H, W, Z, _), (h, w, z) = maps.shape, window
+    (G, N, H-h+1, W-w+1, Z-z+1, F) view. A run's conv maps are one array,
+    which the heap reuses from run to run; returning frees the last slab
+    before pooling."""
+    (_, N, H, W, Z, _), (h, w, z) = maps.shape, window
     positions = -(-((W - w) * Z + Z - z + 1) // block) * block
-    F = matrices[0].shape[-1] // block
-    convs = np.empty((len(matrices), G, N, H - h + 1, positions, F))
-    rows = convs.reshape(len(matrices), G, -1, block * F)
+    F = matrix.shape[-1] // block
+    conv = np.empty((len(matrix), N, H - h + 1, positions, F))
+    rows = conv.reshape(len(matrix), -1, block * F)
     start = 0
     for y in ys:
         unions = _plane_unions(maps, y, window, block)
         stop = start + unions.shape[1]
-        for matrix, out in zip(matrices, rows):
-            np.matmul(unions, matrix, out=out[:, start:stop])
+        np.matmul(unions, matrix, out=rows[:, start:stop])
         start = stop
-    return [np.ndarray(conv.shape[:3] + (W - w + 1, Z - z + 1, conv.shape[4]),
-                       np.float64, conv, 0, conv.strides[:3]
-                       + (Z * conv.strides[3],) + conv.strides[3:])
-            for conv in convs]
+    return np.ndarray(conv.shape[:3] + (W - w + 1, Z - z + 1, F), np.float64,
+                      conv, 0, conv.strides[:3] + (Z * conv.strides[3],)
+                      + conv.strides[3:])
 
 
 def _pool_layer(kernels, maps, window, shapes: LayerShapes,
                 rows: np.ndarray | None = None, map_fn=map) -> np.ndarray:
     """Apply one layer to a (G, N, H, W, Z, C) stack of maps, G groups of N
-    maps, with ``kernels``, G lists of K kernels: group ``g``'s maps are
-    projected with each kernel of ``kernels[g]``. Returns the pooled maps
-    as a (G, K, N, H', W', Z', F) array. Map ``i`` goes to row
-    ``rows[k, i]`` of the stacks of kernel position ``k`` (row ``i`` by
-    default).
+    maps, with ``kernels``, one per group: group ``g``'s maps are projected
+    with ``kernels[g]``, and a stack of one group with every kernel.
+    Returns the pooled maps as a (len(kernels), N, H', W', Z', F) array.
+    Map ``i`` goes to row ``rows[g, i]`` of kernel ``g``'s stack (row
+    ``i`` by default); each kernel's maps are then pooled alone, so
+    pooling holds one kernel's temporaries beside the run's conv maps.
 
     The maps run in the runs of :func:`slab_plan`, so a run's conv stacks
     take about a slab: the conv maps of the whole stack are never held at
@@ -416,28 +409,30 @@ def _pool_layer(kernels, maps, window, shapes: LayerShapes,
             f"ledger says {shapes.input_dims}")
     plan = slab_plan(maps.shape, window)
     block = _z_block(window)
-    matrices, offsets = _projections(kernels, window, block)
-    out = np.empty(offsets.shape[:2] + maps.shape[1:2] + shapes.pool_dims)
+    matrix, offsets = _projections(kernels, window, block)
+    out = np.empty((len(kernels),) + maps.shape[1:2] + shapes.pool_dims)
 
     def run(plan_run) -> None:
         group, ys = plan_run
-        for k, conv in enumerate(_project(matrices, maps[:, group], window,
-                                          block, ys)):
-            conv = conv[..., :shapes.conv_dims[2], :]  # optional depth truncation
-            if conv.shape[2:] != shapes.conv_dims:
+        conv = _project(matrix, maps[:, group], window, block, ys)
+        conv = conv[..., :shapes.conv_dims[2], :]  # optional depth truncation
+        if conv.shape[2:] != shapes.conv_dims:
+            raise ShapeLedgerMismatchError(
+                f"projection produced {conv.shape[2:]}, "
+                f"ledger says {shapes.conv_dims}")
+        parts = ([(slice(None), group)] if rows is None
+                 else [(g, rows[g, group]) for g in range(len(rows))])
+        for g, where in parts:
+            pooled = max_pool(conv[g])
+            if pooled.shape[-4:] != shapes.pool_dims:
                 raise ShapeLedgerMismatchError(
-                    f"projection produced {conv.shape[2:]}, "
-                    f"ledger says {shapes.conv_dims}")
-            pooled = max_pool(conv)
-            if pooled.shape[2:] != shapes.pool_dims:
-                raise ShapeLedgerMismatchError(
-                    f"pooling produced {pooled.shape[2:]}, "
+                    f"pooling produced {pooled.shape[-4:]}, "
                     f"ledger says {shapes.pool_dims}")
-            out[:, k, group if rows is None else rows[k, group]] = pooled
+            out[g, where] = pooled
 
     for _ in map_fn(run, plan):
         pass
-    out += offsets[:, :, None, None, None, None]
+    out += offsets[:, None, None, None, None]
     return out
 
 
@@ -663,15 +658,12 @@ def fit_folds(samples: list[DeformationSample], cfg: PipelineConfig,
                                    [moments[i] for i in t], layer.channels,
                                    cfg.bias_scale) for t in train]
                     del moments
-                    groups, order = [kernels], rows
                 else:
                     kernels = list(map_fn(lambda f: saab.fit_saab_batches(
                         _union_moments(maps[f, :len(train[f])], layer.window),
                         layer.channels, cfg.bias_scale), sets))
-                    groups, order = [[k] for k in kernels], None
-                maps = _pool_layer(groups, maps, layer.window, shapes, order,
-                                   map_fn).reshape((len(train), len(samples))
-                                                   + shapes.pool_dims)
+                maps = _pool_layer(kernels, maps, layer.window, shapes,
+                                   rows if li == 0 else None, map_fn)
 
                 def stage(f: int):
                     n = len(train[f])
@@ -718,8 +710,8 @@ def fit_pipeline(samples: list[DeformationSample], cfg: PipelineConfig,
         raise ShapeLedgerMismatchError(
             f"stages were fitted on {len(fitted.subject_ids)} subjects, not "
             f"on the {len(ids)} training samples in their order")
-    features = concat_features(fitted.blocks)
-    svm = classifier.fit_svm(features, labels, cost=cfg.svm_cost, class_count=k)
+    svm = classifier.fit_svm(concat_features(fitted.blocks), labels,
+                             cost=cfg.svm_cost, class_count=k)
 
     table = None
     if class_table is not None:
@@ -727,7 +719,7 @@ def fit_pipeline(samples: list[DeformationSample], cfg: PipelineConfig,
     return PipelineModel(
         config=cfg, input_dims=dims, class_count=k, class_table=table,
         stages=fitted.stages, svm=svm, ledger=ledger,
-        train_subject_ids=ids, training_features=features)
+        train_subject_ids=ids)
 
 
 def transform_many(model: PipelineModel,
@@ -745,8 +737,8 @@ def transform_many(model: PipelineModel,
     maps, blocks = _DirectionMaps(samples, slice(None)), []
     for layer, shapes, stages in zip(model.config.layers, model.ledger,
                                      zip(*model.stages)):
-        maps = _pool_layer([[stage.kernel] for stage in stages], maps,
-                           layer.window, shapes)[:, 0]
+        maps = _pool_layer([stage.kernel for stage in stages], maps,
+                           layer.window, shapes)
         blocks.append([supervise.apply_lag(
                            stage.lag, _reduce(pooled, stage.entropy.kept,
                                               shapes))

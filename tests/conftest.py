@@ -266,26 +266,18 @@ def plan_unions(maps, window) -> list[np.ndarray]:
             for run, ys in sh.slab_plan(maps.shape, window) for y in ys]
 
 
-def plan_project_groups(kernels, maps, window, block) -> list[np.ndarray]:
-    """Each kernel position's conv stack of a (G, N, H, W, Z, C) stack of
-    maps, with ``kernels`` G lists of K kernels, before its offset, taken
-    run by run of its slab plan in z-blocks of ``block`` origins, as the
-    layer steps take them."""
-    matrices, _ = sslhop.pipeline._projections(kernels, window, block)
-    runs = [sslhop.pipeline._project(matrices, maps[:, run], window, block,
-                                     ys)
-            for run, ys in sh.slab_plan(maps.shape, window)]
-    return [np.concatenate(convs, axis=1) for convs in zip(*runs)]
-
-
-def plan_project(kernels, maps, window, block=None) -> list[np.ndarray]:
-    """Each kernel's conv stack of a (N, H, W, Z, C) stack of maps, as
-    :func:`plan_project_groups` takes a group of one; by default in the
-    layer steps' own block for these maps."""
+def plan_project(kernels, maps, window, block=None) -> np.ndarray:
+    """The (G, N, H', W', Z', F) conv stack of a (G, N, H, W, Z, C) stack
+    of maps, with ``kernels`` one per group (a stack of one group takes
+    every kernel), before the offsets, taken run by run of its slab plan
+    in z-blocks of ``block`` origins, as the layer steps take them; by
+    default in the layer steps' own block for these maps."""
     if block is None:
         block = sslhop.pipeline._z_block(window)
-    return [conv[0] for conv in
-            plan_project_groups([kernels], maps[None], window, block)]
+    matrix, _ = sslhop.pipeline._projections(kernels, window, block)
+    return np.concatenate(
+        [sslhop.pipeline._project(matrix, maps[:, run], window, block, ys)
+         for run, ys in sh.slab_plan(maps.shape, window)], axis=1)
 
 
 @pytest.fixture()

@@ -58,6 +58,25 @@ class TestFieldFiles:
         with pytest.raises(NonFiniteValuesError):
             sh.write_field(bad, tmp_path / "x.fld", "ED", "s")
 
+    def test_empty_axis_is_not_written(self, tmp_path):
+        """A field with an empty axis was written, and its file refused on
+        read for its dims."""
+        path = tmp_path / "x.fld"
+        with pytest.raises(ShapeMismatchError, match="empty axis"):
+            sh.write_field(np.zeros((3, 0, 4, 4)), path, "ED", "s")
+        assert not path.exists()
+
+    def test_value_past_float32_is_not_written(self, rng, tmp_path):
+        """A finite float64 value of 1e39 is inf as float32: it was written
+        with only numpy's overflow warning, and its file refused on read."""
+        bad = _sample_field(rng).astype(np.float64)
+        bad[1, 2, 3, 4] = 1e39
+        path = tmp_path / "x.fld"
+        with np.errstate(over="raise"), \
+                pytest.raises(NonFiniteValuesError):
+            sh.write_field(bad, path, "ED", "s")
+        assert not path.exists()
+
     @pytest.mark.parametrize("name", ["absent.fld", ".", "a.fld/x.fld"],
                              ids=["absent", "directory", "under-a-file"])
     def test_path_that_names_no_file(self, rng, tmp_path, name):

@@ -149,10 +149,6 @@ class TestRoundTrip:
         with pytest.raises(ShapeLedgerMismatchError, match="ac"):
             sh.save_model(model, tmp_path / "m.sslm")
 
-    def test_volatile_fields_are_not_serialized(self, saved):
-        loaded = sh.load_model(saved)
-        assert loaded.training_features is None
-
     def test_repeat_save_is_byte_identical(self, saved, tiny_model, tmp_path):
         other = sh.save_model(tiny_model, tmp_path / "again.sslm")
         assert other.read_bytes() == saved.read_bytes()
@@ -290,6 +286,17 @@ class TestCorruption:
             meta["config"]["layers"][0]["channels"] += 1
         path = edit_model_meta(saved, tmp_path / "m.sslm", change)
         with pytest.raises(CorruptFileError, match="truncated at tensor"):
+            sh.load_model(path)
+
+    @pytest.mark.parametrize("dims", [[-12, 12, 12], [0, 12, 12], [12, 12]],
+                             ids=["negative", "zero", "two"])
+    def test_malformed_input_dims_are_a_corrupt_file(self, saved, tmp_path,
+                                                     edit_model_meta, dims):
+        """Dims no map has were refused as a layer-1 window too large for
+        them, and two dims as an invalid config."""
+        path = edit_model_meta(saved, tmp_path / "m.sslm",
+                               lambda meta: meta.update(input_dims=dims))
+        with pytest.raises(CorruptFileError, match="invalid input_dims"):
             sh.load_model(path)
 
     @pytest.mark.parametrize("table", [["a"], ["a", "b", "c", "d"], [1, 2, 3],

@@ -8,7 +8,7 @@ import pytest
 
 import sslhop.neighborhood
 import sslhop.pipeline
-from conftest import plan_project, plan_project_groups, plan_unions
+from conftest import plan_project, plan_unions
 from sslhop import (apply_saab, extract_unions, fit_saab, max_pool,
                     pooled_dims, slab_plan, union_count)
 from sslhop.errors import ShapeMismatchError, WindowTooLargeError
@@ -193,14 +193,14 @@ class TestPlaneUnions:
         buffer = np.full((groups, 4) + dims + (2,), np.nan)
         maps = buffer[:, :3]
         maps[...] = rng.normal(size=maps.shape)
-        kernels = [[fit_saab(rng.normal(size=(40, 2 * math.prod(window))), 4)]
+        kernels = [fit_saab(rng.normal(size=(40, 2 * math.prod(window))), 4)
                    for _ in range(groups)]
         if slabs == "one-row":
             monkeypatch.setattr(sslhop.neighborhood, "SLAB_BYTES", 1)
         grid = tuple(d - k + 1 for d, k in zip(dims, window))
         for block in (1, 2, 3):
-            (conv,) = plan_project_groups(kernels, maps, window, block)
-            for g, (kernel,) in enumerate(kernels):
+            conv = plan_project(kernels, maps, window, block)
+            for g, kernel in enumerate(kernels):
                 for n in range(3):
                     expect = (extract_unions(maps[g, n], window)
                               @ kernel.projection[0]).reshape(grid + (4,))
@@ -266,7 +266,7 @@ class TestUnionSlabs:
             dim = dense.shape[1]
             kernel = fit_saab(rng.normal(size=(40, dim)), min(4, dim))
             _set_budget(monkeypatch, fmap, window, budget)
-            (conv,) = plan_project([kernel], fmap[None], window)
+            (conv,) = plan_project([kernel], fmap[None, None], window)
             grid = tuple(d - k + 1 for d, k in zip(fmap.shape, window))
             expect = apply_saab(kernel, dense).reshape(
                 (1,) + grid + (kernel.channels,))
@@ -293,7 +293,7 @@ class TestUnionSlabs:
         shapes = sslhop.pipeline.LayerShapes(1, (4, 4, 4, 1), 27, (2, 2, 2, 3),
                                              (1, 1, 1, 3), 3, 3)
         with pytest.raises(WindowTooLargeError):
-            sslhop.pipeline._pool_layer([[None]], maps[None], window, shapes)
+            sslhop.pipeline._pool_layer([None], maps[None], window, shapes)
         with pytest.raises(ShapeMismatchError):
             slab_plan((4, 4, 4, 1), (3, 3, 3))
         assert gathered == []

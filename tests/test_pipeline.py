@@ -12,8 +12,7 @@ import sslhop.evaluate
 import sslhop.fields
 import sslhop.neighborhood
 import sslhop.pipeline
-from conftest import (BAD_SEEDS, plan_project, plan_project_groups,
-                      plan_unions)
+from conftest import BAD_SEEDS, plan_project, plan_unions
 from sslhop.errors import (
     DegenerateInputWarning,
     IndexOutOfRangeError,
@@ -275,7 +274,8 @@ class TestFit:
         samples = [sh.assemble_sample(r.ed, r.es, tiny_cfg, r.label,
                                       r.subject_id) for r in records]
         fresh = sh.transform_many(tiny_model, samples)
-        np.testing.assert_array_equal(fresh, tiny_model.training_features)
+        np.testing.assert_array_equal(fresh,
+                                      _training_features(samples, tiny_cfg))
 
     def test_training_set_is_classified_correctly(self, tiny_model,
                                                   tiny_cohort, tiny_cfg):
@@ -338,10 +338,11 @@ class TestFit:
         pooled, maps = s.direction(1)[None, ..., None], []
         for stage, layer, row in zip(tiny_model.stages[1], tiny_cfg.layers,
                                      tiny_model.ledger):
-            (conv,) = plan_project([stage.kernel], pooled, layer.window)
-            pooled = sslhop.pipeline._pool_layer([[stage.kernel]],
-                                                 pooled[None], layer.window,
-                                                 row)[0, 0]
+            (conv,) = plan_project([stage.kernel], pooled[None],
+                                   layer.window)
+            (pooled,) = sslhop.pipeline._pool_layer([stage.kernel],
+                                                    pooled[None],
+                                                    layer.window, row)
             maps.append((conv[:, :, :, :row.conv_dims[2]], pooled))
         assert len(maps) == len(tiny_cfg.layers)
         for (conv, pooled), row in zip(maps, tiny_model.ledger):
@@ -379,6 +380,13 @@ def _samples(records, cfg):
             for r in records]
 
 
+def _training_features(samples, cfg):
+    """The features a fit of ``samples`` gives its own training subjects:
+    those its SVM is fitted on."""
+    (fitted,) = sh.fit_folds(samples, cfg, [np.arange(len(samples))])
+    return sh.concat_features(fitted.blocks)
+
+
 # A tiny-cohort layer-1 map (12x12x12, window (3, 3, 4)) has 10 y-rows of
 # window origins of 10 * 9 * 36 * 8 bytes each; this budget streams it in
 # slabs of 3 rows.
@@ -397,8 +405,8 @@ def _assert_handed_stages_give_identical_bytes(plain, samples, cfg,
     a = sh.save_model(plain, tmp_path / "plain.sslm").read_bytes()
     b = sh.save_model(handed, tmp_path / "handed.sslm").read_bytes()
     assert a == b
-    np.testing.assert_array_equal(handed.training_features,
-                                  plain.training_features)
+    np.testing.assert_array_equal(sh.transform_many(handed, samples),
+                                  sh.concat_features(stages.blocks))
 
 
 def _assert_fold_models_match_standalone_fits(records, cfg, monkeypatch,
@@ -407,10 +415,11 @@ def _assert_fold_models_match_standalone_fits(records, cfg, monkeypatch,
     subjects alone, and its held-out scores are that fit's predictions,
     with the fold work on ``threads`` threads."""
     fit = sslhop.evaluate.fit_pipeline
-    models = []
+    models, handed = [], []
 
     def keep(*args, **kwargs):
         models.append(fit(*args, **kwargs))
+        handed.append(kwargs["fitted"])
         return models[-1]
 
     monkeypatch.setattr(sslhop.evaluate, "fit_pipeline", keep)
@@ -426,8 +435,9 @@ def _assert_fold_models_match_standalone_fits(records, cfg, monkeypatch,
         a = sh.save_model(model, tmp_path / f"fold{f}.sslm").read_bytes()
         b = sh.save_model(alone, tmp_path / f"alone{f}.sslm").read_bytes()
         assert a == b
-        np.testing.assert_array_equal(model.training_features,
-                                      alone.training_features)
+        # the fold's training features, as the fit transforms them
+        np.testing.assert_array_equal(sh.concat_features(handed[f].blocks),
+                                      sh.transform_many(alone, train))
         pred, scores = sh.predict_samples(alone, test)
         np.testing.assert_array_equal(report.predicted_labels[fold == f],
                                       pred)
@@ -481,7 +491,7 @@ class TestLayerOneHandOff:
         _assert_handed_stages_give_identical_bytes(plain, samples, tiny_cfg,
                                                    tmp_path)
         np.testing.assert_array_equal(sh.transform_many(plain, samples),
-                                      plain.training_features)
+                                      _training_features(samples, tiny_cfg))
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_cv_fold_models_match_standalone_fits(self, tiny_cohort, tiny_cfg,
@@ -584,7 +594,7 @@ def _fold_kernels(rng, dims, window, count=5, channels=5):
 
 def _assert_shared_slab_pass_matches_one_kernel_calls(rng, dims, window):
     kernels = _fold_kernels(rng, dims, window)
-    fmap = rng.normal(size=(1,) + dims)
+    fmap = rng.normal(size=(1, 1) + dims)
     convs = plan_project(kernels, fmap, window)
     assert len(convs) == len(kernels)
     for kernel, conv in zip(kernels, convs):
@@ -616,11 +626,11 @@ class TestSharedSlabPass:
         kernels = _fold_kernels(rng, (12, 12, 12, 1), window, count=3,
                                 channels=4)
         order = np.array([rng.permutation(len(samples)) for _ in kernels])
-        (stacks,) = sslhop.pipeline._pool_layer(
-            [kernels], maps, window, ledger[0], rows=np.argsort(order, axis=1))
+        stacks = sslhop.pipeline._pool_layer(
+            kernels, maps, window, ledger[0], rows=np.argsort(order, axis=1))
         for kernel, stack, rows in zip(kernels, stacks, order):
-            ((alone,),) = sslhop.pipeline._pool_layer([[kernel]], maps, window,
-                                                      ledger[0])
+            (alone,) = sslhop.pipeline._pool_layer([kernel], maps, window,
+                                                   ledger[0])
             np.testing.assert_array_equal(stack, alone[rows])
 
 
@@ -644,13 +654,13 @@ class TestZBlocks:
     @pytest.mark.parametrize("slabs", ["one-row", "several-maps"])
     @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
     def test_every_block_equals_block_1(self, rng, monkeypatch, case, slabs):
-        """Three groups of four maps, two kernel positions: each block from
-        2 to 4 gives block 1's conv maps, whether or not it divides the
-        conv depth."""
+        """Three groups of four maps, one kernel each, and the first group
+        alone projected onto all three kernels: each block from 2 to 4
+        gives block 1's conv maps, whether or not it divides the conv
+        depth."""
         dims, window = case
         maps = rng.normal(size=(3, 4) + dims)
-        kernels = [_fold_kernels(rng, dims, window, count=2, channels=4)
-                   for _ in range(3)]
+        kernels = _fold_kernels(rng, dims, window, count=3, channels=4)
         per_map = 3 * sh.union_count(dims, window) * math.prod(window) \
             * dims[-1] * 8
         budget = 1 if slabs == "one-row" else 2 * per_map
@@ -661,11 +671,11 @@ class TestZBlocks:
                        for y in ys)
         else:
             assert len(plan) == 2 and len(plan[0][1]) == 1
-        base = plan_project_groups(kernels, maps, window, 1)
-        for block in (2, 3, 4):
-            for out, one in zip(
-                    plan_project_groups(kernels, maps, window, block), base):
-                _assert_close_to(out, one)
+        for stack in (maps, maps[:1]):
+            base = plan_project(kernels, stack, window, 1)
+            for block in (2, 3, 4):
+                _assert_close_to(plan_project(kernels, stack, window, block),
+                                 base)
 
     def test_truncated_layer5_pools_as_block_1(self, rng, monkeypatch):
         """Layer 5 of a truncating plan projects its four z-origins in
@@ -678,8 +688,8 @@ class TestZBlocks:
         assert shapes.conv_dims == (1, 1, 3, 3)
         assert sslhop.pipeline._z_block(window) == 2
         maps = rng.normal(size=(3, 5) + shapes.input_dims)
-        kernels = [_fold_kernels(rng, shapes.input_dims, window, count=1,
-                                 channels=3) for _ in range(3)]
+        kernels = _fold_kernels(rng, shapes.input_dims, window, count=3,
+                                channels=3)
         pooled = {}
         for block in (1, 2, 3, 4):
             monkeypatch.setattr(sslhop.pipeline, "_z_block",
@@ -724,8 +734,9 @@ class TestZBlocks:
         _, records = tiny_cohort
         samples = _samples(records, self.BLOCK_1)
         model = sh.fit_pipeline(samples, self.BLOCK_1)
-        np.testing.assert_array_equal(sh.transform_many(model, samples),
-                                      model.training_features)
+        np.testing.assert_array_equal(
+            sh.transform_many(model, samples),
+            _training_features(samples, self.BLOCK_1))
 
     def test_transform_and_fold_fit_take_the_same_blocks(self, monkeypatch,
                                                          tiny_cohort,
@@ -740,7 +751,7 @@ class TestZBlocks:
         projections = sslhop.pipeline._projections
 
         def spy(kernels, window, block):
-            calls.append((len(kernels), len(kernels[0]), window, block))
+            calls.append((len(kernels), window, block))
             return projections(kernels, window, block)
 
         monkeypatch.setattr(sslhop.pipeline, "_projections", spy)
@@ -751,10 +762,10 @@ class TestZBlocks:
         calls.clear()
         sh.transform_many(model, samples)
         windows = [layer.window for layer in cfg.layers]
-        # layer 1 of each direction: one group of five fold kernels; the
-        # later layer: five groups of one
-        assert fit_calls == [(1, 5, windows[0], 2), (5, 1, windows[1], 2)] * 3
-        assert calls == [(3, 1, windows[0], 2), (3, 1, windows[1], 2)]
+        # each layer of each direction: the five fold kernels (layer 1's
+        # over one shared group of maps)
+        assert fit_calls == [(5, windows[0], 2), (5, windows[1], 2)] * 3
+        assert calls == [(3, windows[0], 2), (3, windows[1], 2)]
 
 
 class TestStackedLayerSteps:
@@ -778,17 +789,16 @@ class TestStackedLayerSteps:
                                 per_group * map_bytes)
         assert len(sh.slab_plan(maps.shape, window)) == \
             (3 if per_group else 1)
-        convs = plan_project(kernels, maps, window)
-        (stacks,) = sslhop.pipeline._pool_layer([kernels], maps[None], window,
-                                                shapes)
+        convs = plan_project(kernels, maps[None], window)
+        stacks = sslhop.pipeline._pool_layer(kernels, maps[None], window,
+                                             shapes)
         for i in range(len(maps)):
-            alone = plan_project(kernels, maps[i:i + 1], window)
-            for conv, one in zip(convs, alone):
-                np.testing.assert_array_equal(conv[i:i + 1], one)
+            alone = plan_project(kernels, maps[None, i:i + 1], window)
+            np.testing.assert_array_equal(convs[:, i:i + 1], alone)
             np.testing.assert_array_equal(
                 stacks[:, i:i + 1],
-                sslhop.pipeline._pool_layer([kernels], maps[None, i:i + 1],
-                                            window, shapes)[0])
+                sslhop.pipeline._pool_layer(kernels, maps[None, i:i + 1],
+                                            window, shapes))
 
     def test_max_pool_of_a_stack_equals_each_maps_pool(self, rng):
         stack = rng.normal(size=(2, 3, 5, 7, 3, 2))
@@ -1031,7 +1041,7 @@ def _layer_peaks(kernel, maps, window, shapes):
     while it takes their union moments."""
     tracemalloc.start()
     try:
-        sslhop.pipeline._pool_layer([[kernel]], maps[None], window, shapes)
+        sslhop.pipeline._pool_layer([kernel], maps[None], window, shapes)
         forward_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         for _ in sslhop.pipeline._union_moments(maps, window):
@@ -1076,6 +1086,40 @@ class TestBoundedMemory:
                   + 3 * sslhop.neighborhood.SLAB_BYTES)
         peaks = _layer_peaks(kernel, maps, window, shapes)
         assert max(peaks) < budget
+
+    def test_five_kernel_layer_1_step_pools_one_kernel_at_a_time(self,
+                                                                 rng):
+        """One 64x64x32 map through a (3, 3, 6) layer with five fold
+        kernels, each in its own row order, as the shared layer-1 pass of
+        a 5-fold fit takes it, in 62 slabs of one origin row: the step
+        holds the run's five conv stacks, the pooled maps, one kernel's
+        pooling temporaries and a few slabs. Pooling the five at once
+        would hold four more kernels' temporaries, 4 * 31 * 31 * (27 +
+        14) * 5 * 8 = 6.3 MB."""
+        cfg = sh.PipelineConfig(layers=(sh.LayerSpec((3, 3, 6), 5),))
+        (shapes,) = sh.compute_ledger(cfg, (64, 64, 32))
+        window = cfg.layers[0].window
+        kernels = _fold_kernels(rng, (8, 8, 12, 1), window)
+        maps = rng.normal(size=(1, 1) + shapes.input_dims)
+        (H, W, Z, _), (h, w, z) = shapes.input_dims, window
+        block = sslhop.pipeline._z_block(window)
+        # a conv stack as the step holds it: each origin row's flat (x, z)
+        # positions, in whole z-blocks
+        positions = -(-((W - w) * Z + Z - z + 1) // block) * block
+        conv = 8 * (H - h + 1) * positions * shapes.conv_dims[3]
+        # max_pool's copies: the (y, x)-pooled maps and the pooled ones
+        Y, X, depth, F = shapes.pool_dims
+        temporaries = 8 * Y * X * (shapes.conv_dims[2] + depth) * F
+        budget = (len(kernels) * (conv + 8 * math.prod(shapes.pool_dims))
+                  + temporaries + 3 * sslhop.neighborhood.SLAB_BYTES)
+        tracemalloc.start()
+        try:
+            sslhop.pipeline._pool_layer(kernels, maps, window, shapes,
+                                        rows=np.zeros((5, 1), dtype=int))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget
 
     def test_batched_transform_peak_is_three_directions_pooled_maps(
             self, rng):
