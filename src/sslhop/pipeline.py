@@ -420,15 +420,13 @@ def _pool_layer(kernels, maps, window, shapes: LayerShapes,
             raise ShapeLedgerMismatchError(
                 f"projection produced {conv.shape[2:]}, "
                 f"ledger says {shapes.conv_dims}")
-        parts = ([(slice(None), group)] if rows is None
-                 else [(g, rows[g, group]) for g in range(len(rows))])
-        for g, where in parts:
+        for g in range(len(kernels)):
             pooled = max_pool(conv[g])
             if pooled.shape[-4:] != shapes.pool_dims:
                 raise ShapeLedgerMismatchError(
                     f"pooling produced {pooled.shape[-4:]}, "
                     f"ledger says {shapes.pool_dims}")
-            out[g, where] = pooled
+            out[g, group if rows is None else rows[g, group]] = pooled
 
     for _ in map_fn(run, plan):
         pass
@@ -658,12 +656,14 @@ def fit_folds(samples: list[DeformationSample], cfg: PipelineConfig,
                                    [moments[i] for i in t], layer.channels,
                                    cfg.bias_scale) for t in train]
                     del moments
+                    order = rows
                 else:
                     kernels = list(map_fn(lambda f: saab.fit_saab_batches(
                         _union_moments(maps[f, :len(train[f])], layer.window),
                         layer.channels, cfg.bias_scale), sets))
-                maps = _pool_layer(kernels, maps, layer.window, shapes,
-                                   rows if li == 0 else None, map_fn)
+                    order = None
+                maps = _pool_layer(kernels, maps, layer.window, shapes, order,
+                                   map_fn)
 
                 def stage(f: int):
                     n = len(train[f])
