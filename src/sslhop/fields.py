@@ -121,8 +121,10 @@ class DeformationSample:
     def direction(self, d: int | slice,
                   out: np.ndarray | None = None) -> np.ndarray:
         """The float64 (H, W, 2Z) map of direction ``d``, built on demand,
-        in ``out`` when given; a slice ``d`` of directions gives their
-        (G, H, W, 2Z) maps, and ``out`` must then have that shape."""
+        or in ``out`` when given, in ``out``'s dtype (the layer steps build
+        float32 maps, which float32 fields fill exactly); a slice ``d`` of
+        directions gives their (G, H, W, 2Z) maps, and ``out`` must then
+        have that shape."""
         ed, es = (phase[d] for phase in self.phases)
         if out is None:
             out = np.empty(ed.shape[:-1] + (self.dims[2],))

@@ -281,10 +281,11 @@ def _lag_seed(seed: int, layer: int, direction: int) -> int:
 
 
 class _DirectionMaps:
-    """The one-channel float64 input maps of some directions of every
+    """The one-channel float32 input maps of some directions of every
     sample, as a (G, N, H, W, Z, 1) stack, one row of maps per direction
     in ``directions`` (a slice of the three), whose runs of maps are built
-    when they are taken (``maps[:, start:stop]``)."""
+    when they are taken (``maps[:, start:stop]``). The layer step projects
+    them in float32 as they are; the union statistics widen them."""
 
     def __init__(self, samples: list[DeformationSample], directions: slice):
         self.samples, self.directions = samples, directions
@@ -294,7 +295,8 @@ class _DirectionMaps:
     def __getitem__(self, index: tuple[slice, slice]) -> np.ndarray:
         _, run = index           # maps[:, run]: every direction of a run
         samples = self.samples[run]
-        out = np.empty(self.shape[:1] + (len(samples),) + self.shape[2:])
+        out = np.empty(self.shape[:1] + (len(samples),) + self.shape[2:],
+                       np.float32)
         for i, sample in enumerate(samples):
             sample.direction(self.directions, out=out[:, i, ..., 0])
         return out
@@ -338,21 +340,23 @@ def _plane_unions(maps, y: slice, window, block: int) -> np.ndarray:
     window at each ``block``-th position p = x*Z + z' of the flattened
     (x, z) plane below L = (W-w)*Z + Z-z+1 (z' >= Z-z+1 wraps into the
     next x-row), rounded up to whole blocks, as (G, rows, D') views of one
-    column-major buffer (see :func:`extract_unions`). The last block reads
-    up to (block-1)*C elements past a map's plane, so such slabs, and maps
-    not C-contiguous float64, are copied first beside that many zeros:
-    numpy refuses a view that reaches past its buffer."""
+    column-major buffer (see :func:`extract_unions`), in the maps' dtype.
+    The last block reads up to (block-1)*C elements past a map's plane, so
+    such slabs, and maps not C-contiguous, are copied first beside that
+    many zeros: numpy refuses a view that reaches past its buffer."""
     (G, N, H, W, Z, C), (h, w, z) = maps.shape, window
-    L, sz, sy = (W - w) * Z + Z - z + 1, C * 8, W * Z * C * 8
+    item = maps.dtype.itemsize
+    L, sz, sy = (W - w) * Z + Z - z + 1, C * item, W * Z * C * item
     blocks, slack, offset = -(-L // block), -L % block * C, y.start * sy
-    if slack or not (maps.flags.c_contiguous and maps.dtype == np.float64):
+    if slack or not maps.flags.c_contiguous:
         slab = maps[:, :, y]
-        maps, H, offset = np.zeros(slab.size + slack), slab.shape[2], 0
+        maps, H, offset = (np.zeros(slab.size + slack, maps.dtype),
+                           slab.shape[2], 0)
         maps[:slab.size].reshape(slab.shape)[...] = slab
     view = np.ndarray(
         (h, w, z + block - 1, C, G, N, y.stop - y.start - h + 1, blocks),
-        np.float64, memoryview(maps).toreadonly(), offset,
-        (sy, Z * sz, sz, 8, N * H * sy, H * sy, sy, block * sz))
+        maps.dtype, memoryview(maps).toreadonly(), offset,
+        (sy, Z * sz, sz, item, N * H * sy, H * sy, sy, block * sz))
     return view.copy().reshape(math.prod(view.shape[:4]), G, -1) \
         .transpose(1, 2, 0)
 
@@ -365,14 +369,14 @@ def _project(matrix, maps: np.ndarray, window, block: int,
     group; a stack of one group (G = 1) is projected onto every matrix. No
     offset is added. One batched product per slab writes its
     :func:`_plane_unions` rows in place into the run's (G, N, H-h+1,
-    ceil(L/block)*block, F) conv buffer of flat positions, returned as its
-    (G, N, H-h+1, W-w+1, Z-z+1, F) view. A run's conv maps are one array,
-    which the heap reuses from run to run; returning frees the last slab
-    before pooling."""
+    ceil(L/block)*block, F) conv buffer of flat positions, in the matrix's
+    dtype, returned as its (G, N, H-h+1, W-w+1, Z-z+1, F) view. A run's
+    conv maps are one array, which the heap reuses from run to run;
+    returning frees the last slab before pooling."""
     (_, N, H, W, Z, _), (h, w, z) = maps.shape, window
     positions = -(-((W - w) * Z + Z - z + 1) // block) * block
     F = matrix.shape[-1] // block
-    conv = np.empty((len(matrix), N, H - h + 1, positions, F))
+    conv = np.empty((len(matrix), N, H - h + 1, positions, F), matrix.dtype)
     rows = conv.reshape(len(matrix), -1, block * F)
     start = 0
     for y in ys:
@@ -380,7 +384,7 @@ def _project(matrix, maps: np.ndarray, window, block: int,
         stop = start + unions.shape[1]
         np.matmul(unions, matrix, out=rows[:, start:stop])
         start = stop
-    return np.ndarray(conv.shape[:3] + (W - w + 1, Z - z + 1, F), np.float64,
+    return np.ndarray(conv.shape[:3] + (W - w + 1, Z - z + 1, F), conv.dtype,
                       conv, 0, conv.strides[:3] + (Z * conv.strides[3],)
                       + conv.strides[3:])
 
@@ -390,19 +394,21 @@ def _pool_layer(kernels, maps, window, shapes: LayerShapes,
     """Apply one layer to a (G, N, H, W, Z, C) stack of maps, G groups of N
     maps, with ``kernels``, one per group: group ``g``'s maps are projected
     with ``kernels[g]``, and a stack of one group with every kernel.
-    Returns the pooled maps as a (len(kernels), N, H', W', Z', F) array.
-    Map ``i`` goes to row ``rows[g, i]`` of kernel ``g``'s stack (row
-    ``i`` by default); each kernel's maps are then pooled alone, so
-    pooling holds one kernel's temporaries beside the run's conv maps.
+    Returns the pooled maps as a float64 (len(kernels), N, H', W', Z', F)
+    array. Map ``i`` goes to row ``rows[g, i]`` of kernel ``g``'s stack
+    (row ``i`` by default).
 
     The maps run in the runs of :func:`slab_plan`, so a run's conv stacks
     take about a slab: the conv maps of the whole stack are never held at
-    once. Each kernel's offset is added to its pooled maps, not to its
-    conv maps: rounding is monotone, so ``max(fl(x_i + c))`` is
-    ``fl(max(x_i) + c)`` and the pooled maps are those of
-    :func:`saab.apply_saab`'s conv maps, bit for bit. ``map_fn`` runs the
-    per-run work; each run writes only its own rows, so a thread pool's
-    ``map`` may run them side by side."""
+    once. A run is projected in float32, its maps and the band stacks
+    cast, and the conv stacks of every kernel are pooled in one call. Each
+    kernel's float64 offset is added to its pooled maps, widened to
+    float64, not to its conv maps: rounding is monotone, so
+    ``max(fl(x_i + c))`` is ``fl(max(x_i) + c)`` and the pooled maps are
+    those of the float32 conv maps with the offset added before the pool,
+    bit for bit. ``map_fn``
+    runs the per-run work; each run writes only its own rows, so a thread
+    pool's ``map`` may run them side by side."""
     if maps.shape[2:] != shapes.input_dims:
         raise ShapeLedgerMismatchError(
             f"layer {shapes.layer} input {maps.shape[2:]}, "
@@ -410,23 +416,26 @@ def _pool_layer(kernels, maps, window, shapes: LayerShapes,
     plan = slab_plan(maps.shape, window)
     block = _z_block(window)
     matrix, offsets = _projections(kernels, window, block)
+    # order K keeps the transposed layout (see :func:`_projections`)
+    matrix = matrix.astype(np.float32, order="K")
     out = np.empty((len(kernels),) + maps.shape[1:2] + shapes.pool_dims)
 
     def run(plan_run) -> None:
         group, ys = plan_run
-        conv = _project(matrix, maps[:, group], window, block, ys)
+        conv = _project(matrix, maps[:, group].astype(np.float32, copy=False),
+                        window, block, ys)
         conv = conv[..., :shapes.conv_dims[2], :]  # optional depth truncation
         if conv.shape[2:] != shapes.conv_dims:
             raise ShapeLedgerMismatchError(
                 f"projection produced {conv.shape[2:]}, "
                 f"ledger says {shapes.conv_dims}")
-        for g in range(len(kernels)):
-            pooled = max_pool(conv[g])
-            if pooled.shape[-4:] != shapes.pool_dims:
-                raise ShapeLedgerMismatchError(
-                    f"pooling produced {pooled.shape[-4:]}, "
-                    f"ledger says {shapes.pool_dims}")
-            out[g, group if rows is None else rows[g, group]] = pooled
+        pooled = max_pool(conv)
+        if pooled.shape[2:] != shapes.pool_dims:
+            raise ShapeLedgerMismatchError(
+                f"pooling produced {pooled.shape[2:]}, "
+                f"ledger says {shapes.pool_dims}")
+        for g, kernel_pooled in enumerate(pooled):
+            out[g, group if rows is None else rows[g, group]] = kernel_pooled
 
     for _ in map_fn(run, plan):
         pass

@@ -270,11 +270,12 @@ def plan_project(kernels, maps, window, block=None) -> np.ndarray:
     """The (G, N, H', W', Z', F) conv stack of a (G, N, H, W, Z, C) stack
     of maps, with ``kernels`` one per group (a stack of one group takes
     every kernel), before the offsets, taken run by run of its slab plan
-    in z-blocks of ``block`` origins, as the layer steps take them; by
-    default in the layer steps' own block for these maps."""
+    in z-blocks of ``block`` origins, as the layer steps take them, in the
+    maps' dtype; by default in the layer steps' own block for these maps."""
     if block is None:
         block = sslhop.pipeline._z_block(window)
     matrix, _ = sslhop.pipeline._projections(kernels, window, block)
+    matrix = matrix.astype(maps.dtype, order="K")
     return np.concatenate(
         [sslhop.pipeline._project(matrix, maps[:, run], window, block, ys)
          for run, ys in sh.slab_plan(maps.shape, window)], axis=1)

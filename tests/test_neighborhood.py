@@ -120,6 +120,7 @@ def _assert_plane_rows_match_oracle(maps, y, window, block):
     G, N, _, W, Z, C = maps.shape
     h, w, z = window
     rows = sslhop.pipeline._plane_unions(maps, y, window, block)
+    assert rows.dtype == maps.dtype
     origins = y.stop - y.start - h + 1
     L = (W - w) * Z + Z - z + 1
     blocks = -(-L // block)
@@ -144,6 +145,14 @@ def _assert_plane_rows_match_oracle(maps, y, window, block):
     assert checked == G * N * math.prod(grid[:3])
 
 
+# the layer steps gather and project in float32; the gather takes either
+DTYPES = [np.float32, np.float64]
+# a conv voxel's distance from its float64 product: a dot product of 36
+# terms, a union of unit-variance values times a unit-norm kernel column,
+# within gamma_36 * |x| * |k| (Higham 2002, 3.1), about 5e-5 in float32
+ATOL = {np.float32: 1e-4, np.float64: 1e-12}
+
+
 class TestPlaneUnions:
     """The layer steps' gather of z-blocks over each map's flattened (x, z)
     plane, against the brute-force union oracle."""
@@ -153,44 +162,48 @@ class TestPlaneUnions:
     # map's plane) and 19 (blocks of 2 and 3 read past it)
     PLANES = {"L22": ((4, 5, 8), (2, 3, 3)), "L19": ((4, 5, 7), (2, 3, 3))}
 
+    @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("slabs", ["whole-maps", "one-row"])
     @pytest.mark.parametrize("groups", [1, 3])
     @pytest.mark.parametrize("block", [1, 2, 3])
     @pytest.mark.parametrize("channels", [1, 5])
     @pytest.mark.parametrize("plane", PLANES.values(), ids=PLANES.keys())
     def test_valid_voxels_read_their_unions(self, rng, plane, channels,
-                                            block, groups, slabs):
+                                            block, groups, slabs, dtype):
         """Runs of three whole maps, and slabs of one origin row at each
         offset, with one group or three."""
         dims, window = plane
-        maps = rng.normal(size=(groups, 3) + dims + (channels,))
+        maps = rng.normal(size=(groups, 3) + dims + (channels,)).astype(dtype)
         H = dims[0]
         ys = [slice(0, H)] if slabs == "whole-maps" else \
             [slice(y0, y0 + window[0]) for y0 in range(H - window[0] + 1)]
         for y in ys:
             _assert_plane_rows_match_oracle(maps, y, window, block)
 
-    def test_non_contiguous_maps_match_oracle(self, rng):
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_non_contiguous_maps_match_oracle(self, rng, dtype):
         """Maps that are a strided view (here, reversed in x) are gathered
         from a copy."""
-        maps = rng.normal(size=(2, 2, 4, 5, 8, 3))[:, :, :, ::-1]
+        maps = rng.normal(size=(2, 2, 4, 5, 8, 3)).astype(dtype)[:, :, :, ::-1]
         assert not maps.flags.c_contiguous
         for block in (1, 2, 3):
             _assert_plane_rows_match_oracle(maps, slice(0, 4), (2, 3, 3),
                                             block)
 
+    @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("slabs", ["whole-maps", "one-row"])
     @pytest.mark.parametrize("groups", [1, 3])
     @pytest.mark.parametrize("plane", PLANES.values(), ids=PLANES.keys())
     def test_poisoned_neighbours_reach_no_valid_voxel(
-            self, rng, monkeypatch, plane, groups, slabs):
+            self, rng, monkeypatch, plane, groups, slabs, dtype):
         """The maps are a view of a buffer that is NaN after them: each
         map's next one in memory (with several groups) or, after the last,
         the rest of the buffer. A GEMM multiplies a row's every element,
         so a NaN gathered beside a valid voxel's union would reach it;
-        every valid conv voxel must equal its union times the kernel."""
+        every valid conv voxel must equal its union times the kernel, at
+        the roundoff of the maps' dtype."""
         dims, window = plane
-        buffer = np.full((groups, 4) + dims + (2,), np.nan)
+        buffer = np.full((groups, 4) + dims + (2,), np.nan, dtype)
         maps = buffer[:, :3]
         maps[...] = rng.normal(size=maps.shape)
         kernels = [fit_saab(rng.normal(size=(40, 2 * math.prod(window))), 4)
@@ -200,12 +213,14 @@ class TestPlaneUnions:
         grid = tuple(d - k + 1 for d, k in zip(dims, window))
         for block in (1, 2, 3):
             conv = plan_project(kernels, maps, window, block)
+            # the conv maps take the matrix's dtype, here the maps'
+            assert conv.dtype == dtype
             for g, kernel in enumerate(kernels):
                 for n in range(3):
                     expect = (extract_unions(maps[g, n], window)
                               @ kernel.projection[0]).reshape(grid + (4,))
                     np.testing.assert_allclose(conv[g, n], expect, rtol=0,
-                                               atol=1e-12)
+                                               atol=ATOL[dtype])
 
 
 def _row_bytes(dims, window):

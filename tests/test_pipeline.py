@@ -810,9 +810,11 @@ class TestStackedLayerSteps:
 def _oracle_features(model, samples):
     """Features of ``samples`` from a per-direction oracle: each
     direction's maps of all the samples run through ``extract_unions ->
-    apply_saab -> max_pool -> apply_lag``, layer by layer, one dense call
-    each, offsets added before the pool and the pooled maps indexed by the
-    kept channel ids before the regression."""
+    project -> max_pool -> apply_lag``, layer by layer, one dense call
+    each, the projection in float32 as the layer steps take it (the
+    unions of the float32 maps times the float32 kernel matrix), the
+    float64 offsets added before the pool and the pooled maps indexed by
+    the kept channel ids before the regression."""
     blocks = []
     for d, stages in enumerate(model.stages):
         maps = np.stack([s.direction(d) for s in samples])[..., None]
@@ -821,8 +823,9 @@ def _oracle_features(model, samples):
                                         model.ledger):
             grid = tuple(n - k + 1 for n, k in zip(maps.shape[1:4],
                                                    layer.window))
-            conv = sh.apply_saab(stage.kernel,
-                                 sh.extract_unions(maps, layer.window))
+            matrix, offset = stage.kernel.projection
+            unions = sh.extract_unions(maps.astype(np.float32), layer.window)
+            conv = unions @ matrix.astype(np.float32) + offset
             conv = conv.reshape((len(samples),) + grid + (-1,))
             maps = sh.max_pool(conv[:, :, :, :shapes.conv_dims[2]])
             flat = maps[..., stage.entropy.kept]
@@ -1052,6 +1055,25 @@ def _layer_peaks(kernel, maps, window, shapes):
     return forward_peak, moments_peak
 
 
+def _conv_stack_items(shapes, window) -> int:
+    """Items of one map's conv stack for one kernel as a layer step holds
+    it: each origin row's flat (x, z) positions, in whole z-blocks."""
+    (H, W, Z, _), (h, w, z) = shapes.input_dims, window
+    block = sslhop.pipeline._z_block(window)
+    positions = -(-((W - w) * Z + Z - z + 1) // block) * block
+    return (H - h + 1) * positions * shapes.conv_dims[3]
+
+
+def _pool_layer_peak(*args, **kwargs) -> int:
+    """Peak bytes traced while one :func:`_pool_layer` call runs."""
+    tracemalloc.start()
+    try:
+        sslhop.pipeline._pool_layer(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBoundedMemory:
     def test_layer_peak_is_its_output_maps_plus_a_few_slabs(self, rng):
         """One 64x64x32 map through a (3, 3, 6) layer, whose dense union
@@ -1087,39 +1109,42 @@ class TestBoundedMemory:
         peaks = _layer_peaks(kernel, maps, window, shapes)
         assert max(peaks) < budget
 
-    def test_five_kernel_layer_1_step_pools_one_kernel_at_a_time(self,
-                                                                 rng):
+    def test_five_kernel_layer_1_step_pools_in_one_float32_call(self, rng):
         """One 64x64x32 map through a (3, 3, 6) layer with five fold
         kernels, each in its own row order, as the shared layer-1 pass of
         a 5-fold fit takes it, in 62 slabs of one origin row: the step
-        holds the run's five conv stacks, the pooled maps, one kernel's
-        pooling temporaries and a few slabs. Pooling the five at once
-        would hold four more kernels' temporaries, 4 * 31 * 31 * (27 +
-        14) * 5 * 8 = 6.3 MB."""
+        holds the run's five float32 conv stacks, the float64 pooled maps,
+        the five kernels' float32 pooling temporaries and a few slabs."""
         cfg = sh.PipelineConfig(layers=(sh.LayerSpec((3, 3, 6), 5),))
         (shapes,) = sh.compute_ledger(cfg, (64, 64, 32))
         window = cfg.layers[0].window
         kernels = _fold_kernels(rng, (8, 8, 12, 1), window)
         maps = rng.normal(size=(1, 1) + shapes.input_dims)
-        (H, W, Z, _), (h, w, z) = shapes.input_dims, window
-        block = sslhop.pipeline._z_block(window)
-        # a conv stack as the step holds it: each origin row's flat (x, z)
-        # positions, in whole z-blocks
-        positions = -(-((W - w) * Z + Z - z + 1) // block) * block
-        conv = 8 * (H - h + 1) * positions * shapes.conv_dims[3]
+        conv = _conv_stack_items(shapes, window)
         # max_pool's copies: the (y, x)-pooled maps and the pooled ones
         Y, X, depth, F = shapes.pool_dims
-        temporaries = 8 * Y * X * (shapes.conv_dims[2] + depth) * F
-        budget = (len(kernels) * (conv + 8 * math.prod(shapes.pool_dims))
-                  + temporaries + 3 * sslhop.neighborhood.SLAB_BYTES)
-        tracemalloc.start()
-        try:
-            sslhop.pipeline._pool_layer(kernels, maps, window, shapes,
-                                        rows=np.zeros((5, 1), dtype=int))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        temporaries = 4 * Y * X * (shapes.conv_dims[2] + depth) * F
+        budget = (len(kernels) * (4 * conv + 8 * math.prod(shapes.pool_dims)
+                                  + temporaries)
+                  + 3 * sslhop.neighborhood.SLAB_BYTES)
+        peak = _pool_layer_peak(kernels, maps, window, shapes,
+                                rows=np.zeros((5, 1), dtype=int))
         assert peak < budget
+
+    def test_layer_step_peaks_below_its_float64_conv_stack(self, rng):
+        """Three groups of one 40x40x32 map through a (3, 3, 6) layer with
+        five channels, in one run of 38 slabs of one origin row: projected
+        and pooled in float32, the step peaks below the run's conv stacks
+        in float64 (5.5 MB), which a float64 projection held beside the
+        pooled maps and pooling temporaries."""
+        cfg = sh.PipelineConfig(layers=(sh.LayerSpec((3, 3, 6), 5),))
+        (shapes,) = sh.compute_ledger(cfg, (40, 40, 32))
+        window = cfg.layers[0].window
+        kernels = _fold_kernels(rng, (8, 8, 12, 1), window, count=3)
+        maps = rng.normal(size=(3, 1) + shapes.input_dims)
+        assert len(sh.slab_plan(maps.shape, window)) == 1
+        peak = _pool_layer_peak(kernels, maps, window, shapes)
+        assert peak < 8 * len(kernels) * _conv_stack_items(shapes, window)
 
     def test_batched_transform_peak_is_three_directions_pooled_maps(
             self, rng):
