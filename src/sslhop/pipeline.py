@@ -284,8 +284,10 @@ class _DirectionMaps:
     """The one-channel float32 input maps of some directions of every
     sample, as a (G, N, H, W, Z, 1) stack, one row of maps per direction
     in ``directions`` (a slice of the three), whose runs of maps are built
-    when they are taken (``maps[:, start:stop]``). The layer step projects
-    them in float32 as they are; the union statistics widen them."""
+    when they are taken (``maps[:, start:stop]``). Maps are float32 at
+    every layer: the layer step projects them as they are, and the union
+    statistics widen them, as they do the float32 pooled maps of the
+    layers after."""
 
     def __init__(self, samples: list[DeformationSample], directions: slice):
         self.samples, self.directions = samples, directions
@@ -391,23 +393,22 @@ def _project(matrix, maps: np.ndarray, window, block: int,
 
 def _pool_layer(kernels, maps, window, shapes: LayerShapes,
                 rows: np.ndarray | None = None, map_fn=map) -> np.ndarray:
-    """Apply one layer to a (G, N, H, W, Z, C) stack of maps, G groups of N
-    maps, with ``kernels``, one per group: group ``g``'s maps are projected
-    with ``kernels[g]``, and a stack of one group with every kernel.
-    Returns the pooled maps as a float64 (len(kernels), N, H', W', Z', F)
-    array. Map ``i`` goes to row ``rows[g, i]`` of kernel ``g``'s stack
-    (row ``i`` by default).
+    """Apply one layer to a (G, N, H, W, Z, C) float32 stack of maps, G
+    groups of N maps, with ``kernels``, one per group: group ``g``'s maps
+    are projected with ``kernels[g]``, and a stack of one group with every
+    kernel. Returns the pooled maps as a float32 (len(kernels), N, H', W',
+    Z', F) array. Map ``i`` goes to row ``rows[g, i]`` of kernel ``g``'s
+    stack (row ``i`` by default).
 
     The maps run in the runs of :func:`slab_plan`, so a run's conv stacks
     take about a slab: the conv maps of the whole stack are never held at
-    once. A run is projected in float32, its maps and the band stacks
-    cast, and the conv stacks of every kernel are pooled in one call. Each
-    kernel's float64 offset is added to its pooled maps, widened to
-    float64, not to its conv maps: rounding is monotone, so
-    ``max(fl(x_i + c))`` is ``fl(max(x_i) + c)`` and the pooled maps are
-    those of the float32 conv maps with the offset added before the pool,
-    bit for bit. ``map_fn``
-    runs the per-run work; each run writes only its own rows, so a thread
+    once. A run is projected in float32, on the band stacks cast to it,
+    and the conv stacks of every kernel are pooled in one call. Each
+    kernel's offset, rounded to float32, is added to its pooled maps, not
+    to its conv maps: rounding is monotone, so ``max(fl(x_i + c))`` is
+    ``fl(max(x_i) + c)`` and the pooled maps are those of the conv maps
+    with the offset added before the pool, bit for bit. ``map_fn`` runs
+    the per-run work; each run writes only its own rows, so a thread
     pool's ``map`` may run them side by side."""
     if maps.shape[2:] != shapes.input_dims:
         raise ShapeLedgerMismatchError(
@@ -418,12 +419,12 @@ def _pool_layer(kernels, maps, window, shapes: LayerShapes,
     matrix, offsets = _projections(kernels, window, block)
     # order K keeps the transposed layout (see :func:`_projections`)
     matrix = matrix.astype(np.float32, order="K")
-    out = np.empty((len(kernels),) + maps.shape[1:2] + shapes.pool_dims)
+    out = np.empty((len(kernels),) + maps.shape[1:2] + shapes.pool_dims,
+                   np.float32)
 
     def run(plan_run) -> None:
         group, ys = plan_run
-        conv = _project(matrix, maps[:, group].astype(np.float32, copy=False),
-                        window, block, ys)
+        conv = _project(matrix, maps[:, group], window, block, ys)
         conv = conv[..., :shapes.conv_dims[2], :]  # optional depth truncation
         if conv.shape[2:] != shapes.conv_dims:
             raise ShapeLedgerMismatchError(
@@ -439,14 +440,15 @@ def _pool_layer(kernels, maps, window, shapes: LayerShapes,
 
     for _ in map_fn(run, plan):
         pass
-    out += offsets[:, None, None, None, None]
+    out += offsets.astype(np.float32)[:, None, None, None, None]
     return out
 
 
 def _reduce(pooled: np.ndarray, kept: np.ndarray,
             shapes: LayerShapes) -> np.ndarray:
-    """Flattened (N, D) kept channels of stacked pooled maps; ``kept``
-    comes from a :class:`supervise.ChannelEntropy`, which checked it."""
+    """Flattened (N, D) kept channels of stacked pooled maps, float32 as
+    the maps are (LAG widens them); ``kept`` comes from a
+    :class:`supervise.ChannelEntropy`, which checked it."""
     flat = pooled[..., kept].reshape(len(pooled), -1)
     if flat.shape[1] != shapes.lag_input_dim:
         raise ShapeLedgerMismatchError(
@@ -623,9 +625,10 @@ def fit_folds(samples: list[DeformationSample], cfg: PipelineConfig,
     projects every map with every set's kernel into that set's stack.
     Each later layer fits a kernel per set on its training maps and pools
     all the stacks in one call, as :func:`transform_many` pools the three
-    directions. Each set's entropy screen and LAG are then fitted on its
-    training rows and give the blocks of both its training and held-out
-    rows.
+    directions. Every set's pooled maps are float32; they are the largest
+    array a fit holds. Each set's entropy screen and LAG are then fitted
+    on its training rows, widening them to float64, and give the blocks
+    of both its training and held-out rows.
 
     With ``threads`` > 1, the per-run and per-set work runs on a pool of
     at most one worker per set, under the caller's numpy error state.
@@ -735,7 +738,8 @@ def transform_many(model: PipelineModel,
                    samples: list[DeformationSample]) -> np.ndarray:
     """Final (N, feature_dim) feature vectors of assembled samples, computed
     by the same layer steps as :func:`fit_pipeline`, each layer one step
-    for the three directions' maps, stacked."""
+    for the three directions' maps, stacked and carried to the next layer
+    in float32; LAG gives the float64 features."""
     if not samples:
         raise ShapeMismatchError("no samples to transform")
     for s in samples:

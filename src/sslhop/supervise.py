@@ -48,7 +48,9 @@ class ChannelEntropy:
 
 def _class_entropies(feats: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """(K, C) entropy of each channel within each class, one row per
-    sorted distinct label, of float64 (N, H, W, Z, C) maps."""
+    sorted distinct label, of (N, H, W, Z, C) maps, float32 or float64:
+    each class's values are widened to float64 as they are copied into
+    its pool, so the stack itself is never widened."""
     classes = np.unique(labels)
     n_channels = feats.shape[-1]
     voxels = feats.reshape(len(feats), -1, n_channels)
@@ -83,8 +85,10 @@ def screen_channels(per_channel: np.ndarray, count: int) -> ChannelEntropy:
 def channel_entropy(features: np.ndarray, labels: np.ndarray,
                     keep_ratio: float = 0.5) -> ChannelEntropy:
     """Rank channels of stacked (N, H, W, Z, C) maps by class-summed entropy
-    and keep the :func:`keep_count` lowest (:func:`screen_channels`)."""
-    feats = np.asarray(features, dtype=np.float64)
+    and keep the :func:`keep_count` lowest (:func:`screen_channels`). The
+    entropies are float64 whatever the maps' dtype; float32 maps give
+    those of their float64 widening, bit for bit."""
+    feats = np.asarray(features)
     if feats.ndim != 5:
         raise ShapeMismatchError(f"expected stacked (N, H, W, Z, C) maps, got {feats.shape}")
     labels = np.asarray(labels)
@@ -177,7 +181,8 @@ def class_centroids(X: np.ndarray, labels: np.ndarray,
                     centroids_per_class: int = 5,
                     seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """k-means centroids of each class of (N, D) features, stacked in
-    sorted label order, and the number each class kept."""
+    sorted label order, and the number each class kept. Features that are
+    not float64 are widened first."""
     seed = as_seed("seed", seed)
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -211,11 +216,13 @@ def fit_lag(X: np.ndarray, labels: np.ndarray, centroids_per_class: int = 5,
 
     The regression solves min_W ||X~ W - Y||^2 + lambda ||W||^2 with X~
     bias-augmented; when features outnumber samples the equivalent dual
-    form W = X~^T (X~ X~^T + lambda I)^-1 Y is used.
+    form W = X~^T (X~ X~^T + lambda I)^-1 Y is used. Float32 features are
+    widened to float64 once, here, and the centroids are taken from that
+    widening.
     """
+    X = np.asarray(X, dtype=np.float64)
     centroids, block_sizes = class_centroids(X, labels, centroids_per_class,
                                              seed)
-    X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)
     classes = np.unique(labels)
 
@@ -250,7 +257,8 @@ def fit_lag(X: np.ndarray, labels: np.ndarray, centroids_per_class: int = 5,
 
 
 def apply_lag(model: LagModel, X: np.ndarray) -> np.ndarray:
-    """Map (N, D) features through the fitted regressor."""
+    """Map (N, D) features, float32 or float64, through the fitted
+    regressor in float64."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] + 1 != model.weights.shape[0]:
         raise ShapeMismatchError(

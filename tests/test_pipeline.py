@@ -335,7 +335,8 @@ class TestFit:
         _, records = tiny_cohort
         s = sh.assemble_sample(records[0].ed, records[0].es, tiny_cfg,
                                records[0].label, records[0].subject_id)
-        pooled, maps = s.direction(1)[None, ..., None], []
+        pooled = s.direction(1)[None, ..., None].astype(np.float32)
+        maps = []
         for stage, layer, row in zip(tiny_model.stages[1], tiny_cfg.layers,
                                      tiny_model.ledger):
             (conv,) = plan_project([stage.kernel], pooled[None],
@@ -687,7 +688,7 @@ class TestZBlocks:
         assert shapes.input_dims == (3, 3, 6, 3)
         assert shapes.conv_dims == (1, 1, 3, 3)
         assert sslhop.pipeline._z_block(window) == 2
-        maps = rng.normal(size=(3, 5) + shapes.input_dims)
+        maps = rng.normal(size=(3, 5) + shapes.input_dims).astype(np.float32)
         kernels = _fold_kernels(rng, shapes.input_dims, window, count=3,
                                 channels=3)
         pooled = {}
@@ -780,7 +781,7 @@ class TestStackedLayerSteps:
                                         sh.LayerSpec((3, 3, 3), 5)))
         shapes = sh.compute_ledger(cfg, (12, 12, 12))[1]
         window = cfg.layers[1].window
-        maps = rng.normal(size=(7,) + shapes.input_dims)
+        maps = rng.normal(size=(7,) + shapes.input_dims).astype(np.float32)
         kernels = _fold_kernels(rng, shapes.input_dims, window, count=2)
         if per_group is not None:
             map_bytes = (sh.union_count(shapes.input_dims, window)
@@ -811,21 +812,23 @@ def _oracle_features(model, samples):
     """Features of ``samples`` from a per-direction oracle: each
     direction's maps of all the samples run through ``extract_unions ->
     project -> max_pool -> apply_lag``, layer by layer, one dense call
-    each, the projection in float32 as the layer steps take it (the
-    unions of the float32 maps times the float32 kernel matrix), the
-    float64 offsets added before the pool and the pooled maps indexed by
-    the kept channel ids before the regression."""
+    each, in float32 as the layer steps take it (the unions of the float32
+    maps times the float32 kernel matrix, plus the float32 offsets, before
+    the pool), and the float32 pooled maps indexed by the kept channel ids
+    before the regression."""
     blocks = []
     for d, stages in enumerate(model.stages):
         maps = np.stack([s.direction(d) for s in samples])[..., None]
+        maps = maps.astype(np.float32)
         per_dir = []
         for stage, layer, shapes in zip(stages, model.config.layers,
                                         model.ledger):
             grid = tuple(n - k + 1 for n, k in zip(maps.shape[1:4],
                                                    layer.window))
             matrix, offset = stage.kernel.projection
-            unions = sh.extract_unions(maps.astype(np.float32), layer.window)
-            conv = unions @ matrix.astype(np.float32) + offset
+            unions = sh.extract_unions(maps, layer.window)
+            conv = (unions @ matrix.astype(np.float32)
+                    + offset.astype(np.float32))
             conv = conv.reshape((len(samples),) + grid + (-1,))
             maps = sh.max_pool(conv[:, :, :, :shapes.conv_dims[2]])
             flat = maps[..., stage.entropy.kept]
@@ -1088,7 +1091,7 @@ class TestBoundedMemory:
         shapes, window = model.ledger[0], cfg.layers[0].window
         budget = (8 * (math.prod(shapes.conv_dims) + math.prod(shapes.pool_dims))
                   + 3 * sslhop.neighborhood.SLAB_BYTES)
-        fmap = samples[0].direction(0)[None, ..., None]
+        fmap = samples[0].direction(0)[None, ..., None].astype(np.float32)
         peaks = _layer_peaks(model.stages[0][0].kernel, fmap, window, shapes)
         assert max(peaks) < budget
 
@@ -1100,7 +1103,7 @@ class TestBoundedMemory:
         cfg = sh.PipelineConfig(layers=(sh.LayerSpec((3, 3, 4), 4),))
         (shapes,) = sh.compute_ledger(cfg, (12, 12, 12))
         window = cfg.layers[0].window
-        maps = rng.normal(size=(600, 12, 12, 12, 1))
+        maps = rng.normal(size=(600, 12, 12, 12, 1)).astype(np.float32)
         kernel = sh.fit_saab_batches(
             sslhop.pipeline._union_moments(maps[:8], window), 4)
         assert len(sh.slab_plan(maps.shape, window)) == 150
@@ -1113,23 +1116,48 @@ class TestBoundedMemory:
         """One 64x64x32 map through a (3, 3, 6) layer with five fold
         kernels, each in its own row order, as the shared layer-1 pass of
         a 5-fold fit takes it, in 62 slabs of one origin row: the step
-        holds the run's five float32 conv stacks, the float64 pooled maps,
+        holds the run's five float32 conv stacks, the float32 pooled maps,
         the five kernels' float32 pooling temporaries and a few slabs."""
         cfg = sh.PipelineConfig(layers=(sh.LayerSpec((3, 3, 6), 5),))
         (shapes,) = sh.compute_ledger(cfg, (64, 64, 32))
         window = cfg.layers[0].window
         kernels = _fold_kernels(rng, (8, 8, 12, 1), window)
-        maps = rng.normal(size=(1, 1) + shapes.input_dims)
+        maps = rng.normal(size=(1, 1) + shapes.input_dims).astype(np.float32)
         conv = _conv_stack_items(shapes, window)
         # max_pool's copies: the (y, x)-pooled maps and the pooled ones
         Y, X, depth, F = shapes.pool_dims
         temporaries = 4 * Y * X * (shapes.conv_dims[2] + depth) * F
-        budget = (len(kernels) * (4 * conv + 8 * math.prod(shapes.pool_dims)
+        budget = (len(kernels) * (4 * conv + 4 * math.prod(shapes.pool_dims)
                                   + temporaries)
                   + 3 * sslhop.neighborhood.SLAB_BYTES)
         peak = _pool_layer_peak(kernels, maps, window, shapes,
                                 rows=np.zeros((5, 1), dtype=int))
         assert peak < budget
+
+    def test_five_kernel_stacks_of_many_maps_are_float32(self, rng):
+        """600 small maps through a (3, 3, 4) layer with five fold kernels,
+        each in its own row order, as the shared layer-1 pass of a 5-fold
+        fit takes them: the five stacks of pooled maps, 600 * 5 * 500 * 4
+        = 6 MB in float32, are the step's largest array, and it peaks
+        below them plus a few slabs, under the 12 MB they took in
+        float64."""
+        cfg = sh.PipelineConfig(layers=(sh.LayerSpec((3, 3, 4), 4),))
+        (shapes,) = sh.compute_ledger(cfg, (12, 12, 12))
+        window = cfg.layers[0].window
+        kernels = _fold_kernels(rng, shapes.input_dims, window, channels=4)
+        maps = rng.normal(size=(1, 600) + shapes.input_dims).astype(np.float32)
+        rows = np.argsort([rng.permutation(600) for _ in kernels], axis=1)
+        budget = (4 * len(kernels) * 600 * math.prod(shapes.pool_dims)
+                  + 3 * sslhop.neighborhood.SLAB_BYTES)
+        tracemalloc.start()
+        try:
+            stacks = sslhop.pipeline._pool_layer(kernels, maps, window,
+                                                 shapes, rows=rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget
+        assert stacks.dtype == np.float32
 
     def test_layer_step_peaks_below_its_float64_conv_stack(self, rng):
         """Three groups of one 40x40x32 map through a (3, 3, 6) layer with
@@ -1141,7 +1169,7 @@ class TestBoundedMemory:
         (shapes,) = sh.compute_ledger(cfg, (40, 40, 32))
         window = cfg.layers[0].window
         kernels = _fold_kernels(rng, (8, 8, 12, 1), window, count=3)
-        maps = rng.normal(size=(3, 1) + shapes.input_dims)
+        maps = rng.normal(size=(3, 1) + shapes.input_dims).astype(np.float32)
         assert len(sh.slab_plan(maps.shape, window)) == 1
         peak = _pool_layer_peak(kernels, maps, window, shapes)
         assert peak < 8 * len(kernels) * _conv_stack_items(shapes, window)

@@ -112,6 +112,17 @@ class TestChannelEntropy:
         np.testing.assert_array_equal(channel_entropy(feats, labels).per_channel,
                                       per_class.sum(axis=0))
 
+    def test_float32_maps_give_their_float64_widenings_entropies(self, rng):
+        """Float32 maps are widened one class at a time, exactly, so the
+        screen equals that of the widened stack bit for bit."""
+        feats = rng.normal(size=(9, 3, 3, 2, 6)).astype(np.float32)
+        labels = np.array([0, 1, 2] * 3)
+        narrow = channel_entropy(feats, labels)
+        wide = channel_entropy(feats.astype(np.float64), labels)
+        assert narrow.per_channel.dtype == np.float64
+        np.testing.assert_array_equal(narrow.per_channel, wide.per_channel)
+        np.testing.assert_array_equal(narrow.kept, wide.kept)
+
     def test_single_class_rejected(self, rng):
         with pytest.raises(SingleClassError):
             channel_entropy(rng.normal(size=(3, 2, 2, 2, 2)), np.zeros(3))
@@ -232,6 +243,20 @@ class TestLag:
         assert np.array_equal(class_centroids(X, labels, 3, seed=9)[0],
                               class_centroids(X, labels, 3, seed=9)[0])
         assert np.array_equal(a.weights, b.weights)
+
+    @pytest.mark.parametrize("shape", [(30, 5), (12, 40)],
+                             ids=["primal", "dual"])
+    def test_float32_features_fit_and_apply_as_their_widening(self, rng,
+                                                              shape):
+        X = rng.normal(size=shape).astype(np.float32)
+        labels = np.tile([0, 1, 2], shape[0] // 3)
+        narrow = fit_lag(X, labels, centroids_per_class=2, seed=9)
+        wide = fit_lag(X.astype(np.float64), labels, centroids_per_class=2,
+                       seed=9)
+        np.testing.assert_array_equal(narrow.weights, wide.weights)
+        out = apply_lag(narrow, X)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, apply_lag(wide, X.astype(np.float64)))
 
     def test_seeds_past_32_bits_draw_their_own_centroids(self, rng,
                                                          monkeypatch):
