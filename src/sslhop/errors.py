@@ -12,6 +12,8 @@ import numbers
 
 def as_integer(name: str, value) -> int:
     """``value`` as an int; bool and non-integral values are refused."""
+    if type(value) is int:     # the common case, without the ABC check
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)

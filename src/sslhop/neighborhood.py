@@ -14,6 +14,7 @@ matrix of the whole stack, nor of one large map.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -107,19 +108,37 @@ def slab_plan(shape: tuple[int, ...], window) -> list[tuple[slice, tuple]]:
     The plan counts 8-byte unions whatever the maps' dtype, so the layer
     steps' float32 slabs hold half of ``SLAB_BYTES``. Slabs of 64 to 512
     KB ran within noise of 1 MB, so the budget takes no dtype.
+
+    The maps per run and the y slices are memoized per shape without N,
+    window and budget, so the cache does not grow with the number of
+    distinct batch sizes; the runs are sliced per call, and a bad window
+    raises on every call. The plan is a fresh list of immutable pairs.
     """
     if len(shape) < 5:
         raise ShapeMismatchError(
             f"expected the shape of a (..., N, H, W, Z, C) stack, got {shape}")
-    *lead, N, H, W, Z, C = shape
+    per_run, ys = _slab_rows(tuple(shape[:-5]) + tuple(shape[-4:]),
+                             as_int_triple("window", window), SLAB_BYTES)
+    return [(slice(k, k + per_run), ys)
+            for k in range(0, shape[-5], per_run)]
+
+
+# cached: rebuilt on each call, the two plans of a one-subject transform
+# of 12x12x12 maps took about 5% of it
+@functools.lru_cache(maxsize=None)
+def _slab_rows(shape: tuple[int, ...], window: tuple[int, int, int],
+               budget: int) -> tuple[int, tuple[slice, ...]]:
+    """The maps per run and the y slices of :func:`slab_plan` for a stack
+    of ``shape``, its (..., H, W, Z, C) shape without the N axis, under a
+    slab budget of ``budget`` bytes."""
+    *lead, H, W, Z, C = shape
     h, w, z = _window(shape, window)
     origins = H - h + 1
     row_bytes = math.prod(lead) * (W - w + 1) * (Z - z + 1) * h * w * z * C * 8
-    rows = SLAB_BYTES // max(1, row_bytes)
+    rows = budget // max(1, row_bytes)
     per_run, step = max(1, rows // origins), max(1, rows)
-    ys = tuple(slice(y0, min(H, y0 + step + h - 1))
-               for y0 in range(0, origins, step))
-    return [(slice(k, k + per_run), ys) for k in range(0, N, per_run)]
+    return per_run, tuple(slice(y0, min(H, y0 + step + h - 1))
+                          for y0 in range(0, origins, step))
 
 
 def max_pool(fmap: np.ndarray) -> np.ndarray:

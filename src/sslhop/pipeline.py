@@ -267,10 +267,20 @@ class PipelineModel:
     ledger: tuple[LayerShapes, ...]
     train_subject_ids: tuple[str, ...]
 
-    @property
+    @functools.cached_property
     def feature_dim(self) -> int:
         return sum(stage.lag.output_dim
                    for per_dir in self.stages for stage in per_dir)
+
+    @functools.cached_property
+    def projections(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Each layer's :func:`_projections` of its three direction
+        kernels, built on the first transform and held with the model;
+        not a field, so equality and saved bytes ignore it."""
+        return tuple(_projections([stage.kernel for stage in stages],
+                                  layer.window)
+                     for layer, stages in zip(self.config.layers,
+                                              zip(*self.stages)))
 
 
 def _lag_seed(seed: int, layer: int, direction: int) -> int:
@@ -314,13 +324,12 @@ def _z_block(window) -> int:
     return 1 + window[2] // 3
 
 
-def _projections(kernels, window, block: int) -> tuple[np.ndarray, np.ndarray]:
-    """The projections of ``kernels``, one per group, in z-blocks of
-    ``block`` origins: the (G, D', block*F) stack of their banded
-    block-Toeplitz matrices, D' = h*w*(z+block-1)*C, and the (G, F)
-    offsets. Column block j of a matrix holds its kernel's (D, F) matrix at
-    the rows of window depths j .. j+z-1, so a row of
-    :func:`_plane_unions` gives the block's ``block`` conv voxels,
+def _bands(kernels, window, block: int) -> np.ndarray:
+    """The (G, D', block*F) float64 stack of the banded block-Toeplitz
+    matrices of ``kernels``, one per group, in z-blocks of ``block``
+    origins, D' = h*w*(z+block-1)*C. Column block j of a matrix holds its
+    kernel's (D, F) matrix at the rows of window depths j .. j+z-1, so a
+    row of :func:`_plane_unions` gives the block's ``block`` conv voxels,
     z-origin fastest; block 1 is the kernel's own matrix. The stack is the
     transpose of a C-order (G, block*F, D') one, the layout of a kernel's
     own matrix (see :func:`extract_unions`)."""
@@ -332,8 +341,21 @@ def _projections(kernels, window, block: int) -> tuple[np.ndarray, np.ndarray]:
         rows = kernel.projection[0].T.reshape(band.shape[1:4] + (z, -1))
         for j in range(block):
             band[j, :, :, :, j:j + z] = rows
-    return (bands.reshape(len(kernels), block * F, -1).transpose(0, 2, 1),
-            np.array([k.projection[1] for k in kernels]))
+    return bands.reshape(len(kernels), block * F, -1).transpose(0, 2, 1)
+
+
+def _projections(kernels, window) -> tuple[np.ndarray, np.ndarray]:
+    """The projection a layer step takes for ``kernels``, one per group:
+    the :func:`_bands` stack in the z-block of :func:`_z_block`, cast to
+    float32, and the kernels' offsets rounded to float32, as a (G, 1, 1,
+    1, 1, F) array that adds to their pooled maps. A fit builds one per
+    layer from its fresh kernels; a loaded model holds one per layer
+    (:attr:`PipelineModel.projections`)."""
+    # order K keeps the transposed layout (see :func:`_bands`)
+    matrix = _bands(kernels, window, _z_block(window)).astype(np.float32,
+                                                              order="K")
+    offsets = np.array([k.projection[1] for k in kernels], np.float32)
+    return matrix, offsets[:, None, None, None, None]
 
 
 def _plane_unions(maps, y: slice, window, block: int) -> np.ndarray:
@@ -367,7 +389,7 @@ def _project(matrix, maps: np.ndarray, window, block: int,
              ys) -> np.ndarray:
     """Project the unions of one run of :func:`slab_plan`, a (G, N, H, W,
     Z, C) stack of maps read in the slabs of input y-rows ``ys``, onto the
-    (G, D', block*F) stack of :func:`_projections` ``matrix``, group by
+    (G, D', block*F) stack of :func:`_bands` ``matrix``, group by
     group; a stack of one group (G = 1) is projected onto every matrix. No
     offset is added. One batched product per slab writes its
     :func:`_plane_unions` rows in place into the run's (G, N, H-h+1,
@@ -391,35 +413,33 @@ def _project(matrix, maps: np.ndarray, window, block: int,
                       + conv.strides[3:])
 
 
-def _pool_layer(kernels, maps, window, shapes: LayerShapes,
+def _pool_layer(projection, maps, window, shapes: LayerShapes,
                 rows: np.ndarray | None = None, map_fn=map) -> np.ndarray:
     """Apply one layer to a (G, N, H, W, Z, C) float32 stack of maps, G
-    groups of N maps, with ``kernels``, one per group: group ``g``'s maps
-    are projected with ``kernels[g]``, and a stack of one group with every
-    kernel. Returns the pooled maps as a float32 (len(kernels), N, H', W',
-    Z', F) array. Map ``i`` goes to row ``rows[g, i]`` of kernel ``g``'s
-    stack (row ``i`` by default).
+    groups of N maps, with ``projection``, the :func:`_projections` of
+    one kernel per group: group ``g``'s maps are projected with kernel
+    ``g``, and a stack of one group with every kernel. Returns the pooled
+    maps as a float32 (kernels, N, H', W', Z', F) array. Map ``i`` goes
+    to row ``rows[g, i]`` of kernel ``g``'s stack (row ``i`` by default).
 
     The maps run in the runs of :func:`slab_plan`, so a run's conv stacks
     take about a slab: the conv maps of the whole stack are never held at
-    once. A run is projected in float32, on the band stacks cast to it,
-    and the conv stacks of every kernel are pooled in one call. Each
-    kernel's offset, rounded to float32, is added to its pooled maps, not
-    to its conv maps: rounding is monotone, so ``max(fl(x_i + c))`` is
-    ``fl(max(x_i) + c)`` and the pooled maps are those of the conv maps
-    with the offset added before the pool, bit for bit. ``map_fn`` runs
-    the per-run work; each run writes only its own rows, so a thread
-    pool's ``map`` may run them side by side."""
+    once. A run is projected in float32, on the float32 band stacks, and
+    the conv stacks of every kernel are pooled in one call. Each kernel's
+    float32 offset is added to its pooled maps, not to its conv maps:
+    rounding is monotone, so ``max(fl(x_i + c))`` is ``fl(max(x_i) + c)``
+    and the pooled maps are those of the conv maps with the offset added
+    before the pool, bit for bit. ``map_fn`` runs the per-run work; each
+    run writes only its own rows, so a thread pool's ``map`` may run them
+    side by side."""
     if maps.shape[2:] != shapes.input_dims:
         raise ShapeLedgerMismatchError(
             f"layer {shapes.layer} input {maps.shape[2:]}, "
             f"ledger says {shapes.input_dims}")
     plan = slab_plan(maps.shape, window)
+    matrix, offsets = projection
     block = _z_block(window)
-    matrix, offsets = _projections(kernels, window, block)
-    # order K keeps the transposed layout (see :func:`_projections`)
-    matrix = matrix.astype(np.float32, order="K")
-    out = np.empty((len(kernels),) + maps.shape[1:2] + shapes.pool_dims,
+    out = np.empty((len(matrix),) + maps.shape[1:2] + shapes.pool_dims,
                    np.float32)
 
     def run(plan_run) -> None:
@@ -440,7 +460,7 @@ def _pool_layer(kernels, maps, window, shapes: LayerShapes,
 
     for _ in map_fn(run, plan):
         pass
-    out += offsets.astype(np.float32)[:, None, None, None, None]
+    out += offsets
     return out
 
 
@@ -674,8 +694,8 @@ def fit_folds(samples: list[DeformationSample], cfg: PipelineConfig,
                         _union_moments(maps[f, :len(train[f])], layer.window),
                         layer.channels, cfg.bias_scale), sets))
                     order = None
-                maps = _pool_layer(kernels, maps, layer.window, shapes, order,
-                                   map_fn)
+                maps = _pool_layer(_projections(kernels, layer.window), maps,
+                                   layer.window, shapes, order, map_fn)
 
                 def stage(f: int):
                     n = len(train[f])
@@ -748,10 +768,10 @@ def transform_many(model: PipelineModel,
                 f"sample {s.subject_id} dims {s.dims} != model input "
                 f"{model.input_dims}")
     maps, blocks = _DirectionMaps(samples, slice(None)), []
-    for layer, shapes, stages in zip(model.config.layers, model.ledger,
-                                     zip(*model.stages)):
-        maps = _pool_layer([stage.kernel for stage in stages], maps,
-                           layer.window, shapes)
+    for layer, shapes, stages, projection in zip(
+            model.config.layers, model.ledger, zip(*model.stages),
+            model.projections):
+        maps = _pool_layer(projection, maps, layer.window, shapes)
         blocks.append([supervise.apply_lag(
                            stage.lag, _reduce(pooled, stage.entropy.kept,
                                               shapes))

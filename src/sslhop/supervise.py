@@ -249,10 +249,13 @@ def fit_lag(X: np.ndarray, labels: np.ndarray, centroids_per_class: int = 5,
                                   aug.T @ targets)
     else:
         # X~ X~^T is X X^T + 1, and X~^T a is X^T a over 1^T a, so the
-        # bias-augmented copy of X is never built
+        # bias-augmented copy of X is never built; both parts are written
+        # into the weights, so the D x k product is never copied
         dual = np.linalg.solve(X @ X.T + (1.0 + ridge_lambda * np.eye(n)),
                                targets)
-        weights = np.vstack([X.T @ dual, dual.sum(axis=0)])
+        weights = np.empty((d, dual.shape[1]))
+        np.matmul(X.T, dual, out=weights[:-1])
+        dual.sum(axis=0, out=weights[-1])
     return LagModel(weights=weights, block_sizes=block_sizes)
 
 

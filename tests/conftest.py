@@ -274,11 +274,19 @@ def plan_project(kernels, maps, window, block=None) -> np.ndarray:
     maps' dtype; by default in the layer steps' own block for these maps."""
     if block is None:
         block = sslhop.pipeline._z_block(window)
-    matrix, _ = sslhop.pipeline._projections(kernels, window, block)
-    matrix = matrix.astype(maps.dtype, order="K")
+    matrix = sslhop.pipeline._bands(kernels, window, block).astype(
+        maps.dtype, order="K")
     return np.concatenate(
         [sslhop.pipeline._project(matrix, maps[:, run], window, block, ys)
          for run, ys in sh.slab_plan(maps.shape, window)], axis=1)
+
+
+def pool_layer(kernels, maps, window, shapes, **kwargs) -> np.ndarray:
+    """One layer step of a (G, N, H, W, Z, C) stack of maps with
+    ``kernels``, one per group, projected as a fit projects them."""
+    return sslhop.pipeline._pool_layer(
+        sslhop.pipeline._projections(kernels, window), maps, window, shapes,
+        **kwargs)
 
 
 @pytest.fixture()

@@ -308,10 +308,53 @@ class TestUnionSlabs:
         shapes = sslhop.pipeline.LayerShapes(1, (4, 4, 4, 1), 27, (2, 2, 2, 3),
                                              (1, 1, 1, 3), 3, 3)
         with pytest.raises(WindowTooLargeError):
-            sslhop.pipeline._pool_layer([None], maps[None], window, shapes)
+            sslhop.pipeline._pool_layer(None, maps[None], window, shapes)
         with pytest.raises(ShapeMismatchError):
             slab_plan((4, 4, 4, 1), (3, 3, 3))
         assert gathered == []
+
+
+class TestMemoizedSlabPlan:
+    """The plan's memo keeps its contract: it takes list windows, refuses
+    bad ones on every call, hands out plans no caller can use to alter a
+    later one, and holds one entry per shape without N."""
+
+    SHAPE, WINDOW = (3, 40, 12, 12, 12, 1), (3, 3, 4)
+
+    def test_list_window_gives_the_tuple_plan(self):
+        assert slab_plan(self.SHAPE, list(self.WINDOW)) == \
+            slab_plan(self.SHAPE, self.WINDOW)
+
+    @pytest.mark.parametrize("shape, window, error", [
+        ((1, 4, 4, 4, 1), (5, 3, 3), WindowTooLargeError),
+        ((1, 4, 4, 4, 1), [3, 0, 3], WindowTooLargeError),
+        ((4, 4, 4, 1), (3, 3, 3), ShapeMismatchError)])
+    def test_bad_window_raises_on_every_call(self, shape, window, error):
+        for _ in range(3):
+            with pytest.raises(error):
+                slab_plan(shape, window)
+            # a good plan of the same maps between does not hide the error
+            slab_plan((1, 4, 4, 4, 1), (2, 2, 2))
+
+    def test_returned_plan_cannot_alter_later_calls(self):
+        plan = slab_plan(self.SHAPE, self.WINDOW)
+        expect = list(plan)
+        assert all(isinstance(ys, tuple) for _, ys in plan)
+        plan[0] = (slice(0, 0), ())
+        plan.append(plan[0])
+        assert slab_plan(self.SHAPE, self.WINDOW) == expect
+
+    def test_cache_does_not_grow_across_batch_sizes(self):
+        memo = sslhop.neighborhood._slab_rows
+        slab_plan(self.SHAPE, self.WINDOW)
+        size = memo.cache_info().currsize
+        for n in range(1, 60):
+            plan = slab_plan(self.SHAPE[:1] + (n,) + self.SHAPE[2:],
+                             self.WINDOW)
+            # whole runs of the maps, in order, every map once
+            assert [m for run, _ in plan for m in range(n)[run]] == \
+                list(range(n))
+        assert memo.cache_info().currsize == size
 
 
 class TestMaxPool:

@@ -12,7 +12,7 @@ import sslhop.evaluate
 import sslhop.fields
 import sslhop.neighborhood
 import sslhop.pipeline
-from conftest import BAD_SEEDS, plan_project, plan_unions
+from conftest import BAD_SEEDS, plan_project, plan_unions, pool_layer
 from sslhop.errors import (
     DegenerateInputWarning,
     IndexOutOfRangeError,
@@ -341,9 +341,8 @@ class TestFit:
                                      tiny_model.ledger):
             (conv,) = plan_project([stage.kernel], pooled[None],
                                    layer.window)
-            (pooled,) = sslhop.pipeline._pool_layer([stage.kernel],
-                                                    pooled[None],
-                                                    layer.window, row)
+            (pooled,) = pool_layer([stage.kernel], pooled[None],
+                                   layer.window, row)
             maps.append((conv[:, :, :, :row.conv_dims[2]], pooled))
         assert len(maps) == len(tiny_cfg.layers)
         for (conv, pooled), row in zip(maps, tiny_model.ledger):
@@ -627,11 +626,10 @@ class TestSharedSlabPass:
         kernels = _fold_kernels(rng, (12, 12, 12, 1), window, count=3,
                                 channels=4)
         order = np.array([rng.permutation(len(samples)) for _ in kernels])
-        stacks = sslhop.pipeline._pool_layer(
+        stacks = pool_layer(
             kernels, maps, window, ledger[0], rows=np.argsort(order, axis=1))
         for kernel, stack, rows in zip(kernels, stacks, order):
-            (alone,) = sslhop.pipeline._pool_layer([kernel], maps, window,
-                                                   ledger[0])
+            (alone,) = pool_layer([kernel], maps, window, ledger[0])
             np.testing.assert_array_equal(stack, alone[rows])
 
 
@@ -695,8 +693,7 @@ class TestZBlocks:
         for block in (1, 2, 3, 4):
             monkeypatch.setattr(sslhop.pipeline, "_z_block",
                                 lambda _, b=block: b)
-            pooled[block] = sslhop.pipeline._pool_layer(kernels, maps, window,
-                                                        shapes)
+            pooled[block] = pool_layer(kernels, maps, window, shapes)
         for block in (2, 3, 4):
             _assert_close_to(pooled[block], pooled[1])
 
@@ -751,9 +748,12 @@ class TestZBlocks:
         calls = []
         projections = sslhop.pipeline._projections
 
-        def spy(kernels, window, block):
-            calls.append((len(kernels), window, block))
-            return projections(kernels, window, block)
+        def spy(kernels, window):
+            matrix, offsets = projections(kernels, window)
+            # the block is the matrix's columns over its kernels' channels
+            calls.append((len(kernels), window,
+                          matrix.shape[2] // offsets.shape[-1]))
+            return matrix, offsets
 
         monkeypatch.setattr(sslhop.pipeline, "_projections", spy)
         train = [np.delete(np.arange(len(samples)), f) for f in range(5)]
@@ -767,6 +767,42 @@ class TestZBlocks:
         # over one shared group of maps)
         assert fit_calls == [(5, windows[0], 2), (5, windows[1], 2)] * 3
         assert calls == [(3, windows[0], 2), (3, windows[1], 2)]
+
+
+class TestModelProjections:
+    def test_built_once_per_model_and_not_state(self, tiny_model,
+                                                tiny_cohort, tiny_cfg,
+                                                tmp_path, monkeypatch):
+        """A loaded model builds each layer's projection on its first
+        transform and holds it: a second transform builds none, and its
+        features are a freshly loaded model's, byte for byte. The held
+        projections are not state: the model's saved bytes, and its
+        equality with a copy of its fields, do not change."""
+        _, records = tiny_cohort
+        samples = _samples(records, tiny_cfg)
+        path = sh.save_model(tiny_model, tmp_path / "model.sslm")
+        model = sh.load_model(path)
+        calls = []
+        projections = sslhop.pipeline._projections
+
+        def spy(kernels, window):
+            calls.append((len(kernels), window))
+            return projections(kernels, window)
+
+        monkeypatch.setattr(sslhop.pipeline, "_projections", spy)
+        sh.transform_many(model, samples)
+        assert calls == [(3, layer.window) for layer in tiny_cfg.layers]
+        calls.clear()
+        second = sh.transform_many(model, samples)
+        assert calls == []
+        assert "projections" not in {
+            f.name for f in dataclasses.fields(model)}
+        # the copy shares every field and holds no projections
+        assert model == dataclasses.replace(model)
+        resaved = sh.save_model(model, tmp_path / "resaved.sslm")
+        assert resaved.read_bytes() == path.read_bytes()
+        fresh = sh.transform_many(sh.load_model(path), samples)
+        assert second.tobytes() == fresh.tobytes()
 
 
 class TestStackedLayerSteps:
@@ -791,15 +827,13 @@ class TestStackedLayerSteps:
         assert len(sh.slab_plan(maps.shape, window)) == \
             (3 if per_group else 1)
         convs = plan_project(kernels, maps[None], window)
-        stacks = sslhop.pipeline._pool_layer(kernels, maps[None], window,
-                                             shapes)
+        stacks = pool_layer(kernels, maps[None], window, shapes)
         for i in range(len(maps)):
             alone = plan_project(kernels, maps[None, i:i + 1], window)
             np.testing.assert_array_equal(convs[:, i:i + 1], alone)
             np.testing.assert_array_equal(
                 stacks[:, i:i + 1],
-                sslhop.pipeline._pool_layer(kernels, maps[None, i:i + 1],
-                                            window, shapes))
+                pool_layer(kernels, maps[None, i:i + 1], window, shapes))
 
     def test_max_pool_of_a_stack_equals_each_maps_pool(self, rng):
         stack = rng.normal(size=(2, 3, 5, 7, 3, 2))
@@ -1047,7 +1081,7 @@ def _layer_peaks(kernel, maps, window, shapes):
     while it takes their union moments."""
     tracemalloc.start()
     try:
-        sslhop.pipeline._pool_layer([kernel], maps[None], window, shapes)
+        pool_layer([kernel], maps[None], window, shapes)
         forward_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         for _ in sslhop.pipeline._union_moments(maps, window):
@@ -1071,7 +1105,7 @@ def _pool_layer_peak(*args, **kwargs) -> int:
     """Peak bytes traced while one :func:`_pool_layer` call runs."""
     tracemalloc.start()
     try:
-        sslhop.pipeline._pool_layer(*args, **kwargs)
+        pool_layer(*args, **kwargs)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1151,8 +1185,7 @@ class TestBoundedMemory:
                   + 3 * sslhop.neighborhood.SLAB_BYTES)
         tracemalloc.start()
         try:
-            stacks = sslhop.pipeline._pool_layer(kernels, maps, window,
-                                                 shapes, rows=rows)
+            stacks = pool_layer(kernels, maps, window, shapes, rows=rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
