@@ -86,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="per-class subject fraction to keep")
             p.add_argument("--threads", default=os.cpu_count() or 1,
                            type=_checked(int, lambda v: v >= 1, "at least 1"),
-                           help="threads for fold work; SVMs run serially")
+                           help="threads for fold work (default: the CPU "
+                                "count); SVMs run serially")
 
     fit = sub.add_parser("fit", help="fit a model on every manifest subject")
     common(fit)

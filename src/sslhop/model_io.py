@@ -235,4 +235,4 @@ def load_model(path: str | Path) -> PipelineModel:
         config=cfg, input_dims=input_dims, class_count=k,
         class_table=tuple(table) if table else None, stages=stages,
         svm=classifier.SvmModel(**arrays[("svm",)]),
-        ledger=ledger, train_subject_ids=tuple(meta["train_subject_ids"]))
+        train_subject_ids=tuple(meta["train_subject_ids"]))

@@ -264,8 +264,13 @@ class PipelineModel:
     class_table: tuple[str, ...] | None
     stages: tuple[tuple[LayerStage, ...], ...]   # [direction][layer]
     svm: classifier.SvmModel
-    ledger: tuple[LayerShapes, ...]
     train_subject_ids: tuple[str, ...]
+
+    @functools.cached_property
+    def ledger(self) -> tuple[LayerShapes, ...]:
+        """The dry run of the config over the input dims; derived, never
+        stored, so it cannot disagree with the config."""
+        return compute_ledger(self.config, self.input_dims)
 
     @functools.cached_property
     def feature_dim(self) -> int:
@@ -734,7 +739,6 @@ def fit_pipeline(samples: list[DeformationSample], cfg: PipelineConfig,
     dims = common_dims(samples)
     labels = np.array([s.label for s in samples], dtype=np.int64)
     k = classifier.checked_class_count(labels, class_count)
-    ledger = compute_ledger(cfg, dims)
     ids = tuple(s.subject_id for s in samples)
     if fitted is None:
         (fitted,) = fit_folds(samples, cfg, [np.arange(len(samples))])
@@ -750,8 +754,7 @@ def fit_pipeline(samples: list[DeformationSample], cfg: PipelineConfig,
         table = tuple(class_table[i] for i in range(k))
     return PipelineModel(
         config=cfg, input_dims=dims, class_count=k, class_table=table,
-        stages=fitted.stages, svm=svm, ledger=ledger,
-        train_subject_ids=ids)
+        stages=fitted.stages, svm=svm, train_subject_ids=ids)
 
 
 def transform_many(model: PipelineModel,

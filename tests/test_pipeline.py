@@ -349,6 +349,16 @@ class TestFit:
             assert conv.shape == (1,) + row.conv_dims
             assert pooled.shape == (1,) + row.pool_dims
 
+    def test_ledger_is_derived_from_the_config(self, tiny_model):
+        """A model's ledger is the dry run of its config over its input
+        dims, not a field, so no model holds one that disagrees."""
+        assert "ledger" not in {f.name for f in dataclasses.fields(tiny_model)}
+        assert tiny_model.ledger == sh.compute_ledger(tiny_model.config,
+                                                      tiny_model.input_dims)
+        wider = dataclasses.replace(tiny_model, input_dims=(14, 14, 12))
+        assert wider.ledger == sh.compute_ledger(tiny_model.config,
+                                                 (14, 14, 12))
+
     def test_single_class_rejected(self, tiny_cohort, tiny_cfg):
         _, records = tiny_cohort
         samples = [sh.assemble_sample(r.ed, r.es, tiny_cfg, 0, r.subject_id)
