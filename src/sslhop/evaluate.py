@@ -3,8 +3,9 @@
 Folds are dealt per class: each class's subjects are shuffled with the
 run seed and dealt round-robin, with the starting fold rolling onward
 across classes so degenerate splits (k = N) still fill every fold.
-Every fit sees only its training fold; a runtime guard asserts that no
-test subject id ever reaches a fit call.
+Every fit sees only its training fold; a runtime guard checks that no
+test subject id ever reaches a fit call, and raises a ``RuntimeError``,
+a program fault and not a data error, if one does.
 
 A run fits every fold's layer stages in one :func:`fit_folds` call,
 whose docstring sets out its steps, then, per fold in fold order, the
@@ -135,8 +136,8 @@ def cross_validate(records: list[SubjectRecord], cfg: PipelineConfig,
                              fitted=stages)
         test = np.flatnonzero(fold == f)
         held_out = {samples[i].subject_id for i in test}
-        assert not held_out & set(model.train_subject_ids), \
-            f"fold {f}: test subjects leaked into training"
+        if held_out & set(model.train_subject_ids):
+            raise RuntimeError(f"fold {f}: test subjects leaked into training")
         predicted[test], scores[test] = classifier.predict(
             model.svm, concat_features(stages.held_blocks))
         per_fold_acc.append(float(np.mean(predicted[test] == labels[test])))

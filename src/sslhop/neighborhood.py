@@ -147,21 +147,35 @@ def max_pool(fmap: np.ndarray) -> np.ndarray:
 
     Ceil mode: the trailing partial block on an odd axis is kept (max over
     the remaining elements), so output dims are ceil(dim / 2).
+
+    Two passes, each into a fresh array that its first ``np.maximum``
+    writes: the (y, x) quarter, from the even input rows' column pairs,
+    then the odd rows' maxima taken into it; and the pooled maps, the
+    quarter's z pairs. An odd axis's last slice has no partner and is
+    copied beside the first maximum. Beside the input the pool holds the
+    quarter and the pooled maps, 3/8 of it; a max of elements is exact in
+    any order.
     """
     arr = np.asarray(fmap)
     if arr.ndim < 4:
         raise ShapeMismatchError(
             f"expected a (..., H, W, Z, C) map, got shape {arr.shape}")
-    # max of strided even/odd slices, taken in place in the even-even one;
-    # on an odd axis the last even slice has no odd partner and is kept
-    yx = arr[..., ::2, ::2, :, :].copy()
-    for dy, dx in ((0, 1), (1, 0), (1, 1)):
-        part = arr[..., dy::2, dx::2, :, :]
-        head = yx[..., :part.shape[-4], :part.shape[-3], :, :]
-        np.maximum(head, part, out=head)
-    pooled = yx[..., ::2, :].copy()
-    head = pooled[..., :yx.shape[-2] // 2, :]
-    np.maximum(head, yx[..., 1::2, :], out=head)
+    *lead, H, W, Z, C = arr.shape
+    Y, X, Zh = H // 2, W // 2, Z // 2     # whole pairs per axis
+    yx = np.empty((*lead, H - Y, W - X, Z, C), arr.dtype)
+    np.maximum(arr[..., ::2, :2 * X:2, :, :], arr[..., ::2, 1::2, :, :],
+               out=yx[..., :X, :, :])
+    if W % 2:
+        yx[..., X, :, :] = arr[..., ::2, -1, :, :]
+    head = yx[..., :Y, :, :, :]
+    np.maximum(head, arr[..., 1::2, ::2, :, :], out=head)
+    head = head[..., :X, :, :]
+    np.maximum(head, arr[..., 1::2, 1::2, :, :], out=head)
+    pooled = np.empty((*lead, H - Y, W - X, Z - Zh, C), arr.dtype)
+    np.maximum(yx[..., :2 * Zh:2, :], yx[..., 1::2, :],
+               out=pooled[..., :Zh, :])
+    if Z % 2:
+        pooled[..., Zh, :] = yx[..., -1, :]
     return pooled
 
 

@@ -319,14 +319,19 @@ class _DirectionMaps:
         return out
 
 
-def _z_block(window) -> int:
-    """The z-block the layer steps project under ``window`` in: the
+def _z_block(window, channels: int) -> int:
+    """The z-block the layer steps project maps of ``channels`` channels
+    under ``window`` in. One-channel maps, layer 1's, take block 1, plain
+    im2col: each union element of :func:`_plane_unions` is then one
+    contiguous run of the plane, no slab is copied beside slack, and the
+    GEMM sums no zero bands; in float32 it ran faster than blocks 2 and 3
+    on 32x32x32 and 12x12x12 maps. Maps of several channels take the
     largest ``b`` whose banded Toeplitz matrix is at least 3/4 non-zero,
     4z >= 3(b + z - 1), that is b <= 1 + z/3. :func:`_plane_unions` takes
     any block, a divisor of the conv depth or not, and the block rests on
-    the window alone, so a fit, a fold fit and a transform of the layer
-    project in the same block."""
-    return 1 + window[2] // 3
+    the layer's window and channels alone, so a fit, a fold fit and a
+    transform of the layer project in the same block."""
+    return 1 if channels == 1 else 1 + window[2] // 3
 
 
 def _bands(kernels, window, block: int) -> np.ndarray:
@@ -351,14 +356,15 @@ def _bands(kernels, window, block: int) -> np.ndarray:
 
 def _projections(kernels, window) -> tuple[np.ndarray, np.ndarray]:
     """The projection a layer step takes for ``kernels``, one per group:
-    the :func:`_bands` stack in the z-block of :func:`_z_block`, cast to
-    float32, and the kernels' offsets rounded to float32, as a (G, 1, 1,
-    1, 1, F) array that adds to their pooled maps. A fit builds one per
-    layer from its fresh kernels; a loaded model holds one per layer
-    (:attr:`PipelineModel.projections`)."""
+    the :func:`_bands` stack in the z-block of :func:`_z_block` for the
+    kernels' input channels, cast to float32, and the kernels' offsets
+    rounded to float32, as a (G, 1, 1, 1, 1, F) array that adds to their
+    pooled maps. A fit builds one per layer from its fresh kernels; a
+    loaded model holds one per layer (:attr:`PipelineModel.projections`)."""
+    channels = kernels[0].projection[0].shape[0] // math.prod(window)
     # order K keeps the transposed layout (see :func:`_bands`)
-    matrix = _bands(kernels, window, _z_block(window)).astype(np.float32,
-                                                              order="K")
+    matrix = _bands(kernels, window, _z_block(window, channels)).astype(
+        np.float32, order="K")
     offsets = np.array([k.projection[1] for k in kernels], np.float32)
     return matrix, offsets[:, None, None, None, None]
 
@@ -370,9 +376,11 @@ def _plane_unions(maps, y: slice, window, block: int) -> np.ndarray:
     (x, z) plane below L = (W-w)*Z + Z-z+1 (z' >= Z-z+1 wraps into the
     next x-row), rounded up to whole blocks, as (G, rows, D') views of one
     column-major buffer (see :func:`extract_unions`), in the maps' dtype.
-    The last block reads up to (block-1)*C elements past a map's plane, so
-    such slabs, and maps not C-contiguous, are copied first beside that
-    many zeros: numpy refuses a view that reaches past its buffer."""
+    When L is not a whole number of blocks, the last block reads up to
+    (block-1)*C elements past a map's plane, so such slabs, and maps not
+    C-contiguous, are copied first beside that many zeros: numpy refuses
+    a view that reaches past its buffer. Block 1, layer 1's, never takes
+    that copy of C-contiguous maps."""
     (G, N, H, W, Z, C), (h, w, z) = maps.shape, window
     item = maps.dtype.itemsize
     L, sz, sy = (W - w) * Z + Z - z + 1, C * item, W * Z * C * item
@@ -419,13 +427,16 @@ def _project(matrix, maps: np.ndarray, window, block: int,
 
 
 def _pool_layer(projection, maps, window, shapes: LayerShapes,
-                rows: np.ndarray | None = None, map_fn=map) -> np.ndarray:
+                rows: np.ndarray | None = None, map_fn=map,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Apply one layer to a (G, N, H, W, Z, C) float32 stack of maps, G
     groups of N maps, with ``projection``, the :func:`_projections` of
     one kernel per group: group ``g``'s maps are projected with kernel
     ``g``, and a stack of one group with every kernel. Returns the pooled
     maps as a float32 (kernels, N, H', W', Z', F) array. Map ``i`` goes
     to row ``rows[g, i]`` of kernel ``g``'s stack (row ``i`` by default).
+    The pooled maps are written into ``out`` when it is given, an array of
+    that shape and dtype, and into a fresh one otherwise.
 
     The maps run in the runs of :func:`slab_plan`, so a run's conv stacks
     take about a slab: the conv maps of the whole stack are never held at
@@ -443,9 +454,10 @@ def _pool_layer(projection, maps, window, shapes: LayerShapes,
             f"ledger says {shapes.input_dims}")
     plan = slab_plan(maps.shape, window)
     matrix, offsets = projection
-    block = _z_block(window)
-    out = np.empty((len(matrix),) + maps.shape[1:2] + shapes.pool_dims,
-                   np.float32)
+    block = _z_block(window, maps.shape[-1])
+    if out is None:
+        out = np.empty((len(matrix),) + maps.shape[1:2] + shapes.pool_dims,
+                       np.float32)
 
     def run(plan_run) -> None:
         group, ys = plan_run
@@ -650,10 +662,13 @@ def fit_folds(samples: list[DeformationSample], cfg: PipelineConfig,
     projects every map with every set's kernel into that set's stack.
     Each later layer fits a kernel per set on its training maps and pools
     all the stacks in one call, as :func:`transform_many` pools the three
-    directions. Every set's pooled maps are float32; they are the largest
-    array a fit holds. Each set's entropy screen and LAG are then fitted
-    on its training rows, widening them to float64, and give the blocks
-    of both its training and held-out rows.
+    directions. Every set's pooled maps are float32; layer 1's are the
+    largest array a fit holds, and the three directions pool theirs into
+    one buffer, allocated once, so that a fit's peak does not rest on
+    where the heap places a fresh one per direction. Each set's entropy
+    screen and LAG are then fitted on its training rows, widening them to
+    float64, and give the blocks of both its training and held-out rows;
+    none keeps a view of the pooled maps.
 
     With ``threads`` > 1, the per-run and per-set work runs on a pool of
     at most one worker per set, under the caller's numpy error state.
@@ -676,6 +691,9 @@ def fit_folds(samples: list[DeformationSample], cfg: PipelineConfig,
     held = [np.setdiff1d(np.arange(len(samples)), t) for t in train]
     rows = np.argsort([np.concatenate(p) for p in zip(train, held)], axis=1)
     sets = range(len(train))
+    # layer 1's pooled maps, each direction's in turn
+    first = np.empty((len(train), len(samples)) + ledger[0].pool_dims,
+                     np.float32)
     fits = []                  # [direction][layer][set]: one stage's fit
     state = np.geterr()              # per thread: the pool's workers take it
     with ThreadPoolExecutor(max(1, min(threads, len(train))),
@@ -693,14 +711,14 @@ def fit_folds(samples: list[DeformationSample], cfg: PipelineConfig,
                                    [moments[i] for i in t], layer.channels,
                                    cfg.bias_scale) for t in train]
                     del moments
-                    order = rows
+                    order, out = rows, first
                 else:
                     kernels = list(map_fn(lambda f: saab.fit_saab_batches(
                         _union_moments(maps[f, :len(train[f])], layer.window),
                         layer.channels, cfg.bias_scale), sets))
-                    order = None
+                    order, out = None, None
                 maps = _pool_layer(_projections(kernels, layer.window), maps,
-                                   layer.window, shapes, order, map_fn)
+                                   layer.window, shapes, order, map_fn, out)
 
                 def stage(f: int):
                     n = len(train[f])

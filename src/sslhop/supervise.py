@@ -14,6 +14,7 @@ Two stages:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -142,7 +143,8 @@ def _kmeans_plusplus(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
 
 def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int,
            tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Lloyd iterations; returns (centers, cluster sizes at convergence)."""
+    """Lloyd iterations, updating ``centers`` in place; returns (centers,
+    cluster sizes at convergence)."""
     k = centers.shape[0]
     sizes = np.zeros(k, dtype=np.int64)
     for _ in range(max_iter):
@@ -150,14 +152,19 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int,
         # is the same for every centre of a row and so moves no argmin
         d2 = np.einsum("kd,kd->k", centers, centers) - 2.0 * (X @ centers.T)
         assign = np.argmin(d2, axis=1)
-        new_centers = centers.copy()
+        shift = 0.0
         for j in range(k):
             members = X[assign == j]
             sizes[j] = members.shape[0]
             if members.shape[0]:
-                new_centers[j] = members.mean(axis=0)
-        shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
-        centers = new_centers
+                mean = members.mean(axis=0)
+                # the centre's squared shift, in its spent row: no k x D
+                # copy of the centres, and the bits of a row of
+                # ((new - old) ** 2).sum(axis=1)
+                row = centers[j]
+                np.square(np.subtract(mean, row, out=row), out=row)
+                shift = max(shift, math.sqrt(row.sum()))
+                centers[j] = mean
         if shift <= tol:
             break
     return centers, sizes
@@ -198,12 +205,15 @@ def class_centroids(X: np.ndarray, labels: np.ndarray,
 
     blocks = []
     for row, cls in enumerate(classes):
-        members = X[labels == cls]
-        if members.shape[0] < centroids_per_class:
+        in_class = labels == cls
+        count = int(np.count_nonzero(in_class))
+        if count < centroids_per_class:
             raise TooFewSamplesError(
-                f"class {cls} has {members.shape[0]} samples < "
+                f"class {cls} has {count} samples < "
                 f"{centroids_per_class} centroids")
-        blocks.append(_kmeans(members, centroids_per_class, [seed, row]))
+        # the class's rows live while their k-means runs, not beside the
+        # stacked centroids
+        blocks.append(_kmeans(X[in_class], centroids_per_class, [seed, row]))
     return (np.vstack(blocks),
             np.array([b.shape[0] for b in blocks], dtype=np.int64))
 

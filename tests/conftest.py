@@ -273,7 +273,7 @@ def plan_project(kernels, maps, window, block=None) -> np.ndarray:
     in z-blocks of ``block`` origins, as the layer steps take them, in the
     maps' dtype; by default in the layer steps' own block for these maps."""
     if block is None:
-        block = sslhop.pipeline._z_block(window)
+        block = sslhop.pipeline._z_block(window, maps.shape[-1])
     matrix = sslhop.pipeline._bands(kernels, window, block).astype(
         maps.dtype, order="K")
     return np.concatenate(

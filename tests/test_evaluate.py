@@ -12,12 +12,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dataclasses
+
 import sslhop as sh
 import sslhop.classifier
+import sslhop.cli
+import sslhop.evaluate
 import sslhop.pipeline
 import sslhop.supervise
 from conftest import BAD_SEEDS
-from sslhop.errors import TooFewSubjectsError
+from sslhop.errors import SslhopError, TooFewSubjectsError
 
 # Measured between 1 and 2 OpenBLAS threads (OpenBLAS 0.3.31, 2 cores) with
 # 3 folds: decision scores of this test's run differed by at most 2.6e-12,
@@ -226,6 +230,42 @@ class TestCrossValidate:
                                   class_table=manifest.classes)
         np.testing.assert_array_equal(first.scores, again.scores)
         assert first.pooled_accuracy == again.pooled_accuracy
+
+
+class TestLeakageGuard:
+    """The guard is an explicit check, not an ``assert``, so that it also
+    holds under ``python -O``; the CI runs this class once more so."""
+
+    def test_held_out_subject_in_a_fold_model_raises(self, tiny_cohort,
+                                                     tiny_cfg, monkeypatch,
+                                                     tmp_path, capsys):
+        """A fold model that claims every subject of the cohort as its
+        training subjects, held-out ones included, is refused as a program
+        fault: a RuntimeError, not a data error, and exit code 4."""
+        manifest, records = tiny_cohort
+        fit = sslhop.evaluate.fit_pipeline
+
+        def leaky(*args, **kwargs):
+            return dataclasses.replace(
+                fit(*args, **kwargs),
+                train_subject_ids=tuple(r.subject_id for r in records))
+
+        monkeypatch.setattr(sslhop.evaluate, "fit_pipeline", leaky)
+        with pytest.raises(RuntimeError, match="fold 0: test subjects "
+                                               "leaked into training") as err:
+            sh.cross_validate(records, tiny_cfg, folds=2, seed=3)
+        if isinstance(err.value, SslhopError):
+            pytest.fail("a leak is a program fault, not a data error")
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps(tiny_cfg.to_dict()))
+        code = sslhop.cli.main(
+            ["evaluate", "--manifest",
+             str(manifest.records[0].ed_path.parent / "manifest.json"),
+             "--config",
+             str(config), "--folds", "2", "--out", str(tmp_path / "ev")])
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        if (code, error["error"]["type"]) != (4, "RuntimeError"):
+            pytest.fail(f"exit {code}, error {error}")
 
 
 class TestArtifacts:

@@ -1,6 +1,7 @@
 """Window extraction, slab plans and ceil-mode pooling against
 brute-force oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -392,6 +393,31 @@ class TestMaxPool:
             before = fmap.copy()
             np.testing.assert_array_equal(max_pool(fmap),
                                           _brute_pool(fmap, (2, 2, 2)))
+            np.testing.assert_array_equal(fmap, before)
+
+    AXES = {"unit": 1, "odd": 5, "even": 4}
+
+    @pytest.mark.parametrize("kinds", itertools.product(AXES, repeat=3),
+                             ids="-".join)
+    def test_every_axis_combination_matches_oracle(self, rng, kinds):
+        """Each of H, W and Z unit, odd or even, on float64 maps of mixed
+        signs, all-negative ones, and a float32 stack of maps whose (x, z)
+        plane is padded, as a layer step's conv view is; the input is
+        left as it was."""
+        H, W, Z = (self.AXES[k] for k in kinds)
+        plane = rng.normal(size=(2, 3, H, W * Z + 3, 2)).astype(np.float32)
+        padded = plane[:, :, :, :W * Z].reshape(2, 3, H, W, Z, 2)
+        assert not padded.flags.c_contiguous
+        for fmap in (rng.normal(size=(H, W, Z, 3)),
+                     -1.0 - np.exp(rng.normal(size=(H, W, Z, 3))), padded):
+            before = fmap.copy()
+            out = max_pool(fmap)
+            assert out.shape == fmap.shape[:-4] + (-(-H // 2), -(-W // 2),
+                                                   -(-Z // 2), fmap.shape[-1])
+            assert out.dtype == fmap.dtype
+            for idx in np.ndindex(fmap.shape[:-4]):
+                np.testing.assert_array_equal(
+                    out[idx], _brute_pool(fmap[idx], (2, 2, 2)))
             np.testing.assert_array_equal(fmap, before)
 
     @pytest.mark.parametrize("offset", [1e6, -1e6, 1e-300, -1e-300])

@@ -643,6 +643,27 @@ class TestSharedSlabPass:
             np.testing.assert_array_equal(stack, alone[rows])
 
 
+def _spy_gathers(monkeypatch) -> list[tuple[int, ...]]:
+    """The shapes of the arrays :func:`_plane_unions` gathers its slabs
+    from, in call order, as it passes them to ``memoryview``: a stack of
+    maps, or the flat copy of a slab beside slack."""
+    gathered = []
+
+    def spy(arr):
+        gathered.append(arr.shape)
+        return memoryview(arr)
+
+    monkeypatch.setattr(sslhop.pipeline, "memoryview", spy, raising=False)
+    return gathered
+
+
+def _ledger_blocks(cfg, dims) -> list[int]:
+    """The z-block each layer of ``cfg`` projects its maps in, for inputs
+    of ``dims``."""
+    return [sslhop.pipeline._z_block(layer.window, shapes.input_dims[3])
+            for layer, shapes in zip(cfg.layers, sh.compute_ledger(cfg, dims))]
+
+
 def _assert_close_to(out, base):
     """Equal within 1e-12 of the largest magnitude: a block's GEMM may sum
     its zero-padded band in another order than block 1's."""
@@ -695,34 +716,35 @@ class TestZBlocks:
         window = cfg.layers[4].window
         assert shapes.input_dims == (3, 3, 6, 3)
         assert shapes.conv_dims == (1, 1, 3, 3)
-        assert sslhop.pipeline._z_block(window) == 2
+        assert sslhop.pipeline._z_block(window, shapes.input_dims[3]) == 2
         maps = rng.normal(size=(3, 5) + shapes.input_dims).astype(np.float32)
         kernels = _fold_kernels(rng, shapes.input_dims, window, count=3,
                                 channels=3)
         pooled = {}
         for block in (1, 2, 3, 4):
             monkeypatch.setattr(sslhop.pipeline, "_z_block",
-                                lambda _, b=block: b)
+                                lambda _window, _channels, b=block: b)
             pooled[block] = pool_layer(kernels, maps, window, shapes)
         for block in (2, 3, 4):
             _assert_close_to(pooled[block], pooled[1])
 
+    # layer 1's one-channel maps project in block 1, the later layers in
+    # the 3/4-density block of their window
     LEDGERS = {
-        "small": (sh.small_config(), [3, 2, 2]),
+        "small": (sh.small_config(), (32, 32, 32), [1, 2, 2]),
         "cv-many-small": (sh.PipelineConfig(layers=(
             sh.LayerSpec((3, 3, 4), 4), sh.LayerSpec((3, 3, 3), 5))),
-            [2, 2]),
-        "full": (sh.full_config(), [3, 2, 2, 2, 2]),
+            (12, 12, 12), [1, 2]),
+        "full": (sh.full_config(), (100, 100, 128), [1, 2, 2, 2, 2]),
     }
 
     @pytest.mark.parametrize("ledger", LEDGERS.values(), ids=LEDGERS.keys())
     def test_block_of_each_ledger_layer(self, ledger):
-        cfg, blocks = ledger
-        assert [sslhop.pipeline._z_block(layer.window)
-                for layer in cfg.layers] == blocks
+        cfg, dims, blocks = ledger
+        assert _ledger_blocks(cfg, dims) == blocks
 
-    # windows 2 deep project in z-blocks of 1, plain im2col (tiny_cfg's
-    # take blocks of 2)
+    # windows 2 deep project in z-blocks of 1 at every layer, plain im2col
+    # (tiny_cfg's layer 2 takes blocks of 2)
     BLOCK_1 = sh.PipelineConfig(layers=(sh.LayerSpec((3, 3, 2), 4),
                                         sh.LayerSpec((3, 3, 2), 5)),
                                 centroids_per_class=2, seed=11)
@@ -732,8 +754,7 @@ class TestZBlocks:
                                                   monkeypatch, tmp_path,
                                                   threads):
         _, records = tiny_cohort
-        assert {sslhop.pipeline._z_block(layer.window)
-                for layer in self.BLOCK_1.layers} == {1}
+        assert set(_ledger_blocks(self.BLOCK_1, (12, 12, 12))) == {1}
         _assert_fold_models_match_standalone_fits(records, self.BLOCK_1,
                                                   monkeypatch, tmp_path,
                                                   threads)
@@ -749,9 +770,9 @@ class TestZBlocks:
     def test_transform_and_fold_fit_take_the_same_blocks(self, monkeypatch,
                                                          tiny_cohort,
                                                          tiny_cfg):
-        """The block rests on the layer's shapes alone: a transform of
-        three directions and a fold fit of five kernels project each layer
-        in the same block."""
+        """The block rests on the layer's window and channels alone: a
+        transform of three directions and a fold fit of five kernels
+        project each layer in the same block, layer 1 in block 1."""
         cfg = tiny_cfg
         _, records = tiny_cohort
         samples = _samples(records, cfg)
@@ -775,8 +796,89 @@ class TestZBlocks:
         windows = [layer.window for layer in cfg.layers]
         # each layer of each direction: the five fold kernels (layer 1's
         # over one shared group of maps)
-        assert fit_calls == [(5, windows[0], 2), (5, windows[1], 2)] * 3
-        assert calls == [(3, windows[0], 2), (3, windows[1], 2)]
+        assert fit_calls == [(5, windows[0], 1), (5, windows[1], 2)] * 3
+        assert calls == [(3, windows[0], 1), (3, windows[1], 2)]
+
+    # one-channel layer-1 maps whose flat (x, z) plane is no whole number
+    # of 3/4-density blocks: cv-standard's, 955 positions against blocks
+    # of 3, read in slabs of origin rows; and cv-many-small's, 117 against
+    # blocks of 2, in slabs of whole maps
+    ONE_CHANNEL = {"cv-standard": ((32, 32, 32), (3, 3, 6)),
+                   "cv-many-small": ((12, 12, 12), (3, 3, 4))}
+
+    @pytest.mark.parametrize("groups", [1, 3], ids=["fold-fit", "transform"])
+    @pytest.mark.parametrize("case", ONE_CHANNEL.values(),
+                             ids=ONE_CHANNEL.keys())
+    def test_one_channel_step_gathers_the_maps_in_place(self, rng,
+                                                        monkeypatch, case,
+                                                        groups):
+        """Three kernels over the C-contiguous runs layer 1 reads: one
+        group of three maps, as a fold fit's shared pass, or three groups of
+        one map, as a transform's. Every slab is gathered from a view of
+        its run's maps, never from a copy beside slack, and the pooled
+        maps are the dense float32 oracle's (the unions times the float32
+        kernel, plus the float32 offset, pooled) bit for bit."""
+        dims, window = case
+        cfg = sh.PipelineConfig(layers=(sh.LayerSpec(window, 5),))
+        (shapes,) = sh.compute_ledger(cfg, dims)
+        maps = rng.normal(size=(groups, 3 // groups)
+                          + shapes.input_dims).astype(np.float32)
+        kernels = _fold_kernels(rng, shapes.input_dims, window, count=3)
+        plan = sh.slab_plan(maps.shape, window)
+        gathered = _spy_gathers(monkeypatch)
+        pooled = pool_layer(kernels, maps, window, shapes)
+        assert gathered == [maps[:, run].shape for run, ys in plan
+                            for _ in ys]
+        grid = tuple(d - k + 1 for d, k in zip(dims, window))
+        for g, kernel in enumerate(kernels):
+            matrix, offset = kernel.projection
+            for n in range(maps.shape[1]):
+                conv = (sh.extract_unions(maps[g % groups, n], window)
+                        @ matrix.astype(np.float32)
+                        + offset.astype(np.float32))
+                np.testing.assert_array_equal(
+                    pooled[g, n], sh.max_pool(conv.reshape(grid + (-1,))))
+
+    def test_slack_copy_is_taken_by_tiny_layer_2(self, rng, monkeypatch,
+                                                 tiny_cfg):
+        """The control of the spy above: tiny_cfg's layer 2, whose 13 flat
+        positions are no whole number of its blocks of 2, gathers from a
+        flat copy of its slab beside one position's channels of slack."""
+        shapes = sh.compute_ledger(tiny_cfg, (12, 12, 12))[1]
+        window = tiny_cfg.layers[1].window
+        maps = rng.normal(size=(3, 2) + shapes.input_dims).astype(np.float32)
+        kernels = _fold_kernels(rng, shapes.input_dims, window, count=3)
+        gathered = _spy_gathers(monkeypatch)
+        pool_layer(kernels, maps, window, shapes)
+        assert gathered == [(maps.size + shapes.input_dims[3],)]
+
+    def test_fold_fit_pools_layer_1_of_every_direction_into_one_buffer(
+            self, tiny_cohort, tiny_cfg, monkeypatch):
+        """``fit_folds`` hands :func:`_pool_layer` one layer-1 buffer, made
+        once for the three directions, and the step returns it; the
+        later layers' pooled maps are fresh."""
+        _, records = tiny_cohort
+        samples = _samples(records, tiny_cfg)
+        steps = []
+        pool = sslhop.pipeline._pool_layer
+
+        def spy(projection, maps, window, shapes, rows=None, map_fn=map,
+                out=None):
+            pooled = pool(projection, maps, window, shapes, rows, map_fn, out)
+            steps.append((shapes.layer, out, pooled))
+            return pooled
+
+        monkeypatch.setattr(sslhop.pipeline, "_pool_layer", spy)
+        train = [np.delete(np.arange(len(samples)), f) for f in range(3)]
+        sh.fit_folds(samples, tiny_cfg, train)
+        assert [layer for layer, _, _ in steps] == [1, 2] * 3
+        buffer = steps[0][1]
+        assert buffer.shape == (3, len(samples)) + steps[0][2].shape[2:]
+        for layer, out, pooled in steps:
+            if layer == 1:
+                assert out is buffer and pooled is buffer
+            else:
+                assert out is None
 
 
 class TestModelProjections:
@@ -1106,7 +1208,7 @@ def _conv_stack_items(shapes, window) -> int:
     """Items of one map's conv stack for one kernel as a layer step holds
     it: each origin row's flat (x, z) positions, in whole z-blocks."""
     (H, W, Z, _), (h, w, z) = shapes.input_dims, window
-    block = sslhop.pipeline._z_block(window)
+    block = sslhop.pipeline._z_block(window, shapes.input_dims[3])
     positions = -(-((W - w) * Z + Z - z + 1) // block) * block
     return (H - h + 1) * positions * shapes.conv_dims[3]
 

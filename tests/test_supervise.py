@@ -1,6 +1,7 @@
 """Entropy-guided channel screening and label-assisted regression."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,6 +296,41 @@ class TestLag:
         out = apply_lag(model, X)
         assert out.shape == (8, model.output_dim)
 
+    def test_centroids_peak_below_the_arrays_they_must_hold(self, rng):
+        """Ten layer-1 rows of the ``full`` preset, 297,724 float32
+        features each, in two classes of five, five centroids per class:
+        the step holds the float64 widening of the rows (two k x D
+        arrays), both classes' centroid blocks and their stack (two each),
+        and under a quarter of one more in single rows. With the centres
+        copied on each Lloyd step, their shift in a k x D temporary and a
+        class's rows held beside the stack, it peaked at 7.29 k x D, over
+        one more than this bound."""
+        k, D = 5, 297_724
+        X = rng.normal(size=(10, D)).astype(np.float32)
+        kd = k * D * 8
+        tracemalloc.start()
+        try:
+            class_centroids(X, np.repeat([0, 1], 5), k, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * kd + kd // 4
+
+    @pytest.mark.parametrize("tol", [1e-6, 0.0])
+    def test_lloyd_equals_a_copying_reference(self, rng, tol):
+        """Lloyd's in-place update gives the centres and sizes of the
+        plain form that takes each step's centres into a fresh copy and
+        their shift from ``((new - old) ** 2).sum(axis=1)``, bit for bit,
+        over runs of many steps."""
+        for _ in range(10):
+            X = rng.normal(size=(60, 7)) + rng.integers(0, 3, (60, 1)) * 1.5
+            start = X[rng.choice(60, size=4, replace=False)]
+            centers, sizes = sslhop.supervise._lloyd(X, start.copy(), 300,
+                                                     tol)
+            expect, expect_sizes = _reference_lloyd(X, start, 300, tol)
+            np.testing.assert_array_equal(centers, expect)
+            np.testing.assert_array_equal(sizes, expect_sizes)
+
     def test_too_few_samples(self, rng):
         X = rng.normal(size=(5, 3))
         labels = np.array([0, 0, 0, 1, 1])
@@ -317,6 +353,26 @@ class TestLag:
                         centroids_per_class=1)
         with pytest.raises(ShapeMismatchError):
             apply_lag(model, rng.normal(size=(3, 5)))
+
+
+def _reference_lloyd(X, centers, max_iter, tol):
+    """Lloyd iterations that copy the centres on every step."""
+    k = centers.shape[0]
+    sizes = np.zeros(k, dtype=np.int64)
+    for _ in range(max_iter):
+        d2 = np.einsum("kd,kd->k", centers, centers) - 2.0 * (X @ centers.T)
+        assign = np.argmin(d2, axis=1)
+        new_centers = centers.copy()
+        for j in range(k):
+            members = X[assign == j]
+            sizes[j] = members.shape[0]
+            if members.shape[0]:
+                new_centers[j] = members.mean(axis=0)
+        shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
+        centers = new_centers
+        if shift <= tol:
+            break
+    return centers, sizes
 
 
 def _soft_targets(X, labels, model, alpha, seed):
