@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import struct
 import zlib
@@ -41,13 +42,21 @@ CARDIAC_CLASS_NAMES = ("NOR", "MINF", "DCM", "HCM", "RV")
 
 # -- field files -----------------------------------------------------------------
 
-def read_bytes(path: str | Path, what: str) -> bytes:
-    """The bytes of the file ``path``, a ``what`` (field file, manifest,
-    config, model); a path that names no file raises MissingFileError."""
+def _open(path: str | Path, what: str):
+    """The file ``path``, a ``what`` (field file, manifest, config, model),
+    open for binary reading; a path that names no file raises
+    MissingFileError."""
     try:
-        return Path(path).read_bytes()
+        return open(path, "rb")
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         raise MissingFileError(f"{what} {path} does not exist") from exc
+
+
+def read_bytes(path: str | Path, what: str) -> bytes:
+    """The bytes of the file ``path``, a ``what``, as :func:`_open` opens
+    it."""
+    with _open(path, what) as fh:
+        return fh.read()
 
 
 def write_field(field: np.ndarray, path: str | Path, phase: str,
@@ -71,14 +80,13 @@ def write_field(field: np.ndarray, path: str | Path, phase: str,
     return path
 
 
-def _parse_header(data: bytes, path: str | Path) -> tuple[dict, int]:
-    """The validated JSON header that starts a field file's ``data``, and
-    the offset of the payload after its line."""
-    end = data.find(b"\n", 0, _MAX_HEADER)
-    if end < 0:
+def _parse_header(line: bytes, path: str | Path) -> dict:
+    """The validated JSON header of a field file, from its first ``line``
+    as read with at most ``_MAX_HEADER`` bytes."""
+    if not line.endswith(b"\n"):
         raise BadHeaderError(f"{path}: header line missing or too long")
     try:
-        header = json.loads(data[:end].decode())
+        header = json.loads(line[:-1].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise BadHeaderError(f"{path}: undecodable header: {exc}") from exc
     if not isinstance(header, dict):
@@ -88,41 +96,49 @@ def _parse_header(data: bytes, path: str | Path) -> tuple[dict, int]:
             raise BadHeaderError(f"{path}: header missing key {key!r}")
     dims = header["dims"]
     if (not isinstance(dims, list) or len(dims) != 4
-            or any(isinstance(v, bool) or not isinstance(v, int) for v in dims)
+            or any(type(v) is not int for v in dims)     # bool is no dim
             or dims[0] != 3 or min(dims[1:]) < 1):
         raise BadHeaderError(f"{path}: bad dims {dims}")
     if header["dtype"] != "f32" or header["endian"] != "little":
         raise BadHeaderError(f"{path}: unsupported dtype/endian tags")
     if header["phase"] not in PHASES:
         raise BadHeaderError(f"{path}: bad phase tag {header['phase']!r}")
-    return header, end + 1
+    return header
 
 
 def read_field(path: str | Path) -> np.ndarray:
-    """Read one field file back into a float32 (3, H, W, Z) array."""
+    """Read one field file back into a writable, aligned, C-contiguous
+    float32 (3, H, W, Z) array."""
     return _read_field(path)[1]
 
 
 def _read_field(path: str | Path) -> tuple[dict, np.ndarray]:
     """The validated header and float32 (3, H, W, Z) array of a field file,
-    read once."""
-    raw = read_bytes(path, "field file")
-    header, start = _parse_header(raw, path)
-    body = memoryview(raw)[start:]
-    dims = tuple(header["dims"])
-    expected = math.prod(dims) * 4      # exact: numpy's int64 product wraps
-    if len(body) != expected + 4:
-        raise ShapeMismatchError(
-            f"{path}: payload holds {len(body) - 4} bytes, dims {dims} "
-            f"need {expected}")
-    if zlib.crc32(body[:expected]) != struct.unpack("<I", body[expected:])[0]:
+    read in one pass: the header line, then the payload straight into the
+    array, its only copy, once the file's size says it holds the payload
+    the dims need and its CRC trailer."""
+    with _open(path, "field file") as fh:
+        line = fh.readline(_MAX_HEADER)
+        header = _parse_header(line, path)
+        dims = tuple(header["dims"])
+        expected = math.prod(dims) * 4  # exact: numpy's int64 product wraps
+        held = os.fstat(fh.fileno()).st_size - len(line) - 4
+        if held != expected:
+            raise ShapeMismatchError(
+                f"{path}: payload holds {held} bytes, dims {dims} "
+                f"need {expected}")
+        arr = np.empty(dims, "<f4")
+        got = fh.readinto(arr)
+        trailer = fh.read(5)
+    if got != expected or len(trailer) != 4:
+        raise ShapeMismatchError(f"{path}: file changed size while read")
+    if zlib.crc32(arr) != struct.unpack("<I", trailer)[0]:
         raise ChecksumMismatchError(f"{path}: payload CRC mismatch")
-    arr = np.frombuffer(body, dtype="<f4", count=expected // 4).reshape(dims)
     finite = np.isfinite(arr)
     if not finite.all():
         voxel = tuple(int(v) for v in np.argwhere(~finite)[0])
         raise NonFiniteValuesError(f"{path}: non-finite value at voxel {voxel}")
-    return header, arr.copy()
+    return header, arr
 
 
 # -- manifests --------------------------------------------------------------------

@@ -38,7 +38,8 @@ def as_int_triple(name: str, value) -> tuple[int, int, int]:
     """``value``, a list or tuple of three integers, as a tuple of ints."""
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ValueError(f"{name} must be a list of 3 integers, got {value!r}")
-    return tuple(as_integer(name, v) for v in value)
+    h, w, z = value
+    return as_integer(name, h), as_integer(name, w), as_integer(name, z)
 
 
 def as_finite(name: str, value):

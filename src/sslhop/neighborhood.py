@@ -141,20 +141,22 @@ def _slab_rows(shape: tuple[int, ...], window: tuple[int, int, int],
                           for y0 in range(0, origins, step))
 
 
-def max_pool(fmap: np.ndarray) -> np.ndarray:
+def max_pool(fmap: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Max-pool each spatial axis of a (..., H, W, Z, C) map, or stack of
-    maps, over 2x2x2 blocks.
+    maps, over 2x2x2 blocks, into ``out`` when it is given, an array (or
+    view) of the pooled shape and the maps' dtype, and into a fresh array
+    otherwise; returns the pooled maps.
 
     Ceil mode: the trailing partial block on an odd axis is kept (max over
     the remaining elements), so output dims are ceil(dim / 2).
 
-    Two passes, each into a fresh array that its first ``np.maximum``
-    writes: the (y, x) quarter, from the even input rows' column pairs,
-    then the odd rows' maxima taken into it; and the pooled maps, the
-    quarter's z pairs. An odd axis's last slice has no partner and is
-    copied beside the first maximum. Beside the input the pool holds the
-    quarter and the pooled maps, 3/8 of it; a max of elements is exact in
-    any order.
+    Two passes: the (y, x) quarter, from the even input rows' column
+    pairs, into a fresh array that its first ``np.maximum`` writes, then
+    the odd rows' maxima taken into it; and the pooled maps, the quarter's
+    z pairs, written into ``out``. An odd axis's last slice has no partner
+    and is copied beside the first maximum. Beside the input and ``out``
+    the pool holds the quarter, 1/4 of the input (and the pooled maps, 1/8
+    more, without ``out``); a max of elements is exact in any order.
     """
     arr = np.asarray(fmap)
     if arr.ndim < 4:
@@ -162,6 +164,13 @@ def max_pool(fmap: np.ndarray) -> np.ndarray:
             f"expected a (..., H, W, Z, C) map, got shape {arr.shape}")
     *lead, H, W, Z, C = arr.shape
     Y, X, Zh = H // 2, W // 2, Z // 2     # whole pairs per axis
+    shape = (*lead, H - Y, W - X, Z - Zh, C)
+    if out is None:
+        out = np.empty(shape, arr.dtype)
+    elif out.shape != shape or out.dtype != arr.dtype:
+        raise ShapeMismatchError(
+            f"max_pool of {arr.dtype} maps {arr.shape} pools into {shape}, "
+            f"not into {out.dtype} {out.shape}")
     yx = np.empty((*lead, H - Y, W - X, Z, C), arr.dtype)
     np.maximum(arr[..., ::2, :2 * X:2, :, :], arr[..., ::2, 1::2, :, :],
                out=yx[..., :X, :, :])
@@ -171,12 +180,10 @@ def max_pool(fmap: np.ndarray) -> np.ndarray:
     np.maximum(head, arr[..., 1::2, ::2, :, :], out=head)
     head = head[..., :X, :, :]
     np.maximum(head, arr[..., 1::2, 1::2, :, :], out=head)
-    pooled = np.empty((*lead, H - Y, W - X, Z - Zh, C), arr.dtype)
-    np.maximum(yx[..., :2 * Zh:2, :], yx[..., 1::2, :],
-               out=pooled[..., :Zh, :])
+    np.maximum(yx[..., :2 * Zh:2, :], yx[..., 1::2, :], out=out[..., :Zh, :])
     if Z % 2:
-        pooled[..., Zh, :] = yx[..., -1, :]
-    return pooled
+        out[..., Zh, :] = yx[..., -1, :]
+    return out
 
 
 def pooled_dims(dims: tuple[int, int, int]) -> tuple[int, int, int]:

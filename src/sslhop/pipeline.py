@@ -283,9 +283,9 @@ class PipelineModel:
         kernels, built on the first transform and held with the model;
         not a field, so equality and saved bytes ignore it."""
         return tuple(_projections([stage.kernel for stage in stages],
-                                  layer.window)
-                     for layer, stages in zip(self.config.layers,
-                                              zip(*self.stages)))
+                                  layer.window, shapes.input_dims)
+                     for layer, shapes, stages in zip(
+                         self.config.layers, self.ledger, zip(*self.stages)))
 
 
 def _lag_seed(seed: int, layer: int, direction: int) -> int:
@@ -319,19 +319,28 @@ class _DirectionMaps:
         return out
 
 
-def _z_block(window, channels: int) -> int:
-    """The z-block the layer steps project maps of ``channels`` channels
-    under ``window`` in. One-channel maps, layer 1's, take block 1, plain
-    im2col: each union element of :func:`_plane_unions` is then one
-    contiguous run of the plane, no slab is copied beside slack, and the
-    GEMM sums no zero bands; in float32 it ran faster than blocks 2 and 3
-    on 32x32x32 and 12x12x12 maps. Maps of several channels take the
-    largest ``b`` whose banded Toeplitz matrix is at least 3/4 non-zero,
-    4z >= 3(b + z - 1), that is b <= 1 + z/3. :func:`_plane_unions` takes
-    any block, a divisor of the conv depth or not, and the block rests on
-    the layer's window and channels alone, so a fit, a fold fit and a
-    transform of the layer project in the same block."""
-    return 1 if channels == 1 else 1 + window[2] // 3
+def _z_block(window, dims) -> int:
+    """The z-block the layer steps project maps of ``dims``, a ledger
+    entry's (H, W, Z, C) input dims, in under ``window``: block 1, plain
+    im2col, for one-channel maps (layer 1's) and for maps whose flat (x, z)
+    plane holds fewer than 32 window positions, L = (W-w)*Z + Z-z+1; else
+    the largest ``b`` whose banded Toeplitz matrix is at least 3/4
+    non-zero, 4z >= 3(b + z - 1), that is b <= 1 + z/3.
+
+    A block of ``b`` gathers (z+b-1)/(b*z) of block 1's union elements,
+    and its GEMM takes (z+b-1)/z times block 1's products, so it pays
+    where the gather leads: on wide planes, not on small ones, where
+    per-call set-up and the slack copy of an L that is no whole number of
+    blocks lead. In timed layer steps (CHANGES.md) block 1 was faster at
+    the presets' and workloads' L = 13, 16 and 28, block 2 at their 180,
+    658 and 2,912, and the two tied at 124; on five-channel maps block 2
+    was faster from L = 40. The block rests on the ledger's shapes alone,
+    so a fit, a fold fit and a transform of the layer project in the same
+    block."""
+    (_, W, Z, C), (_, w, z) = dims, window
+    if C == 1 or (W - w) * Z + Z - z + 1 < 32:
+        return 1
+    return 1 + z // 3
 
 
 def _bands(kernels, window, block: int) -> np.ndarray:
@@ -354,16 +363,15 @@ def _bands(kernels, window, block: int) -> np.ndarray:
     return bands.reshape(len(kernels), block * F, -1).transpose(0, 2, 1)
 
 
-def _projections(kernels, window) -> tuple[np.ndarray, np.ndarray]:
+def _projections(kernels, window, dims) -> tuple[np.ndarray, np.ndarray]:
     """The projection a layer step takes for ``kernels``, one per group:
     the :func:`_bands` stack in the z-block of :func:`_z_block` for the
-    kernels' input channels, cast to float32, and the kernels' offsets
+    layer's input ``dims``, cast to float32, and the kernels' offsets
     rounded to float32, as a (G, 1, 1, 1, 1, F) array that adds to their
     pooled maps. A fit builds one per layer from its fresh kernels; a
     loaded model holds one per layer (:attr:`PipelineModel.projections`)."""
-    channels = kernels[0].projection[0].shape[0] // math.prod(window)
     # order K keeps the transposed layout (see :func:`_bands`)
-    matrix = _bands(kernels, window, _z_block(window, channels)).astype(
+    matrix = _bands(kernels, window, _z_block(window, dims)).astype(
         np.float32, order="K")
     offsets = np.array([k.projection[1] for k in kernels], np.float32)
     return matrix, offsets[:, None, None, None, None]
@@ -440,8 +448,11 @@ def _pool_layer(projection, maps, window, shapes: LayerShapes,
 
     The maps run in the runs of :func:`slab_plan`, so a run's conv stacks
     take about a slab: the conv maps of the whole stack are never held at
-    once. A run is projected in float32, on the float32 band stacks, and
-    the conv stacks of every kernel are pooled in one call. Each kernel's
+    once. A run is projected in float32, on the float32 band stacks, in
+    the z-block the band stacks were built in, and the conv stacks of
+    every kernel are pooled in one call, straight into the run's rows of
+    the output; only a step given ``rows`` pools a run into a temporary
+    and scatters it into those rows in one assignment. Each kernel's
     float32 offset is added to its pooled maps, not to its conv maps:
     rounding is monotone, so ``max(fl(x_i + c))`` is ``fl(max(x_i) + c)``
     and the pooled maps are those of the conv maps with the offset added
@@ -454,7 +465,7 @@ def _pool_layer(projection, maps, window, shapes: LayerShapes,
             f"ledger says {shapes.input_dims}")
     plan = slab_plan(maps.shape, window)
     matrix, offsets = projection
-    block = _z_block(window, maps.shape[-1])
+    block = matrix.shape[-1] // offsets.shape[-1]
     if out is None:
         out = np.empty((len(matrix),) + maps.shape[1:2] + shapes.pool_dims,
                        np.float32)
@@ -467,13 +478,11 @@ def _pool_layer(projection, maps, window, shapes: LayerShapes,
             raise ShapeLedgerMismatchError(
                 f"projection produced {conv.shape[2:]}, "
                 f"ledger says {shapes.conv_dims}")
-        pooled = max_pool(conv)
-        if pooled.shape[2:] != shapes.pool_dims:
-            raise ShapeLedgerMismatchError(
-                f"pooling produced {pooled.shape[2:]}, "
-                f"ledger says {shapes.pool_dims}")
-        for g, kernel_pooled in enumerate(pooled):
-            out[g, group if rows is None else rows[g, group]] = kernel_pooled
+        if rows is None:
+            max_pool(conv, out=out[:, group])
+        else:
+            out[np.arange(len(out))[:, None], rows[:, group]] = \
+                max_pool(conv)
 
     for _ in map_fn(run, plan):
         pass
@@ -717,8 +726,9 @@ def fit_folds(samples: list[DeformationSample], cfg: PipelineConfig,
                         _union_moments(maps[f, :len(train[f])], layer.window),
                         layer.channels, cfg.bias_scale), sets))
                     order, out = None, None
-                maps = _pool_layer(_projections(kernels, layer.window), maps,
-                                   layer.window, shapes, order, map_fn, out)
+                maps = _pool_layer(
+                    _projections(kernels, layer.window, shapes.input_dims),
+                    maps, layer.window, shapes, order, map_fn, out)
 
                 def stage(f: int):
                     n = len(train[f])

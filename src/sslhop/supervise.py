@@ -276,4 +276,6 @@ def apply_lag(model: LagModel, X: np.ndarray) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] + 1 != model.weights.shape[0]:
         raise ShapeMismatchError(
             f"expected (N, {model.weights.shape[0] - 1}) features, got {X.shape}")
-    return X @ model.weights[:-1] + model.weights[-1]
+    out = X @ model.weights[:-1]
+    out += model.weights[-1]
+    return out

@@ -273,7 +273,7 @@ def plan_project(kernels, maps, window, block=None) -> np.ndarray:
     in z-blocks of ``block`` origins, as the layer steps take them, in the
     maps' dtype; by default in the layer steps' own block for these maps."""
     if block is None:
-        block = sslhop.pipeline._z_block(window, maps.shape[-1])
+        block = sslhop.pipeline._z_block(window, maps.shape[-4:])
     matrix = sslhop.pipeline._bands(kernels, window, block).astype(
         maps.dtype, order="K")
     return np.concatenate(
@@ -285,8 +285,8 @@ def pool_layer(kernels, maps, window, shapes, **kwargs) -> np.ndarray:
     """One layer step of a (G, N, H, W, Z, C) stack of maps with
     ``kernels``, one per group, projected as a fit projects them."""
     return sslhop.pipeline._pool_layer(
-        sslhop.pipeline._projections(kernels, window), maps, window, shapes,
-        **kwargs)
+        sslhop.pipeline._projections(kernels, window, shapes.input_dims),
+        maps, window, shapes, **kwargs)
 
 
 @pytest.fixture()

@@ -1,6 +1,7 @@
 """Field files, manifests, and the synthetic cohort generator."""
 
 import json
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -77,18 +78,49 @@ class TestFieldFiles:
             sh.write_field(bad, path, "ED", "s")
         assert not path.exists()
 
+    @pytest.mark.parametrize("kind", [str, Path], ids=["str", "Path"])
     @pytest.mark.parametrize("name", ["absent.fld", ".", "a.fld/x.fld"],
                              ids=["absent", "directory", "under-a-file"])
-    def test_path_that_names_no_file(self, rng, tmp_path, name):
+    def test_path_that_names_no_file(self, rng, tmp_path, name, kind):
         sh.write_field(_sample_field(rng), tmp_path / "a.fld", "ED", "s")
         with pytest.raises(MissingFileError, match="does not exist"):
-            sh.read_field(tmp_path / name)
+            sh.read_field(kind(tmp_path / name))
+
+    @pytest.mark.parametrize("kind", [str, Path], ids=["str", "Path"])
+    @pytest.mark.parametrize("dims", [(4, 5, 6), (1, 1, 1), (3, 1, 7)])
+    def test_read_array_is_writable_aligned_and_contiguous(self, rng,
+                                                           tmp_path, dims,
+                                                           kind):
+        """The array owns a buffer the caller may write, aligned for
+        float32 whatever the header's length, in C order."""
+        field = _sample_field(rng, dims)
+        for subject_id in ("s", "s1", "s12", "s123"):  # header lengths mod 4
+            path = sh.write_field(field, tmp_path / "a.fld", "ED", subject_id)
+            back = sh.read_field(kind(path))
+            assert back.dtype == np.float32 and back.shape == (3,) + dims
+            assert back.flags.writeable and back.flags.aligned
+            assert back.flags.c_contiguous
+            np.testing.assert_array_equal(back, field)
+            back += 1.0
+            np.testing.assert_array_equal(sh.read_field(path), field)
 
     def test_truncated_payload(self, rng, tmp_path):
         path = sh.write_field(_sample_field(rng), tmp_path / "a.fld", "ED", "s")
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])      # drop half the CRC plus payload tail
         with pytest.raises(ShapeMismatchError):
+            sh.read_field(path)
+
+    def test_file_that_shrinks_while_read(self, rng, tmp_path, monkeypatch):
+        """The payload is read after the file's size is checked: a file
+        whose size no longer holds it when read is refused."""
+        path = sh.write_field(_sample_field(rng), tmp_path / "a.fld", "ED", "s")
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-8])
+        stat = dataio.os.fstat
+        monkeypatch.setattr(dataio.os, "fstat", lambda fd: os.stat_result(
+            stat(fd)[:6] + (size,) + stat(fd)[7:]))
+        with pytest.raises(ShapeMismatchError, match="changed size"):
             sh.read_field(path)
 
     def test_flipped_bit_fails_checksum(self, rng, tmp_path):

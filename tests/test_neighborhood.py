@@ -419,6 +419,40 @@ class TestMaxPool:
                 np.testing.assert_array_equal(
                     out[idx], _brute_pool(fmap[idx], (2, 2, 2)))
             np.testing.assert_array_equal(fmap, before)
+            # into a given array, and into a strided view of a larger one,
+            # as a layer step pools a run into its rows; the rest stays
+            given = np.full_like(out, np.nan)
+            assert max_pool(fmap, out=given) is given
+            np.testing.assert_array_equal(given, out)
+            wider = np.full(out.shape[:-1] + (out.shape[-1] + 2,), np.nan,
+                            out.dtype)
+            max_pool(fmap, out=wider[..., 1:-1])
+            np.testing.assert_array_equal(wider[..., 1:-1], out)
+            assert np.isnan(wider[..., [0, -1]]).all()
+            np.testing.assert_array_equal(fmap, before)
+
+    @pytest.mark.parametrize("kinds", itertools.product(AXES, repeat=3),
+                             ids="-".join)
+    def test_wrong_out_is_a_shape_mismatch(self, kinds):
+        """An ``out`` one longer or shorter on any axis, without the map's
+        leading axis, or of another dtype is refused with a typed error,
+        never numpy's ValueError, and left as it was."""
+        H, W, Z = (self.AXES[k] for k in kinds)
+        fmap = np.zeros((2, H, W, Z, 3), np.float32)
+        shape = (2, -(-H // 2), -(-W // 2), -(-Z // 2), 3)
+        wrong = [shape[1:], shape[:1] + (2,) + shape[1:]]
+        for axis in range(5):
+            for step in (-1, 1):
+                bad = list(shape)
+                bad[axis] += step
+                if bad[axis] > 0:
+                    wrong.append(tuple(bad))
+        outs = [np.ones(s, np.float32) for s in wrong]
+        outs += [np.ones(shape, np.float64), np.ones(shape, np.int32)]
+        for out in outs:
+            with pytest.raises(ShapeMismatchError, match="pools into"):
+                max_pool(fmap, out=out)
+            assert (out == 1).all()
 
     @pytest.mark.parametrize("offset", [1e6, -1e6, 1e-300, -1e-300])
     @pytest.mark.parametrize("dims", [(1, 1, 1, 1), (1, 5, 3, 2), (7, 1, 5, 1),

@@ -660,7 +660,7 @@ def _spy_gathers(monkeypatch) -> list[tuple[int, ...]]:
 def _ledger_blocks(cfg, dims) -> list[int]:
     """The z-block each layer of ``cfg`` projects its maps in, for inputs
     of ``dims``."""
-    return [sslhop.pipeline._z_block(layer.window, shapes.input_dims[3])
+    return [sslhop.pipeline._z_block(layer.window, shapes.input_dims)
             for layer, shapes in zip(cfg.layers, sh.compute_ledger(cfg, dims))]
 
 
@@ -716,26 +716,43 @@ class TestZBlocks:
         window = cfg.layers[4].window
         assert shapes.input_dims == (3, 3, 6, 3)
         assert shapes.conv_dims == (1, 1, 3, 3)
-        assert sslhop.pipeline._z_block(window, shapes.input_dims[3]) == 2
+        assert sslhop.pipeline._z_block(window, shapes.input_dims) == 1
         maps = rng.normal(size=(3, 5) + shapes.input_dims).astype(np.float32)
         kernels = _fold_kernels(rng, shapes.input_dims, window, count=3,
                                 channels=3)
         pooled = {}
         for block in (1, 2, 3, 4):
             monkeypatch.setattr(sslhop.pipeline, "_z_block",
-                                lambda _window, _channels, b=block: b)
+                                lambda _window, _dims, b=block: b)
             pooled[block] = pool_layer(kernels, maps, window, shapes)
         for block in (2, 3, 4):
             _assert_close_to(pooled[block], pooled[1])
 
-    # layer 1's one-channel maps project in block 1, the later layers in
-    # the 3/4-density block of their window
+    # (H, W, Z, C) maps under a (3, 3, 3) window, and the block they take:
+    # L = (W-3)*Z + Z-2 flat positions per origin row
+    RULE = {"L31": ((5, 5, 11, 5), 1), "L32": ((5, 4, 17, 5), 2),
+            "L13-C4": ((5, 5, 5, 4), 1), "L955-C1": ((30, 32, 32, 1), 1)}
+
+    @pytest.mark.parametrize("case", RULE.values(), ids=RULE.keys())
+    def test_block_1_below_32_positions_or_one_channel(self, case):
+        """Block 1 for one-channel maps and for planes of fewer than 32
+        window positions; else the 3/4-density block of the window, 2 for
+        a window 3 deep."""
+        dims, block = case
+        assert sslhop.pipeline._z_block((3, 3, 3), dims) == block
+
+    # layer 1's one-channel maps project in block 1, and so do the later
+    # layers whose planes hold fewer than 32 window positions (L in the
+    # comments); the others take the 3/4-density block of their window
     LEDGERS = {
-        "small": (sh.small_config(), (32, 32, 32), [1, 2, 2]),
+        # L = 955, 180, 28
+        "small": (sh.small_config(), (32, 32, 32), [1, 2, 1]),
+        # L = 117, 13
         "cv-many-small": (sh.PipelineConfig(layers=(
             sh.LayerSpec((3, 3, 4), 4), sh.LayerSpec((3, 3, 3), 5))),
-            (12, 12, 12), [1, 2]),
-        "full": (sh.full_config(), (100, 100, 128), [1, 2, 2, 2, 2]),
+            (12, 12, 12), [1, 1]),
+        # L = 12539, 2912, 658, 124, 16
+        "full": (sh.full_config(), (100, 100, 128), [1, 2, 2, 2, 1]),
     }
 
     @pytest.mark.parametrize("ledger", LEDGERS.values(), ids=LEDGERS.keys())
@@ -743,10 +760,12 @@ class TestZBlocks:
         cfg, dims, blocks = ledger
         assert _ledger_blocks(cfg, dims) == blocks
 
-    # windows 2 deep project in z-blocks of 1 at every layer, plain im2col
-    # (tiny_cfg's layer 2 takes blocks of 2)
-    BLOCK_1 = sh.PipelineConfig(layers=(sh.LayerSpec((3, 3, 2), 4),
-                                        sh.LayerSpec((3, 3, 2), 5)),
+    # on the tiny cohort's 12x12x12 maps, layer 2's 6x6x6x4 maps hold 33
+    # flat positions per origin row under a (2, 1, 4) window: it projects
+    # in z-blocks of 2, and copies its slabs beside one position's slack
+    # (tiny_cfg's layers both take block 1)
+    BLOCK_2 = sh.PipelineConfig(layers=(sh.LayerSpec((2, 2, 2), 4),
+                                        sh.LayerSpec((2, 1, 4), 5)),
                                 centroids_per_class=2, seed=11)
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -754,33 +773,32 @@ class TestZBlocks:
                                                   monkeypatch, tmp_path,
                                                   threads):
         _, records = tiny_cohort
-        assert set(_ledger_blocks(self.BLOCK_1, (12, 12, 12))) == {1}
-        _assert_fold_models_match_standalone_fits(records, self.BLOCK_1,
+        assert _ledger_blocks(self.BLOCK_2, (12, 12, 12)) == [1, 2]
+        _assert_fold_models_match_standalone_fits(records, self.BLOCK_2,
                                                   monkeypatch, tmp_path,
                                                   threads)
 
     def test_transform_reproduces_training_features(self, tiny_cohort):
         _, records = tiny_cohort
-        samples = _samples(records, self.BLOCK_1)
-        model = sh.fit_pipeline(samples, self.BLOCK_1)
+        samples = _samples(records, self.BLOCK_2)
+        model = sh.fit_pipeline(samples, self.BLOCK_2)
         np.testing.assert_array_equal(
             sh.transform_many(model, samples),
-            _training_features(samples, self.BLOCK_1))
+            _training_features(samples, self.BLOCK_2))
 
     def test_transform_and_fold_fit_take_the_same_blocks(self, monkeypatch,
-                                                         tiny_cohort,
-                                                         tiny_cfg):
-        """The block rests on the layer's window and channels alone: a
-        transform of three directions and a fold fit of five kernels
-        project each layer in the same block, layer 1 in block 1."""
-        cfg = tiny_cfg
+                                                         tiny_cohort):
+        """The block rests on the ledger's shapes alone: a transform of
+        three directions and a fold fit of five kernels project each layer
+        in the same block, layer 1 in block 1 and layer 2 in block 2."""
+        cfg = self.BLOCK_2
         _, records = tiny_cohort
         samples = _samples(records, cfg)
         calls = []
         projections = sslhop.pipeline._projections
 
-        def spy(kernels, window):
-            matrix, offsets = projections(kernels, window)
+        def spy(kernels, window, dims):
+            matrix, offsets = projections(kernels, window, dims)
             # the block is the matrix's columns over its kernels' channels
             calls.append((len(kernels), window,
                           matrix.shape[2] // offsets.shape[-1]))
@@ -839,18 +857,27 @@ class TestZBlocks:
                 np.testing.assert_array_equal(
                     pooled[g, n], sh.max_pool(conv.reshape(grid + (-1,))))
 
-    def test_slack_copy_is_taken_by_tiny_layer_2(self, rng, monkeypatch,
-                                                 tiny_cfg):
-        """The control of the spy above: tiny_cfg's layer 2, whose 13 flat
-        positions are no whole number of its blocks of 2, gathers from a
-        flat copy of its slab beside one position's channels of slack."""
-        shapes = sh.compute_ledger(tiny_cfg, (12, 12, 12))[1]
-        window = tiny_cfg.layers[1].window
+    def test_slack_copy_is_taken_by_an_odd_plane(self, rng, monkeypatch):
+        """The control of the spy above: 11x11x9x5 maps under a (3, 3, 3)
+        window, whose 79 flat positions are no whole number of their
+        blocks of 2, gather each slab from a flat copy of it beside one
+        position's channels of slack, and pool as in block 1."""
+        cfg = sh.PipelineConfig(layers=(sh.LayerSpec((3, 3, 3), 5),))
+        (shapes,) = sh.compute_ledger(cfg, (11, 11, 9))
+        shapes = dataclasses.replace(shapes, input_dims=(11, 11, 9, 5),
+                                     union_dim=135)
+        window = cfg.layers[0].window
+        assert sslhop.pipeline._z_block(window, shapes.input_dims) == 2
         maps = rng.normal(size=(3, 2) + shapes.input_dims).astype(np.float32)
         kernels = _fold_kernels(rng, shapes.input_dims, window, count=3)
+        plan = sh.slab_plan(maps.shape, window)
         gathered = _spy_gathers(monkeypatch)
-        pool_layer(kernels, maps, window, shapes)
-        assert gathered == [(maps.size + shapes.input_dims[3],)]
+        pooled = pool_layer(kernels, maps, window, shapes)
+        assert gathered == [(maps[:, run][:, :, y].size + 5,)
+                            for run, ys in plan for y in ys]
+        monkeypatch.setattr(sslhop.pipeline, "_z_block",
+                            lambda _window, _dims: 1)
+        _assert_close_to(pool_layer(kernels, maps, window, shapes), pooled)
 
     def test_fold_fit_pools_layer_1_of_every_direction_into_one_buffer(
             self, tiny_cohort, tiny_cfg, monkeypatch):
@@ -897,9 +924,9 @@ class TestModelProjections:
         calls = []
         projections = sslhop.pipeline._projections
 
-        def spy(kernels, window):
+        def spy(kernels, window, dims):
             calls.append((len(kernels), window))
-            return projections(kernels, window)
+            return projections(kernels, window, dims)
 
         monkeypatch.setattr(sslhop.pipeline, "_projections", spy)
         sh.transform_many(model, samples)
@@ -1208,7 +1235,7 @@ def _conv_stack_items(shapes, window) -> int:
     """Items of one map's conv stack for one kernel as a layer step holds
     it: each origin row's flat (x, z) positions, in whole z-blocks."""
     (H, W, Z, _), (h, w, z) = shapes.input_dims, window
-    block = sslhop.pipeline._z_block(window, shapes.input_dims[3])
+    block = sslhop.pipeline._z_block(window, shapes.input_dims)
     positions = -(-((W - w) * Z + Z - z + 1) // block) * block
     return (H - h + 1) * positions * shapes.conv_dims[3]
 
