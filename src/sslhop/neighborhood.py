@@ -22,9 +22,10 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import ShapeMismatchError, WindowTooLargeError, as_int_triple
 
-# Budget of one slab's union matrix, counted in float64, and of the float64
-# input maps of a run of union statistics; a slab holds at least one y-row
-# of window origins even when that row alone is larger.
+# Budget of one slab's union matrix, counted in float64, of the float64
+# input maps of a run of several maps' union statistics, and of the float64
+# partial unions a run of row-lagged statistics gathers; a slab holds at
+# least one y-row of window origins even when that row alone is larger.
 SLAB_BYTES = 1 << 20
 
 
@@ -114,11 +115,31 @@ def slab_plan(shape: tuple[int, ...], window) -> list[tuple[slice, tuple]]:
     distinct batch sizes; the runs are sliced per call, and a bad window
     raises on every call. The plan is a fresh list of immutable pairs.
     """
+    return _plan(shape, window, partial=False)
+
+
+def lag_plan(shape: tuple[int, ...], window) -> list[tuple[slice, tuple]]:
+    """The runs and slabs of :func:`slab_plan`, budgeted for the row-lagged
+    union statistics, which gather the (1, w, z) partial unions of every
+    input row of a map, not the full unions of its origin rows: H rows of
+    (W-w+1)*(Z-z+1) partial unions of w*z*C per map, h times fewer bytes
+    per row. A run holds as many whole maps as fit in ``SLAB_BYTES`` of
+    float64 partial unions; a map that fills a slab runs alone, in slabs
+    of as many origin rows as there are input rows that fit (at least
+    one), each with the h-1 halo rows its row lags read. So a 12x12x12
+    map under a (3, 3, 4) window shares a run with nine others, and a
+    32x32x32 one under (3, 3, 6) takes 4 slabs, where its full unions
+    take 15."""
+    return _plan(shape, window, partial=True)
+
+
+def _plan(shape, window, partial: bool) -> list[tuple[slice, tuple]]:
     if len(shape) < 5:
         raise ShapeMismatchError(
             f"expected the shape of a (..., N, H, W, Z, C) stack, got {shape}")
     per_run, ys = _slab_rows(tuple(shape[:-5]) + tuple(shape[-4:]),
-                             as_int_triple("window", window), SLAB_BYTES)
+                             as_int_triple("window", window), SLAB_BYTES,
+                             partial)
     return [(slice(k, k + per_run), ys)
             for k in range(0, shape[-5], per_run)]
 
@@ -127,18 +148,21 @@ def slab_plan(shape: tuple[int, ...], window) -> list[tuple[slice, tuple]]:
 # of 12x12x12 maps took about 5% of it
 @functools.lru_cache(maxsize=None)
 def _slab_rows(shape: tuple[int, ...], window: tuple[int, int, int],
-               budget: int) -> tuple[int, tuple[slice, ...]]:
-    """The maps per run and the y slices of :func:`slab_plan` for a stack
-    of ``shape``, its (..., H, W, Z, C) shape without the N axis, under a
-    slab budget of ``budget`` bytes."""
+               budget: int, partial: bool) -> tuple[int, tuple[slice, ...]]:
+    """The maps per run and the y slices of :func:`slab_plan`, or with
+    ``partial`` of :func:`lag_plan`, for a stack of ``shape``, its (..., H,
+    W, Z, C) shape without the N axis, under a slab budget of ``budget``
+    bytes. A gathered row holds span = h window rows of each full union,
+    or 1 of each partial one, and a map H-span+1 such rows."""
     *lead, H, W, Z, C = shape
     h, w, z = _window(shape, window)
-    origins = H - h + 1
-    row_bytes = math.prod(lead) * (W - w + 1) * (Z - z + 1) * h * w * z * C * 8
+    span = 1 if partial else h
+    row_bytes = (math.prod(lead) * (W - w + 1) * (Z - z + 1)
+                 * span * w * z * C * 8)
     rows = budget // max(1, row_bytes)
-    per_run, step = max(1, rows // origins), max(1, rows)
+    per_run, step = max(1, rows // (H - span + 1)), max(1, rows)
     return per_run, tuple(slice(y0, min(H, y0 + step + h - 1))
-                          for y0 in range(0, origins, step))
+                          for y0 in range(0, H - h + 1, step))
 
 
 def max_pool(fmap: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -555,12 +555,15 @@ def _lag_layout(dims: tuple[int, ...], span: tuple[int, ...]):
 
 
 def _lagged_sums(shifted: np.ndarray, window, ys, axes: int):
-    """Raw sums and Gram matrix of the unions of a (n, H, W, Z, C) stack of
-    whole maps read in the row slabs ``ys``, from their partial unions
+    """Raw sums and Gram matrices of the unions of a (n, H, W, Z, C) stack
+    of whole maps read in the row slabs ``ys``, from their partial unions
     over the rest of the window once its first ``axes`` axes are lagged:
     ``R_p``, the (1, w, z) unions of input row ``p`` (``axes`` 1, K = D/h
     columns) or the (1, 1, z) unions of input row and column ``p``
-    (``axes`` 2, K = D/(h*w)), over every map of the run.
+    (``axes`` 2, K = D/(h*w)). Row lags keep the run's map axis: they
+    return each map's (n, D) sums and (n, D, D) Gram matrices. Row and
+    column lags sum over the run's maps, whose origins widen their GEMMs:
+    they return the run's, as a stack of one.
 
     A union at origin ``o`` is the ``R_{o+a}`` side by side, for the
     lagged window offsets ``a`` in C order, so Gram block (a, a+d) is the
@@ -569,19 +572,23 @@ def _lagged_sums(shifted: np.ndarray, window, ys, axes: int):
     matrix, grouped by position. Each lagged product is formed once, for
     each lag ``d`` that is lexicographically >= 0 (3 row lags, or 13
     row-and-column lags, of a 3x3 window), by one batched product per lag
-    and slab; a slab takes the products of its origin rows, and the last
-    (or only) one also those of its halo rows, which no later slab reads.
-    Row-and-column products are summed over each box of origin columns as
-    they come, so a run keeps at most h*(2w-1) (row, column-offset) sums of
-    K x K per input row, as row lags keep h products of (wK) x (wK).
+    and slab, with one GEMM per position and map (or run); a slab takes
+    the products of its origin rows, and the last (or only) one also those
+    of its halo rows, which no later slab reads. Each map's products and
+    sums are taken alone, in the same order, whatever the run and slabs it
+    is read in, so they do not depend on them. Row-and-column products are
+    summed over each box of origin columns as they come, so a run keeps at
+    most h*(2w-1) (row, column-offset) sums of K x K per input row, as row
+    lags keep h products of (wK) x (wK) per input row and map.
     """
     span, part = tuple(window[:axes]), (1,) * axes + tuple(window[axes:])
     dims = shifted.shape[1:1 + axes]
     lags, blocks, boxes = _lag_layout(dims, span)
     K = math.prod(part) * shifted.shape[-1]
+    batch = len(shifted) if axes == 1 else 1   # maps kept apart
     lead = tuple(range(axes))
-    lagged = [np.empty(shape + (K, K)) for _, shape, _, _, _ in lags]
-    sums = np.empty(dims + (K,))
+    lagged = [np.empty(shape + (batch, K, K)) for _, shape, _, _, _ in lags]
+    sums = np.empty(dims + (batch, K))
     # the slab's input positions lead, before the maps
     front = tuple(range(1, axes + 1)) + (0,)
     for y in ys:
@@ -590,10 +597,11 @@ def _lagged_sums(shifted: np.ndarray, window, ys, axes: int):
         stack = shifted[(slice(None), y) + (slice(None),) * (axes - 1)
                         + (None,) * axes]
         stack = stack.transpose(front + tuple(range(axes + 1, stack.ndim)))
-        # (rows, [columns,] K, origins): each position's R_p^T over the
-        # run's maps, a view of the gathered slab
+        # (rows, [columns,] maps, K, origins): each position's R_p^T over
+        # each map, or over the run's, a view of the gathered slab
         rows = extract_unions(stack, part).T.reshape(
-            (K, count) + dims[1:] + (-1,)).transpose(front + (axes + 1,))
+            (K, count) + dims[1:] + (batch, -1)).transpose(
+            tuple(range(1, axes + 2)) + (0, axes + 2))
         sums[y.start:y.start + own] = rows[:own].sum(axis=-1)
         for (d, _, left, right, columns), kept in zip(lags, lagged):
             n = min(own, count - d[0])
@@ -604,13 +612,54 @@ def _lagged_sums(shifted: np.ndarray, window, ys, axes: int):
                 out=None if columns else out)
             for c, box in enumerate(columns):
                 products[:, box].sum(axis=1, out=out[:, c])
-    gram = np.empty(span + (K,) + span + (K,))
+    gram = np.empty((batch,) + span + (K,) + span + (K,))
     for lag, ab, ba, kept in blocks:
-        gram[ab] = block = lagged[lag][kept].sum(axis=0)
-        gram[ba] = block.T
-    total = np.concatenate([sums[box].sum(axis=lead) for box in boxes])
+        gram[(slice(None),) + ab] = block = lagged[lag][kept].sum(axis=0)
+        gram[(slice(None),) + ba] = block.swapaxes(-1, -2)
+    total = np.concatenate([sums[box].sum(axis=lead) for box in boxes],
+                           axis=-1)
     D = math.prod(span) * K
-    return total, gram.reshape(D, D)
+    return total, gram.reshape(batch, D, D)
+
+
+def _map_moments(maps, window, map_fn=map) -> saab.Moments:
+    """The moments of the unions of each map of a (1, N, H, W, Z, C) stack
+    of maps, stacked: the count each map shares, (N, D) means and (N, D,
+    D) scatters.
+
+    The maps are read in the runs and slabs of :func:`lag_plan`, sized by
+    the (1, w, z) partial unions whose row-lagged products give each map's
+    raw sums and Gram matrix (:func:`_lagged_sums`). Each map is shifted
+    by its first voxel and then by its channels' means, taken map by map,
+    so a constant channel shifts to exact zeros and adds exactly nothing
+    to the scatter, and its sums are corrected for the shift once (the
+    shifted-data algorithm of Chan, Golub & LeVeque 1983). No step takes
+    its order from the run: a map's moments are the same bits alone, in a
+    run of several, in a ragged last run and in row slabs, which is what
+    lets a fold's kernel merge moments taken beside its held-out maps.
+    ``map_fn`` runs the per-run work; each run writes only its own rows.
+    """
+    plan = neighborhood.lag_plan(maps.shape, window)   # checks the window
+    N, dims = maps.shape[1], maps.shape[2:]
+    count, D = union_count(dims, window), math.prod(window) * dims[-1]
+    means, scatters = np.empty((N, D)), np.empty((N, D, D))
+
+    def run(plan_run) -> None:
+        group, ys = plan_run
+        fmaps = maps[:, group][0]
+        first = fmaps[:, :1, :1, :1]
+        shifted = np.subtract(fmaps, first, dtype=np.float64)
+        shift = np.array([m.mean(axis=(0, 1, 2)) for m in shifted])
+        shifted -= shift[:, None, None, None]
+        total, gram = _lagged_sums(shifted, window, ys, 1)
+        mean = total / count
+        shift += first[:, 0, 0, 0]
+        means[group] = mean + np.tile(shift, math.prod(window))
+        scatters[group] = gram - count * (mean[:, :, None] * mean[:, None])
+
+    for _ in map_fn(run, plan):
+        pass
+    return saab.Moments(count, means, scatters)
 
 
 def _union_moments(maps: np.ndarray, window):
@@ -619,40 +668,52 @@ def _union_moments(maps: np.ndarray, window):
     whole stack's unions.
 
     A run holds as many whole maps as fit in ``SLAB_BYTES`` of float64
-    input maps, or one map that fills it; a run of one map is read in the
-    row slabs :func:`slab_plan` gives it. Each channel's mean over the run
-    is subtracted from its maps once, a copy D/C times smaller than their
-    unions; the run's raw sums and Gram matrix of the shifted maps' unions
-    are corrected once per run (the shifted-data algorithm of Chan, Golub
-    & LeVeque 1983). The mean is taken about the run's first voxel, so a
-    constant channel shifts to exact zeros and adds exactly nothing to the
-    scatter. No run gathers its unions: a run of several maps sums its
-    Gram matrix from the row-and-column lagged products of its (1, 1, z)
-    partial unions, whose GEMMs widen with the run, and a run of one map
-    from the row-lagged products of its (1, w, z) ones, which take fewer
-    GEMM calls for the same map (:func:`_lagged_sums`).
+    input maps. Each channel's mean over a run of several maps is
+    subtracted from its maps once, a copy D/C times smaller than their
+    unions, taken about the run's first voxel, so a constant channel
+    shifts to exact zeros; the run's raw sums and Gram matrix of the
+    shifted maps' unions, summed from the row-and-column lagged products
+    of its (1, 1, z) partial unions, whose GEMMs widen with the run, are
+    corrected once per run (:func:`_lagged_sums`). A run of one map, one
+    that fills the budget or a ragged last one, takes the moments of
+    :func:`_map_moments`, from row-lagged products, which take fewer GEMM
+    calls for the same map.
     """
     N, H = maps.shape[:2]
-    # a lone map's row slabs; this also checks the window before any gather
-    ((_, slabs),) = slab_plan((1,) + maps.shape[1:], window)
+    neighborhood.lag_plan((1,) + maps.shape[1:], window)  # checks the window
     per_run = max(1, neighborhood.SLAB_BYTES
                   // (8 * math.prod(maps.shape[1:])))
     per_map = union_count(maps.shape[1:], window)
     for start in range(0, N, per_run):
         fmaps = maps[start:start + per_run]
+        if len(fmaps) == 1:
+            count, (mean,), (scatter,) = _map_moments(fmaps[None], window)
+            yield saab.Moments(count, mean, scatter)
+            continue
         first = fmaps[0, 0, 0, 0]
         shifted = np.subtract(fmaps, first, dtype=np.float64)
         shift = shifted.mean(axis=(0, 1, 2, 3))
         shifted -= shift
-        several = len(fmaps) > 1
-        total, gram = _lagged_sums(shifted, window,
-                                   (slice(0, H),) if several else slabs,
-                                   1 + several)
+        (total,), (gram,) = _lagged_sums(shifted, window, (slice(0, H),), 2)
         n = per_map * len(fmaps)
         mean = total / n
         shift += first
         yield saab.Moments(n, mean + np.tile(shift, math.prod(window)),
                            gram - n * np.outer(mean, mean))
+
+
+def _stacked_rows(moments: saab.Moments, index):
+    """Yield the stacked moments of the maps ``index`` lists, in its order,
+    in about sqrt(n) chunks of sqrt(n) of the n maps: a merge of them so
+    holds a copy of sqrt(n) scatters beside the stack it reads, not one of
+    all n, and makes about sqrt(n) calls, not n. (Chunks of a slab of
+    scatters, 101 maps at D = 36, raised cv-many-small's peak RSS by 1 MB;
+    chunks of 20 did not.)"""
+    step = max(1, math.isqrt(len(index)))
+    for k in range(0, len(index), step):
+        rows = index[k:k + step]
+        yield saab.Moments(moments.count, moments.mean[rows],
+                           moments.scatter[rows])
 
 
 def fit_folds(samples: list[DeformationSample], cfg: PipelineConfig,
@@ -664,11 +725,15 @@ def fit_folds(samples: list[DeformationSample], cfg: PipelineConfig,
 
     Direction by direction, each layer is one step for every set's stack
     of maps, its training samples followed by its held-out ones. Layer 1
-    reads the samples' shared maps: each sample's union moments are taken
-    once, on the calling thread, and each set's kernel merges those of its
-    training samples in their order, so its stages are those of a fit of
-    its training samples alone, bit for bit. One :func:`_pool_layer` call
-    projects every map with every set's kernel into that set's stack.
+    reads the samples' shared maps: each map's union moments are taken
+    once, in runs of whole maps (:func:`_map_moments`), and each set's
+    kernel merges those of its training samples in their order, in one
+    closed-form step (:func:`saab.merge_moments`) that gathers about
+    sqrt(n) of their n scatters at a time (:func:`_stacked_rows`). A map's
+    moments are the same bits in any run, so a set's stages are those of a
+    fit of its training samples alone, bit for bit. The moments are freed
+    before one :func:`_pool_layer` call projects every map with every
+    set's kernel into that set's stack.
     Each later layer fits a kernel per set on its training maps and pools
     all the stacks in one call, as :func:`transform_many` pools the three
     directions. Every set's pooled maps are float32; layer 1's are the
@@ -713,11 +778,9 @@ def fit_folds(samples: list[DeformationSample], cfg: PipelineConfig,
             maps, per_layer = _DirectionMaps(samples, slice(d, d + 1)), []
             for li, (layer, shapes) in enumerate(zip(cfg.layers, ledger)):
                 if li == 0:
-                    moments = [next(_union_moments(maps[:, i:i + 1][0],
-                                                   layer.window))
-                               for i in range(len(samples))]
+                    moments = _map_moments(maps, layer.window, map_fn)
                     kernels = [saab.fit_saab_batches(
-                                   [moments[i] for i in t], layer.channels,
+                                   _stacked_rows(moments, t), layer.channels,
                                    cfg.bias_scale) for t in train]
                     del moments
                     order, out = rows, first

@@ -8,18 +8,19 @@ estimated from training unions. Every channel shares the same bias
 ``bias_scale * sqrt(F)``.
 
 Fitting reads the :class:`Moments` (count, mean, centered scatter) of
-batches of unions, merges them with the pairwise update of Chan, Golub &
-LeVeque (1979) and projects the DC direction out of the merged D x D
-statistics at the end, so training unions never need to be materialized
-in one matrix. The pipeline forms one batch per run of feature maps from
-raw sums over a mean-shifted copy of the maps (their shifted-data
-algorithm, 1983), without a centered copy of the unions; a run of several
-whole maps sums its Gram matrix from the row-and-column lagged products
-of its (1, 1, z) partial unions, and a run of one map from the row-lagged
-products of its (1, w, z) ones: the same products, grouped by position.
-Moments are plain values: they can be computed
-once, kept and merged into several fits; a dense matrix is simply the
-single-batch case, centered directly.
+batches of unions, merges them in one closed-form step and projects the
+DC direction out of the merged D x D statistics at the end, so training
+unions never need to be materialized in one matrix. The pipeline forms a
+batch from raw sums over a mean-shifted copy of feature maps (the
+shifted-data algorithm of Chan, Golub & LeVeque, 1983), without a
+centered copy of the unions: a run of several whole maps of a later
+layer is one batch, its Gram matrix summed from the row-and-column lagged
+products of its (1, 1, z) partial unions; each layer-1 map, and each map
+that runs alone, is a batch of its own, from the row-lagged products of
+its (1, w, z) ones: the same products, grouped by position. Moments are
+plain values: they can be computed once, kept, stacked and merged into
+several fits; a dense matrix is simply the single-batch case, centered
+directly.
 Projection is one matrix product plus a per-channel offset that folds in
 the training mean.
 """
@@ -117,11 +118,14 @@ def _descending_order(evals: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 
 class Moments(NamedTuple):
-    """Mergeable statistics of a set of unions."""
+    """Mergeable statistics of a set of unions, or of several sets stacked:
+    one row of ``mean`` and ``scatter`` per set, and ``count`` per set or
+    shared by all."""
 
-    count: int
-    mean: np.ndarray      # (D,)
-    scatter: np.ndarray   # (D, D) sum of outer products of centered rows
+    count: int | np.ndarray
+    mean: np.ndarray      # (D,), or (k, D) stacked
+    scatter: np.ndarray   # (D, D) sum of outer products of centered rows,
+                          # or (k, D, D) stacked
 
 
 def union_moments(rows) -> Moments:
@@ -136,30 +140,51 @@ def union_moments(rows) -> Moments:
 
 
 def merge_moments(items: Iterable[Moments]) -> Moments:
-    """Merge moments in the given order; empty items are skipped.
+    """Merge moments, each of one set or a stack of sets, in one closed-form
+    step; sets of no unions are skipped. Of sets of n_i unions with means
+    m_i and scatters S_i, the union has N = sum n_i unions, mean m = sum
+    (n_i/N) m_i, taken as m_1 + sum (n_i/N)(m_i - m_1), and scatter S =
+    sum S_i + sum n_i (m_i - m)(m_i - m)^T.
 
-    Merging a single item into the empty state returns it exactly.
+    The scatters are summed as the items come, in their order, so an
+    iterable is read once and its scatters are never held together; the
+    means are held, one row per set. A stack's scatters are summed over
+    its rows first. Merging a single set returns it exactly.
     """
-    n = 0
-    mean = m2 = None
+    dim, counts, means, scatter = None, [], [], None
     for item in items:
-        if mean is None:
-            dim = item.mean.shape[0]
-            mean = np.zeros(dim)
-            m2 = np.zeros((dim, dim))
-        elif item.mean.shape[0] != mean.shape[0]:
-            raise ShapeMismatchError(
-                f"batch width {item.mean.shape[0]} != {mean.shape[0]}")
-        if item.count == 0:
+        width = item.mean.shape[-1]
+        if dim is None:
+            dim = width
+        elif width != dim:
+            raise ShapeMismatchError(f"batch width {width} != {dim}")
+        count = np.broadcast_to(item.count, item.mean.shape[:-1]).reshape(-1)
+        mean = item.mean.reshape(-1, dim)
+        part = item.scatter.reshape(-1, dim, dim)
+        keep = count > 0
+        if not keep.all():
+            count, mean, part = count[keep], mean[keep], part[keep]
+        if not len(count):
             continue
-        delta = item.mean - mean
-        merged = n + item.count
-        m2 += item.scatter + np.outer(delta, delta) * (n * item.count / merged)
-        mean += delta * (item.count / merged)
-        n = merged
-    if mean is None:
-        return Moments(0, np.zeros(0), np.zeros((0, 0)))
-    return Moments(n, mean, m2)
+        counts.append(count)
+        means.append(mean)
+        # a fresh array: one set's scatter is copied, not taken in place
+        part = part.sum(axis=0)
+        if scatter is None:
+            scatter = part
+        else:
+            scatter += part
+    if not counts:
+        dim = 0 if dim is None else dim
+        return Moments(0, np.zeros(dim), np.zeros((dim, dim)))
+    counts, means = np.concatenate(counts), np.concatenate(means)
+    n = int(counts.sum())
+    # taken about the first mean, so that equal means merge to exactly
+    # theirs and add exactly nothing to the scatter
+    mean = means[0] + (counts / n) @ (means - means[0])
+    delta = means - mean
+    scatter += (delta.T * counts) @ delta
+    return Moments(n, mean, scatter)
 
 
 def fit_saab_batches(batches: Iterable[Moments], channels: int,

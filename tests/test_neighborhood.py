@@ -290,6 +290,25 @@ class TestUnionSlabs:
             np.testing.assert_allclose(conv + kernel.projection[1], expect,
                                        rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("dims,window,runs,slabs,full", [
+        ((12, 12, 12, 1), (3, 3, 4), 10, 1, 1),
+        ((32, 32, 32, 1), (3, 3, 6), 1, 4, 15)])
+    def test_lag_plan_counts_partial_unions(self, dims, window, runs, slabs,
+                                            full):
+        """The statistics' plan budgets the (1, w, z) partial unions of a
+        map's H input rows, where the projection's budgets the full unions
+        of its origin rows: ten 12x12x12 maps to a run, where the
+        projection takes four, and four row slabs of a 32x32x32 map, where
+        it takes 15, each with its h-1 halo rows."""
+        (run, ys), *_ = sslhop.neighborhood.lag_plan((1, 25) + dims, window)
+        assert len(range(25)[run]) == runs
+        assert len(ys) == slabs
+        assert all(a.stop - b.start == window[0] - 1
+                   for a, b in zip(ys, ys[1:]))
+        assert ys[-1].stop == dims[0]
+        (_, full_ys), *_ = slab_plan((1, 1) + dims, window)
+        assert len(full_ys) == full
+
     def test_invalid_window_raises_on_first_slab(self):
         with pytest.raises(WindowTooLargeError):
             slab_plan((1, 4, 4, 4, 1), (5, 3, 3))
@@ -305,6 +324,8 @@ class TestUnionSlabs:
         maps = np.zeros((2, 4, 4, 4, 1))
         with pytest.raises(WindowTooLargeError):
             next(sslhop.pipeline._union_moments(maps, window))
+        with pytest.raises(WindowTooLargeError):
+            sslhop.pipeline._map_moments(maps[None], window)
         # a ledger entry the maps pass; the plan fails before its output
         shapes = sslhop.pipeline.LayerShapes(1, (4, 4, 4, 1), 27, (2, 2, 2, 3),
                                              (1, 1, 1, 3), 3, 3)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import sslhop.neighborhood
 import sslhop.pipeline
 from conftest import BAD_SEEDS, plan_project, plan_unions, pool_layer
 from sslhop.errors import (
+    DegenerateInputError,
     DegenerateInputWarning,
     IndexOutOfRangeError,
     MissingClassError,
@@ -503,7 +505,7 @@ class TestLayerOneHandOff:
         np.testing.assert_array_equal(sh.transform_many(plain, samples),
                                       _training_features(samples, tiny_cfg))
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_cv_fold_models_match_standalone_fits(self, tiny_cohort, tiny_cfg,
                                                   monkeypatch, tmp_path,
                                                   threads):
@@ -567,12 +569,35 @@ class TestLayerOneHandOff:
             sh.fit_folds(_samples(records, tiny_cfg), tiny_cfg,
                          [np.arange(6), np.asarray(train)])
 
-    def test_training_set_in_any_order(self, tiny_cohort, tiny_cfg):
+    @pytest.mark.parametrize("train,error", [([], DegenerateInputError),
+                                             ([0], SingleClassError)],
+                             ids=["empty", "one-sample"])
+    def test_empty_or_one_sample_training_set_raises_its_typed_error(
+            self, tiny_cohort, tiny_cfg, train, error):
+        """The closed-form merge divides by the set's union count: a set of
+        no samples raises the Saab fit's error, and one of one sample the
+        entropy screen's, with no numpy warning before either."""
+        _, records = tiny_cohort
+        with warnings.catch_warnings(), np.errstate(all="raise"), \
+                pytest.raises(error):
+            warnings.simplefilter("error")
+            sh.fit_folds(_samples(records, tiny_cfg), tiny_cfg,
+                         [np.array(train, dtype=np.int64)])
+
+    def test_training_set_in_any_order(self, tiny_cohort, tiny_cfg,
+                                       tmp_path):
+        """A set in reverse order is a fit of the reversed samples, byte
+        for byte: each kernel merges its layer-1 moments in the set's
+        order, here in four chunks of three maps' scatters."""
         _, records = tiny_cohort
         samples = _samples(records, tiny_cfg)
         (fitted,) = sh.fit_folds(samples, tiny_cfg, [np.arange(12)[::-1]])
         assert fitted.subject_ids == tuple(s.subject_id
                                            for s in samples[::-1])
+        handed = sh.fit_pipeline(samples[::-1], tiny_cfg, fitted=fitted)
+        alone = sh.fit_pipeline(samples[::-1], tiny_cfg)
+        assert sh.save_model(handed, tmp_path / "handed.sslm").read_bytes() \
+            == sh.save_model(alone, tmp_path / "alone.sslm").read_bytes()
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_fold_work_runs_under_the_callers_error_state(
@@ -1099,6 +1124,51 @@ class TestUnionMoments:
             <= 1e-13 * np.abs(scatter).max()
         assert np.abs(moments.mean - mean).max() <= 1e-13 * np.abs(mean).max()
 
+    # layer 1 of cv-many-small and of the CI's ROI cohort, a five-channel
+    # layer-2 map of the standard cohort, and a small map under h = 2
+    @pytest.mark.parametrize("dims,window", [((12, 12, 12, 1), (3, 3, 4)),
+                                             ((20, 20, 16, 1), (3, 3, 4)),
+                                             ((15, 15, 14, 5), (3, 3, 3)),
+                                             ((7, 6, 5, 4), (2, 3, 3))])
+    def test_map_moments_do_not_depend_on_the_run(self, rng, monkeypatch,
+                                                  dims, window):
+        """Seven maps about levels 0 to +-100: each map's moments are the
+        same bits taken alone, in runs of three whole maps (the last one
+        ragged), in one run of all seven, and alone in row slabs; and the
+        moments of a lone map that :func:`_union_moments` gives are those
+        bits."""
+        stack = (rng.normal(size=(7,) + dims)
+                 + rng.uniform(-100, 100, size=(7, 1, 1, 1, 1)))
+        (H, W, Z, C), (h, w, z) = dims, window
+        row = (W - w + 1) * (Z - z + 1) * w * z * C * 8   # partial unions
+        layouts = {"alone": (H * row, [1] * 7, 1),
+                   "runs-of-3": (3 * H * row, [3, 3, 1], 1),
+                   "one-run": (7 * H * row, [7], 1),
+                   "row-slabs": ((H - h + 1) // 3 * row, [1] * 7, 3)}
+        for name, (budget, runs, slabs) in layouts.items():
+            monkeypatch.setattr(sslhop.neighborhood, "SLAB_BYTES", budget)
+            plan = sslhop.neighborhood.lag_plan((1,) + stack.shape, window)
+            assert [len(range(7)[r]) for r, _ in plan] == runs
+            assert min(len(ys) for _, ys in plan) >= slabs
+            got = sslhop.pipeline._map_moments(stack[None], window)
+            if name == "alone":
+                alone = got
+            assert got.count == sh.union_count(dims, window)
+            np.testing.assert_array_equal(got.mean, alone.mean)
+            np.testing.assert_array_equal(got.scatter, alone.scatter)
+            lone = [sslhop.pipeline._union_moments(m[None], window)
+                    for m in stack]
+            for (m,), mean, scatter in zip(lone, alone.mean, alone.scatter):
+                np.testing.assert_array_equal(m.mean, mean)
+                np.testing.assert_array_equal(m.scatter, scatter)
+        # and they match the long double oracle, map by map
+        for fmap, mean, scatter in zip(stack, alone.mean, alone.scatter):
+            oracle_mean, oracle_scatter = _dense_moments(fmap, window)
+            assert np.abs(scatter - oracle_scatter).max() \
+                <= 1e-13 * np.abs(oracle_scatter).max()
+            assert np.abs(mean - oracle_mean).max() \
+                <= 1e-13 * np.abs(oracle_mean).max()
+
     @pytest.mark.parametrize("window", [(3, 3, 3), (2, 3, 3), (1, 3, 3)],
                              ids=["h3", "h2", "h1"])
     def test_constant_channels_have_exactly_zero_scatter(self, monkeypatch,
@@ -1205,8 +1275,7 @@ class TestLagForms:
     def test_several_map_runs_take_column_lags(self, rng, monkeypatch):
         """At the default budget, eight 15x15x14x5 layer-2 maps of the
         standard cohort fill a run, which takes row-and-column lags; a
-        lone map, as every per-subject layer-1 statistic, takes row
-        lags."""
+        lone map, here the ragged last run, takes row lags, as layer 1 does."""
         maps = rng.normal(size=(17, 15, 15, 14, 5))
         forms = _lag_forms(monkeypatch)
         counts = [m.count for m in

@@ -121,19 +121,48 @@ def _uneven_blocks(X):
     return [X[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
+def _equal_count_items(rng):
+    """400 items of 24 rows of 36, the layer-1 shape of a 5-fold training
+    set of a 500-subject cohort: per-item means about 1e3 +- 50, far from
+    zero, as one stacked item."""
+    levels = 1e3 + rng.uniform(-50, 50, size=(400, 1, 1))
+    X = levels + rng.normal(scale=np.linspace(0.5, 3.0, 36), size=(400, 24, 36))
+    items = [union_moments(x) for x in X]
+    return X.reshape(-1, 36), [Moments(24, np.array([m.mean for m in items]),
+                                       np.array([m.scatter for m in items]))]
+
+
 class TestMoments:
-    def test_merge_matches_two_pass_oracle(self, rng):
-        X = _offset_rows(rng)
-        merged = merge_moments(union_moments(b) for b in _uneven_blocks(X))
-        mean = X.mean(axis=0)
-        centered = X - mean
+    @pytest.mark.parametrize("case", ["uneven-blocks", "400-equal-items"])
+    def test_merge_matches_two_pass_oracle(self, rng, case):
+        if case == "uneven-blocks":
+            X = _offset_rows(rng)
+            items = (union_moments(b) for b in _uneven_blocks(X))
+        else:
+            X, items = _equal_count_items(rng)
+        merged = merge_moments(items)
+        rows = X.astype(np.longdouble)
+        mean = rows.mean(axis=0)
+        centered = rows - mean
         scatter = centered.T @ centered
-        assert merged.count == 200
-        # measured over rng seeds 0-19: mean within 1.3e-15 relative, scatter
-        # within 2.5e-14 of its largest entry
+        assert merged.count == len(X)
+        # measured over rng seeds 0-19 against this long double oracle: mean
+        # within 3.8e-16 relative, scatter within 2.7e-14 of its largest
+        # entry (uneven blocks), and 8.0e-17 and 2.9e-15 (400 items)
         np.testing.assert_allclose(merged.mean, mean, rtol=1e-14, atol=0)
         err = np.abs(merged.scatter - scatter).max() / np.abs(scatter).max()
         assert err <= 1e-12
+
+    def test_stacked_items_merge_as_the_items_one_by_one(self, rng):
+        """A stack's scatters are summed in its row order, as the items'
+        are in theirs, and its means held as theirs are."""
+        _, (stacked,) = _equal_count_items(rng)
+        items = [Moments(stacked.count, mean, scatter)
+                 for mean, scatter in zip(stacked.mean, stacked.scatter)]
+        one, each = merge_moments([stacked]), merge_moments(items)
+        assert one.count == each.count == 400 * 24
+        assert np.array_equal(one.mean, each.mean)
+        assert np.array_equal(one.scatter, each.scatter)
 
     def test_single_item_merge_is_exact(self, rng):
         X = _offset_rows(rng)
@@ -172,7 +201,7 @@ class TestBatching:
 
     def test_uneven_offset_batches_match_two_pass_oracle(self, rng):
         # a common offset of 1e3 and batches of 0 and 1 rows stress the
-        # pairwise merge; the oracle removes DC row by row in two passes
+        # merge; the oracle removes DC row by row in two passes
         X = _offset_rows(rng)
         k = fit_saab_batches((union_moments(b) for b in _uneven_blocks(X)),
                              channels=6)
