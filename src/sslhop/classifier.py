@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (MissingClassError, NonFiniteValuesError,
-                     OneClassOnlyError, ShapeMismatchError, SingleClassError,
-                     as_finite, as_integer)
+from .errors import (MissingClassError, OneClassOnlyError,
+                     ShapeMismatchError, SingleClassError, as_features,
+                     as_finite, as_integer, as_labels)
 
 MAX_EPOCHS = 10_000
 STOP_TOL = 1e-4
@@ -115,14 +115,8 @@ def fit_svm(X: np.ndarray, labels: np.ndarray, cost: float = 1.0,
             raise ValueError(f"{name} must be > 0, got {value!r}")
     if as_integer("max_epochs", max_epochs) < 1:
         raise ValueError(f"max_epochs must be at least 1, got {max_epochs!r}")
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ShapeMismatchError(f"expected (N, D) features, got {X.shape}")
-    if not np.isfinite(X).all():
-        raise NonFiniteValuesError("features contain non-finite values")
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (X.shape[0],):
-        raise ShapeMismatchError(f"labels shape {labels.shape} != ({X.shape[0]},)")
+    X = as_features(X)
+    labels = as_labels(labels, len(X), np.int64)
     k = checked_class_count(labels, class_count)
 
     mean = X.mean(axis=0)

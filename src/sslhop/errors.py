@@ -2,12 +2,15 @@
 
 Every error type carries an ``exit_code`` consumed by the CLI: 3 for
 problems attributable to inputs (bad files, bad shapes, degenerate data),
-4 for violated internal invariants. The number rules that settings share
-live here too, so every module can import them.
+4 for violated internal invariants. The number rules that settings share,
+and the array rules that the supervised stages' inputs share, live here
+too, so every module can import them.
 """
 
 import math
 import numbers
+
+import numpy as np
 
 
 def as_integer(name: str, value) -> int:
@@ -49,6 +52,25 @@ def as_finite(name: str, value):
             or not math.isfinite(value)):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     return value
+
+
+def as_features(X) -> np.ndarray:
+    """``X`` as a 2-D float64 (N, D) array of finite features."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ShapeMismatchError(f"expected (N, D) features, got {X.shape}")
+    if not np.isfinite(X).all():
+        raise NonFiniteValuesError("features contain non-finite values")
+    return X
+
+
+def as_labels(labels, rows: int, dtype=None) -> np.ndarray:
+    """``labels`` as an array of ``dtype``, one label for each of ``rows``
+    rows."""
+    labels = np.asarray(labels, dtype=dtype)
+    if labels.shape != (rows,):
+        raise ShapeMismatchError(f"labels shape {labels.shape} != ({rows},)")
+    return labels
 
 
 class SslhopError(Exception):

@@ -22,6 +22,14 @@ DIRECTIONS = 3
 CONCAT_MODES = ("interlaced", "plain")
 
 
+def as_concat_mode(value) -> str:
+    """``value`` if it names one of :data:`CONCAT_MODES`, the orders in
+    which two phases merge along depth."""
+    if value not in CONCAT_MODES:
+        raise ValueError(f"concat_mode must be one of {CONCAT_MODES}")
+    return value
+
+
 def validate_field(field: np.ndarray) -> np.ndarray:
     """Check the (3, H, W, Z) layout and finiteness of a displacement field."""
     arr = np.asarray(field)
@@ -103,8 +111,7 @@ class DeformationSample:
         """A sample of two phase fields of one shape, merged in
         ``concat_mode`` (interlaced or plain) whenever a map is built."""
         ed, es = validate_phases(ed, es)
-        if concat_mode not in CONCAT_MODES:
-            raise ValueError(f"concat_mode must be one of {CONCAT_MODES}")
+        concat_mode = as_concat_mode(concat_mode)
         label = as_integer("label", label)
         if label < 0:
             raise ShapeMismatchError(f"label must be a non-negative id, got {label}")

@@ -31,7 +31,8 @@ from .errors import (IndexOutOfRangeError, NonFiniteValuesError,
                      ShapeLedgerMismatchError, ShapeMismatchError,
                      WindowTooLargeError, as_finite, as_int_triple,
                      as_integer, as_seed)
-from .fields import CONCAT_MODES, DIRECTIONS, DeformationSample, crop_phases
+from .fields import (DIRECTIONS, DeformationSample, as_concat_mode,
+                     crop_phases)
 from .neighborhood import extract_unions, max_pool, pooled_dims, slab_plan, \
     union_count
 
@@ -113,8 +114,7 @@ class PipelineConfig:
         if self.centroids_per_class < 1:
             raise ValueError("centroids_per_class must be positive, "
                              f"got {self.centroids_per_class}")
-        if self.concat_mode not in CONCAT_MODES:
-            raise ValueError(f"concat_mode must be one of {CONCAT_MODES}")
+        as_concat_mode(self.concat_mode)
         for name in ("roi_size", "roi_origin"):
             val = getattr(self, name)
             if val is not None:
@@ -555,15 +555,14 @@ def _lag_layout(dims: tuple[int, ...], span: tuple[int, ...]):
 
 
 def _lagged_sums(shifted: np.ndarray, window, ys, axes: int):
-    """Raw sums and Gram matrices of the unions of a (n, H, W, Z, C) stack
-    of whole maps read in the row slabs ``ys``, from their partial unions
-    over the rest of the window once its first ``axes`` axes are lagged:
-    ``R_p``, the (1, w, z) unions of input row ``p`` (``axes`` 1, K = D/h
-    columns) or the (1, 1, z) unions of input row and column ``p``
-    (``axes`` 2, K = D/(h*w)). Row lags keep the run's map axis: they
-    return each map's (n, D) sums and (n, D, D) Gram matrices. Row and
-    column lags sum over the run's maps, whose origins widen their GEMMs:
-    they return the run's, as a stack of one.
+    """Raw sums and Gram matrices of the unions of each item of a (B, n,
+    H, W, Z, C) stack of items of n whole maps, read in the row slabs
+    ``ys``, from their partial unions over the rest of the window once its
+    first ``axes`` axes are lagged: ``R_p``, the (1, w, z) unions of input
+    row ``p`` (``axes`` 1, row lags, K = D/h columns) or the (1, 1, z)
+    unions of input row and column ``p`` (``axes`` 2, row-and-column
+    lags, K = D/(h*w)). Returns each item's (B, D) sums and (B, D, D) Gram
+    matrices, summed over its n maps, whose origins widen the GEMMs.
 
     A union at origin ``o`` is the ``R_{o+a}`` side by side, for the
     lagged window offsets ``a`` in C order, so Gram block (a, a+d) is the
@@ -572,33 +571,32 @@ def _lagged_sums(shifted: np.ndarray, window, ys, axes: int):
     matrix, grouped by position. Each lagged product is formed once, for
     each lag ``d`` that is lexicographically >= 0 (3 row lags, or 13
     row-and-column lags, of a 3x3 window), by one batched product per lag
-    and slab, with one GEMM per position and map (or run); a slab takes
-    the products of its origin rows, and the last (or only) one also those
-    of its halo rows, which no later slab reads. Each map's products and
-    sums are taken alone, in the same order, whatever the run and slabs it
-    is read in, so they do not depend on them. Row-and-column products are
-    summed over each box of origin columns as they come, so a run keeps at
-    most h*(2w-1) (row, column-offset) sums of K x K per input row, as row
-    lags keep h products of (wK) x (wK) per input row and map.
+    and slab, with one GEMM per position and item; a slab takes the
+    products of its origin rows, and the last (or only) one also those of
+    its halo rows, which no later slab reads. Each item's products and
+    sums are taken alone, in the same order, whatever the stack and slabs
+    it is read in, so they do not depend on them. Row-and-column products
+    are summed over each box of origin columns as they come, so an item
+    keeps at most h*(2w-1) (row, column-offset) sums of K x K per input
+    row, as row lags keep h products of (wK) x (wK) per input row.
     """
     span, part = tuple(window[:axes]), (1,) * axes + tuple(window[axes:])
-    dims = shifted.shape[1:1 + axes]
+    batch, dims = len(shifted), shifted.shape[2:2 + axes]
     lags, blocks, boxes = _lag_layout(dims, span)
     K = math.prod(part) * shifted.shape[-1]
-    batch = len(shifted) if axes == 1 else 1   # maps kept apart
     lead = tuple(range(axes))
     lagged = [np.empty(shape + (batch, K, K)) for _, shape, _, _, _ in lags]
     sums = np.empty(dims + (batch, K))
-    # the slab's input positions lead, before the maps
-    front = tuple(range(1, axes + 1)) + (0,)
+    # the slab's input positions lead, before the items and their maps
+    front = tuple(range(2, axes + 2)) + (0, 1)
     for y in ys:
         count = y.stop - y.start
         own = count if y.stop == dims[0] else count - (span[0] - 1)
-        stack = shifted[(slice(None), y) + (slice(None),) * (axes - 1)
-                        + (None,) * axes]
-        stack = stack.transpose(front + tuple(range(axes + 1, stack.ndim)))
-        # (rows, [columns,] maps, K, origins): each position's R_p^T over
-        # each map, or over the run's, a view of the gathered slab
+        stack = shifted[(slice(None), slice(None), y)
+                        + (slice(None),) * (axes - 1) + (None,) * axes]
+        stack = stack.transpose(front + tuple(range(axes + 2, stack.ndim)))
+        # (rows, [columns,] items, K, origins): each position's R_p^T over
+        # each item's maps, a view of the gathered slab
         rows = extract_unions(stack, part).T.reshape(
             (K, count) + dims[1:] + (batch, -1)).transpose(
             tuple(range(1, axes + 2)) + (0, axes + 2))
@@ -622,22 +620,49 @@ def _lagged_sums(shifted: np.ndarray, window, ys, axes: int):
     return total, gram.reshape(batch, D, D)
 
 
-def _map_moments(maps, window, map_fn=map) -> saab.Moments:
-    """The moments of the unions of each map of a (1, N, H, W, Z, C) stack
-    of maps, stacked: the count each map shares, (N, D) means and (N, D,
-    D) scatters.
+def _moments(items: np.ndarray, window, ys, axes: int) -> saab.Moments:
+    """The moments of the unions of each item of a (B, n, H, W, Z, C)
+    stack of items of n whole maps, read in the row slabs ``ys``, stacked:
+    the count each item shares, (B, D) means and (B, D, D) scatters, from
+    the lagged products of :func:`_lagged_sums` in the lag form ``axes``.
 
-    The maps are read in the runs and slabs of :func:`lag_plan`, sized by
-    the (1, w, z) partial unions whose row-lagged products give each map's
-    raw sums and Gram matrix (:func:`_lagged_sums`). Each map is shifted
-    by its first voxel and then by its channels' means, taken map by map,
+    Each item is shifted by its first voxel and then by its channels'
+    means, taken item by item, a copy D/C times smaller than its unions,
     so a constant channel shifts to exact zeros and adds exactly nothing
-    to the scatter, and its sums are corrected for the shift once (the
-    shifted-data algorithm of Chan, Golub & LeVeque 1983). No step takes
-    its order from the run: a map's moments are the same bits alone, in a
-    run of several, in a ragged last run and in row slabs, which is what
-    lets a fold's kernel merge moments taken beside its held-out maps.
-    ``map_fn`` runs the per-run work; each run writes only its own rows.
+    to the scatter; its raw sums and Gram matrix are corrected for the
+    shift once (the shifted-data algorithm of Chan, Golub & LeVeque
+    1983). No step takes its order from the other items, so an item's
+    moments are the same bits alone, beside others and in row slabs.
+
+    The pipeline takes two kinds of item. Each layer-1 map is one, from
+    row lags: the maps of a run of :func:`lag_plan` are one stack, one
+    batched product per row lag, and a map too large for a run is read in
+    its row slabs (:func:`_map_moments`). So a map's moments are the same
+    bits in any run, which lets a fold's kernel merge moments taken beside
+    its held-out maps. A later layer's run of several maps is one item,
+    from row-and-column lags, whose GEMMs widen with the run; a later map
+    that runs alone, in :func:`lag_plan`'s row slabs, is one from row
+    lags, which take fewer GEMM calls for the same map
+    (:func:`_union_moments`).
+    """
+    first = items[:, :1, :1, :1, :1]
+    shifted = np.subtract(items, first, dtype=np.float64)
+    shift = np.array([item.mean(axis=(0, 1, 2, 3)) for item in shifted])
+    shifted -= shift[:, None, None, None, None]
+    total, gram = _lagged_sums(shifted, window, ys, axes)
+    count = items.shape[1] * union_count(items.shape[2:], window)
+    mean = total / count
+    shift += first[:, 0, 0, 0, 0]
+    return saab.Moments(count, mean + np.tile(shift, math.prod(window)),
+                        gram - count * (mean[:, :, None] * mean[:, None]))
+
+
+def _map_moments(maps, window, map_fn=map) -> saab.Moments:
+    """The :func:`_moments` of each map of a (1, N, H, W, Z, C) stack of
+    maps, each map one item, stacked: the count each map shares, (N, D)
+    means and (N, D, D) scatters, read in the runs and slabs of
+    :func:`lag_plan`, one stack of items per run. ``map_fn`` runs the
+    per-run work; each run writes only its own rows.
     """
     plan = neighborhood.lag_plan(maps.shape, window)   # checks the window
     N, dims = maps.shape[1], maps.shape[2:]
@@ -646,16 +671,8 @@ def _map_moments(maps, window, map_fn=map) -> saab.Moments:
 
     def run(plan_run) -> None:
         group, ys = plan_run
-        fmaps = maps[:, group][0]
-        first = fmaps[:, :1, :1, :1]
-        shifted = np.subtract(fmaps, first, dtype=np.float64)
-        shift = np.array([m.mean(axis=(0, 1, 2)) for m in shifted])
-        shifted -= shift[:, None, None, None]
-        total, gram = _lagged_sums(shifted, window, ys, 1)
-        mean = total / count
-        shift += first[:, 0, 0, 0]
-        means[group] = mean + np.tile(shift, math.prod(window))
-        scatters[group] = gram - count * (mean[:, :, None] * mean[:, None])
+        _, means[group], scatters[group] = _moments(
+            maps[:, group][0, :, None], window, ys, 1)
 
     for _ in map_fn(run, plan):
         pass
@@ -663,43 +680,21 @@ def _map_moments(maps, window, map_fn=map) -> saab.Moments:
 
 
 def _union_moments(maps: np.ndarray, window):
-    """Yield the moments of the unions of each run of a (N, H, W, Z, C)
-    stack of maps, in order; merged in order, they are the moments of the
-    whole stack's unions.
-
-    A run holds as many whole maps as fit in ``SLAB_BYTES`` of float64
-    input maps. Each channel's mean over a run of several maps is
-    subtracted from its maps once, a copy D/C times smaller than their
-    unions, taken about the run's first voxel, so a constant channel
-    shifts to exact zeros; the run's raw sums and Gram matrix of the
-    shifted maps' unions, summed from the row-and-column lagged products
-    of its (1, 1, z) partial unions, whose GEMMs widen with the run, are
-    corrected once per run (:func:`_lagged_sums`). A run of one map, one
-    that fills the budget or a ragged last one, takes the moments of
-    :func:`_map_moments`, from row-lagged products, which take fewer GEMM
-    calls for the same map.
+    """Yield the :func:`_moments` of each run of a (N, H, W, Z, C) stack
+    of maps, in order, each run one item (a stack of one) of as many whole
+    maps as fit in ``SLAB_BYTES`` of float64 input maps; merged in order,
+    they are the moments of the whole stack's unions.
     """
     N, H = maps.shape[:2]
-    neighborhood.lag_plan((1,) + maps.shape[1:], window)  # checks the window
+    ((_, ys),) = neighborhood.lag_plan((1,) + maps.shape[1:], window)
     per_run = max(1, neighborhood.SLAB_BYTES
                   // (8 * math.prod(maps.shape[1:])))
-    per_map = union_count(maps.shape[1:], window)
     for start in range(0, N, per_run):
-        fmaps = maps[start:start + per_run]
-        if len(fmaps) == 1:
-            count, (mean,), (scatter,) = _map_moments(fmaps[None], window)
-            yield saab.Moments(count, mean, scatter)
-            continue
-        first = fmaps[0, 0, 0, 0]
-        shifted = np.subtract(fmaps, first, dtype=np.float64)
-        shift = shifted.mean(axis=(0, 1, 2, 3))
-        shifted -= shift
-        (total,), (gram,) = _lagged_sums(shifted, window, (slice(0, H),), 2)
-        n = per_map * len(fmaps)
-        mean = total / n
-        shift += first
-        yield saab.Moments(n, mean + np.tile(shift, math.prod(window)),
-                           gram - n * np.outer(mean, mean))
+        run = maps[None, start:start + per_run]
+        if run.shape[1] == 1:
+            yield _moments(run, window, ys, 1)
+        else:
+            yield _moments(run, window, (slice(0, H),), 2)
 
 
 def _stacked_rows(moments: saab.Moments, index):

@@ -10,14 +10,10 @@ estimated from training unions. Every channel shares the same bias
 Fitting reads the :class:`Moments` (count, mean, centered scatter) of
 batches of unions, merges them in one closed-form step and projects the
 DC direction out of the merged D x D statistics at the end, so training
-unions never need to be materialized in one matrix. The pipeline forms a
-batch from raw sums over a mean-shifted copy of feature maps (the
-shifted-data algorithm of Chan, Golub & LeVeque, 1983), without a
-centered copy of the unions: a run of several whole maps of a later
-layer is one batch, its Gram matrix summed from the row-and-column lagged
-products of its (1, 1, z) partial unions; each layer-1 map, and each map
-that runs alone, is a batch of its own, from the row-lagged products of
-its (1, w, z) ones: the same products, grouped by position. Moments are
+unions never need to be materialized in one matrix. The pipeline takes
+a batch's moments from the lagged products of partial unions of a
+mean-shifted copy of its feature maps, without a centered copy of the
+unions (``pipeline._moments`` says which maps form a batch). Moments are
 plain values: they can be computed once, kept, stacked and merged into
 several fits; a dense matrix is simply the single-batch case, centered
 directly.

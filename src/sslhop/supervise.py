@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ClusterCollapseWarning, IndexOutOfRangeError,
-                     NonFiniteValuesError, ShapeMismatchError,
-                     SingleClassError, TooFewSamplesError, as_seed,
-                     seed_entropy)
+                     ShapeMismatchError, SingleClassError, TooFewSamplesError,
+                     as_features, as_labels, as_seed, seed_entropy)
 
 ENTROPY_EPS = 1e-12
 
@@ -92,9 +91,7 @@ def channel_entropy(features: np.ndarray, labels: np.ndarray,
     feats = np.asarray(features)
     if feats.ndim != 5:
         raise ShapeMismatchError(f"expected stacked (N, H, W, Z, C) maps, got {feats.shape}")
-    labels = np.asarray(labels)
-    if labels.shape != (feats.shape[0],):
-        raise ShapeMismatchError(f"labels shape {labels.shape} != ({feats.shape[0]},)")
+    labels = as_labels(labels, len(feats))
     if not 0.0 < keep_ratio <= 1.0:
         raise ValueError(f"keep_ratio must lie in (0, 1], got {keep_ratio}")
     if np.unique(labels).size < 2:
@@ -191,14 +188,8 @@ def class_centroids(X: np.ndarray, labels: np.ndarray,
     sorted label order, and the number each class kept. Features that are
     not float64 are widened first."""
     seed = as_seed("seed", seed)
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ShapeMismatchError(f"expected (N, D) features, got {X.shape}")
-    if not np.isfinite(X).all():
-        raise NonFiniteValuesError("features contain non-finite values")
-    labels = np.asarray(labels)
-    if labels.shape != (X.shape[0],):
-        raise ShapeMismatchError(f"labels shape {labels.shape} != ({X.shape[0]},)")
+    X = as_features(X)
+    labels = as_labels(labels, len(X))
     classes = np.unique(labels)
     if classes.size < 2:
         raise SingleClassError("label-assisted regression needs at least two classes")

@@ -1159,11 +1159,68 @@ class TestUnionMoments:
             lone = [sslhop.pipeline._union_moments(m[None], window)
                     for m in stack]
             for (m,), mean, scatter in zip(lone, alone.mean, alone.scatter):
-                np.testing.assert_array_equal(m.mean, mean)
-                np.testing.assert_array_equal(m.scatter, scatter)
+                np.testing.assert_array_equal(m.mean, [mean])
+                np.testing.assert_array_equal(m.scatter, [scatter])
         # and they match the long double oracle, map by map
         for fmap, mean, scatter in zip(stack, alone.mean, alone.scatter):
             oracle_mean, oracle_scatter = _dense_moments(fmap, window)
+            assert np.abs(scatter - oracle_scatter).max() \
+                <= 1e-13 * np.abs(oracle_scatter).max()
+            assert np.abs(mean - oracle_mean).max() \
+                <= 1e-13 * np.abs(oracle_mean).max()
+
+    @pytest.mark.parametrize("dims,window", [((12, 12, 12, 1), (3, 3, 4)),
+                                             ((15, 15, 14, 5), (3, 3, 3)),
+                                             ((7, 6, 5, 4), (2, 3, 3))])
+    @pytest.mark.parametrize("slabs", ["one-slab", "row-slabs"])
+    def test_stacked_items_are_separate_calls(self, rng, monkeypatch, dims,
+                                              window, slabs):
+        """Seven one-map items about levels 0 to +-100, from row lags:
+        stacked all seven, and in the ragged stacks 3 + 3 + 1, each item's
+        moments are the bits of its own call in one slab, whether the
+        stacks are read in one slab or in the row slabs of
+        :func:`lag_plan`."""
+        items = (rng.normal(size=(7, 1) + dims)
+                 + rng.uniform(-100, 100, size=(7, 1, 1, 1, 1, 1)))
+        (H, W, Z, C), (h, w, z) = dims, window
+        alone = [sslhop.pipeline._moments(item[None], window,
+                                          (slice(0, H),), 1)
+                 for item in items]
+        row = (W - w + 1) * (Z - z + 1) * w * z * C * 8   # partial unions
+        if slabs == "row-slabs":
+            monkeypatch.setattr(sslhop.neighborhood, "SLAB_BYTES",
+                                (H - h + 1) // 3 * row)
+        ((_, ys),) = sslhop.neighborhood.lag_plan((1, 1) + dims, window)
+        assert len(ys) >= (3 if slabs == "row-slabs" else 1)
+        for stacks in ([7], [3, 3, 1]):
+            bounds = np.cumsum([0] + stacks)
+            for start, stop in zip(bounds, bounds[1:]):
+                got = sslhop.pipeline._moments(items[start:stop], window,
+                                               ys, 1)
+                assert got.count == sh.union_count(dims, window)
+                assert got.mean.shape[0] == stop - start
+                for m, mean, scatter in zip(alone[start:stop], got.mean,
+                                            got.scatter):
+                    np.testing.assert_array_equal(m.mean, [mean])
+                    np.testing.assert_array_equal(m.scatter, [scatter])
+
+    @pytest.mark.parametrize("window", [(3, 3, 3), (2, 3, 3), (1, 3, 3)],
+                             ids=["h3", "h2", "h1"])
+    @pytest.mark.parametrize("offset", [0.0, 100.0])
+    def test_a_run_of_maps_is_one_item(self, rng, window, offset):
+        """Two items of three 7x6x5x4 maps each, from row-and-column lags:
+        each item's moments are those of its three maps' unions, within
+        the long double oracle's tolerance, and the stack of both gives
+        each the bits of its own call."""
+        items = rng.normal(size=(2, 3, 7, 6, 5, 4)) + offset
+        ys = (slice(0, 7),)
+        both = sslhop.pipeline._moments(items, window, ys, 2)
+        assert both.count == 3 * sh.union_count((7, 6, 5), window)
+        for item, mean, scatter in zip(items, both.mean, both.scatter):
+            alone = sslhop.pipeline._moments(item[None], window, ys, 2)
+            np.testing.assert_array_equal(alone.mean, [mean])
+            np.testing.assert_array_equal(alone.scatter, [scatter])
+            oracle_mean, oracle_scatter = _dense_moments(item, window)
             assert np.abs(scatter - oracle_scatter).max() \
                 <= 1e-13 * np.abs(oracle_scatter).max()
             assert np.abs(mean - oracle_mean).max() \
@@ -1191,8 +1248,8 @@ class TestUnionMoments:
         assert len(moments) == 2
         for m in whole + moments:
             assert not m.scatter.any()
-            np.testing.assert_array_equal(m.mean,
-                                          np.tile(levels, math.prod(window)))
+            np.testing.assert_array_equal(
+                m.mean, [np.tile(levels, math.prod(window))])
         with pytest.warns(DegenerateInputWarning,
                           match="no residual variance"):
             kernel = sh.fit_saab_batches(whole + moments, 5)
@@ -1269,8 +1326,8 @@ class TestLagForms:
         assert forms == [2, 2, 2]
         for m in moments:
             assert not m.scatter.any()
-            np.testing.assert_array_equal(m.mean,
-                                          np.tile(levels, math.prod(window)))
+            np.testing.assert_array_equal(
+                m.mean, [np.tile(levels, math.prod(window))])
 
     def test_several_map_runs_take_column_lags(self, rng, monkeypatch):
         """At the default budget, eight 15x15x14x5 layer-2 maps of the
