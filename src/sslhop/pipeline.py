@@ -218,15 +218,24 @@ def assemble_sample(ed: np.ndarray, es: np.ndarray, cfg: PipelineConfig,
     return DeformationSample(ed, es, cfg.concat_mode, label, subject_id)
 
 
-def common_dims(samples: list[DeformationSample]) -> tuple[int, int, int]:
-    """The (H, W, 2Z) dims every sample shares."""
+def common_dims(samples: list[DeformationSample], concat_mode: str,
+                dims: tuple[int, int, int] | None = None
+                ) -> tuple[int, int, int]:
+    """The (H, W, 2Z) dims every sample shares, which must be ``dims``
+    when given (a model's input dims). Every sample must merge its phases
+    in ``concat_mode``, the config's: the maps of another order have the
+    same dims but other depth slices."""
     if not samples:
-        raise ShapeMismatchError("no training samples")
-    dims = samples[0].dims
+        raise ShapeMismatchError("no samples")
+    dims = dims or samples[0].dims
     for s in samples:
         if s.dims != dims:
             raise ShapeMismatchError(
                 f"sample {s.subject_id} dims {s.dims} != {dims}")
+        if s.concat_mode != concat_mode:
+            raise ShapeMismatchError(
+                f"sample {s.subject_id} merges its phases {s.concat_mode}, "
+                f"the config {concat_mode}")
     return dims
 
 
@@ -299,10 +308,12 @@ class _DirectionMaps:
     """The one-channel float32 input maps of some directions of every
     sample, as a (G, N, H, W, Z, 1) stack, one row of maps per direction
     in ``directions`` (a slice of the three), whose runs of maps are built
-    when they are taken (``maps[:, start:stop]``). Maps are float32 at
-    every layer: the layer step projects them as they are, and the union
-    statistics widen them, as they do the float32 pooled maps of the
-    layers after."""
+    when they are taken (``maps[:, start:stop]``). A run is map-major, as
+    every layer stack is: the (G, n, ...) ``swapaxes`` view of a C-order
+    (n, G, ...) array, one contiguous block that :func:`_plane_unions`
+    gathers in place. Maps are float32 at every layer: the layer step
+    projects them as they are, and the union statistics widen them, as
+    they do the float32 pooled maps of the layers after."""
 
     def __init__(self, samples: list[DeformationSample], directions: slice):
         self.samples, self.directions = samples, directions
@@ -312,11 +323,11 @@ class _DirectionMaps:
     def __getitem__(self, index: tuple[slice, slice]) -> np.ndarray:
         _, run = index           # maps[:, run]: every direction of a run
         samples = self.samples[run]
-        out = np.empty(self.shape[:1] + (len(samples),) + self.shape[2:],
+        out = np.empty((len(samples),) + self.shape[:1] + self.shape[2:],
                        np.float32)
-        for i, sample in enumerate(samples):
-            sample.direction(self.directions, out=out[:, i, ..., 0])
-        return out
+        for sample, maps in zip(samples, out):
+            sample.direction(self.directions, out=maps[..., 0])
+        return out.swapaxes(0, 1)
 
 
 def _z_block(window, dims) -> int:
@@ -324,23 +335,25 @@ def _z_block(window, dims) -> int:
     entry's (H, W, Z, C) input dims, in under ``window``: block 1, plain
     im2col, for one-channel maps (layer 1's) and for maps whose flat (x, z)
     plane holds fewer than 32 window positions, L = (W-w)*Z + Z-z+1; else
-    the largest ``b`` whose banded Toeplitz matrix is at least 3/4
-    non-zero, 4z >= 3(b + z - 1), that is b <= 1 + z/3.
+    the largest ``b`` that divides L and whose banded Toeplitz matrix is
+    at least 3/4 non-zero, 4z >= 3(b + z - 1), that is b <= 1 + z/3. A
+    block that divides L ends on a map's last element, so every slab is
+    gathered in place (:func:`_plane_unions`); an odd plane under a window
+    3 deep takes block 1.
 
     A block of ``b`` gathers (z+b-1)/(b*z) of block 1's union elements,
     and its GEMM takes (z+b-1)/z times block 1's products, so it pays
     where the gather leads: on wide planes, not on small ones, where
-    per-call set-up and the slack copy of an L that is no whole number of
-    blocks lead. In timed layer steps (CHANGES.md) block 1 was faster at
-    the presets' and workloads' L = 13, 16 and 28, block 2 at their 180,
-    658 and 2,912, and the two tied at 124; on five-channel maps block 2
-    was faster from L = 40. The block rests on the ledger's shapes alone,
-    so a fit, a fold fit and a transform of the layer project in the same
-    block."""
+    per-call set-up leads. In timed layer steps (CHANGES.md) block 1 was
+    faster at the presets' and workloads' L = 13, 16 and 28, block 2 at
+    their 180, 658 and 2,912, and the two tied at 124; on five-channel
+    maps block 2 was faster from L = 40. The block rests on the ledger's
+    shapes alone, so a fit, a fold fit and a transform of the layer
+    project in the same block."""
     (_, W, Z, C), (_, w, z) = dims, window
-    if C == 1 or (W - w) * Z + Z - z + 1 < 32:
-        return 1
-    return 1 + z // 3
+    positions = (W - w) * Z + Z - z + 1
+    widest = 1 + z // 3 if C > 1 and positions >= 32 else 1
+    return max(b for b in range(1, widest + 1) if positions % b == 0)
 
 
 def _bands(kernels, window, block: int) -> np.ndarray:
@@ -378,48 +391,46 @@ def _projections(kernels, window, dims) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _plane_unions(maps, y: slice, window, block: int) -> np.ndarray:
-    """The z-block rows of the input y-rows ``y`` of a (G, N, H, W, Z, C)
-    stack of maps, per group, map and y-origin: the h*w*(z+block-1)*C
-    window at each ``block``-th position p = x*Z + z' of the flattened
-    (x, z) plane below L = (W-w)*Z + Z-z+1 (z' >= Z-z+1 wraps into the
-    next x-row), rounded up to whole blocks, as (G, rows, D') views of one
-    column-major buffer (see :func:`extract_unions`), in the maps' dtype.
-    When L is not a whole number of blocks, the last block reads up to
-    (block-1)*C elements past a map's plane, so such slabs, and maps not
-    C-contiguous, are copied first beside that many zeros: numpy refuses
-    a view that reaches past its buffer. Block 1, layer 1's, never takes
-    that copy of C-contiguous maps."""
-    (G, N, H, W, Z, C), (h, w, z) = maps.shape, window
-    item = maps.dtype.itemsize
-    L, sz, sy = (W - w) * Z + Z - z + 1, C * item, W * Z * C * item
-    blocks, slack, offset = -(-L // block), -L % block * C, y.start * sy
-    if slack or not maps.flags.c_contiguous:
-        slab = maps[:, :, y]
-        maps, H, offset = (np.zeros(slab.size + slack, maps.dtype),
-                           slab.shape[2], 0)
-        maps[:slab.size].reshape(slab.shape)[...] = slab
+    """The z-block rows of the input y-rows ``y`` of a run of maps, a
+    map-major (G, N, H, W, Z, C) stack (see :class:`_DirectionMaps`), per
+    group, map and y-origin: the h*w*(z+block-1)*C window at each
+    ``block``-th position p = x*Z + z' of the flattened (x, z) plane below
+    L = (W-w)*Z + Z-z+1 (z' >= Z-z+1 wraps into the next x-row), as (G,
+    rows, D') views of one column-major buffer (see
+    :func:`extract_unions`), in the maps' dtype. ``block`` divides L, so a
+    map's last block ends on its last element: every slab is a view of
+    the run's own memory, with the run's strides, and numpy refuses one
+    that would reach past it."""
+    (G, N, _, W, Z, C), (h, w, z) = maps.shape, window
+    sg, sn, sy, sx, sz, sc = maps.strides
     view = np.ndarray(
-        (h, w, z + block - 1, C, G, N, y.stop - y.start - h + 1, blocks),
-        maps.dtype, memoryview(maps).toreadonly(), offset,
-        (sy, Z * sz, sz, item, N * H * sy, H * sy, sy, block * sz))
+        (h, w, z + block - 1, C, G, N, y.stop - y.start - h + 1,
+         ((W - w) * Z + Z - z + 1) // block),
+        maps.dtype, memoryview(maps.swapaxes(0, 1)).toreadonly(),
+        y.start * sy, (sy, sx, sz, sc, sg, sn, sy, block * sz))
     return view.copy().reshape(math.prod(view.shape[:4]), G, -1) \
         .transpose(1, 2, 0)
 
 
 def _project(matrix, maps: np.ndarray, window, block: int,
              ys) -> np.ndarray:
-    """Project the unions of one run of :func:`slab_plan`, a (G, N, H, W,
-    Z, C) stack of maps read in the slabs of input y-rows ``ys``, onto the
-    (G, D', block*F) stack of :func:`_bands` ``matrix``, group by
-    group; a stack of one group (G = 1) is projected onto every matrix. No
-    offset is added. One batched product per slab writes its
-    :func:`_plane_unions` rows in place into the run's (G, N, H-h+1,
-    ceil(L/block)*block, F) conv buffer of flat positions, in the matrix's
-    dtype, returned as its (G, N, H-h+1, W-w+1, Z-z+1, F) view. A run's
-    conv maps are one array, which the heap reuses from run to run;
-    returning frees the last slab before pooling."""
+    """Project the unions of one run of :func:`slab_plan`, a map-major
+    (G, N, H, W, Z, C) stack of maps read in the slabs of input y-rows
+    ``ys``, onto the (G, D', block*F) stack of :func:`_bands` ``matrix``,
+    group by group; a stack of one group (G = 1) is projected onto every
+    matrix. No offset is added. One batched product per slab writes its
+    :func:`_plane_unions` rows in place into the run's (G, N, H-h+1, L, F)
+    conv buffer of the L flat positions, in the matrix's dtype, returned
+    as its (G, N, H-h+1, W-w+1, Z-z+1, F) view. A ``block`` that does not
+    divide L is a :class:`ShapeMismatchError`. A run's conv maps are one
+    array, which the heap reuses from run to run; returning frees the
+    last slab before pooling."""
     (_, N, H, W, Z, _), (h, w, z) = maps.shape, window
-    positions = -(-((W - w) * Z + Z - z + 1) // block) * block
+    positions = (W - w) * Z + Z - z + 1
+    if positions % block:
+        raise ShapeMismatchError(
+            f"a z-block of {block} does not divide the {positions} flat "
+            f"positions of {W}x{Z} planes under a {window} window")
     F = matrix.shape[-1] // block
     conv = np.empty((len(matrix), N, H - h + 1, positions, F), matrix.dtype)
     rows = conv.reshape(len(matrix), -1, block * F)
@@ -437,14 +448,16 @@ def _project(matrix, maps: np.ndarray, window, block: int,
 def _pool_layer(projection, maps, window, shapes: LayerShapes,
                 rows: np.ndarray | None = None, map_fn=map,
                 out: np.ndarray | None = None) -> np.ndarray:
-    """Apply one layer to a (G, N, H, W, Z, C) float32 stack of maps, G
-    groups of N maps, with ``projection``, the :func:`_projections` of
-    one kernel per group: group ``g``'s maps are projected with kernel
-    ``g``, and a stack of one group with every kernel. Returns the pooled
-    maps as a float32 (kernels, N, H', W', Z', F) array. Map ``i`` goes
-    to row ``rows[g, i]`` of kernel ``g``'s stack (row ``i`` by default).
-    The pooled maps are written into ``out`` when it is given, an array of
-    that shape and dtype, and into a fresh one otherwise.
+    """Apply one layer to a map-major (G, N, H, W, Z, C) float32 stack of
+    maps (see :class:`_DirectionMaps`), G groups of N maps, with
+    ``projection``, the :func:`_projections` of one kernel per group:
+    group ``g``'s maps are projected with kernel ``g``, and a stack of one
+    group with every kernel. Returns the pooled maps as a float32
+    (kernels, N, H', W', Z', F) stack, map-major too, so the next layer
+    gathers its runs in place. Map ``i`` goes to row ``rows[g, i]`` of
+    kernel ``g``'s stack (row ``i`` by default). The pooled maps are
+    written into ``out`` when it is given, a map-major stack of that shape
+    and dtype, and into a fresh one otherwise.
 
     The maps run in the runs of :func:`slab_plan`, so a run's conv stacks
     take about a slab: the conv maps of the whole stack are never held at
@@ -467,8 +480,8 @@ def _pool_layer(projection, maps, window, shapes: LayerShapes,
     matrix, offsets = projection
     block = matrix.shape[-1] // offsets.shape[-1]
     if out is None:
-        out = np.empty((len(matrix),) + maps.shape[1:2] + shapes.pool_dims,
-                       np.float32)
+        out = np.empty(maps.shape[1:2] + (len(matrix),) + shapes.pool_dims,
+                       np.float32).swapaxes(0, 1)
 
     def run(plan_run) -> None:
         group, ys = plan_run
@@ -731,10 +744,13 @@ def fit_folds(samples: list[DeformationSample], cfg: PipelineConfig,
     set's kernel into that set's stack.
     Each later layer fits a kernel per set on its training maps and pools
     all the stacks in one call, as :func:`transform_many` pools the three
-    directions. Every set's pooled maps are float32; layer 1's are the
-    largest array a fit holds, and the three directions pool theirs into
-    one buffer, allocated once, so that a fit's peak does not rest on
-    where the heap places a fresh one per direction. Each set's entropy
+    directions. Every set's pooled maps are float32, in one map-major
+    (sets, samples) stack (see :class:`_DirectionMaps`), so that a later
+    layer's run of whole maps, across every set, is one contiguous block
+    that its slabs are gathered from in place. Layer 1's are the largest
+    array a fit holds, and the three directions pool theirs into one
+    buffer, allocated once, so that a fit's peak does not rest on where
+    the heap places a fresh one per direction. Each set's entropy
     screen and LAG are then fitted on its training rows, widening them to
     float64, and give the blocks of both its training and held-out rows;
     none keeps a view of the pooled maps.
@@ -747,7 +763,7 @@ def fit_folds(samples: list[DeformationSample], cfg: PipelineConfig,
     threads = as_integer("threads", threads)
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    ledger = compute_ledger(cfg, common_dims(samples))
+    ledger = compute_ledger(cfg, common_dims(samples, cfg.concat_mode))
     for t in map(np.asarray, train):
         if (t.ndim != 1 or t.dtype.kind not in "iu"
                 or not np.all((t >= 0) & (t < len(samples)))
@@ -761,8 +777,8 @@ def fit_folds(samples: list[DeformationSample], cfg: PipelineConfig,
     rows = np.argsort([np.concatenate(p) for p in zip(train, held)], axis=1)
     sets = range(len(train))
     # layer 1's pooled maps, each direction's in turn
-    first = np.empty((len(train), len(samples)) + ledger[0].pool_dims,
-                     np.float32)
+    first = np.empty((len(samples), len(train)) + ledger[0].pool_dims,
+                     np.float32).swapaxes(0, 1)
     fits = []                  # [direction][layer][set]: one stage's fit
     state = np.geterr()              # per thread: the pool's workers take it
     with ThreadPoolExecutor(max(1, min(threads, len(train))),
@@ -822,7 +838,7 @@ def fit_pipeline(samples: list[DeformationSample], cfg: PipelineConfig,
     stages in one :func:`fit_folds` call); only the SVM is then fitted
     here. By default they come from :func:`fit_folds` of ``samples``.
     """
-    dims = common_dims(samples)
+    dims = common_dims(samples, cfg.concat_mode)
     labels = np.array([s.label for s in samples], dtype=np.int64)
     k = classifier.checked_class_count(labels, class_count)
     ids = tuple(s.subject_id for s in samples)
@@ -849,13 +865,7 @@ def transform_many(model: PipelineModel,
     by the same layer steps as :func:`fit_pipeline`, each layer one step
     for the three directions' maps, stacked and carried to the next layer
     in float32; LAG gives the float64 features."""
-    if not samples:
-        raise ShapeMismatchError("no samples to transform")
-    for s in samples:
-        if s.dims != model.input_dims:
-            raise ShapeMismatchError(
-                f"sample {s.subject_id} dims {s.dims} != model input "
-                f"{model.input_dims}")
+    common_dims(samples, model.config.concat_mode, model.input_dims)
     maps, blocks = _DirectionMaps(samples, slice(None)), []
     for layer, shapes, stages, projection in zip(
             model.config.layers, model.ledger, zip(*model.stages),

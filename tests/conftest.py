@@ -266,10 +266,17 @@ def plan_unions(maps, window) -> list[np.ndarray]:
             for run, ys in sh.slab_plan(maps.shape, window) for y in ys]
 
 
+def map_major(maps) -> np.ndarray:
+    """A copy of a (G, N, ...) stack of maps laid out map-major, as the
+    layer steps hold theirs: the ``swapaxes`` view of a C-order (N, G,
+    ...) array, so that every run of whole maps is one contiguous block."""
+    return np.ascontiguousarray(np.swapaxes(maps, 0, 1)).swapaxes(0, 1)
+
+
 def plan_project(kernels, maps, window, block=None) -> np.ndarray:
-    """The (G, N, H', W', Z', F) conv stack of a (G, N, H, W, Z, C) stack
-    of maps, with ``kernels`` one per group (a stack of one group takes
-    every kernel), before the offsets, taken run by run of its slab plan
+    """The (G, N, H', W', Z', F) conv stack of a map-major (G, N, H, W, Z,
+    C) stack of maps, with ``kernels`` one per group (a stack of one group
+    takes every kernel), before the offsets, taken run by run of its slab plan
     in z-blocks of ``block`` origins, as the layer steps take them, in the
     maps' dtype; by default in the layer steps' own block for these maps."""
     if block is None:
@@ -282,7 +289,7 @@ def plan_project(kernels, maps, window, block=None) -> np.ndarray:
 
 
 def pool_layer(kernels, maps, window, shapes, **kwargs) -> np.ndarray:
-    """One layer step of a (G, N, H, W, Z, C) stack of maps with
+    """One layer step of a map-major (G, N, H, W, Z, C) stack of maps with
     ``kernels``, one per group, projected as a fit projects them."""
     return sslhop.pipeline._pool_layer(
         sslhop.pipeline._projections(kernels, window, shapes.input_dims),

@@ -9,7 +9,7 @@ import pytest
 
 import sslhop.neighborhood
 import sslhop.pipeline
-from conftest import plan_project, plan_unions
+from conftest import map_major, plan_project, plan_unions
 from sslhop import (apply_saab, extract_unions, fit_saab, max_pool,
                     pooled_dims, slab_plan, union_count)
 from sslhop.errors import ShapeMismatchError, WindowTooLargeError
@@ -113,6 +113,12 @@ class TestUnions:
             extract_unions(np.zeros((4, 4, 4, 1)), window)
 
 
+def _plane_positions(dims, window) -> int:
+    """L = (W-w)*Z + Z-z+1, the flat (x, z) positions of an origin row."""
+    (_, W, Z), (_, w, z) = dims, window
+    return (W - w) * Z + Z - z + 1
+
+
 def _assert_plane_rows_match_oracle(maps, y, window, block):
     """Each conv voxel a row of the layer steps' gather gives at a valid
     origin reads, in its column block, that origin's brute-force union:
@@ -123,8 +129,7 @@ def _assert_plane_rows_match_oracle(maps, y, window, block):
     rows = sslhop.pipeline._plane_unions(maps, y, window, block)
     assert rows.dtype == maps.dtype
     origins = y.stop - y.start - h + 1
-    L = (W - w) * Z + Z - z + 1
-    blocks = -(-L // block)
+    blocks = _plane_positions(maps.shape[2:5], window) // block
     assert rows.shape == (G, N * origins * blocks,
                           h * w * (z + block - 1) * C)
     # one column-major buffer: each union element is one run of the rows
@@ -153,43 +158,66 @@ DTYPES = [np.float32, np.float64]
 # within gamma_36 * |x| * |k| (Higham 2002, 3.1), about 5e-5 in float32
 ATOL = {np.float32: 1e-4, np.float64: 1e-12}
 
+# (H, W, Z) and windows whose L = (W-w)*Z + Z-z+1 flat positions are 22
+# (whole numbers of blocks of 1, 2, 11 and 22) and 24 (of its eight
+# divisors)
+PLANES = {"L22": ((4, 5, 8), (2, 3, 3)), "L24": ((4, 4, 13), (2, 3, 3))}
+
+
+def _dividing_blocks(plane) -> list[int]:
+    """Every block that divides the plane's L."""
+    L = _plane_positions(*plane)
+    return [b for b in range(1, L + 1) if L % b == 0]
+
+
+# every (plane, block) pair whose block divides the plane's L
+PLANE_BLOCKS = {f"{name}-b{block}": (plane, block)
+                for name, plane in PLANES.items()
+                for block in _dividing_blocks(plane)}
+
 
 class TestPlaneUnions:
     """The layer steps' gather of z-blocks over each map's flattened (x, z)
-    plane, against the brute-force union oracle."""
-
-    # (H, W, Z) and windows whose L = (W-w)*Z + Z-z+1 flat positions are
-    # 22 (a whole number of blocks of 1 and 2; blocks of 3 read 2 past a
-    # map's plane) and 19 (blocks of 2 and 3 read past it)
-    PLANES = {"L22": ((4, 5, 8), (2, 3, 3)), "L19": ((4, 5, 7), (2, 3, 3))}
+    plane, from map-major stacks as the layer steps hold them, against the
+    brute-force union oracle."""
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("slabs", ["whole-maps", "one-row"])
     @pytest.mark.parametrize("groups", [1, 3])
-    @pytest.mark.parametrize("block", [1, 2, 3])
     @pytest.mark.parametrize("channels", [1, 5])
-    @pytest.mark.parametrize("plane", PLANES.values(), ids=PLANES.keys())
-    def test_valid_voxels_read_their_unions(self, rng, plane, channels,
-                                            block, groups, slabs, dtype):
+    @pytest.mark.parametrize("plane,block", PLANE_BLOCKS.values(),
+                             ids=PLANE_BLOCKS.keys())
+    def test_valid_voxels_read_their_unions(self, rng, plane, block,
+                                            channels, groups, slabs, dtype):
         """Runs of three whole maps, and slabs of one origin row at each
-        offset, with one group or three."""
+        offset, with one group or three, in every block that divides L."""
         dims, window = plane
-        maps = rng.normal(size=(groups, 3) + dims + (channels,)).astype(dtype)
+        maps = map_major(rng.normal(size=(groups, 3) + dims + (channels,))
+                         .astype(dtype))
         H = dims[0]
         ys = [slice(0, H)] if slabs == "whole-maps" else \
             [slice(y0, y0 + window[0]) for y0 in range(H - window[0] + 1)]
         for y in ys:
             _assert_plane_rows_match_oracle(maps, y, window, block)
 
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_non_contiguous_maps_match_oracle(self, rng, dtype):
-        """Maps that are a strided view (here, reversed in x) are gathered
-        from a copy."""
-        maps = rng.normal(size=(2, 2, 4, 5, 8, 3)).astype(dtype)[:, :, :, ::-1]
-        assert not maps.flags.c_contiguous
-        for block in (1, 2, 3):
-            _assert_plane_rows_match_oracle(maps, slice(0, 4), (2, 3, 3),
-                                            block)
+    @pytest.mark.parametrize("plane", PLANES.values(), ids=PLANES.keys())
+    def test_a_block_that_does_not_divide_the_plane_is_refused(
+            self, rng, monkeypatch, plane):
+        """The smallest block that leaves L a remainder, 3 for L22 and 5
+        for L24, would read past each map's plane: the projection refuses
+        it before it gathers a slab."""
+        dims, window = plane
+        L = _plane_positions(dims, window)
+        block = min(b for b in range(2, L) if L % b)
+        maps = map_major(rng.normal(size=(2, 3) + dims + (2,)))
+        kernels = [fit_saab(rng.normal(size=(40, 2 * math.prod(window))), 4)
+                   for _ in range(2)]
+        gathered = []
+        monkeypatch.setattr(sslhop.pipeline, "memoryview", gathered.append,
+                            raising=False)
+        with pytest.raises(ShapeMismatchError, match="does not divide"):
+            plan_project(kernels, maps, window, block)
+        assert gathered == []
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("slabs", ["whole-maps", "one-row"])
@@ -197,22 +225,24 @@ class TestPlaneUnions:
     @pytest.mark.parametrize("plane", PLANES.values(), ids=PLANES.keys())
     def test_poisoned_neighbours_reach_no_valid_voxel(
             self, rng, monkeypatch, plane, groups, slabs, dtype):
-        """The maps are a view of a buffer that is NaN after them: each
-        map's next one in memory (with several groups) or, after the last,
-        the rest of the buffer. A GEMM multiplies a row's every element,
-        so a NaN gathered beside a valid voxel's union would reach it;
-        every valid conv voxel must equal its union times the kernel, at
+        """The maps are a view of a map-major buffer that is NaN after
+        them: each map's next one in memory (the next group's map of the
+        same index, or the first group's of the next) or, after the last,
+        the rest of the buffer. A GEMM
+        multiplies a row's every element, so a NaN gathered beside a valid
+        voxel's union would reach it; every valid conv voxel, in every
+        block that divides L, must equal its union times the kernel, at
         the roundoff of the maps' dtype."""
         dims, window = plane
-        buffer = np.full((groups, 4) + dims + (2,), np.nan, dtype)
-        maps = buffer[:, :3]
+        buffer = np.full((4, groups) + dims + (2,), np.nan, dtype)
+        maps = buffer[:3].swapaxes(0, 1)
         maps[...] = rng.normal(size=maps.shape)
         kernels = [fit_saab(rng.normal(size=(40, 2 * math.prod(window))), 4)
                    for _ in range(groups)]
         if slabs == "one-row":
             monkeypatch.setattr(sslhop.neighborhood, "SLAB_BYTES", 1)
         grid = tuple(d - k + 1 for d, k in zip(dims, window))
-        for block in (1, 2, 3):
+        for block in _dividing_blocks(plane):
             conv = plan_project(kernels, maps, window, block)
             # the conv maps take the matrix's dtype, here the maps'
             assert conv.dtype == dtype

@@ -13,7 +13,8 @@ import sslhop.evaluate
 import sslhop.fields
 import sslhop.neighborhood
 import sslhop.pipeline
-from conftest import BAD_SEEDS, plan_project, plan_unions, pool_layer
+from conftest import BAD_SEEDS, map_major, plan_project, plan_unions, \
+    pool_layer
 from sslhop.errors import (
     DegenerateInputError,
     DegenerateInputWarning,
@@ -386,6 +387,30 @@ class TestFit:
         with pytest.raises(ShapeMismatchError):
             sh.transform_many(tiny_model, [])
 
+    @pytest.mark.parametrize("batch", ["plain", "mixed"])
+    @pytest.mark.parametrize("step", ["fit", "fold-fit", "transform",
+                                      "predict"])
+    def test_samples_merged_in_another_order_are_refused(
+            self, tiny_cohort, tiny_cfg, tiny_model, step, batch):
+        """Samples merged plain under an interlaced config, or a batch of
+        both orders: their maps have the config's dims but other depth
+        slices, so a fit saved a model that says interlaced with other
+        bytes, and an interlaced model gave a plain sample other scores."""
+        _, records = tiny_cohort
+        plain = _samples(records, dataclasses.replace(tiny_cfg,
+                                                      concat_mode="plain"))
+        if batch == "mixed":
+            plain = _samples(records[:6], tiny_cfg) + plain[6:]
+        run = {"fit": lambda: sh.fit_pipeline(plain, tiny_cfg),
+               "fold-fit": lambda: sh.fit_folds(plain, tiny_cfg,
+                                                [np.arange(len(plain))]),
+               "transform": lambda: sh.transform_many(tiny_model, plain),
+               "predict": lambda: sh.predict_samples(tiny_model, plain)}
+        with pytest.raises(ShapeMismatchError,
+                           match="merges its phases plain, the config "
+                                 "interlaced"):
+            run[step]()
+
 
 def _samples(records, cfg):
     return [sh.assemble_sample(r.ed, r.es, cfg, r.label, r.subject_id)
@@ -668,17 +693,28 @@ class TestSharedSlabPass:
             np.testing.assert_array_equal(stack, alone[rows])
 
 
-def _spy_gathers(monkeypatch) -> list[tuple[int, ...]]:
-    """The shapes of the arrays :func:`_plane_unions` gathers its slabs
-    from, in call order, as it passes them to ``memoryview``: a stack of
-    maps, or the flat copy of a slab beside slack."""
-    gathered = []
+def _spy_gathers(monkeypatch) -> list[bool]:
+    """For each slab :func:`_plane_unions` gathers, in call order, whether
+    the array it passes to ``memoryview`` is the memory of the run of maps
+    :func:`_project` was handed, exactly: the same first byte and size,
+    not a copy of the run or of a slab. Layer steps on one thread only."""
+    runs, gathered = [], []
+    project = sslhop.pipeline._project
 
-    def spy(arr):
-        gathered.append(arr.shape)
+    def spy_project(matrix, maps, *args):
+        runs.append(maps)
+        return project(matrix, maps, *args)
+
+    def spy_view(arr):
+        run = runs[-1]
+        gathered.append(arr.__array_interface__["data"][0]
+                        == run.__array_interface__["data"][0]
+                        and arr.nbytes == run.nbytes)
         return memoryview(arr)
 
-    monkeypatch.setattr(sslhop.pipeline, "memoryview", spy, raising=False)
+    monkeypatch.setattr(sslhop.pipeline, "_project", spy_project)
+    monkeypatch.setattr(sslhop.pipeline, "memoryview", spy_view,
+                        raising=False)
     return gathered
 
 
@@ -696,25 +732,63 @@ def _assert_close_to(out, base):
                                atol=1e-12 * np.abs(base).max())
 
 
+# CI's ROI cohort: 24x24x8 fields, merged plain and cropped to 20x20x8
+ROI_CFG = dataclasses.replace(
+    sh.PipelineConfig(layers=(sh.LayerSpec((3, 3, 4), 4),
+                              sh.LayerSpec((3, 3, 3), 5)),
+                      centroids_per_class=2, seed=11),
+    concat_mode="plain", roi_size=(20, 20, 8))
+
+
+@pytest.fixture(scope="module")
+def roi_records(tmp_path_factory):
+    spec = sh.SyntheticSpec(classes=3, per_class=4, dims=(24, 24, 8),
+                            noise_sigma=0.4, seed=7)
+    return sh.load_subjects(sh.gen_synthetic(
+        spec, tmp_path_factory.mktemp("roi")))
+
+
+def _gather_cohort(request, name):
+    """The records, config and ledger blocks of the tiny cohort, read in
+    the slabs of ``tiny_slabs`` (so that a later layer's runs are not its
+    whole stack), the ROI cohort, or four subjects of each of three
+    classes of the standard cohort under the small preset (with two LAG
+    centroids per class)."""
+    if name == "tiny":
+        request.getfixturevalue("tiny_slabs")
+        _, records = request.getfixturevalue("tiny_cohort")
+        return records, request.getfixturevalue("tiny_cfg"), [1, 1]
+    if name == "roi":
+        return request.getfixturevalue("roi_records"), ROI_CFG, [1, 1]
+    records = request.getfixturevalue("cohort_records")
+    records = [r for c in range(3) for r in
+               [r for r in records if r.label == c][:4]]
+    cfg = dataclasses.replace(sh.small_config(seed=42), centroids_per_class=2)
+    return records, cfg, [1, 2, 1]
+
+
 class TestZBlocks:
     """The z-blocked projection against block 1, plain im2col."""
 
-    # (H, W, Z, C) maps and windows: conv depths 9 (odd), 7 and 5 (prime)
-    # and 12 (many divisors), with one and five channels
-    CASES = {"odd-C1": ((7, 6, 11, 1), (3, 2, 3)),
-             "prime-C1": ((5, 5, 12, 1), (2, 3, 6)),
-             "prime-C5": ((6, 5, 7, 5), (3, 3, 3)),
-             "even-C5": ((5, 6, 14, 5), (3, 3, 3))}
+    # (H, W, Z, C) maps and windows whose L = (W-w)*Z + Z-z+1 flat
+    # positions are whole numbers of blocks of 2, 3 and 4 (L48), of 2
+    # alone (L34), of 2 and 4 (L40) and of 2 and 3 (L54), with one and
+    # five channels
+    CASES = {"L48-C1": ((7, 6, 10, 1), (3, 2, 3)),
+             "L34-C1": ((5, 5, 13, 1), (2, 3, 6)),
+             "L40-C5": ((6, 5, 14, 5), (3, 3, 3)),
+             "L54-C5": ((5, 6, 14, 5), (3, 3, 3))}
 
     @pytest.mark.parametrize("slabs", ["one-row", "several-maps"])
     @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
     def test_every_block_equals_block_1(self, rng, monkeypatch, case, slabs):
-        """Three groups of four maps, one kernel each, and the first group
-        alone projected onto all three kernels: each block from 2 to 4
-        gives block 1's conv maps, whether or not it divides the conv
-        depth."""
+        """Three groups of four maps, one kernel each, and a group alone
+        projected onto all three kernels: each block from 2 to 4 that
+        divides L gives block 1's conv maps, and each other one is
+        refused."""
         dims, window = case
-        maps = rng.normal(size=(3, 4) + dims)
+        maps = map_major(rng.normal(size=(3, 4) + dims))
+        L = (dims[1] - window[1]) * dims[2] + dims[2] - window[2] + 1
         kernels = _fold_kernels(rng, dims, window, count=3, channels=4)
         per_map = 3 * sh.union_count(dims, window) * math.prod(window) \
             * dims[-1] * 8
@@ -726,15 +800,21 @@ class TestZBlocks:
                        for y in ys)
         else:
             assert len(plan) == 2 and len(plan[0][1]) == 1
-        for stack in (maps, maps[:1]):
+        for stack in (maps, maps[:1].copy()):
             base = plan_project(kernels, stack, window, 1)
             for block in (2, 3, 4):
-                _assert_close_to(plan_project(kernels, stack, window, block),
-                                 base)
+                if L % block:
+                    with pytest.raises(ShapeMismatchError,
+                                       match="does not divide"):
+                        plan_project(kernels, stack, window, block)
+                else:
+                    _assert_close_to(
+                        plan_project(kernels, stack, window, block), base)
 
     def test_truncated_layer5_pools_as_block_1(self, rng, monkeypatch):
-        """Layer 5 of a truncating plan projects its four z-origins in
-        blocks of 2, 3, 4 or 1 and keeps three."""
+        """Layer 5 of a truncating plan projects its four z-origins (its L,
+        on a plane one window wide) in blocks of 2, 4 or 1 and keeps
+        three."""
         cfg = sh.PipelineConfig(layers=(sh.LayerSpec((3, 3, 3), 3),) * 5,
                                 truncate_layer5=True)
         shapes = sh.compute_ledger(cfg, (70, 70, 126))[4]
@@ -742,33 +822,44 @@ class TestZBlocks:
         assert shapes.input_dims == (3, 3, 6, 3)
         assert shapes.conv_dims == (1, 1, 3, 3)
         assert sslhop.pipeline._z_block(window, shapes.input_dims) == 1
-        maps = rng.normal(size=(3, 5) + shapes.input_dims).astype(np.float32)
+        maps = map_major(rng.normal(size=(3, 5) + shapes.input_dims)
+                         .astype(np.float32))
         kernels = _fold_kernels(rng, shapes.input_dims, window, count=3,
                                 channels=3)
         pooled = {}
-        for block in (1, 2, 3, 4):
+        for block in (1, 2, 4):
             monkeypatch.setattr(sslhop.pipeline, "_z_block",
                                 lambda _window, _dims, b=block: b)
             pooled[block] = pool_layer(kernels, maps, window, shapes)
-        for block in (2, 3, 4):
+        for block in (2, 4):
             _assert_close_to(pooled[block], pooled[1])
 
-    # (H, W, Z, C) maps under a (3, 3, 3) window, and the block they take:
-    # L = (W-3)*Z + Z-2 flat positions per origin row
-    RULE = {"L31": ((5, 5, 11, 5), 1), "L32": ((5, 4, 17, 5), 2),
-            "L13-C4": ((5, 5, 5, 4), 1), "L955-C1": ((30, 32, 32, 1), 1)}
+    # (H, W, Z, C) maps, a window, and the block they take: L = (W-w)*Z +
+    # Z-z+1 flat positions per origin row, 31 to 34 on five-channel maps
+    # under windows 3 deep (blocks of at most 2) and 6 deep (at most 3)
+    RULE = {"L31": ((5, 5, 11, 5), (3, 3, 3), 1),
+            "L32": ((5, 4, 17, 5), (3, 3, 3), 2),
+            "L33": ((5, 3, 35, 5), (3, 3, 3), 1),
+            "L34": ((5, 3, 36, 5), (3, 3, 3), 2),
+            "L31-z6": ((5, 3, 36, 5), (3, 3, 6), 1),
+            "L32-z6": ((5, 3, 37, 5), (3, 3, 6), 2),
+            "L33-z6": ((5, 3, 38, 5), (3, 3, 6), 3),
+            "L34-z6": ((5, 3, 39, 5), (3, 3, 6), 2),
+            "L13-C4": ((5, 5, 5, 4), (3, 3, 3), 1),
+            "L955-C1": ((30, 32, 32, 1), (3, 3, 6), 1)}
 
     @pytest.mark.parametrize("case", RULE.values(), ids=RULE.keys())
-    def test_block_1_below_32_positions_or_one_channel(self, case):
+    def test_block_is_the_largest_dense_divisor_of_the_plane(self, case):
         """Block 1 for one-channel maps and for planes of fewer than 32
-        window positions; else the 3/4-density block of the window, 2 for
-        a window 3 deep."""
-        dims, block = case
-        assert sslhop.pipeline._z_block((3, 3, 3), dims) == block
+        window positions; else the largest block that divides L within
+        the 3/4-density bound of the window, b <= 1 + z/3."""
+        dims, window, block = case
+        assert sslhop.pipeline._z_block(window, dims) == block
 
     # layer 1's one-channel maps project in block 1, and so do the later
     # layers whose planes hold fewer than 32 window positions (L in the
-    # comments); the others take the 3/4-density block of their window
+    # comments) or an odd number under a window 3 deep; the others take
+    # the 3/4-density block of their window, 2 for a window 3 deep
     LEDGERS = {
         # L = 955, 180, 28
         "small": (sh.small_config(), (32, 32, 32), [1, 2, 1]),
@@ -778,6 +869,8 @@ class TestZBlocks:
             (12, 12, 12), [1, 1]),
         # L = 12539, 2912, 658, 124, 16
         "full": (sh.full_config(), (100, 100, 128), [1, 2, 2, 2, 1]),
+        # L = 285, 47
+        "roi": (ROI_CFG, (20, 20, 16), [1, 1]),
     }
 
     @pytest.mark.parametrize("ledger", LEDGERS.values(), ids=LEDGERS.keys())
@@ -785,15 +878,14 @@ class TestZBlocks:
         cfg, dims, blocks = ledger
         assert _ledger_blocks(cfg, dims) == blocks
 
-    # on the tiny cohort's 12x12x12 maps, layer 2's 6x6x6x4 maps hold 33
-    # flat positions per origin row under a (2, 1, 4) window: it projects
-    # in z-blocks of 2, and copies its slabs beside one position's slack
-    # (tiny_cfg's layers both take block 1)
+    # on the tiny cohort's 12x12x12 maps, layer 2's 6x6x6x4 maps hold 34
+    # flat positions per origin row under a (2, 1, 3) window: it projects
+    # in z-blocks of 2 (tiny_cfg's layers both take block 1)
     BLOCK_2 = sh.PipelineConfig(layers=(sh.LayerSpec((2, 2, 2), 4),
-                                        sh.LayerSpec((2, 1, 4), 5)),
+                                        sh.LayerSpec((2, 1, 3), 5)),
                                 centroids_per_class=2, seed=11)
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_cv_fold_models_match_standalone_fits(self, tiny_cohort,
                                                   monkeypatch, tmp_path,
                                                   threads):
@@ -855,23 +947,22 @@ class TestZBlocks:
     def test_one_channel_step_gathers_the_maps_in_place(self, rng,
                                                         monkeypatch, case,
                                                         groups):
-        """Three kernels over the C-contiguous runs layer 1 reads: one
-        group of three maps, as a fold fit's shared pass, or three groups of
-        one map, as a transform's. Every slab is gathered from a view of
-        its run's maps, never from a copy beside slack, and the pooled
-        maps are the dense float32 oracle's (the unions times the float32
-        kernel, plus the float32 offset, pooled) bit for bit."""
+        """Three kernels over the map-major runs layer 1 reads: one group
+        of three maps, as a fold fit's shared pass, or three groups of one
+        map, as a transform's. Every slab is gathered from a view of its
+        run's maps, and the pooled maps are the dense float32 oracle's
+        (the unions times the float32 kernel, plus the float32 offset,
+        pooled) bit for bit."""
         dims, window = case
         cfg = sh.PipelineConfig(layers=(sh.LayerSpec(window, 5),))
         (shapes,) = sh.compute_ledger(cfg, dims)
-        maps = rng.normal(size=(groups, 3 // groups)
-                          + shapes.input_dims).astype(np.float32)
+        maps = map_major(rng.normal(size=(groups, 3 // groups)
+                                    + shapes.input_dims).astype(np.float32))
         kernels = _fold_kernels(rng, shapes.input_dims, window, count=3)
         plan = sh.slab_plan(maps.shape, window)
         gathered = _spy_gathers(monkeypatch)
         pooled = pool_layer(kernels, maps, window, shapes)
-        assert gathered == [maps[:, run].shape for run, ys in plan
-                            for _ in ys]
+        assert gathered == [True] * sum(len(ys) for _, ys in plan)
         grid = tuple(d - k + 1 for d, k in zip(dims, window))
         for g, kernel in enumerate(kernels):
             matrix, offset = kernel.projection
@@ -882,27 +973,30 @@ class TestZBlocks:
                 np.testing.assert_array_equal(
                     pooled[g, n], sh.max_pool(conv.reshape(grid + (-1,))))
 
-    def test_slack_copy_is_taken_by_an_odd_plane(self, rng, monkeypatch):
-        """The control of the spy above: 11x11x9x5 maps under a (3, 3, 3)
-        window, whose 79 flat positions are no whole number of their
-        blocks of 2, gather each slab from a flat copy of it beside one
-        position's channels of slack, and pool as in block 1."""
-        cfg = sh.PipelineConfig(layers=(sh.LayerSpec((3, 3, 3), 5),))
-        (shapes,) = sh.compute_ledger(cfg, (11, 11, 9))
-        shapes = dataclasses.replace(shapes, input_dims=(11, 11, 9, 5),
-                                     union_dim=135)
-        window = cfg.layers[0].window
-        assert sslhop.pipeline._z_block(window, shapes.input_dims) == 2
-        maps = rng.normal(size=(3, 2) + shapes.input_dims).astype(np.float32)
-        kernels = _fold_kernels(rng, shapes.input_dims, window, count=3)
-        plan = sh.slab_plan(maps.shape, window)
+    @pytest.mark.parametrize("cohort", ["tiny", "roi", "standard"])
+    def test_no_layer_step_gathers_from_a_copy(self, request, monkeypatch,
+                                               cohort):
+        """A fold fit of three training sets, whose later layers read every
+        set's pooled maps in runs of one map-major stack, and a transform
+        of the three directions: every slab of every layer step is
+        gathered from its run's own memory, which a (sets, subjects) stack
+        would slice into a later layer's runs non-contiguously. The tiny
+        cohort's layers project in blocks [1, 1], the ROI cohort's [1, 1]
+        (layer 2's 47 positions are odd) and the standard cohort's small
+        preset in [1, 2, 1], its 32x32x32 layer-1 maps in row slabs."""
+        records, cfg, blocks = _gather_cohort(request, cohort)
+        samples = _samples(records, cfg)
+        assert _ledger_blocks(cfg, samples[0].dims) == blocks
+        fold = sh.stratified_folds([s.label for s in samples], 3, 3)
+        train = [np.flatnonzero(fold != f) for f in range(3)]
         gathered = _spy_gathers(monkeypatch)
-        pooled = pool_layer(kernels, maps, window, shapes)
-        assert gathered == [(maps[:, run][:, :, y].size + 5,)
-                            for run, ys in plan for y in ys]
-        monkeypatch.setattr(sslhop.pipeline, "_z_block",
-                            lambda _window, _dims: 1)
-        _assert_close_to(pool_layer(kernels, maps, window, shapes), pooled)
+        fitted = sh.fit_folds(samples, cfg, train)[0]
+        fit_gathers, gathered[:] = gathered[:], []
+        model = sh.fit_pipeline([samples[i] for i in train[0]], cfg,
+                                fitted=fitted)
+        sh.transform_many(model, samples)
+        assert fit_gathers and all(fit_gathers)
+        assert gathered and all(gathered)
 
     def test_fold_fit_pools_layer_1_of_every_direction_into_one_buffer(
             self, tiny_cohort, tiny_cfg, monkeypatch):
@@ -1359,11 +1453,9 @@ def _layer_peaks(kernel, maps, window, shapes):
 
 def _conv_stack_items(shapes, window) -> int:
     """Items of one map's conv stack for one kernel as a layer step holds
-    it: each origin row's flat (x, z) positions, in whole z-blocks."""
+    it: each origin row's L flat (x, z) positions."""
     (H, W, Z, _), (h, w, z) = shapes.input_dims, window
-    block = sslhop.pipeline._z_block(window, shapes.input_dims)
-    positions = -(-((W - w) * Z + Z - z + 1) // block) * block
-    return (H - h + 1) * positions * shapes.conv_dims[3]
+    return (H - h + 1) * ((W - w) * Z + Z - z + 1) * shapes.conv_dims[3]
 
 
 def _pool_layer_peak(*args, **kwargs) -> int:
@@ -1381,7 +1473,7 @@ class TestBoundedMemory:
         """One 64x64x32 map through a (3, 3, 6) layer, whose dense union
         matrix alone would take 62 * 62 * 27 * 54 * 8 = 44.8 MB."""
         cfg = sh.PipelineConfig(layers=(sh.LayerSpec((3, 3, 6), 5),),
-                                centroids_per_class=1)
+                                centroids_per_class=1, concat_mode="plain")
         stacks = [rng.normal(size=(3, 64, 64, 32)) for _ in range(2)]
         samples = [sh.DeformationSample(stack[..., :16], stack[..., 16:],
                                         "plain", label, f"s{label}")
